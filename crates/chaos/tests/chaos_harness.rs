@@ -5,7 +5,9 @@ use std::sync::Mutex;
 
 use cordial_chaos::{degradation_sweep, run_harness, ChaosConfig, HarnessConfig, PanicStage};
 
-/// Serialises tests that toggle the process-global metrics registry.
+/// Serialises every test in this binary: they all record into the
+/// process-global metrics registry, so one running while a digest test
+/// has it enabled would leak into that test's digest.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -17,6 +19,7 @@ fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
 /// complete outcome split.
 #[test]
 fn reference_fault_rates_hold_every_invariant() {
+    let _guard = obs_guard();
     let config = HarnessConfig::default();
     assert_eq!(config.chaos.seed, 0);
     assert_eq!(config.chaos.corruption_rate, 0.01);
@@ -85,6 +88,7 @@ fn chaos_telemetry_digest_is_thread_invariant() {
 /// makes the latter exact, not statistical).
 #[test]
 fn absorption_degrades_monotonically_with_injected_loss() {
+    let _guard = obs_guard();
     let base = HarnessConfig {
         chaos: ChaosConfig {
             seed: 0,
@@ -118,6 +122,7 @@ fn absorption_degrades_monotonically_with_injected_loss() {
 /// simply never arrives, and every invariant still holds.
 #[test]
 fn mid_stream_truncation_is_survivable() {
+    let _guard = obs_guard();
     let config = HarnessConfig {
         chaos: ChaosConfig {
             seed: 0,
@@ -136,6 +141,7 @@ fn mid_stream_truncation_is_survivable() {
 /// the typed report and in the rendered verdict line.
 #[test]
 fn contained_panics_are_attributed_to_their_stage() {
+    let _guard = obs_guard();
     let mut report = run_harness(&HarnessConfig::default());
     report.panicked = true;
     report.panicked_stage = Some(PanicStage::Monitor);

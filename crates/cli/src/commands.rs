@@ -353,10 +353,9 @@ fn run(args: &Args) -> Result<(), String> {
 
     let (cordial, mut monitor) = match args.flags.get("resume") {
         Some(path) => {
-            let (pipeline, state) = io::read_checkpoint(Path::new(path))?;
-            let monitor = CordialMonitor::restore(pipeline.clone(), state)
-                .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-            (pipeline, monitor)
+            let file: io::CheckpointFile = io::read_json(Path::new(path))?;
+            let monitor = CordialMonitor::restore(file.pipeline.clone(), file.state);
+            (file.pipeline, monitor)
         }
         None => {
             let split = split_banks(&dataset, 0.7, seed);
@@ -410,10 +409,9 @@ fn monitor(args: &Args) -> Result<(), String> {
 
     let (cordial, mut mon) = match (args.flags.get("resume"), args.flags.get("pipeline")) {
         (Some(path), _) => {
-            let (pipeline, state) = io::read_checkpoint(Path::new(path))?;
-            let monitor = CordialMonitor::restore(pipeline.clone(), state)
-                .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-            (pipeline, monitor)
+            let file: io::CheckpointFile = io::read_json(Path::new(path))?;
+            let monitor = CordialMonitor::restore(file.pipeline.clone(), file.state);
+            (file.pipeline, monitor)
         }
         (None, Some(path)) => {
             let cordial = io::read_pipeline(Path::new(path))?;
@@ -591,7 +589,6 @@ fn serve(args: &Args) -> Result<(), String> {
             args.u64_flag("retry-after-ms", u64::from(defaults.retry_after_ms))?,
         )
         .map_err(|_| "--retry-after-ms does not fit in u32".to_string())?,
-        checkpoint_dir: args.flags.get("checkpoint-dir").map(PathBuf::from),
         store_dir: args.flags.get("store-dir").map(PathBuf::from),
         fsync: match args.flags.get("fsync") {
             None => defaults.fsync,
@@ -938,7 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn device_keys_parse_in_both_renderings() {
+    fn parse_device_key_accepts_both_renderings() {
         let key = DeviceKey {
             node: 3,
             npu: 1,

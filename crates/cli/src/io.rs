@@ -84,7 +84,7 @@ pub fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), String> {
 pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T, String> {
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("{}: malformed JSON: {e}", path.display()))
+    serde_json::from_str(&text).map_err(|e| format!("{}: cannot decode: {e}", path.display()))
 }
 
 /// Writes a JSON value **atomically and durably**: the bytes stage
@@ -101,7 +101,10 @@ pub fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), Str
 
 /// On-disk checkpoint of a monitoring session: the (immutable) trained
 /// pipeline plus the monitor's mutable state, so `--resume` needs exactly
-/// one file. Always written via [`write_json_atomic`].
+/// one file. Always written via [`write_json_atomic`]; read back with
+/// [`read_json`], which upgrades older monitor state through
+/// [`MonitorCheckpoint`](cordial::monitor::MonitorCheckpoint)'s own
+/// migration-aware deserializer.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct CheckpointFile {
     /// The trained pipeline the monitor was running.
@@ -113,33 +116,6 @@ pub struct CheckpointFile {
 /// Reads a trained pipeline.
 pub fn read_pipeline(path: &Path) -> Result<Cordial, String> {
     read_json(path)
-}
-
-/// Reads a `--resume` checkpoint **migration-aware**: the monitor state is
-/// routed through the checkpoint migration registry
-/// ([`cordial::checkpoint::load_checkpoint_value`]), so files written by
-/// older releases — including pre-versioning v0 files with no
-/// `schema_version` — load through the upgrade chain, and files from a
-/// future release fail with the greppable "unsupported future schema
-/// version" error instead of restoring garbage.
-pub fn read_checkpoint(
-    path: &Path,
-) -> Result<(Cordial, cordial::monitor::MonitorCheckpoint), String> {
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let value = serde_json::parse_value_str(&text)
-        .map_err(|e| format!("{}: malformed JSON: {e}", path.display()))?;
-    let pipeline: Cordial = value
-        .get("pipeline")
-        .ok_or_else(|| format!("{}: checkpoint has no `pipeline` field", path.display()))
-        .and_then(|v| Deserialize::from_value(v).map_err(|e| format!("{}: {e}", path.display())))?;
-    let state = value
-        .get("state")
-        .cloned()
-        .ok_or_else(|| format!("{}: checkpoint has no `state` field", path.display()))?;
-    let (state, _from_version) = cordial::checkpoint::load_checkpoint_value(state)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((pipeline, state))
 }
 
 /// Whether a metrics path selects the JSON format (by `.json` extension);
@@ -285,9 +261,14 @@ mod tests {
         )
         .unwrap();
 
+        /// Loads a `--resume` file and restores its monitor.
+        fn resume(path: &Path) -> Result<CordialMonitor, String> {
+            let file: CheckpointFile = read_json(path)?;
+            Ok(CordialMonitor::restore(file.pipeline, file.state))
+        }
+
         // A current-version file loads as-is.
-        let (_, state) = read_checkpoint(&path).unwrap();
-        assert_eq!(state.schema_version(), CHECKPOINT_SCHEMA_VERSION);
+        assert_eq!(resume(&path).unwrap().stats(), monitor.stats());
 
         let value = serde_json::parse_value_str(&fs::read_to_string(&path).unwrap()).unwrap();
 
@@ -304,8 +285,7 @@ mod tests {
         });
         let v0_path = temp_path("resume-v0.json");
         fs::write(&v0_path, serde_json::to_string(&v0).unwrap()).unwrap();
-        let (_, state) = read_checkpoint(&v0_path).unwrap();
-        assert_eq!(state.schema_version(), CHECKPOINT_SCHEMA_VERSION);
+        assert_eq!(resume(&v0_path).unwrap().stats(), monitor.stats());
 
         // A file from a future release fails with the greppable error.
         let future = map_state(value, |mut state| {
@@ -314,7 +294,7 @@ mod tests {
         });
         let future_path = temp_path("resume-future.json");
         fs::write(&future_path, serde_json::to_string(&future).unwrap()).unwrap();
-        let err = read_checkpoint(&future_path).unwrap_err();
+        let err = resume(&future_path).unwrap_err();
         assert!(
             err.contains("unsupported future schema version"),
             "got: {err}"

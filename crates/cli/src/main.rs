@@ -66,7 +66,7 @@ fn main() -> ExitCode {
             cordial_obs::error!("  cordial-cli monitor  --log FILE (--pipeline FILE | --resume CKPT) [--checkpoint CKPT] [--checkpoint-every N] [--abort-after N] [--reorder-bound-ms MS]");
             cordial_obs::error!("  cordial-cli chaos    [--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F] [--threads N]");
             cordial_obs::error!("  cordial-cli fleet    [--scale S] [--seed N] [--devices N] [--kill R] [--corrupt R] [--min-availability R] [--breaker-window N] [--breaker-trip-rate R] [--breaker-min-events N] [--breaker-backoff-ms MS] [--breaker-max-retries N] [--promotion-margin R] [--metrics-out FILE]");
-            cordial_obs::error!("  cordial-cli serve    [--scale S] [--seed N] [--port P] [--metrics-port P] [--shards N] [--queue-cap N] [--retry-after-ms MS] [--checkpoint-dir DIR] [--store-dir DIR] [--fsync always|never|batch:N] [--port-file FILE] [--metrics-port-file FILE]");
+            cordial_obs::error!("  cordial-cli serve    [--scale S] [--seed N] [--port P] [--metrics-port P] [--shards N] [--queue-cap N] [--retry-after-ms MS] [--store-dir DIR] [--fsync always|never|batch:N] [--port-file FILE] [--metrics-port-file FILE]");
             cordial_obs::error!("  cordial-cli load     --addr HOST:PORT [--scale S] [--seed N] [--batch N] [--repeats N] [--shutdown true] [--out FILE]");
             cordial_obs::error!(
                 "  cordial-cli stats    --metrics FILE [--watch N] [--watch-interval-ms MS]"

@@ -92,8 +92,8 @@ pub mod prelude {
     pub use crate::isolation::icr;
     pub use crate::model::{ModelKind, TrainedModel};
     pub use crate::monitor::{
-        CheckpointVersionMismatch, CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint,
-        MonitorStats, RejectReason, CHECKPOINT_SCHEMA_VERSION,
+        CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint, MonitorStats, RejectReason,
+        CHECKPOINT_SCHEMA_VERSION,
     };
     pub use crate::pipeline::{Cordial, MitigationPlan};
     pub use crate::split::{split_banks, BankSplit};

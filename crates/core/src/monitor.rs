@@ -18,6 +18,7 @@ use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, ObservedWindow, Ti
 use cordial_obs::{BurnConfig, BurnRate, DriftConfig, MixDriftDetector};
 use cordial_topology::{BankAddress, CellAddress, RowId};
 
+use crate::checkpoint::checkpoint_migrations;
 use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
 use crate::pipeline::{Cordial, FlatPipeline, MitigationPlan, PlanRequest};
@@ -25,34 +26,10 @@ use crate::pipeline::{Cordial, FlatPipeline, MitigationPlan, PlanRequest};
 /// Version of the [`MonitorCheckpoint`] wire format this build writes.
 ///
 /// Bumped whenever the checkpoint layout changes incompatibly (new stats
-/// fields, guard-buffer shape, …). [`CordialMonitor::restore`] refuses a
-/// checkpoint whose version differs instead of silently deserializing an
-/// incompatible token; checkpoints written before versioning existed read
-/// back as version 0.
+/// fields, guard-buffer shape, …), together with a new step in
+/// [`checkpoint_migrations`](crate::checkpoint::checkpoint_migrations) so
+/// older checkpoints keep loading.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
-
-/// A checkpoint was produced by an incompatible build: its schema version
-/// does not match [`CHECKPOINT_SCHEMA_VERSION`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointVersionMismatch {
-    /// The version recorded in the checkpoint (0 for pre-versioning
-    /// checkpoints that lack the field).
-    pub found: u32,
-    /// The version this build reads and writes.
-    pub expected: u32,
-}
-
-impl std::fmt::Display for CheckpointVersionMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "checkpoint schema version {} is incompatible with this build (expects {})",
-            self.found, self.expected
-        )
-    }
-}
-
-impl std::error::Error for CheckpointVersionMismatch {}
 
 /// Why the degraded-stream guard refused an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -428,14 +405,14 @@ struct BankState {
 /// The fields are intentionally opaque — a checkpoint is a resume token,
 /// not an inspection surface (use [`CordialMonitor::stats`] after restore).
 ///
-/// Serialization is hand-written rather than derived so that a checkpoint
-/// written **before** versioning existed (no `schema_version` entry) still
-/// *deserializes* — as version 0, with its state left empty — and the
-/// incompatibility surfaces as a typed [`CheckpointVersionMismatch`] from
-/// [`CordialMonitor::restore`] instead of an opaque missing-field error.
+/// Serialization is hand-written rather than derived because the payload
+/// is versioned: `Serialize` stamps [`CHECKPOINT_SCHEMA_VERSION`], and
+/// `Deserialize` first runs the payload through
+/// [`checkpoint_migrations`](crate::checkpoint::checkpoint_migrations), so
+/// every loader upgrades older checkpoints and refuses newer ones with the
+/// "unsupported future schema version" error.
 #[derive(Debug, Clone)]
 pub struct MonitorCheckpoint {
-    schema_version: u32,
     engine: IsolationSnapshot,
     banks: Vec<(BankAddress, BankState)>,
     stats: MonitorStats,
@@ -454,12 +431,6 @@ impl MonitorCheckpoint {
     pub fn events_offered(&self) -> usize {
         self.guard.offered
     }
-
-    /// The wire-format version this checkpoint was written with (0 for
-    /// checkpoints that predate versioning).
-    pub fn schema_version(&self) -> u32 {
-        self.schema_version
-    }
 }
 
 impl Serialize for MonitorCheckpoint {
@@ -467,7 +438,7 @@ impl Serialize for MonitorCheckpoint {
         serde::Value::Map(vec![
             (
                 String::from("schema_version"),
-                self.schema_version.to_value(),
+                CHECKPOINT_SCHEMA_VERSION.to_value(),
             ),
             (String::from("engine"), self.engine.to_value()),
             (String::from("banks"), self.banks.to_value()),
@@ -480,35 +451,14 @@ impl Serialize for MonitorCheckpoint {
 
 impl<'de> Deserialize<'de> for MonitorCheckpoint {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // Missing field (pre-versioning checkpoint) defaults to 0, which
-        // can never equal a real CHECKPOINT_SCHEMA_VERSION.
-        let schema_version: u32 = match value.get("schema_version") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => 0,
-        };
-        if schema_version != CHECKPOINT_SCHEMA_VERSION {
-            // A foreign version's field layout is unknown; carry only the
-            // version so `restore` can report the mismatch precisely.
-            return Ok(Self {
-                schema_version,
-                engine: IsolationSnapshot {
-                    budget: SparingBudget::default(),
-                    isolated_rows: Vec::new(),
-                    isolated_banks: Vec::new(),
-                    spare_banks_used: Vec::new(),
-                },
-                banks: Vec::new(),
-                stats: MonitorStats::default(),
-                guard: StreamGuard::new(GuardConfig::default()),
-                feature_caps: FeatureCaps::default(),
-            });
-        }
+        let (value, _from_version) = checkpoint_migrations()
+            .upgrade(value.clone())
+            .map_err(|err| serde::Error::custom(err.to_string()))?;
         Ok(Self {
-            schema_version,
-            engine: serde::de_field(value, "engine")?,
-            banks: serde::de_field(value, "banks")?,
-            stats: serde::de_field(value, "stats")?,
-            guard: serde::de_field(value, "guard")?,
+            engine: serde::de_field(&value, "engine")?,
+            banks: serde::de_field(&value, "banks")?,
+            stats: serde::de_field(&value, "stats")?,
+            guard: serde::de_field(&value, "guard")?,
             // Absent in same-version checkpoints written before the caps
             // existed: default rather than reject.
             feature_caps: match value.get("feature_caps") {
@@ -1092,7 +1042,6 @@ impl CordialMonitor {
     /// [`CordialMonitor::restore`].
     pub fn checkpoint(&self) -> MonitorCheckpoint {
         MonitorCheckpoint {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
             engine: self.engine.snapshot(),
             banks: self
                 .banks
@@ -1110,23 +1059,9 @@ impl CordialMonitor {
     ///
     /// Resumed ingestion is bit-equivalent to never having stopped: final
     /// stats and isolation state match the uninterrupted run's for any
-    /// checkpoint index.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointVersionMismatch`] when the checkpoint was written with a
-    /// different [`CHECKPOINT_SCHEMA_VERSION`] (including pre-versioning
-    /// checkpoints, which read back as version 0).
-    pub fn restore(
-        pipeline: Cordial,
-        checkpoint: MonitorCheckpoint,
-    ) -> Result<Self, CheckpointVersionMismatch> {
-        if checkpoint.schema_version != CHECKPOINT_SCHEMA_VERSION {
-            return Err(CheckpointVersionMismatch {
-                found: checkpoint.schema_version,
-                expected: CHECKPOINT_SCHEMA_VERSION,
-            });
-        }
+    /// checkpoint index. Infallible: a [`MonitorCheckpoint`] value is
+    /// always in the current layout, because deserializing one migrates it.
+    pub fn restore(pipeline: Cordial, checkpoint: MonitorCheckpoint) -> Self {
         let banks: BTreeMap<BankAddress, BankState> = checkpoint.banks.into_iter().collect();
         // Incremental feature state is derived, not persisted: replay each
         // bank's buffered events (arrival order) under the checkpointed
@@ -1145,7 +1080,7 @@ impl CordialMonitor {
             })
             .collect();
         let flat = pipeline.flatten();
-        Ok(Self {
+        Self {
             pipeline,
             flat,
             engine: IsolationEngine::from_snapshot(checkpoint.engine),
@@ -1158,7 +1093,7 @@ impl CordialMonitor {
             // restart empty rather than being persisted (see
             // [`MonitorHealth`]).
             health: MonitorHealth::new(HealthConfig::default()),
-        })
+        }
     }
 
     /// Session totals so far, including the engine-derived sparing-budget
@@ -1442,36 +1377,30 @@ mod tests {
     }
 
     #[test]
-    fn incompatible_checkpoint_versions_are_rejected_with_a_typed_error() {
-        let (_, monitor) = trained_monitor();
-        let mut checkpoint = monitor.checkpoint();
-        checkpoint.schema_version = CHECKPOINT_SCHEMA_VERSION + 1;
-        let (_, template) = trained_monitor();
-        let err = CordialMonitor::restore(template.pipeline, checkpoint).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointVersionMismatch {
-                found: CHECKPOINT_SCHEMA_VERSION + 1,
-                expected: CHECKPOINT_SCHEMA_VERSION,
-            }
-        );
-        assert!(err.to_string().contains("schema version"));
-    }
-
-    #[test]
-    fn pre_versioning_checkpoints_deserialize_as_version_zero() {
-        let (_, monitor) = trained_monitor();
+    fn checkpoints_deserialize_through_the_migration_chain() {
+        let (dataset, mut monitor) = trained_monitor();
+        monitor.ingest_all(dataset.log.events().iter().copied());
         let json = serde_json::to_string(&monitor.checkpoint()).unwrap();
+        let stamp = format!("\"schema_version\":{CHECKPOINT_SCHEMA_VERSION},");
+
         // A checkpoint written before versioning existed has no
-        // `schema_version` entry; strip ours to simulate one.
-        let legacy = json.replacen("\"schema_version\":1,", "", 1);
-        assert_ne!(legacy, json, "fixture must actually strip the field");
-        let checkpoint: MonitorCheckpoint = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(checkpoint.schema_version(), 0);
-        let (_, template) = trained_monitor();
-        let err = CordialMonitor::restore(template.pipeline, checkpoint).unwrap_err();
-        assert_eq!(err.found, 0);
-        assert_eq!(err.expected, CHECKPOINT_SCHEMA_VERSION);
+        // `schema_version` entry: it upgrades on load and restores to the
+        // same state.
+        let v0 = json.replacen(&stamp, "", 1);
+        assert_ne!(v0, json, "fixture must actually strip the field");
+        let checkpoint: MonitorCheckpoint = serde_json::from_str(&v0).unwrap();
+        let restored = CordialMonitor::restore(monitor.pipeline.clone(), checkpoint);
+        assert_eq!(restored.stats(), monitor.stats());
+
+        // A checkpoint from a newer release is refused, not misread.
+        let future_stamp = format!("\"schema_version\":{},", CHECKPOINT_SCHEMA_VERSION + 1);
+        let future = json.replacen(&stamp, &future_stamp, 1);
+        let err = serde_json::from_str::<MonitorCheckpoint>(&future).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unsupported future schema version"),
+            "got: {err}"
+        );
     }
 
     #[test]
@@ -1546,10 +1475,9 @@ mod tests {
             let json = serde_json::to_string(&checkpoint).unwrap();
             let checkpoint: MonitorCheckpoint = serde_json::from_str(&json).unwrap();
             assert_eq!(checkpoint.events_offered(), kill_at);
-            assert_eq!(checkpoint.schema_version(), CHECKPOINT_SCHEMA_VERSION);
 
             let (_, template) = trained_monitor();
-            let mut resumed = CordialMonitor::restore(template.pipeline, checkpoint).unwrap();
+            let mut resumed = CordialMonitor::restore(template.pipeline, checkpoint);
             for event in &events[kill_at..] {
                 resumed.ingest_guarded(*event);
             }

@@ -82,7 +82,7 @@ fn restore_then_plan_matches_the_uninterrupted_fast_path() {
     let checkpoint: MonitorCheckpoint = serde_json::from_str(&json).unwrap();
     let pipeline = first.pipeline().clone();
 
-    let mut resumed = CordialMonitor::restore(pipeline, checkpoint).unwrap();
+    let mut resumed = CordialMonitor::restore(pipeline, checkpoint);
     cordial_obs::set_enabled(true);
     let inc_before = counter("monitor.features.incremental");
     let scan_before = counter("monitor.features.reference_scan");
@@ -171,7 +171,7 @@ fn restored_monitor_keeps_the_checkpointed_caps() {
 
     let json = serde_json::to_string(&monitor.checkpoint()).unwrap();
     let checkpoint: MonitorCheckpoint = serde_json::from_str(&json).unwrap();
-    let mut restored = CordialMonitor::restore(monitor.pipeline().clone(), checkpoint).unwrap();
+    let mut restored = CordialMonitor::restore(monitor.pipeline().clone(), checkpoint);
 
     cordial_obs::set_enabled(true);
     let capped_before = counter("monitor.features.capped");

@@ -371,28 +371,16 @@ impl FleetSupervisor {
                 return None;
             }
         };
-        let loaded = serde_json::parse_value_str(&record.payload)
-            .map_err(|e| e.to_string())
-            .and_then(|value| {
-                cordial::checkpoint::load_checkpoint_value(value).map_err(|e| e.to_string())
-            });
-        let state = match loaded {
-            Ok((state, _was_version)) => state,
+        let state: MonitorCheckpoint = match serde_json::from_str(&record.payload) {
+            Ok(state) => state,
             Err(_) => {
                 cordial_obs::counter!("fleet.store.restore_errors").inc();
                 return None;
             }
         };
-        match CordialMonitor::restore(self.registry.incumbent().clone(), state.clone()) {
-            Ok(monitor) => {
-                cordial_obs::counter!("fleet.store.restores").inc();
-                Some((monitor, state))
-            }
-            Err(_) => {
-                cordial_obs::counter!("fleet.store.restore_errors").inc();
-                None
-            }
-        }
+        let monitor = CordialMonitor::restore(self.registry.incumbent().clone(), state.clone());
+        cordial_obs::counter!("fleet.store.restores").inc();
+        Some((monitor, state))
     }
 
     /// A fresh slot for `id`: a store-restored monitor when available,
@@ -702,7 +690,7 @@ impl FleetSupervisor {
             if cordial_obs::recorder::enabled() {
                 cordial_obs::recorder::instant("breaker", "probe", format!("device {id}"));
             }
-            Self::restore_slot(slot, &incumbent, &config);
+            Self::restore_slot(slot, &incumbent);
         }
         if !slot.breaker.state().is_serving() {
             slot.shed += 1;
@@ -731,7 +719,7 @@ impl FleetSupervisor {
                     "panic_contained",
                     &format!("device {id} panicked during ingest at t={now_ms}ms"),
                 );
-                Self::trip_slot(slot, id, &incumbent, &config, now_ms, "panic");
+                Self::trip_slot(slot, id, &incumbent, now_ms, "panic");
                 self.update_health_gauges();
                 return RouteOutcome::Tripped;
             }
@@ -741,7 +729,7 @@ impl FleetSupervisor {
         for (_, outcome) in &outcomes {
             let failure = matches!(outcome, IngestOutcome::Rejected { .. });
             if slot.breaker.record(now_ms, failure) {
-                Self::trip_slot(slot, id, &incumbent, &config, now_ms, "failure_rate");
+                Self::trip_slot(slot, id, &incumbent, now_ms, "failure_rate");
                 self.update_health_gauges();
                 return RouteOutcome::Tripped;
             }
@@ -765,7 +753,6 @@ impl FleetSupervisor {
         slot: &mut DeviceSlot,
         id: DeviceId,
         incumbent: &Cordial,
-        config: &SupervisorConfig,
         now_ms: u64,
         cause: &'static str,
     ) {
@@ -792,17 +779,11 @@ impl FleetSupervisor {
                 &format!("device {id} cause={cause} at t={now_ms}ms"),
             );
         }
-        Self::restore_slot(slot, incumbent, config);
+        Self::restore_slot(slot, incumbent);
     }
 
-    fn restore_slot(slot: &mut DeviceSlot, incumbent: &Cordial, config: &SupervisorConfig) {
-        slot.monitor = match CordialMonitor::restore(incumbent.clone(), slot.checkpoint.clone()) {
-            Ok(monitor) => monitor,
-            // Unreachable (the checkpoint was minted by this build), but a
-            // fresh monitor is the safe degraded fallback.
-            Err(_) => CordialMonitor::new(incumbent.clone(), config.budget)
-                .with_guard_config(config.guard),
-        };
+    fn restore_slot(slot: &mut DeviceSlot, incumbent: &Cordial) {
+        slot.monitor = CordialMonitor::restore(incumbent.clone(), slot.checkpoint.clone());
         slot.since_checkpoint = 0;
         slot.restores += 1;
         cordial_obs::counter!("fleet.breaker.restores").inc();
@@ -825,13 +806,12 @@ impl FleetSupervisor {
         let deadline = self.config.watchdog_deadline_ms;
         let watermark = self.watermark_ms;
         let incumbent = self.registry.incumbent().clone();
-        let config = self.config;
         for (id, slot) in self.devices.iter_mut() {
             if slot.breaker.state() == BreakerState::Closed
                 && watermark.saturating_sub(slot.last_seen_ms) > deadline
             {
                 cordial_obs::counter!("fleet.watchdog.trips").inc();
-                Self::trip_slot(slot, *id, &incumbent, &config, watermark, "watchdog_stall");
+                Self::trip_slot(slot, *id, &incumbent, watermark, "watchdog_stall");
             }
         }
         self.update_health_gauges();
@@ -1043,11 +1023,6 @@ impl FleetSupervisor {
     /// Lifecycle counters (promotions / rejections / rollbacks).
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
-    }
-
-    /// All registered devices in address order.
-    pub fn device_ids(&self) -> Vec<DeviceId> {
-        self.devices.keys().copied().collect()
     }
 
     /// A snapshot of one device.

@@ -18,7 +18,9 @@ use cordial_fleet::{
 use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
 use cordial_topology::{BankAddress, ColId, NpuId, RowId};
 
-/// Serialises tests that toggle the process-global metrics registry.
+/// Serialises every test in this binary: they all record into the
+/// process-global metrics registry, so one running while a digest test
+/// has it enabled would leak into that test's digest.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -36,6 +38,7 @@ fn fitted(dataset: &FleetDataset, seed: u64, model: ModelKind) -> Cordial {
 /// exactly the offending devices while availability clears the floor.
 #[test]
 fn fleet_harness_quarantines_exactly_the_offenders() {
+    let _guard = obs_guard();
     let config = FleetHarnessConfig::default();
     let report = run_fleet_harness(&config).unwrap();
     let rendered = report.render();
@@ -64,6 +67,7 @@ fn fleet_harness_quarantines_exactly_the_offenders() {
 /// byte-identical (full `Eq`) to the same fleet run with zero injection.
 #[test]
 fn healthy_devices_are_byte_identical_to_an_uninjected_run() {
+    let _guard = obs_guard();
     let injected = run_fleet_harness(&FleetHarnessConfig::default()).unwrap();
     let clean = run_fleet_harness(&FleetHarnessConfig {
         kill_fraction: 0.0,
@@ -92,6 +96,7 @@ fn healthy_devices_are_byte_identical_to_an_uninjected_run() {
 /// repeat runs and across training thread counts.
 #[test]
 fn fleet_harness_is_deterministic_and_thread_invariant() {
+    let _guard = obs_guard();
     let base = FleetHarnessConfig::default();
     let a = run_fleet_harness(&base).unwrap();
     let b = run_fleet_harness(&base).unwrap();
@@ -161,6 +166,7 @@ fn fleet_telemetry_digest_is_thread_invariant() {
 /// back to the last-known-good model.
 #[test]
 fn gate_rejects_bad_model_and_precision_canary_rolls_it_back() {
+    let _guard = obs_guard();
     let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 7);
     let split = split_banks(&dataset, 0.7, 7);
     let good = fitted(&dataset, 7, ModelKind::default());
@@ -226,6 +232,7 @@ fn gate_rejects_bad_model_and_precision_canary_rolls_it_back() {
 /// advances is tripped by the watchdog.
 #[test]
 fn watchdog_trips_a_silently_stalled_device() {
+    let _guard = obs_guard();
     let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 7);
     let good = fitted(&dataset, 7, ModelKind::default());
 
@@ -431,19 +438,18 @@ fn evicted_devices_rebuild_from_the_durable_store() {
         .into_iter()
         .map(|s| (s.id, s.stats))
         .collect();
-    let ids = supervisor.device_ids();
     drop(supervisor);
 
     let store = Store::open(&dir, StoreConfig::default()).unwrap();
     assert!(store.recovery().corruption.is_none());
     let mut resumed = FleetSupervisor::new(config, pipeline, Vec::new()).with_store(store);
-    for id in &ids {
+    for id in final_stats.keys() {
         resumed.register_device(*id);
     }
-    for id in &ids {
+    for (id, stats) in &final_stats {
         let resumed_stats = resumed.status(*id).unwrap().stats;
         assert_eq!(
-            resumed_stats, final_stats[id],
+            &resumed_stats, stats,
             "device {id} must resume with its checkpointed stats"
         );
     }

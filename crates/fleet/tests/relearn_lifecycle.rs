@@ -24,7 +24,7 @@ fn fitted(dataset: &FleetDataset, seed: u64) -> Cordial {
     Cordial::fit(dataset, &split.train, &config).unwrap()
 }
 
-fn device_ids(events: &[ErrorEvent]) -> BTreeSet<DeviceId> {
+fn devices_in(events: &[ErrorEvent]) -> BTreeSet<DeviceId> {
     events.iter().map(|e| DeviceId::of(&e.addr.bank)).collect()
 }
 
@@ -66,7 +66,7 @@ fn kill_mid_refit_loses_nothing_and_matches_uninterrupted_twin() {
     let pipeline = fitted(&dataset, 21);
     let events = dataset.log.events();
     let half = events.len() / 2;
-    let devices = device_ids(events);
+    let devices = devices_in(events);
     let dir = temp_dir("kill-mid-refit");
 
     // Relearn config for the supervisor that will be killed: drift-only

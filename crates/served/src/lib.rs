@@ -8,7 +8,9 @@
 //! producers, routes them to per-device [`CordialMonitor`]s sharded
 //! across worker threads, answers stats/health/plan queries, exposes the
 //! cordial-obs registry at an HTTP `/metrics` endpoint, and survives
-//! restarts by checkpointing every monitor on graceful shutdown.
+//! restarts through its durable store: every admitted batch is journaled
+//! before its ack, and graceful shutdown checkpoints every monitor into
+//! the same store.
 //!
 //! Three layers, smallest surface first:
 //!
@@ -16,7 +18,8 @@
 //!   No I/O, so cordial-chaos can fuzz it byte-by-byte.
 //! * [`server`] — the daemon: sharded bounded queues with explicit
 //!   backpressure ([`codec::Frame::RetryAfter`]), per-connection decode
-//!   circuit breakers, checkpoint/restore, `/metrics`.
+//!   circuit breakers, store-backed journal/checkpoint/restore,
+//!   `/metrics`.
 //! * [`client`] — the blocking client and the load generator that drives
 //!   a daemon at millions of events per second (`BENCH_serve.json`).
 //!
@@ -37,7 +40,4 @@ pub mod signal;
 
 pub use client::{run_load, Client, LoadReport};
 pub use codec::{decode_frame, encode_frame, DecodeError, Decoded, Frame};
-pub use server::{
-    DeviceCheckpointFile, HealthReport, PlanRecord, ServeConfig, ServedStats, Server,
-    ShutdownReport,
-};
+pub use server::{HealthReport, PlanRecord, ServeConfig, ServedStats, Server, ShutdownReport};

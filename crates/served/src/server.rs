@@ -27,10 +27,9 @@
 //! A [`Frame::Shutdown`] RPC (or [`signal::install`] + SIGTERM in the CLI)
 //! flips one atomic flag. The accept loop stops taking connections,
 //! workers drain their queues to empty, and [`Server::wait`] then
-//! checkpoints every monitor to the configured directory using the same
-//! temp-file-plus-rename discipline as the CLI's checkpoint files, so a
-//! `kill` mid-stream resumes bit-identically (see the kill-resume
-//! acceptance test).
+//! checkpoints every monitor into the durable store (when
+//! [`ServeConfig::store_dir`] is set), so a restart resumes
+//! bit-identically (see the drain-resume acceptance tests).
 //!
 //! ## Durable journal
 //!
@@ -50,7 +49,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -59,8 +58,7 @@ use std::time::{Duration, Instant};
 use cordial::prelude::{Cordial, CordialMonitor, MonitorCheckpoint, MonitorStats, SparingBudget};
 use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceId};
 use cordial_mcelog::ErrorEvent;
-use cordial_store::{DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
-use cordial_topology::{HbmSocket, NodeId, NpuId};
+use cordial_store::{FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{decode_frame, encode_frame, Decoded, Frame};
@@ -79,14 +77,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Back-off the daemon suggests to a refused client, in milliseconds.
     pub retry_after_ms: u32,
-    /// Where graceful shutdown checkpoints every device monitor (and
-    /// where startup looks for checkpoints to resume from). `None`
+    /// Directory of the durable event/checkpoint store, the daemon's only
+    /// persistence. When set, every admitted batch is journaled there
+    /// before its ack, graceful shutdown checkpoints every device monitor
+    /// into it, and monitors are rebuilt from it at startup. `None`
     /// disables persistence.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Directory of the durable event/checkpoint store. When set, every
-    /// admitted batch is journaled there before its ack and monitors are
-    /// rebuilt from it at startup (superseding `checkpoint_dir` for
-    /// restore). `None` disables journaling.
     pub store_dir: Option<PathBuf>,
     /// When the journal flushes to disk. Only meaningful with
     /// [`ServeConfig::store_dir`]; the default [`FsyncPolicy::Always`]
@@ -102,7 +97,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_capacity: 64,
             retry_after_ms: 50,
-            checkpoint_dir: None,
             store_dir: None,
             fsync: FsyncPolicy::Always,
             budget: SparingBudget::typical(),
@@ -172,22 +166,13 @@ pub struct PlanRecord {
 /// [`Server::wait`] after every queue has drained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShutdownReport {
-    /// Device checkpoints written (0 when no directory is configured).
+    /// Device checkpoints written to the store (0 when no store is
+    /// configured).
     pub checkpoints_written: usize,
     /// Final aggregate statistics over every device monitor.
     pub stats: ServedStats,
     /// Every mitigation plan emitted over the daemon's lifetime, sorted.
     pub plans: Vec<PlanRecord>,
-}
-
-/// On-disk form of one device's checkpoint: identity plus monitor state,
-/// one JSON file per device, always written atomically.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct DeviceCheckpointFile {
-    /// The device this state belongs to.
-    pub device: DeviceId,
-    /// The monitor's complete mutable state.
-    pub state: MonitorCheckpoint,
 }
 
 /// Per-shard mutable state: the monitors this worker owns.
@@ -218,25 +203,6 @@ enum EnqueueRefusal {
     /// The journal append failed; the batch was **not** admitted (an ack
     /// must imply durability, so an unjournalable batch is refused).
     Journal(String),
-}
-
-/// The store-side identity of a fleet device (same fields, no fleet
-/// dependency inside the store crate).
-fn device_key(device: DeviceId) -> DeviceKey {
-    DeviceKey {
-        node: device.node.index(),
-        npu: device.npu.index(),
-        hbm: device.hbm.index(),
-    }
-}
-
-/// Inverse of [`device_key`].
-fn device_id(key: DeviceKey) -> DeviceId {
-    DeviceId {
-        node: NodeId(key.node),
-        npu: NpuId(key.npu),
-        hbm: HbmSocket(key.hbm),
-    }
 }
 
 /// Locks a mutex, riding through poisoning: a panicking worker must not
@@ -521,15 +487,6 @@ impl Shared {
     }
 }
 
-/// Serialises `value` to `path` via a durable temp file + fsync + atomic
-/// rename, so neither a crash mid-write nor a power loss leaves a torn
-/// checkpoint.
-fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    cordial_obs::fsio::durable_write(path, json.as_bytes())
-}
-
 /// A running daemon: listeners bound, workers live.
 pub struct Server {
     shared: Arc<Shared>,
@@ -542,16 +499,17 @@ pub struct Server {
 
 impl Server {
     /// Binds the wire listener (and optionally a `/metrics` HTTP listener),
-    /// restores any checkpoints found in `config.checkpoint_dir`, and
-    /// starts the shard workers plus accept loop.
+    /// rebuilds every device monitor from `config.store_dir` (when set),
+    /// and starts the shard workers plus accept loop.
     ///
     /// Bind to port 0 to let the OS pick; the chosen address is reported
     /// by [`Server::addr`] / [`Server::metrics_addr`].
     ///
     /// # Errors
     ///
-    /// Propagates listener bind failures and unreadable checkpoint files
-    /// (a missing checkpoint directory is created, not an error).
+    /// Propagates listener bind failures and store open, replay or
+    /// checkpoint-decode failures (a missing store directory is created,
+    /// not an error).
     pub fn bind(
         pipeline: Cordial,
         config: ServeConfig,
@@ -612,11 +570,7 @@ impl Server {
             pipeline,
             config,
         });
-        if shared.store.is_some() {
-            restore_from_store(&shared)?;
-        } else {
-            restore_checkpoints(&shared)?;
-        }
+        restore_from_store(&shared)?;
 
         let workers = (0..shards)
             .map(|idx| {
@@ -681,8 +635,8 @@ impl Server {
     }
 
     /// Blocks until the daemon has shut down: workers drained and joined,
-    /// then every device monitor checkpointed (when a checkpoint directory
-    /// is configured).
+    /// then every device monitor checkpointed into the store (when one is
+    /// configured).
     ///
     /// # Errors
     ///
@@ -710,9 +664,8 @@ impl Server {
     /// Stops the daemon **without** checkpointing — the crash-simulation
     /// path the kill-mid-load tests use. Threads are stopped and joined
     /// (so the process can rebind the same store directory), but no
-    /// checkpoint file or store checkpoint record is written: everything
-    /// a restart recovers comes from the journal alone, exactly as after
-    /// a `kill -9`.
+    /// checkpoint record is written: a restart recovers from the store's
+    /// earlier checkpoints plus the journal, exactly as after a `kill -9`.
     pub fn kill(mut self) {
         self.shared.request_shutdown();
         if let Some(handle) = self.accept_thread.take() {
@@ -727,47 +680,6 @@ impl Server {
     }
 }
 
-/// Restores every `DeviceCheckpointFile` under the checkpoint directory
-/// into its shard, creating the directory if absent. Checkpoint payloads
-/// go through the [`cordial::checkpoint`] migration registry, so files
-/// written by an older release upgrade instead of erroring.
-fn restore_checkpoints(shared: &Shared) -> io::Result<()> {
-    let Some(dir) = shared.config.checkpoint_dir.as_deref() else {
-        return Ok(());
-    };
-    std::fs::create_dir_all(dir)?;
-    let mut restored = 0u64;
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let bad_data = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
-        let json = std::fs::read_to_string(&path)?;
-        let value = serde_json::parse_value_str(&json)
-            .map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
-        let device: DeviceId = value
-            .get("device")
-            .ok_or_else(|| bad_data(format!("{}: no `device` field", path.display())))
-            .and_then(|v| {
-                Deserialize::from_value(v).map_err(|e| bad_data(format!("{}: {e}", path.display())))
-            })?;
-        let state = value
-            .get("state")
-            .cloned()
-            .ok_or_else(|| bad_data(format!("{}: no `state` field", path.display())))?;
-        let (state, _was_version) = cordial::checkpoint::load_checkpoint_value(state)
-            .map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
-        let monitor = CordialMonitor::restore(shared.pipeline.clone(), state)
-            .map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
-        let shard = shared.shard_of(device);
-        lock(&shared.shards[shard]).monitors.insert(device, monitor);
-        restored += 1;
-    }
-    cordial_obs::gauge!("served.checkpoints.restored").set(restored as f64);
-    Ok(())
-}
-
 /// Rebuilds the fleet from the durable store: each device's latest
 /// checkpoint (migrated to the current schema) plus a replay of the
 /// journal tail beyond its checkpoint's journal floor. Devices that never
@@ -777,19 +689,19 @@ fn restore_from_store(shared: &Shared) -> io::Result<()> {
     let Some(store_mutex) = &shared.store else {
         return Ok(());
     };
-    let bad_data = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
     let mut floors: HashMap<DeviceId, u64> = HashMap::new();
     let mut restored = 0u64;
     let events = {
         let store = lock(store_mutex);
         for (key, ckpt) in store.latest_checkpoints().map_err(io::Error::other)? {
-            let device = device_id(key);
-            let value = serde_json::parse_value_str(&ckpt.payload)
-                .map_err(|e| bad_data(format!("checkpoint for {key}: {e}")))?;
-            let (state, _was_version) = cordial::checkpoint::load_checkpoint_value(value)
-                .map_err(|e| bad_data(format!("checkpoint for {key}: {e}")))?;
-            let monitor = CordialMonitor::restore(shared.pipeline.clone(), state)
-                .map_err(|e| bad_data(format!("checkpoint for {key}: {e}")))?;
+            let device = DeviceId::from_store_key(key);
+            let state: MonitorCheckpoint = serde_json::from_str(&ckpt.payload).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("checkpoint for {key}: {e}"),
+                )
+            })?;
+            let monitor = CordialMonitor::restore(shared.pipeline.clone(), state);
             lock(&shared.shards[shared.shard_of(device)])
                 .monitors
                 .insert(device, monitor);
@@ -827,23 +739,17 @@ fn restore_from_store(shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Checkpoints every device monitor: one atomic JSON file per device
-/// under `checkpoint_dir` (when set), and one checkpoint record per
-/// device in the durable store (when set). Returns how many devices were
-/// checkpointed to at least one destination.
+/// Checkpoints every device monitor into the durable store, one
+/// checkpoint record per device. Returns how many devices were
+/// checkpointed (0 when no store is configured).
 fn write_checkpoints(shared: &Shared) -> io::Result<usize> {
-    let dir = shared.config.checkpoint_dir.as_deref();
-    let store = shared.store.as_ref();
-    if dir.is_none() && store.is_none() {
+    let Some(store_mutex) = &shared.store else {
         return Ok(0);
-    }
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir)?;
-    }
+    };
     // Every journaled event has been drained through its monitor by the
     // time shutdown checkpoints run, so the store's current tail is the
     // journal floor each checkpoint covers.
-    let journal_floor = store.map(|s| lock(s).last_seq().unwrap_or(0));
+    let journal_floor = lock(store_mutex).last_seq().unwrap_or(0);
     let mut written = 0usize;
     for shard in &shared.shards {
         let mut state = lock(shard);
@@ -863,33 +769,15 @@ fn write_checkpoints(shared: &Shared) -> io::Result<usize> {
                     }
                 }
             }
-            let checkpoint = monitor.checkpoint();
-            if let (Some(store_mutex), Some(floor)) = (store, journal_floor) {
-                let payload = serde_json::to_string(&checkpoint)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                lock(store_mutex)
-                    .append_checkpoint(device_key(*device), floor, &payload)
-                    .map_err(io::Error::other)?;
-            }
-            if let Some(dir) = dir {
-                let file = DeviceCheckpointFile {
-                    device: *device,
-                    state: checkpoint,
-                };
-                let name = format!(
-                    "dev-node{}-npu{}-hbm{}.json",
-                    device.node.index(),
-                    device.npu.index(),
-                    device.hbm.index()
-                );
-                write_json_atomic(&dir.join(name), &file)?;
-            }
+            let payload = serde_json::to_string(&monitor.checkpoint())
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            lock(store_mutex)
+                .append_checkpoint(device.store_key(), journal_floor, &payload)
+                .map_err(io::Error::other)?;
             written += 1;
         }
     }
-    if let Some(store_mutex) = store {
-        lock(store_mutex).sync().map_err(io::Error::other)?;
-    }
+    lock(store_mutex).sync().map_err(io::Error::other)?;
     cordial_obs::gauge!("served.checkpoints.written").set(written as f64);
     Ok(written)
 }

@@ -1,5 +1,6 @@
 //! End-to-end daemon tests over real loopback sockets: serve → ingest →
-//! query → graceful shutdown, the kill-resume acceptance path, and
+//! query → graceful shutdown, the store-backed resume paths (graceful
+//! drain, abrupt kill, and a kill after a checkpointed restart), and
 //! explicit backpressure.
 
 use std::io::{Read, Write};
@@ -10,6 +11,7 @@ use cordial::pipeline::Cordial;
 use cordial::prelude::*;
 use cordial_mcelog::ErrorEvent;
 use cordial_served::{Client, Frame, ServeConfig, Server, ShutdownReport};
+use cordial_store::FsyncPolicy;
 
 /// Batch size every test drives the daemon with; the kill point in the
 /// resume test sits on a batch boundary by construction.
@@ -46,6 +48,30 @@ fn shut_down(addr: &str, server: Server) -> ShutdownReport {
     server.wait().unwrap()
 }
 
+/// Runs one daemon over the whole stream without interruption: the twin
+/// every resume test must converge on.
+fn uninterrupted(pipeline: &Cordial, events: &[ErrorEvent]) -> ShutdownReport {
+    let server = Server::bind(
+        pipeline.clone(),
+        ServeConfig::default(),
+        "127.0.0.1:0",
+        None,
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    drive(&addr, events);
+    shut_down(&addr, server)
+}
+
+/// A journaled daemon config over `dir`, fsyncing every batch.
+fn journaled(dir: &std::path::Path) -> ServeConfig {
+    ServeConfig {
+        store_dir: Some(dir.to_path_buf()),
+        fsync: FsyncPolicy::Always,
+        ..ServeConfig::default()
+    }
+}
+
 #[test]
 fn daemon_serves_ingest_queries_and_metrics_end_to_end() {
     cordial_obs::set_enabled(true);
@@ -75,10 +101,7 @@ fn daemon_serves_ingest_queries_and_metrics_end_to_end() {
         "a full fleet replay must trigger plans"
     );
     assert_eq!(report.plans.len(), report.stats.banks_planned);
-    assert_eq!(
-        report.checkpoints_written, 0,
-        "no checkpoint dir configured"
-    );
+    assert_eq!(report.checkpoints_written, 0, "no store configured");
 
     // The metrics listener answered Prometheus text while the daemon ran.
     // (Scraped before shutdown completes in real deployments; the listener
@@ -140,35 +163,22 @@ fn metrics_endpoint_speaks_prometheus_text() {
     shut_down(&addr, server);
 }
 
-/// Kill-resume acceptance: a daemon killed gracefully mid-stream and
-/// restarted from its checkpoint directory finishes with the same stats
-/// and the same plans as a daemon that saw the whole stream.
+/// Drain-resume acceptance: a daemon shut down gracefully mid-stream
+/// checkpoints every monitor into its store, and a restart on the same
+/// store finishes with the same stats and the same plans as a daemon that
+/// saw the whole stream.
 #[test]
 fn graceful_shutdown_checkpoints_and_a_restart_resumes_bit_identically() {
     let (dataset, pipeline) = trained_pipeline(47);
     let events = dataset.log.events().to_vec();
     let batches: Vec<&[ErrorEvent]> = events.chunks(BATCH).collect();
     let kill_at = batches.len() / 2;
-
-    // Reference: one daemon, whole stream.
-    let server = Server::bind(
-        pipeline.clone(),
-        ServeConfig::default(),
-        "127.0.0.1:0",
-        None,
-    )
-    .unwrap();
-    let addr = server.addr().to_string();
-    drive(&addr, &events);
-    let reference = shut_down(&addr, server);
+    let reference = uninterrupted(&pipeline, &events);
 
     // Interrupted: first half, drain + checkpoint, new process image,
     // second half.
     let dir = scratch_dir("resume");
-    let config = ServeConfig {
-        checkpoint_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    };
+    let config = journaled(&dir);
     let first = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
     let first_addr = first.addr().to_string();
     for batch in &batches[..kill_at] {
@@ -179,13 +189,14 @@ fn graceful_shutdown_checkpoints_and_a_restart_resumes_bit_identically() {
         first_report.checkpoints_written > 0,
         "graceful shutdown must persist device checkpoints"
     );
+    assert_eq!(first_report.checkpoints_written, first_report.stats.devices);
 
     let second = Server::bind(pipeline, config, "127.0.0.1:0", None).unwrap();
     let second_addr = second.addr().to_string();
     assert_eq!(
-        second.stats().events,
-        first_report.stats.events,
-        "restart must restore every checkpointed event"
+        second.stats(),
+        first_report.stats,
+        "restart must restore every checkpointed monitor"
     );
     for batch in &batches[kill_at..] {
         drive(&second_addr, batch);
@@ -246,33 +257,16 @@ fn full_queues_push_back_with_retry_after() {
 /// a daemon that saw the whole stream uninterrupted.
 #[test]
 fn an_abrupt_kill_mid_load_loses_no_acked_batch() {
-    use cordial_store::FsyncPolicy;
-
     let (dataset, pipeline) = trained_pipeline(59);
     let events = dataset.log.events().to_vec();
     let batches: Vec<&[ErrorEvent]> = events.chunks(BATCH).collect();
     let kill_at = batches.len() / 2;
-
-    // Uninterrupted twin.
-    let server = Server::bind(
-        pipeline.clone(),
-        ServeConfig::default(),
-        "127.0.0.1:0",
-        None,
-    )
-    .unwrap();
-    let addr = server.addr().to_string();
-    drive(&addr, &events);
-    let reference = shut_down(&addr, server);
+    let reference = uninterrupted(&pipeline, &events);
 
     // Journaled daemon: ack half the stream, then die without writing a
     // single checkpoint.
     let dir = scratch_dir("kill");
-    let config = ServeConfig {
-        store_dir: Some(dir.clone()),
-        fsync: FsyncPolicy::Always,
-        ..ServeConfig::default()
-    };
+    let config = journaled(&dir);
     let first = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
     let first_addr = first.addr().to_string();
     let mut acked = 0u64;
@@ -311,5 +305,66 @@ fn an_abrupt_kill_mid_load_loses_no_acked_batch() {
         second_report.plans, reference.plans,
         "a kill-resume must emit the uninterrupted plans"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checkpoint restore plus tail replay: a graceful drain checkpoints every
+/// monitor, a restart drives more batches, then dies abruptly. The second
+/// restart restores each device from its checkpoint and replays only the
+/// journal tail beyond that checkpoint's floor, so no event below a floor
+/// is ingested twice and the run converges on the uninterrupted twin.
+#[test]
+fn a_kill_after_a_checkpointed_restart_replays_only_the_journal_tail() {
+    let (dataset, pipeline) = trained_pipeline(61);
+    let events = dataset.log.events().to_vec();
+    let batches: Vec<&[ErrorEvent]> = events.chunks(BATCH).collect();
+    let drain_at = batches.len() / 3;
+    let kill_at = 2 * batches.len() / 3;
+    let reference = uninterrupted(&pipeline, &events);
+
+    let dir = scratch_dir("drain-kill");
+    let config = journaled(&dir);
+
+    // First image: a third of the stream, then a graceful drain.
+    let first = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
+    let first_addr = first.addr().to_string();
+    for batch in &batches[..drain_at] {
+        drive(&first_addr, batch);
+    }
+    let first_report = shut_down(&first_addr, first);
+    assert!(first_report.checkpoints_written > 0);
+
+    // Second image: restored from the checkpoints, drives the middle
+    // third, then dies without checkpointing.
+    let second = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
+    assert_eq!(second.stats(), first_report.stats);
+    let second_addr = second.addr().to_string();
+    let mut acked = first_report.stats.events as u64;
+    for batch in &batches[drain_at..kill_at] {
+        acked += drive(&second_addr, batch);
+    }
+    second.kill();
+
+    // Third image: checkpoints plus the tail beyond each floor. A replay
+    // of any pre-floor event would push the count past what was acked.
+    let third = Server::bind(pipeline, config, "127.0.0.1:0", None).unwrap();
+    assert_eq!(
+        third.stats().events as u64,
+        acked,
+        "restart must restore checkpoints and replay only the journal tail"
+    );
+    let third_addr = third.addr().to_string();
+    for batch in &batches[kill_at..] {
+        drive(&third_addr, batch);
+    }
+    let third_report = shut_down(&third_addr, third);
+
+    assert_eq!(third_report.stats, reference.stats, "stats must converge");
+    // Plans made before the drain live in the first report; the tail
+    // replay re-emits the killed image's plans in the third.
+    let mut plans = first_report.plans;
+    plans.extend(third_report.plans);
+    plans.sort();
+    assert_eq!(plans, reference.plans, "plans must be identical");
     let _ = std::fs::remove_dir_all(&dir);
 }

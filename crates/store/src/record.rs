@@ -378,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn device_key_matches_fleet_rendering_and_packs() {
+    fn store_keys_match_fleet_rendering_and_pack() {
         let key = DeviceKey {
             node: 258,
             npu: 5,
