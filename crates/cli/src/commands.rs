@@ -532,22 +532,25 @@ fn fleet(args: &Args) -> Result<(), String> {
         },
         ..defaults
     };
-    config.supervisor.breaker = BreakerConfig {
-        window: args.usize_flag("breaker-window", config.supervisor.breaker.window)?,
+    config.supervisor.host.breaker = BreakerConfig {
+        window: args.usize_flag("breaker-window", config.supervisor.host.breaker.window)?,
         trip_error_rate: args.rate_flag(
             "breaker-trip-rate",
-            config.supervisor.breaker.trip_error_rate,
+            config.supervisor.host.breaker.trip_error_rate,
         )?,
-        min_events: args.usize_flag("breaker-min-events", config.supervisor.breaker.min_events)?,
+        min_events: args.usize_flag(
+            "breaker-min-events",
+            config.supervisor.host.breaker.min_events,
+        )?,
         backoff_base_ms: args.u64_flag(
             "breaker-backoff-ms",
-            config.supervisor.breaker.backoff_base_ms,
+            config.supervisor.host.breaker.backoff_base_ms,
         )?,
         max_retries: args.u64_flag(
             "breaker-max-retries",
-            config.supervisor.breaker.max_retries as u64,
+            config.supervisor.host.breaker.max_retries as u64,
         )? as u32,
-        ..config.supervisor.breaker
+        ..config.supervisor.host.breaker
     };
     config.supervisor.gate = GateConfig {
         f1_margin: args.rate_flag("promotion-margin", config.supervisor.gate.f1_margin)?,

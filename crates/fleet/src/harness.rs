@@ -24,7 +24,8 @@ use cordial_mcelog::ErrorEvent;
 
 use crate::breaker::BreakerState;
 use crate::device::DeviceId;
-use crate::supervisor::{DeviceStatus, FleetSupervisor, SupervisorConfig};
+use crate::host::DeviceStatus;
+use crate::supervisor::{FleetSupervisor, SupervisorConfig};
 
 /// One fleet chaos run: the simulated fleet, which fraction of devices to
 /// kill/corrupt, and the supervisor under test.
@@ -83,9 +84,12 @@ impl Default for FleetHarnessConfig {
             supervisor: SupervisorConfig {
                 // Corrupted streams reject ~45% of events; trip well below
                 // that but far above a healthy stream's zero.
-                breaker: crate::breaker::BreakerConfig {
-                    trip_error_rate: 0.25,
-                    ..crate::breaker::BreakerConfig::default()
+                host: crate::host::HostConfig {
+                    breaker: crate::breaker::BreakerConfig {
+                        trip_error_rate: 0.25,
+                        ..crate::breaker::BreakerConfig::default()
+                    },
+                    ..SupervisorConfig::default().host
                 },
                 // Continuous learning runs inline (deterministic) at a
                 // cadence the default dataset reaches a few times, so the

@@ -6,9 +6,12 @@
 //! This crate adds the layer above a single
 //! [`CordialMonitor`](cordial::monitor::CordialMonitor):
 //!
-//! * [`FleetSupervisor`] owns one monitor per device ([`DeviceId`]:
-//!   node/NPU/HBM-socket), demultiplexes an interleaved fleet stream, and
-//!   self-heals at two levels —
+//! * [`DeviceHost`] owns one monitor per device ([`DeviceId`]:
+//!   node/NPU/HBM-socket) behind a circuit breaker, contains monitor
+//!   panics, and checkpoints into and restores from the durable store. The
+//!   supervisor and every shard of the `cordial-served` daemon own one.
+//! * [`FleetSupervisor`] demultiplexes an interleaved fleet stream into its
+//!   host and self-heals at two levels —
 //! * **device level**: a per-device [`CircuitBreaker`]
 //!   (Closed → Open → HalfOpen → Evicted) trips on contained panics, guard
 //!   rejection rates or a stalled-stream watchdog; quarantine backs off
@@ -38,16 +41,15 @@
 mod breaker;
 mod device;
 mod harness;
+mod host;
 mod registry;
 mod supervisor;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, MAX_BACKOFF_DOUBLINGS};
 pub use device::DeviceId;
 pub use harness::{run_fleet_harness, FleetHarnessConfig, FleetReport};
+pub use host::{lock, DeviceHost, DeviceStatus, HostConfig, RouteOutcome, SharedStore};
 pub use registry::{
     clears_gate, shadow_score, GateConfig, ModelRegistry, PromotionDecision, ShadowScore,
 };
-pub use supervisor::{
-    DeviceStatus, FleetSupervisor, RelearnOutcomes, RouteOutcome, SupervisorConfig,
-    AVAILABILITY_BOUNDS,
-};
+pub use supervisor::{FleetSupervisor, RelearnOutcomes, SupervisorConfig, AVAILABILITY_BOUNDS};

@@ -1,6 +1,7 @@
-//! The fleet supervisor: N per-device monitors behind circuit breakers,
-//! with checkpoint-based restart, an ingest watchdog, and canary-style
-//! model promotion/rollback.
+//! The fleet supervisor: fleet policy on top of one [`DeviceHost`] — an
+//! ingest watchdog, canary-style model promotion/rollback and the
+//! continuous-learning loop. The host owns the per-device monitors,
+//! breakers, panic containment and checkpoint persistence.
 //!
 //! Determinism contract: the supervisor never reads the wall clock — all
 //! deadlines and backoffs run on *stream time* (event timestamps), and all
@@ -8,16 +9,10 @@
 //! sequence through the same config always produces bit-identical device
 //! stats, breaker histories and `fleet.*` telemetry.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Arc, Mutex};
 
-use cordial::monitor::{
-    CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint, MonitorStats,
-};
 use cordial::pipeline::Cordial;
-use cordial_faultsim::{FleetDataset, SparingBudget};
+use cordial_faultsim::FleetDataset;
 use cordial_mcelog::ErrorEvent;
 use cordial_store::Store;
 use cordial_topology::BankAddress;
@@ -26,8 +21,9 @@ use cordial_relearn::{
     build_job, RefitCompletion, RefitScheduler, RefitWorker, RelearnConfig, TrainingWindow,
 };
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::BreakerState;
 use crate::device::DeviceId;
+use crate::host::{lock, DeviceHost, DeviceStatus, HostConfig, RouteOutcome};
 use crate::registry::{clears_gate, shadow_score, GateConfig, ModelRegistry, PromotionDecision};
 
 /// Bucket bounds for the per-device availability histogram.
@@ -37,42 +33,12 @@ pub const AVAILABILITY_BOUNDS: &[f64] = &[0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0
 /// (watchdog scan, canary precision check).
 const SWEEP_EVERY: u64 = 256;
 
-static PANIC_HOOK: Once = Once::new();
-
-thread_local! {
-    /// Set while a supervised ingest runs under `catch_unwind`: the panic
-    /// hook stays silent for panics we contain by design.
-    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Installs (once per process) a forwarding panic hook that suppresses the
-/// default "thread panicked" noise for panics the supervisor contains.
-fn install_quiet_hook() {
-    PANIC_HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Runs `f` under `catch_unwind` with the quiet panic hook engaged.
-fn contain_panic<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
-    QUIET_PANICS.with(|q| q.set(true));
-    let result = catch_unwind(AssertUnwindSafe(f));
-    QUIET_PANICS.with(|q| q.set(false));
-    result.map_err(|_| ())
-}
-
 /// Supervisor tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
-    /// Seed for every per-device RNG stream (breaker jitter).
-    pub seed: u64,
-    /// Per-device circuit-breaker tuning.
-    pub breaker: BreakerConfig,
+    /// The device host: breakers, budgets, guard and the in-memory
+    /// checkpoint cadence (the restart token).
+    pub host: HostConfig,
     /// Promotion-gate margins.
     pub gate: GateConfig,
     /// Live-precision floor: once a promoted model's precision (measured
@@ -81,16 +47,10 @@ pub struct SupervisorConfig {
     pub precision_floor: f64,
     /// Plans required since promotion before precision is judged.
     pub min_planned: usize,
-    /// Events between per-device checkpoint refreshes (the restart token).
-    pub checkpoint_every: usize,
     /// Watchdog deadline in stream milliseconds: a registered device whose
     /// last event trails the fleet watermark by more than this is tripped.
     /// `0` disables the watchdog.
     pub watchdog_deadline_ms: u64,
-    /// Spare capacity granted to each device's isolation engine.
-    pub budget: SparingBudget,
-    /// Degraded-stream guard in front of each monitor.
-    pub guard: GuardConfig,
     /// Continuous-learning loop: `Some` maintains a sliding training
     /// window over accepted events (journaled into the attached store),
     /// runs scheduled / drift-triggered warm-start refits, and routes
@@ -102,68 +62,17 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            seed: 0,
-            breaker: BreakerConfig::default(),
+            host: HostConfig {
+                checkpoint_every: 64,
+                ..HostConfig::default()
+            },
             gate: GateConfig::default(),
             precision_floor: 0.05,
             min_planned: 8,
-            checkpoint_every: 64,
             watchdog_deadline_ms: 0,
-            budget: SparingBudget::typical(),
-            guard: GuardConfig {
-                reorder_bound_ms: 300_000,
-            },
             relearn: None,
         }
     }
-}
-
-/// What happened to one routed event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteOutcome {
-    /// The device's monitor accepted the event (possibly buffering it).
-    Accepted,
-    /// The device is quarantined or evicted; the event was shed.
-    Shed,
-    /// Ingesting this event tripped the device's breaker (panic or
-    /// rejection-rate threshold); the monitor was restored from its last
-    /// checkpoint.
-    Tripped,
-}
-
-/// A point-in-time view of one supervised device.
-#[derive(Debug, Clone)]
-pub struct DeviceStatus {
-    /// The device.
-    pub id: DeviceId,
-    /// Breaker state.
-    pub state: BreakerState,
-    /// Events routed to the device (including shed ones).
-    pub routed: u64,
-    /// Events shed while quarantined/evicted.
-    pub shed: u64,
-    /// Lifetime breaker trips.
-    pub trips: u64,
-    /// Checkpoint restores performed.
-    pub restores: u64,
-    /// Panics contained while ingesting.
-    pub panics: u64,
-    /// The monitor's stats as of now.
-    pub stats: MonitorStats,
-}
-
-struct DeviceSlot {
-    monitor: CordialMonitor,
-    breaker: CircuitBreaker,
-    checkpoint: MonitorCheckpoint,
-    since_checkpoint: usize,
-    routed: u64,
-    shed: u64,
-    panics: u64,
-    restores: u64,
-    /// Chaos hook: every ingest at/after this routed count panics.
-    panic_after: Option<u64>,
-    last_seen_ms: u64,
 }
 
 /// Baseline for canary precision: fleet totals at promotion time.
@@ -239,41 +148,20 @@ fn touch_relearn_counters() {
     cordial_obs::counter!("obs.relearn.journal.errors").add(0);
 }
 
-/// Owns the per-device monitors and the model registry; routes interleaved
+/// Owns the device host and the model registry; routes interleaved
 /// multi-device streams and self-heals at the device and model level.
 pub struct FleetSupervisor {
     config: SupervisorConfig,
     registry: ModelRegistry,
-    devices: BTreeMap<DeviceId, DeviceSlot>,
+    host: DeviceHost,
     watermark_ms: u64,
     routed_total: u64,
     shed_total: u64,
     baseline: Option<PrecisionBaseline>,
     rolled_back: bool,
-    /// Durable checkpoint store, when attached via
-    /// [`FleetSupervisor::with_store`].
-    store: Option<Store>,
     /// Continuous-learning loop, when enabled via
     /// [`SupervisorConfig::relearn`].
     relearn: Option<RelearnState>,
-}
-
-/// Appends one device checkpoint to the durable store. Failures are
-/// counted, not propagated — the supervisor's contract is to degrade, and
-/// the in-memory checkpoint still covers restarts within this process.
-fn persist_checkpoint(store: &mut Store, id: DeviceId, checkpoint: &MonitorCheckpoint) {
-    let payload = match serde_json::to_string(checkpoint) {
-        Ok(payload) => payload,
-        Err(_) => {
-            cordial_obs::counter!("fleet.store.checkpoint_errors").inc();
-            return;
-        }
-    };
-    let floor = store.last_seq().unwrap_or(0);
-    match store.append_checkpoint(id.store_key(), floor, &payload) {
-        Ok(_) => cordial_obs::counter!("fleet.store.checkpoints").inc(),
-        Err(_) => cordial_obs::counter!("fleet.store.checkpoint_errors").inc(),
-    }
 }
 
 impl FleetSupervisor {
@@ -284,7 +172,7 @@ impl FleetSupervisor {
         pipeline: Cordial,
         devices: impl IntoIterator<Item = DeviceId>,
     ) -> Self {
-        install_quiet_hook();
+        let host = DeviceHost::new(config.host, pipeline.clone());
         let registry = ModelRegistry::new(pipeline);
         let relearn = config.relearn.map(|relearn_config| {
             touch_relearn_counters();
@@ -293,13 +181,12 @@ impl FleetSupervisor {
         let mut supervisor = Self {
             config,
             registry,
-            devices: BTreeMap::new(),
+            host,
             watermark_ms: 0,
             routed_total: 0,
             shed_total: 0,
             baseline: None,
             rolled_back: false,
-            store: None,
             relearn,
         };
         for id in devices {
@@ -308,38 +195,26 @@ impl FleetSupervisor {
         supervisor
     }
 
-    /// Attaches a durable checkpoint store (builder style): devices
-    /// registered from now on restore from the store's newest checkpoint
-    /// for them, periodic and [`FleetSupervisor::finish`] checkpoints are
-    /// persisted into it, and [`FleetSupervisor::rebuild_from_store`] can
-    /// resurrect evicted devices from it across process restarts.
+    /// Attaches a durable checkpoint store (builder style): every device
+    /// with a store checkpoint that has not served yet resumes from it,
+    /// periodic and [`FleetSupervisor::finish`] checkpoints are persisted
+    /// into it, and [`FleetSupervisor::rebuild_from_store`] can resurrect
+    /// evicted devices from it across process restarts.
     pub fn with_store(mut self, store: Store) -> Self {
-        self.store = Some(store);
-        // Devices pre-registered before the store was attached got fresh
-        // monitors; re-seed any that haven't served yet from their newest
-        // store checkpoint, exactly as post-attach registration would.
-        let idle: Vec<DeviceId> = self
-            .devices
-            .iter()
-            .filter(|(_, slot)| slot.routed == 0)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in idle {
-            if let Some((monitor, checkpoint)) = self.monitor_from_store(id) {
-                if let Some(slot) = self.devices.get_mut(&id) {
-                    slot.monitor = monitor;
-                    slot.checkpoint = checkpoint;
-                    slot.since_checkpoint = 0;
-                }
-            }
-        }
-        if let (Some(state), Some(store)) = (self.relearn.as_mut(), self.store.as_ref()) {
+        let store = Arc::new(Mutex::new(store));
+        self.host.attach_store(Arc::clone(&store));
+        // The supervisor degrades rather than refusing to serve: devices
+        // whose checkpoint cannot be read keep fresh monitors (the host
+        // counts the failure).
+        let _ = self.host.restore_from_store(|_| true);
+        cordial_obs::gauge!("fleet.devices.total").set(self.host.len() as f64);
+        if let Some(state) = self.relearn.as_mut() {
             // The training window rebuilds from the event journal so a
             // restarted supervisor resumes retraining where the killed one
             // left off; the refit cadence resumes at the journal's depth
             // instead of restarting from zero.
             match TrainingWindow::rebuild_from_store(
-                store,
+                &lock(&store),
                 state.config.window_span_ms,
                 state.config.max_window_events,
             ) {
@@ -353,126 +228,33 @@ impl FleetSupervisor {
         self
     }
 
-    /// Read access to the attached store, when one is configured.
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
-    }
-
-    /// Restores a monitor for `id` from the attached store's newest
-    /// checkpoint. `None` when there is no store, no checkpoint, or the
-    /// payload cannot be used (counted, then degraded to a fresh monitor
-    /// by the caller — the supervisor never refuses to serve).
-    fn monitor_from_store(&self, id: DeviceId) -> Option<(CordialMonitor, MonitorCheckpoint)> {
-        let store = self.store.as_ref()?;
-        let record = match store.latest_checkpoint(id.store_key()) {
-            Ok(found) => found?,
-            Err(_) => {
-                cordial_obs::counter!("fleet.store.restore_errors").inc();
-                return None;
-            }
-        };
-        let state: MonitorCheckpoint = match serde_json::from_str(&record.payload) {
-            Ok(state) => state,
-            Err(_) => {
-                cordial_obs::counter!("fleet.store.restore_errors").inc();
-                return None;
-            }
-        };
-        let monitor = CordialMonitor::restore(self.registry.incumbent().clone(), state.clone());
-        cordial_obs::counter!("fleet.store.restores").inc();
-        Some((monitor, state))
-    }
-
-    /// A fresh slot for `id`: a store-restored monitor when available,
-    /// otherwise a new monitor on the incumbent model. Returns the slot
-    /// and whether the store seeded it.
-    fn fresh_slot(&self, id: DeviceId) -> (DeviceSlot, bool) {
-        let (monitor, checkpoint, from_store) = match self.monitor_from_store(id) {
-            Some((monitor, checkpoint)) => (monitor, checkpoint, true),
-            None => {
-                let monitor =
-                    CordialMonitor::new(self.registry.incumbent().clone(), self.config.budget)
-                        .with_guard_config(self.config.guard);
-                let checkpoint = monitor.checkpoint();
-                (monitor, checkpoint, false)
-            }
-        };
-        let breaker = CircuitBreaker::new(
-            self.config.breaker,
-            self.config.seed ^ id.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        (
-            DeviceSlot {
-                monitor,
-                breaker,
-                checkpoint,
-                since_checkpoint: 0,
-                routed: 0,
-                shed: 0,
-                panics: 0,
-                restores: 0,
-                panic_after: None,
-                last_seen_ms: 0,
-            },
-            from_store,
-        )
-    }
-
-    /// Registers a device (idempotent): a monitor restored from the
-    /// attached store's newest checkpoint when one exists, otherwise a
-    /// fresh monitor on the incumbent model — behind a closed breaker.
+    /// Registers a device (idempotent): a fresh monitor on the incumbent
+    /// model behind a closed breaker.
     pub fn register_device(&mut self, id: DeviceId) {
-        if self.devices.contains_key(&id) {
-            return;
+        if self.host.register(id) {
+            cordial_obs::gauge!("fleet.devices.total").set(self.host.len() as f64);
         }
-        let (slot, _from_store) = self.fresh_slot(id);
-        self.devices.insert(id, slot);
-        cordial_obs::gauge!("fleet.devices.total").set(self.devices.len() as f64);
     }
 
-    /// Rebuilds `id` from the durable store: the slot is replaced by a
-    /// monitor restored from the store's newest checkpoint for the device
-    /// (a fresh monitor when none is usable) behind a fresh closed
-    /// breaker, clearing any quarantine, eviction or injected fault. The
-    /// operator path for bringing an evicted device back once its
-    /// underlying fault is fixed. Returns whether a store checkpoint
-    /// seeded the rebuild.
+    /// Rebuilds `id` from the durable store: a monitor restored from the
+    /// store's newest checkpoint for the device (a fresh monitor when none
+    /// is usable) behind a fresh closed breaker, clearing any quarantine,
+    /// eviction or injected fault. The operator path for bringing an
+    /// evicted device back once its underlying fault is fixed. Returns
+    /// whether a store checkpoint seeded the rebuild.
     pub fn rebuild_from_store(&mut self, id: DeviceId) -> bool {
-        let (slot, from_store) = self.fresh_slot(id);
-        let previous = self.devices.insert(id, slot);
-        if let Some(previous) = previous {
-            // Lifetime routing totals survive the rebuild; only monitor
-            // state and breaker history reset.
-            if let Some(slot) = self.devices.get_mut(&id) {
-                slot.routed = previous.routed;
-                slot.shed = previous.shed;
-                slot.panics = previous.panics;
-                slot.restores = previous.restores + 1;
-                slot.last_seen_ms = previous.last_seen_ms;
-            }
-        }
-        cordial_obs::counter!("fleet.store.rebuilds").inc();
-        cordial_obs::gauge!("fleet.devices.total").set(self.devices.len() as f64);
+        let from_store = self.host.rebuild_from_store(id);
+        cordial_obs::gauge!("fleet.devices.total").set(self.host.len() as f64);
         self.update_health_gauges();
         from_store
     }
 
     /// Chaos hook: from the `nth` routed event on, every ingest on `id`
-    /// panics (contained by the supervisor). Registers the device if
-    /// needed. Models a hard device fault, so the panic is sticky and the
-    /// device rides its breaker into eviction.
+    /// panics (contained by the host). See
+    /// [`DeviceHost::inject_panic_after`].
     pub fn inject_panic_after(&mut self, id: DeviceId, nth: u64) {
-        if cordial_obs::recorder::enabled() {
-            cordial_obs::recorder::instant(
-                "chaos",
-                "inject_panic",
-                format!("device {id} will panic at routed event {nth}"),
-            );
-        }
         self.register_device(id);
-        if let Some(slot) = self.devices.get_mut(&id) {
-            slot.panic_after = Some(nth.max(1));
-        }
+        self.host.inject_panic_after(id, nth);
     }
 
     /// Routes one event to its device's monitor through the breaker.
@@ -484,9 +266,11 @@ impl FleetSupervisor {
         self.routed_total += 1;
         cordial_obs::counter!("fleet.events.routed").inc();
 
-        let outcome = self.route_to_slot(id, event, now_ms);
-        if outcome == RouteOutcome::Accepted {
-            self.note_accepted_for_relearn(event);
+        let outcome = self.host.route_event(event);
+        match outcome {
+            RouteOutcome::Accepted => self.note_accepted_for_relearn(event),
+            RouteOutcome::Shed => self.shed_total += 1,
+            RouteOutcome::Tripped => self.update_health_gauges(),
         }
 
         if self.routed_total.is_multiple_of(SWEEP_EVERY) {
@@ -506,8 +290,8 @@ impl FleetSupervisor {
         let Some(state) = self.relearn.as_mut() else {
             return;
         };
-        if let Some(store) = self.store.as_mut() {
-            match store.append_events(std::slice::from_ref(&event)) {
+        if let Some(store) = self.host.store() {
+            match lock(store).append_events(std::slice::from_ref(&event)) {
                 Ok(_) => cordial_obs::counter!("obs.relearn.journal.events").inc(),
                 Err(_) => cordial_obs::counter!("obs.relearn.journal.errors").inc(),
             }
@@ -553,10 +337,10 @@ impl FleetSupervisor {
     /// Fleet-wide drift-watchdog alert total (pattern-mix and lead-time
     /// families over every registered device).
     fn total_drift_alerts(&self) -> u64 {
-        self.devices
-            .values()
-            .map(|slot| {
-                let health = slot.monitor.health();
+        self.host
+            .monitors()
+            .map(|(_, monitor)| {
+                let health = monitor.health();
                 health.pattern_mix().alerts() + health.lead_time().alerts()
             })
             .sum()
@@ -675,145 +459,14 @@ impl FleetSupervisor {
         }
     }
 
-    fn route_to_slot(&mut self, id: DeviceId, event: ErrorEvent, now_ms: u64) -> RouteOutcome {
-        let incumbent = self.registry.incumbent().clone();
-        let config = self.config;
-        let Some(slot) = self.devices.get_mut(&id) else {
-            return RouteOutcome::Shed;
-        };
-        slot.routed += 1;
-        slot.last_seen_ms = now_ms;
-
-        if slot.breaker.poll(now_ms) {
-            // Quarantine expired: probe on a monitor restored from the last
-            // good checkpoint.
-            if cordial_obs::recorder::enabled() {
-                cordial_obs::recorder::instant("breaker", "probe", format!("device {id}"));
-            }
-            Self::restore_slot(slot, &incumbent);
-        }
-        if !slot.breaker.state().is_serving() {
-            slot.shed += 1;
-            self.shed_total += 1;
-            cordial_obs::counter!("fleet.events.shed").inc();
-            return RouteOutcome::Shed;
-        }
-
-        let must_panic = slot.panic_after.is_some_and(|nth| slot.routed >= nth);
-        let monitor = &mut slot.monitor;
-        let ingested = contain_panic(|| {
-            if must_panic {
-                panic!("injected device fault");
-            }
-            monitor.ingest_guarded(event)
-        });
-        let outcomes = match ingested {
-            Ok(outcomes) => outcomes,
-            Err(()) => {
-                slot.panics += 1;
-                cordial_obs::counter!("fleet.breaker.panics").inc();
-                // Black-box the contained panic before state is discarded:
-                // the dump carries the last events from every thread's
-                // recorder ring plus a metrics snapshot.
-                cordial_obs::blackbox::trigger(
-                    "panic_contained",
-                    &format!("device {id} panicked during ingest at t={now_ms}ms"),
-                );
-                Self::trip_slot(slot, id, &incumbent, now_ms, "panic");
-                self.update_health_gauges();
-                return RouteOutcome::Tripped;
-            }
-        };
-
-        cordial_obs::counter!("fleet.events.accepted").inc();
-        for (_, outcome) in &outcomes {
-            let failure = matches!(outcome, IngestOutcome::Rejected { .. });
-            if slot.breaker.record(now_ms, failure) {
-                Self::trip_slot(slot, id, &incumbent, now_ms, "failure_rate");
-                self.update_health_gauges();
-                return RouteOutcome::Tripped;
-            }
-        }
-
-        slot.since_checkpoint += 1;
-        if slot.since_checkpoint >= config.checkpoint_every.max(1) {
-            slot.checkpoint = slot.monitor.checkpoint();
-            slot.since_checkpoint = 0;
-            cordial_obs::counter!("fleet.checkpoints").inc();
-            if let Some(store) = self.store.as_mut() {
-                persist_checkpoint(store, id, &slot.checkpoint);
-            }
-        }
-        RouteOutcome::Accepted
-    }
-
-    /// Quarantines `slot` and discards possibly-poisoned monitor state by
-    /// restoring from the last checkpoint.
-    fn trip_slot(
-        slot: &mut DeviceSlot,
-        id: DeviceId,
-        incumbent: &Cordial,
-        now_ms: u64,
-        cause: &'static str,
-    ) {
-        slot.breaker.trip(now_ms);
-        cordial_obs::counter!("fleet.breaker.trips").inc();
-        let evicted = slot.breaker.state() == BreakerState::Evicted;
-        if evicted {
-            cordial_obs::counter!("fleet.breaker.evictions").inc();
-        }
-        if cordial_obs::recorder::enabled() {
-            cordial_obs::recorder::instant(
-                "breaker",
-                if evicted { "evict" } else { "trip" },
-                format!("device {id} cause={cause} at t={now_ms}ms"),
-            );
-        }
-        // A breaker opening is a post-mortem moment: snapshot the recorder
-        // rings and metrics to the black-box dump directory (no-op when no
-        // directory is configured). Panic containment already dumped with
-        // the richer `panic_contained` reason.
-        if cause != "panic" {
-            cordial_obs::blackbox::trigger(
-                "breaker_open",
-                &format!("device {id} cause={cause} at t={now_ms}ms"),
-            );
-        }
-        Self::restore_slot(slot, incumbent);
-    }
-
-    fn restore_slot(slot: &mut DeviceSlot, incumbent: &Cordial) {
-        slot.monitor = CordialMonitor::restore(incumbent.clone(), slot.checkpoint.clone());
-        slot.since_checkpoint = 0;
-        slot.restores += 1;
-        cordial_obs::counter!("fleet.breaker.restores").inc();
-        if cordial_obs::recorder::enabled() {
-            cordial_obs::recorder::instant(
-                "breaker",
-                "restore",
-                format!(
-                    "monitor restored from checkpoint ({} restores)",
-                    slot.restores
-                ),
-            );
-        }
-    }
-
     /// Trips every registered device whose stream has silently stalled:
     /// no event for `watchdog_deadline_ms` of stream time while the fleet
     /// watermark kept advancing.
     fn check_watchdogs(&mut self) {
-        let deadline = self.config.watchdog_deadline_ms;
-        let watermark = self.watermark_ms;
-        let incumbent = self.registry.incumbent().clone();
-        for (id, slot) in self.devices.iter_mut() {
-            if slot.breaker.state() == BreakerState::Closed
-                && watermark.saturating_sub(slot.last_seen_ms) > deadline
-            {
-                cordial_obs::counter!("fleet.watchdog.trips").inc();
-                Self::trip_slot(slot, *id, &incumbent, watermark, "watchdog_stall");
-            }
-        }
+        let tripped = self
+            .host
+            .trip_stalled(self.watermark_ms, self.config.watchdog_deadline_ms);
+        cordial_obs::counter!("fleet.watchdog.trips").add(tripped);
         self.update_health_gauges();
     }
 
@@ -825,8 +478,8 @@ impl FleetSupervisor {
         dataset: &FleetDataset,
         calibration: &[BankAddress],
     ) -> PromotionDecision {
-        let budget = self.config.budget;
-        let guard = self.config.guard;
+        let budget = self.config.host.budget;
+        let guard = self.config.host.guard;
         let candidate_score = shadow_score(&candidate, dataset, calibration, budget, guard);
         let incumbent_score = shadow_score(
             self.registry.incumbent(),
@@ -878,9 +531,7 @@ impl FleetSupervisor {
 
     fn adopt(&mut self, candidate: Cordial) {
         self.registry.promote(candidate.clone());
-        for slot in self.devices.values_mut() {
-            slot.monitor.swap_pipeline(candidate.clone());
-        }
+        self.host.swap_pipeline(candidate);
         self.baseline = Some(PrecisionBaseline {
             banks_planned: self.total_banks_planned(),
             plans_absorbing: self.total_plans_absorbing(),
@@ -945,9 +596,7 @@ impl FleetSupervisor {
             );
         }
         let good = self.registry.rollback();
-        for slot in self.devices.values_mut() {
-            slot.monitor.swap_pipeline(good.clone());
-        }
+        self.host.swap_pipeline(good);
         self.rolled_back = true;
         if let Some(state) = self.relearn.as_mut() {
             if state.promoted_by_relearn {
@@ -964,22 +613,14 @@ impl FleetSupervisor {
     /// configured), and publishes the end-of-run health gauges and the
     /// per-device availability histogram.
     pub fn finish(&mut self) {
-        for (id, slot) in self.devices.iter_mut() {
-            if slot.breaker.state().is_serving() {
-                slot.monitor.flush_guarded();
-                if let Some(store) = self.store.as_mut() {
-                    persist_checkpoint(store, *id, &slot.monitor.checkpoint());
-                }
-            }
-            if slot.routed > 0 {
-                let availability = (slot.routed - slot.shed) as f64 / slot.routed as f64;
+        // Persistence failures are counted by the host; the supervisor
+        // degrades instead of failing the run.
+        self.host.checkpoint_all();
+        for status in self.host.statuses() {
+            if status.routed > 0 {
+                let availability = (status.routed - status.shed) as f64 / status.routed as f64;
                 cordial_obs::histogram!("fleet.device.availability", AVAILABILITY_BOUNDS)
                     .observe(availability);
-            }
-        }
-        if let Some(store) = self.store.as_mut() {
-            if store.sync().is_err() {
-                cordial_obs::counter!("fleet.store.checkpoint_errors").inc();
             }
         }
         self.update_health_gauges();
@@ -989,8 +630,8 @@ impl FleetSupervisor {
         let mut healthy = 0u64;
         let mut quarantined = 0u64;
         let mut evicted = 0u64;
-        for slot in self.devices.values() {
-            match slot.breaker.state() {
+        for status in self.host.statuses() {
+            match status.state {
                 BreakerState::Closed => healthy += 1,
                 BreakerState::Open | BreakerState::HalfOpen => quarantined += 1,
                 BreakerState::Evicted => evicted += 1,
@@ -1002,16 +643,16 @@ impl FleetSupervisor {
     }
 
     fn total_banks_planned(&self) -> usize {
-        self.devices
-            .values()
-            .map(|s| s.monitor.stats().banks_planned)
+        self.host
+            .monitors()
+            .map(|(_, monitor)| monitor.stats().banks_planned)
             .sum()
     }
 
     fn total_plans_absorbing(&self) -> usize {
-        self.devices
-            .values()
-            .map(|s| s.monitor.stats().plans_absorbing)
+        self.host
+            .monitors()
+            .map(|(_, monitor)| monitor.stats().plans_absorbing)
             .sum()
     }
 
@@ -1027,42 +668,30 @@ impl FleetSupervisor {
 
     /// A snapshot of one device.
     pub fn status(&self, id: DeviceId) -> Option<DeviceStatus> {
-        self.devices.get(&id).map(|slot| DeviceStatus {
-            id,
-            state: slot.breaker.state(),
-            routed: slot.routed,
-            shed: slot.shed,
-            trips: slot.breaker.trips(),
-            restores: slot.restores,
-            panics: slot.panics,
-            stats: slot.monitor.stats(),
-        })
+        self.host.status(id)
     }
 
     /// Snapshots of every device, in address order.
     pub fn statuses(&self) -> Vec<DeviceStatus> {
-        self.devices
-            .keys()
-            .copied()
-            .filter_map(|id| self.status(id))
-            .collect()
+        self.host.statuses()
     }
 
     /// Devices whose breaker has ever tripped, in address order.
     pub fn tripped_devices(&self) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .filter(|(_, slot)| slot.breaker.trips() > 0)
-            .map(|(id, _)| *id)
-            .collect()
+        self.devices_where(|status| status.trips > 0)
     }
 
     /// Permanently evicted devices, in address order.
     pub fn evicted_devices(&self) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .filter(|(_, slot)| slot.breaker.state() == BreakerState::Evicted)
-            .map(|(id, _)| *id)
+        self.devices_where(|status| status.state == BreakerState::Evicted)
+    }
+
+    fn devices_where(&self, keep: impl Fn(&DeviceStatus) -> bool) -> Vec<DeviceId> {
+        self.host
+            .statuses()
+            .into_iter()
+            .filter(|status| keep(status))
+            .map(|status| status.id)
             .collect()
     }
 

@@ -12,7 +12,7 @@ use cordial::split::split_banks;
 use cordial::{CordialConfig, ModelKind};
 use cordial_faultsim::{generate_fleet_dataset, FleetDataset, FleetDatasetConfig, SparingBudget};
 use cordial_fleet::{
-    run_fleet_harness, BreakerState, DeviceId, FleetHarnessConfig, FleetSupervisor,
+    run_fleet_harness, BreakerState, DeviceId, FleetHarnessConfig, FleetSupervisor, HostConfig,
     PromotionDecision, SupervisorConfig,
 };
 use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
@@ -141,8 +141,8 @@ fn fleet_telemetry_digest_is_thread_invariant() {
     cordial_obs::set_enabled(false);
     for family in [
         "fleet.events.routed",
-        "fleet.events.shed",
-        "fleet.breaker.trips",
+        "host.events.shed",
+        "host.breaker.trips",
         "fleet.device.availability.count",
         "obs.relearn.refits_started",
         "obs.relearn.refits_promoted",
@@ -190,9 +190,12 @@ fn gate_rejects_bad_model_and_precision_canary_rolls_it_back() {
         min_planned: 5,
         // No whole-bank sparing: a bank plan that cannot be applied absorbs
         // nothing, so live precision reflects row-plan quality alone.
-        budget: SparingBudget {
-            spare_rows_per_bank: 64,
-            spare_banks_per_hbm: 0,
+        host: HostConfig {
+            budget: SparingBudget {
+                spare_rows_per_bank: 64,
+                spare_banks_per_hbm: 0,
+            },
+            ..SupervisorConfig::default().host
         },
         ..SupervisorConfig::default()
     };
@@ -368,7 +371,10 @@ fn evicted_devices_rebuild_from_the_durable_store() {
     let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 23);
     let pipeline = fitted(&dataset, 23, ModelKind::default());
     let config = SupervisorConfig {
-        checkpoint_every: 16,
+        host: HostConfig {
+            checkpoint_every: 16,
+            ..SupervisorConfig::default().host
+        },
         ..SupervisorConfig::default()
     };
 

@@ -13,7 +13,7 @@ use cordial::pipeline::Cordial;
 use cordial::split::split_banks;
 use cordial::CordialConfig;
 use cordial_faultsim::{generate_fleet_dataset, FleetDataset, FleetDatasetConfig};
-use cordial_fleet::{DeviceId, FleetSupervisor, RouteOutcome, SupervisorConfig};
+use cordial_fleet::{DeviceId, FleetSupervisor, HostConfig, RouteOutcome, SupervisorConfig};
 use cordial_mcelog::ErrorEvent;
 use cordial_relearn::RelearnConfig;
 use cordial_store::{Record, ReplayFilter, Store, StoreConfig};
@@ -87,7 +87,10 @@ fn kill_mid_refit_loses_nothing_and_matches_uninterrupted_twin() {
         ..killed_relearn
     };
     let config = |relearn: RelearnConfig| SupervisorConfig {
-        checkpoint_every: 1,
+        host: HostConfig {
+            checkpoint_every: 1,
+            ..SupervisorConfig::default().host
+        },
         relearn: Some(relearn),
         ..SupervisorConfig::default()
     };

@@ -24,9 +24,12 @@
 //! }
 //! ```
 
+use std::cell::Cell;
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Once;
 
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
@@ -49,6 +52,33 @@ pub fn set_dump_dir(dir: Option<&Path>) {
 /// The currently configured dump directory.
 pub fn dump_dir() -> Option<PathBuf> {
     DUMP_DIR.lock().clone()
+}
+
+thread_local! {
+    /// Set while [`contain_panic`] runs its closure: the panic hook stays
+    /// silent for panics contained by design.
+    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
+}
+
+static QUIET_HOOK: Once = Once::new();
+
+/// Runs `f`, returning `None` if it panicked instead of unwinding further.
+/// The default "thread panicked" report is suppressed for a contained
+/// panic (by a forwarding hook installed once per process), because the
+/// caller accounts for it, typically with a [`trigger`].
+pub fn contain_panic<T>(f: impl FnOnce() -> T) -> Option<T> {
+    QUIET_HOOK.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET_PANICS.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+    QUIET_PANICS.with(|q| q.set(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    QUIET_PANICS.with(|q| q.set(false));
+    result.ok()
 }
 
 /// Filename-safe rendering of a trigger reason.

@@ -97,7 +97,10 @@ pub fn describe_defaults() {
             "fleet.events.routed",
             "Events routed to a healthy device slot",
         ),
-        ("fleet.breaker.trips", "Circuit-breaker open transitions"),
+        (
+            "host.breaker.trips",
+            "Device circuit-breaker open transitions",
+        ),
         (
             "obs.recorder.instants",
             "Flight-recorder instant events (deterministic sites)",

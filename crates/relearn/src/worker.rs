@@ -1,46 +1,17 @@
 //! Panic-contained refit execution: inline for deterministic scenarios,
 //! on a background thread so fleet ingest never blocks on training.
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Once;
 
 use cordial::pipeline::Cordial;
 use cordial::CordialConfig;
 use cordial_faultsim::FleetDataset;
+use cordial_obs::blackbox::contain_panic;
 use cordial_topology::BankAddress;
 
 use crate::labels::window_dataset;
 use crate::policy::RelearnConfig;
 use crate::window::TrainingWindow;
-
-static PANIC_HOOK: Once = Once::new();
-
-thread_local! {
-    /// Set while a refit runs under `catch_unwind`: the panic hook stays
-    /// silent for panics the worker contains by design.
-    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
-}
-
-fn install_quiet_hook() {
-    PANIC_HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-fn contain_panic<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
-    install_quiet_hook();
-    QUIET_PANICS.with(|q| q.set(true));
-    let result = catch_unwind(AssertUnwindSafe(f));
-    QUIET_PANICS.with(|q| q.set(false));
-    result.map_err(|_| ())
-}
 
 /// One refit's complete input: a frozen snapshot of the training window
 /// plus the previous pipeline to warm-start from. Self-contained and
@@ -171,21 +142,21 @@ pub fn run_refit(job: RefitJob) -> RefitCompletion {
         Cordial::fit_warm(&job.dataset, &job.train, &job.config, Some(&job.previous))
     });
     match fitted {
-        Ok(Ok(candidate)) => RefitCompletion {
+        Some(Ok(candidate)) => RefitCompletion {
             candidate: Some(Box::new(candidate)),
             job: Some(job),
             error: None,
             panicked: false,
             timed_out: false,
         },
-        Ok(Err(error)) => RefitCompletion {
+        Some(Err(error)) => RefitCompletion {
             candidate: None,
             job: Some(job),
             error: Some(error.to_string()),
             panicked: false,
             timed_out: false,
         },
-        Err(()) => RefitCompletion {
+        None => RefitCompletion {
             candidate: None,
             job: None,
             error: None,

@@ -6,7 +6,9 @@
 //! the deployment shape the paper's fleet actually needs — one resident
 //! daemon per collection point that accepts error-event batches from many
 //! producers, routes them to per-device [`CordialMonitor`]s sharded
-//! across worker threads, answers stats/health/plan queries, exposes the
+//! across worker threads (each shard runs one `cordial_fleet::DeviceHost`,
+//! so a panicking monitor trips only its own device's breaker), answers
+//! stats/health/plan queries, exposes the
 //! cordial-obs registry at an HTTP `/metrics` endpoint, and survives
 //! restarts through its durable store: every admitted batch is journaled
 //! before its ack, and graceful shutdown checkpoints every monitor into
@@ -18,8 +20,8 @@
 //!   No I/O, so cordial-chaos can fuzz it byte-by-byte.
 //! * [`server`] — the daemon: sharded bounded queues with explicit
 //!   backpressure ([`codec::Frame::RetryAfter`]), per-connection decode
-//!   circuit breakers, store-backed journal/checkpoint/restore,
-//!   `/metrics`.
+//!   circuit breakers, per-shard device hosts, store-backed journal
+//!   replay, `/metrics`.
 //! * [`client`] — the blocking client and the load generator that drives
 //!   a daemon at millions of events per second (`BENCH_serve.json`).
 //!

@@ -10,7 +10,7 @@
 //!                                           ▼
 //!                      ┌─────────── one bounded queue per shard ──────────┐
 //!                      │ worker 0          worker 1   …        worker N-1 │
-//!                      │ DeviceId → CordialMonitor maps (BTreeMap)        │
+//!                      │ one DeviceHost per shard                         │
 //!                      └───────────────────────────────────────────────────┘
 //!  scrapers ──HTTP───► /metrics listener (Prometheus text format)
 //! ```
@@ -21,6 +21,11 @@
 //! shards are admitted **all-or-nothing**: if any target shard's queue is
 //! full the whole batch is refused with [`Frame::RetryAfter`] and no
 //! partial state changes — the client retries the identical batch later.
+//!
+//! Each shard's monitors live in a [`DeviceHost`], the same host the
+//! fleet supervisor runs on: a monitor that panics is contained and
+//! black-boxed, its device's breaker opens, and the shard's other devices
+//! keep being served.
 //!
 //! ## Graceful shutdown
 //!
@@ -51,12 +56,14 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cordial::prelude::{Cordial, CordialMonitor, MonitorCheckpoint, MonitorStats, SparingBudget};
-use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceId};
+use cordial::prelude::{Cordial, MonitorStats, SparingBudget};
+use cordial_fleet::{
+    lock, BreakerConfig, CircuitBreaker, DeviceHost, DeviceId, HostConfig, SharedStore,
+};
 use cordial_mcelog::ErrorEvent;
 use cordial_store::{FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
 use serde::{Deserialize, Serialize};
@@ -108,7 +115,7 @@ impl Default for ServeConfig {
 /// [`Frame::StatsQuery`] as JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServedStats {
-    /// Devices with at least one ingested event.
+    /// Devices the daemon hosts a monitor for.
     pub devices: usize,
     /// Events ingested across all monitors.
     pub events: usize,
@@ -175,21 +182,16 @@ pub struct ShutdownReport {
     pub plans: Vec<PlanRecord>,
 }
 
-/// Per-shard mutable state: the monitors this worker owns.
-struct ShardState {
-    monitors: BTreeMap<DeviceId, CordialMonitor>,
-}
-
 /// State shared between the accept loop, connection threads and workers.
 struct Shared {
     config: ServeConfig,
-    pipeline: Cordial,
     queues: Mutex<Vec<VecDeque<Vec<ErrorEvent>>>>,
     room: Vec<Condvar>,
-    shards: Vec<Mutex<ShardState>>,
+    /// One device host per shard worker.
+    shards: Vec<Mutex<DeviceHost>>,
     plans: Mutex<Vec<PlanRecord>>,
     /// The durable journal, when [`ServeConfig::store_dir`] is set.
-    store: Option<Mutex<Store>>,
+    store: Option<SharedStore>,
     shutdown: AtomicBool,
     accepted_batches: AtomicU64,
     rejected_batches: AtomicU64,
@@ -203,14 +205,8 @@ enum EnqueueRefusal {
     /// The journal append failed; the batch was **not** admitted (an ack
     /// must imply durability, so an unjournalable batch is refused).
     Journal(String),
-}
-
-/// Locks a mutex, riding through poisoning: a panicking worker must not
-/// wedge shutdown (the panic itself is already surfaced by the harness).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Shutdown began; the workers may already have drained.
+    ShuttingDown,
 }
 
 impl Shared {
@@ -238,6 +234,11 @@ impl Shared {
     /// [`FsyncPolicy::Always`], fsynced) between the capacity check and
     /// the push, still under the queues lock — journal order is admission
     /// order, and a batch is on disk before its ack can be written.
+    ///
+    /// The shutdown flag is checked under the same lock the workers check
+    /// it under before exiting, so no batch is admitted after its shard
+    /// worker has drained: every acked batch is processed (and covered by
+    /// the drain's checkpoints).
     fn enqueue(&self, batch: Vec<ErrorEvent>) -> Result<u32, EnqueueRefusal> {
         // First pass: which shards the batch touches (for the capacity
         // check). Shard indices are dense and small, so this is a direct
@@ -248,6 +249,9 @@ impl Shared {
             touched[self.shard_of(DeviceId::of(&event.addr.bank))] = true;
         }
         let mut queues = lock(&self.queues);
+        if self.shutting_down() {
+            return Err(EnqueueRefusal::ShuttingDown);
+        }
         for (shard, hit) in touched.into_iter().enumerate() {
             if hit && queues[shard].len() >= self.config.queue_capacity {
                 return Err(EnqueueRefusal::Full(shard as u16));
@@ -276,7 +280,7 @@ impl Shared {
         Ok(total)
     }
 
-    /// Runs one shard's batches through its device monitors.
+    /// Runs one shard's batches through its device host.
     ///
     /// Grouping uses a `HashMap` — device monitors are independent, and
     /// every surface that exposes plans sorts them, so the cheaper
@@ -289,14 +293,10 @@ impl Shared {
                 .or_default()
                 .push(event);
         }
-        let mut state = lock(&self.shards[shard_idx]);
+        let mut host = lock(&self.shards[shard_idx]);
         for (device, events) in by_device {
             cordial_obs::counter!("served.events").add(events.len() as u64);
-            let monitor = state
-                .monitors
-                .entry(device)
-                .or_insert_with(|| CordialMonitor::new(self.pipeline.clone(), self.config.budget));
-            let planned = monitor.ingest_all(events);
+            let planned = host.route_batch(device, events);
             if planned.is_empty() {
                 continue;
             }
@@ -340,8 +340,7 @@ impl Shared {
     fn aggregate_stats(&self) -> ServedStats {
         let mut total = ServedStats::default();
         for shard in &self.shards {
-            let state = lock(shard);
-            for monitor in state.monitors.values() {
+            for (_, monitor) in lock(shard).monitors() {
                 total.absorb(&monitor.stats());
             }
         }
@@ -362,9 +361,6 @@ impl Shared {
     fn handle_frame(&self, frame: Frame) -> Frame {
         match frame {
             Frame::IngestBatch(events) => {
-                if self.shutting_down() {
-                    return Frame::ShuttingDown;
-                }
                 cordial_obs::counter!("served.batches.offered").inc();
                 match self.enqueue(events) {
                     Ok(accepted) => {
@@ -384,6 +380,7 @@ impl Shared {
                         cordial_obs::counter!("served.journal.errors").inc();
                         Frame::Error(format!("journal append failed: {why}"))
                     }
+                    Err(EnqueueRefusal::ShuttingDown) => Frame::ShuttingDown,
                 }
             }
             Frame::StatsQuery => Frame::Stats(
@@ -547,32 +544,40 @@ impl Server {
                     cordial_obs::counter!("served.journal.recoveries").inc();
                     cordial_obs::warn!("served: journal recovered from crash damage: {what}");
                 }
-                Some(Mutex::new(store))
+                Some(Arc::new(Mutex::new(store)))
             }
             None => None,
         };
+        // A batch is planned in one `ingest_all` call, so the hosts keep no
+        // in-memory checkpoints: a tripped device restores from the store.
+        let host_config = HostConfig {
+            budget: config.budget,
+            ..HostConfig::default()
+        };
+        let shards = (0..shards)
+            .map(|_| {
+                let mut host = DeviceHost::new(host_config, pipeline.clone());
+                if let Some(store) = &store {
+                    host.attach_store(Arc::clone(store));
+                }
+                Mutex::new(host)
+            })
+            .collect::<Vec<_>>();
         let shared = Arc::new(Shared {
-            queues: Mutex::new(vec![VecDeque::new(); shards]),
-            room: (0..shards).map(|_| Condvar::new()).collect(),
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ShardState {
-                        monitors: BTreeMap::new(),
-                    })
-                })
-                .collect(),
+            queues: Mutex::new(vec![VecDeque::new(); shards.len()]),
+            room: shards.iter().map(|_| Condvar::new()).collect(),
+            shards,
             plans: Mutex::new(Vec::new()),
             store,
             shutdown: AtomicBool::new(false),
             accepted_batches: AtomicU64::new(0),
             rejected_batches: AtomicU64::new(0),
             connection_seq: AtomicU64::new(0),
-            pipeline,
             config,
         });
         restore_from_store(&shared)?;
 
-        let workers = (0..shards)
+        let workers = (0..shared.shards.len())
             .map(|idx| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -582,9 +587,14 @@ impl Server {
             .collect::<io::Result<Vec<_>>>()?;
 
         let accept_shared = Arc::clone(&shared);
-        let accept_thread = thread::Builder::new()
-            .name("served-accept".into())
-            .spawn(move || accept_loop(&accept_shared, &listener))?;
+        let accept_thread =
+            thread::Builder::new()
+                .name("served-accept".into())
+                .spawn(move || {
+                    accept_loop(&accept_shared, &listener, |stream| {
+                        spawn_connection(&accept_shared, stream);
+                    });
+                })?;
 
         let metrics_thread = match metrics_listener {
             Some(listener) => {
@@ -592,7 +602,7 @@ impl Server {
                 Some(
                     thread::Builder::new()
                         .name("served-metrics".into())
-                        .spawn(move || metrics_loop(&shared, &listener))?,
+                        .spawn(move || accept_loop(&shared, &listener, serve_metrics))?,
                 )
             }
             None => None,
@@ -634,6 +644,32 @@ impl Server {
         self.shared.aggregate_stats()
     }
 
+    /// Chaos hook: from `device`'s `nth` routed event on, every ingest on
+    /// it panics inside its shard's [`DeviceHost`], which contains the
+    /// panic and trips the device's breaker.
+    pub fn inject_panic_after(&self, device: DeviceId, nth: u64) {
+        lock(&self.shared.shards[self.shared.shard_of(device)]).inject_panic_after(device, nth);
+    }
+
+    /// Joins every daemon thread. A thread that panicked is reported, not
+    /// silently dropped: device-level panics are contained by the hosts,
+    /// so one escaping to here is a daemon bug.
+    fn join_threads(&mut self) {
+        let handles = self
+            .accept_thread
+            .take()
+            .into_iter()
+            .chain(self.workers.drain(..))
+            .chain(self.metrics_thread.take());
+        for handle in handles {
+            let name = handle.thread().name().unwrap_or("served").to_string();
+            if handle.join().is_err() {
+                cordial_obs::counter!("served.threads.panicked").inc();
+                cordial_obs::error!("served: thread {name} panicked");
+            }
+        }
+    }
+
     /// Blocks until the daemon has shut down: workers drained and joined,
     /// then every device monitor checkpointed into the store (when one is
     /// configured).
@@ -642,15 +678,7 @@ impl Server {
     ///
     /// Propagates checkpoint-write I/O failures.
     pub fn wait(mut self) -> io::Result<ShutdownReport> {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.metrics_thread.take() {
-            let _ = handle.join();
-        }
+        self.join_threads();
         let checkpoints_written = write_checkpoints(&self.shared)?;
         let mut plans = lock(&self.shared.plans).clone();
         plans.sort();
@@ -668,53 +696,32 @@ impl Server {
     /// earlier checkpoints plus the journal, exactly as after a `kill -9`.
     pub fn kill(mut self) {
         self.shared.request_shutdown();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.metrics_thread.take() {
-            let _ = handle.join();
-        }
+        self.join_threads();
     }
 }
 
-/// Rebuilds the fleet from the durable store: each device's latest
-/// checkpoint (migrated to the current schema) plus a replay of the
-/// journal tail beyond its checkpoint's journal floor. Devices that never
-/// reached a checkpoint replay from the beginning of the journal, so an
-/// abrupt death loses no acked batch.
+/// Rebuilds the fleet from the durable store: each shard host restores its
+/// devices' latest checkpoints, then the journal tail beyond each
+/// checkpoint's floor replays through the live processing path. Devices
+/// that never reached a checkpoint replay from the beginning of the
+/// journal, so an abrupt death loses no acked batch.
 fn restore_from_store(shared: &Shared) -> io::Result<()> {
-    let Some(store_mutex) = &shared.store else {
+    let Some(store) = &shared.store else {
         return Ok(());
     };
     let mut floors: HashMap<DeviceId, u64> = HashMap::new();
-    let mut restored = 0u64;
-    let events = {
-        let store = lock(store_mutex);
-        for (key, ckpt) in store.latest_checkpoints().map_err(io::Error::other)? {
-            let device = DeviceId::from_store_key(key);
-            let state: MonitorCheckpoint = serde_json::from_str(&ckpt.payload).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("checkpoint for {key}: {e}"),
-                )
-            })?;
-            let monitor = CordialMonitor::restore(shared.pipeline.clone(), state);
-            lock(&shared.shards[shared.shard_of(device)])
-                .monitors
-                .insert(device, monitor);
-            floors.insert(device, ckpt.journal_seq);
-            restored += 1;
-        }
-        store
-            .replay(&ReplayFilter {
-                events_only: true,
-                ..ReplayFilter::default()
-            })
-            .map_err(io::Error::other)?
-    };
+    for (idx, host) in shared.shards.iter().enumerate() {
+        let restored = lock(host)
+            .restore_from_store(|device| shared.shard_of(device) == idx)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        floors.extend(restored);
+    }
+    let events = lock(store)
+        .replay(&ReplayFilter {
+            events_only: true,
+            ..ReplayFilter::default()
+        })
+        .map_err(io::Error::other)?;
     // Group the tail per device (monitors are independent; per-device
     // order is the order that matters) and run it through the same
     // ingestion path live batches take, plans included.
@@ -734,122 +741,71 @@ fn restore_from_store(shared: &Shared) -> io::Result<()> {
         replayed += events.len() as u64;
         shared.process(shared.shard_of(device), events);
     }
-    cordial_obs::gauge!("served.checkpoints.restored").set(restored as f64);
+    cordial_obs::gauge!("served.checkpoints.restored").set(floors.len() as f64);
     cordial_obs::counter!("served.journal.replayed").add(replayed);
     Ok(())
 }
 
-/// Checkpoints every device monitor into the durable store, one
-/// checkpoint record per device. Returns how many devices were
-/// checkpointed (0 when no store is configured).
+/// Checkpoints every serving device monitor into the durable store, one
+/// checkpoint record per device. Every journaled event has been drained
+/// through its monitor by the time this runs, so each checkpoint covers
+/// the journal up to the store's current tail. Returns how many devices
+/// were checkpointed (0 when no store is configured).
 fn write_checkpoints(shared: &Shared) -> io::Result<usize> {
-    let Some(store_mutex) = &shared.store else {
-        return Ok(0);
-    };
-    // Every journaled event has been drained through its monitor by the
-    // time shutdown checkpoints run, so the store's current tail is the
-    // journal floor each checkpoint covers.
-    let journal_floor = lock(store_mutex).last_seq().unwrap_or(0);
-    let mut written = 0usize;
-    for shard in &shared.shards {
-        let mut state = lock(shard);
-        for (device, monitor) in state.monitors.iter_mut() {
-            // Flush any guard-buffered events so the checkpoint holds the
-            // complete stream, then capture.
-            let flushed = monitor.flush_guarded();
-            if !flushed.is_empty() {
-                let mut plans = lock(&shared.plans);
-                for (event, outcome) in flushed {
-                    if let cordial::prelude::IngestOutcome::Planned { plan, .. } = outcome {
-                        plans.push(PlanRecord {
-                            device: device.to_string(),
-                            bank: event.addr.bank.to_string(),
-                            plan: format!("{plan:?}"),
-                        });
-                    }
-                }
-            }
-            let payload = serde_json::to_string(&monitor.checkpoint())
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            lock(store_mutex)
-                .append_checkpoint(device.store_key(), journal_floor, &payload)
-                .map_err(io::Error::other)?;
-            written += 1;
-        }
+    let (mut written, mut failed) = (0, 0);
+    for host in &shared.shards {
+        let (w, f) = lock(host).checkpoint_all();
+        written += w;
+        failed += f;
     }
-    lock(store_mutex).sync().map_err(io::Error::other)?;
+    if failed > 0 {
+        return Err(io::Error::other(format!(
+            "{failed} device checkpoint writes failed"
+        )));
+    }
     cordial_obs::gauge!("served.checkpoints.written").set(written as f64);
     Ok(written)
 }
 
-/// Accepts wire connections until shutdown, one thread per connection.
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+/// Accepts connections on a non-blocking listener until shutdown, handing
+/// each to `serve`. An accept error (the idle `WouldBlock` included) naps
+/// briefly, then re-checks the shutdown flag.
+fn accept_loop(shared: &Shared, listener: &TcpListener, mut serve: impl FnMut(TcpStream)) {
     loop {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                cordial_obs::counter!("served.connections").inc();
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("served-conn".into())
-                    .spawn(move || shared.serve_connection(stream));
-            }
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(5));
-            }
+            Ok((stream, _peer)) => serve(stream),
+            Err(_) if shared.shutting_down() => return,
+            Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
+/// Serves one wire connection on a thread of its own.
+fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    cordial_obs::counter!("served.connections").inc();
+    let shared = Arc::clone(shared);
+    let _ = thread::Builder::new()
+        .name("served-conn".into())
+        .spawn(move || shared.serve_connection(stream));
+}
+
 /// Minimal HTTP/1.1 responder for Prometheus scrapes of the process-wide
 /// cordial-obs registry.
-fn metrics_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-                let mut request = [0u8; 4096];
-                let n = stream.read(&mut request).unwrap_or(0);
-                let line = std::str::from_utf8(&request[..n]).unwrap_or("");
-                let (status, body) = if line.starts_with("GET /metrics") {
-                    let text = cordial_obs::export::to_prometheus(&cordial_obs::snapshot());
-                    ("200 OK", text)
-                } else {
-                    ("404 Not Found", String::from("only /metrics is served\n"))
-                };
-                let response = format!(
-                    "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                );
-                let _ = stream.write_all(response.as_bytes());
-            }
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
+fn serve_metrics(mut stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let mut request = [0u8; 4096];
+    let n = stream.read(&mut request).unwrap_or(0);
+    let line = std::str::from_utf8(&request[..n]).unwrap_or("");
+    let (status, body) = if line.starts_with("GET /metrics") {
+        let text = cordial_obs::export::to_prometheus(&cordial_obs::snapshot());
+        ("200 OK", text)
+    } else {
+        ("404 Not Found", String::from("only /metrics is served\n"))
+    };
+    let response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let _ = stream.write_all(response.as_bytes());
 }

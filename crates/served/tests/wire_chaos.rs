@@ -1,7 +1,8 @@
-//! Chaos harness for the daemon's wire surface: corrupted, truncated and
-//! duplicated frames from `cordial_chaos::inject_frames` must degrade the
-//! connection they arrive on — Error replies, breaker-closed sockets —
-//! while the daemon itself keeps serving clean traffic.
+//! Chaos harness for the live daemon: corrupted, truncated and duplicated
+//! frames from `cordial_chaos::inject_frames` must degrade the connection
+//! they arrive on — Error replies, breaker-closed sockets — and a
+//! panicking device monitor must degrade only its device, while the
+//! daemon itself keeps serving clean traffic.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -10,8 +11,11 @@ use std::time::Duration;
 use cordial::pipeline::Cordial;
 use cordial::prelude::*;
 use cordial_chaos::FrameChaosConfig;
+use cordial_fleet::DeviceId;
 use cordial_served::codec::HEADER_LEN;
-use cordial_served::{decode_frame, encode_frame, Client, Decoded, Frame, ServeConfig, Server};
+use cordial_served::{
+    decode_frame, encode_frame, Client, Decoded, Frame, ServeConfig, ServedStats, Server,
+};
 
 fn trained_pipeline(seed: u64) -> (FleetDataset, Cordial) {
     let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), seed);
@@ -191,6 +195,95 @@ fn repeated_corrupt_frames_trip_the_connection_breaker() {
     probe.ping().unwrap();
     probe.shutdown().unwrap();
     server.wait().unwrap();
+}
+
+/// Streams `events` in small batches, honouring backpressure; returns the
+/// admitted count.
+fn drive(addr: &str, events: &[cordial_mcelog::ErrorEvent]) -> u64 {
+    let mut client = Client::connect(addr).unwrap();
+    events
+        .chunks(64)
+        .map(|batch| u64::from(client.ingest_retrying(batch).unwrap().0))
+        .sum()
+}
+
+/// Monitor-level chaos on a live daemon: one device's monitor panics on
+/// every ingest. Its shard's device host contains the panic, black-boxes
+/// it and trips the device's breaker, so the worker thread survives and
+/// the shard's queue keeps draining. Every batch is acked, and the other
+/// devices end with exactly the stats and plans of a daemon that never
+/// saw the faulty device.
+#[test]
+fn a_panicking_monitor_is_contained_while_its_shard_keeps_acking() {
+    cordial_obs::set_enabled(true);
+    let panics_before = counter("host.breaker.panics");
+    let dump_dir = std::env::temp_dir().join(format!("served-blackbox-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dump_dir);
+    std::fs::create_dir_all(&dump_dir).unwrap();
+
+    let (dataset, pipeline) = trained_pipeline(67);
+    let events = dataset.log.events().to_vec();
+    let mut per_device: std::collections::BTreeMap<DeviceId, usize> = Default::default();
+    for event in &events {
+        *per_device
+            .entry(DeviceId::of(&event.addr.bank))
+            .or_default() += 1;
+    }
+    let (&victim, _) = per_device.iter().max_by_key(|(_, n)| **n).unwrap();
+    let healthy: Vec<_> = events
+        .iter()
+        .filter(|e| DeviceId::of(&e.addr.bank) != victim)
+        .copied()
+        .collect();
+    // One shard, so the victim shares its worker with every other device;
+    // a short queue and retry hint, so a dead worker would exhaust the
+    // client's retry budget within seconds.
+    let config = ServeConfig {
+        shards: 1,
+        queue_capacity: 4,
+        retry_after_ms: 1,
+        ..ServeConfig::default()
+    };
+
+    let twin = Server::bind(pipeline.clone(), config.clone(), "127.0.0.1:0", None).unwrap();
+    let twin_addr = twin.addr().to_string();
+    drive(&twin_addr, &healthy);
+    Client::connect(&twin_addr).unwrap().shutdown().unwrap();
+    let reference = twin.wait().unwrap();
+
+    cordial_obs::blackbox::set_dump_dir(Some(&dump_dir));
+    let server = Server::bind(pipeline, config, "127.0.0.1:0", None).unwrap();
+    server.inject_panic_after(victim, 1);
+    let addr = server.addr().to_string();
+    assert_eq!(
+        drive(&addr, &events),
+        events.len() as u64,
+        "every batch must be acked while the faulty monitor is contained"
+    );
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    let report = server.wait().unwrap();
+    cordial_obs::blackbox::set_dump_dir(None);
+
+    assert!(counter("host.breaker.panics") > panics_before);
+    assert!(
+        std::fs::read_dir(&dump_dir).unwrap().any(|entry| entry
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .contains("panic-contained")),
+        "the contained panic must leave a black-box dump"
+    );
+    // The victim panicked on its first batch, so it planned nothing and
+    // its restored monitor is empty; everyone else is untouched.
+    assert_eq!(report.plans, reference.plans);
+    assert_eq!(
+        report.stats,
+        ServedStats {
+            devices: reference.stats.devices + 1,
+            ..reference.stats
+        }
+    );
+    let _ = std::fs::remove_dir_all(&dump_dir);
 }
 
 fn counter(name: &str) -> u64 {
