@@ -585,10 +585,10 @@ fn bench_hotpath(c: &mut Criterion) {
         .with_seed(BENCH_SEED)
         .with_threads(4);
     let pipeline = Cordial::fit(&dataset, &split.train, &config).expect("train");
-    let flat = pipeline.flatten();
+    let flat = pipeline.flat();
     let mut pairs = vec![
-        hotpath_ingest_plan(&pipeline, &flat, sample_size),
-        hotpath_batch_plan(&pipeline, &flat, sample_size),
+        hotpath_ingest_plan(&pipeline, flat, sample_size),
+        hotpath_batch_plan(&pipeline, flat, sample_size),
     ];
 
     let data = synthetic_dataset(2000, 27, 3);

@@ -1,8 +1,16 @@
 //! Serving-path saturation bench: an in-process cordial-served daemon on
 //! loopback, driven by the crate's own load generator until millions of
-//! simulated events have been admitted, acked and monitored. The measured
-//! admission rate is honest end-to-end throughput — once the shard queues
-//! fill, backpressure pins it to the monitors' processing rate.
+//! simulated events have been admitted, acked and monitored. Once the
+//! shard queues fill, backpressure pins the admission rate to the
+//! monitors' processing rate.
+//!
+//! The number is a warm-path ceiling, not deployment throughput. The
+//! daemon runs with journaling off (no store, no fsync before ack), and
+//! the load replays one small fleet with shifted timestamps, so every
+//! bank is planned after the first pass and features and inference
+//! almost never run again. For end-to-end numbers on a journaled daemon
+//! in its own process — cold and steady fleets, crash recovery — run
+//! `bash benchmark/run.sh` (see `benchmark/BENCHMARK.md`).
 //!
 //! Run with `cargo bench -p cordial-bench --bench serve` (release: the
 //! committed `BENCH_serve.json` floor assumes optimised builds). Schema

@@ -2,9 +2,15 @@
 //!
 //! The benchmarks regenerate scaled-down kernels of every table and figure
 //! in the paper (`benches/tables.rs`, `benches/figures.rs`), measure the
-//! component costs a deployment cares about (`benches/components.rs`), and
+//! component costs a deployment cares about (`benches/components.rs`),
 //! sweep the design choices called out in DESIGN.md
-//! (`benches/ablations.rs`).
+//! (`benches/ablations.rs`), and time the performance layers against
+//! their reference twins: parallel training and the serving hot path
+//! (`benches/perf.rs`), the loopback serving daemon (`benches/serve.rs`),
+//! durable-store append and replay (`benches/store.rs`) and warm-start
+//! refits (`benches/refit.rs`). `perf`, `serve`, `store` and `refit`
+//! commit their medians as the `BENCH_*.json` files at the workspace
+//! root.
 
 use cordial::split::{split_banks, BankSplit};
 use cordial_faultsim::{generate_fleet_dataset, FleetDataset, FleetDatasetConfig};

@@ -21,7 +21,7 @@ use cordial_topology::{BankAddress, CellAddress, RowId};
 use crate::checkpoint::checkpoint_migrations;
 use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
-use crate::pipeline::{Cordial, FlatPipeline, MitigationPlan, PlanRequest};
+use crate::pipeline::{Cordial, MitigationPlan, PlanRequest};
 
 /// Version of the [`MonitorCheckpoint`] wire format this build writes.
 ///
@@ -230,6 +230,11 @@ impl StreamGuard {
 
 /// Stateful online monitor over a trained pipeline.
 ///
+/// The pipeline is a shared [`Cordial`] handle: monitors built from clones
+/// of one pipeline share its models and flat inference twins, so a
+/// monitor's own memory is its per-bank state and creating one costs
+/// nothing in model size.
+///
 /// # Example
 ///
 /// ```
@@ -250,11 +255,9 @@ impl StreamGuard {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CordialMonitor {
+    /// The serving pipeline: a shared handle, so the monitor holds no model
+    /// state of its own and plans through the pipeline's flat twins.
     pipeline: Cordial,
-    /// Flattened SoA inference twins of the serving pipeline's ensembles,
-    /// rebuilt on construction, restore and pipeline swap (the pipeline
-    /// itself stays pure model state, so checkpoints are unaffected).
-    flat: FlatPipeline,
     engine: IsolationEngine,
     /// Per-bank incremental state.
     banks: BTreeMap<BankAddress, BankState>,
@@ -470,12 +473,11 @@ impl<'de> Deserialize<'de> for MonitorCheckpoint {
 }
 
 impl CordialMonitor {
-    /// Wraps a trained pipeline with a fresh isolation engine.
+    /// Wraps a trained pipeline with a fresh isolation engine. The
+    /// pipeline is shared, not copied: pass `pipeline.clone()` freely.
     pub fn new(pipeline: Cordial, budget: SparingBudget) -> Self {
-        let flat = pipeline.flatten();
         Self {
             pipeline,
-            flat,
             engine: IsolationEngine::new(budget),
             banks: BTreeMap::new(),
             features: BTreeMap::new(),
@@ -638,17 +640,17 @@ impl CordialMonitor {
                     } else {
                         None
                     };
+                    let pipeline = &self.pipeline;
                     let plan = match fast {
                         Some(raw) => {
                             cordial_obs::counter!("monitor.features.incremental").inc();
                             let window = ObservedWindow::from_sorted_events(bank, &state.events);
-                            self.pipeline
-                                .plan_window_with_features(&window, &raw, Some(&self.flat))
+                            pipeline.plan_window_with_features(&window, &raw, Some(pipeline.flat()))
                         }
                         None => {
                             cordial_obs::counter!("monitor.features.reference_scan").inc();
                             let history = BankErrorHistory::new(bank, state.events.clone());
-                            self.pipeline.plan_with(&history, Some(&self.flat))
+                            pipeline.plan_with(&history, Some(pipeline.flat()))
                         }
                     };
                     if let Some(started) = started {
@@ -866,7 +868,8 @@ impl CordialMonitor {
                 Prepared::Slow(history) => PlanRequest::History(history),
             })
             .collect();
-        let batch_plans = self.pipeline.plan_batch_with(&requests, Some(&self.flat));
+        let pipeline = &self.pipeline;
+        let batch_plans = pipeline.plan_batch_with(&requests, Some(pipeline.flat()));
         let mut cache: BTreeMap<BankAddress, MitigationPlan> = triggering
             .iter()
             .map(|(bank, _)| *bank)
@@ -1079,10 +1082,8 @@ impl CordialMonitor {
                 )
             })
             .collect();
-        let flat = pipeline.flatten();
         Self {
             pipeline,
-            flat,
             engine: IsolationEngine::from_snapshot(checkpoint.engine),
             banks,
             features,
@@ -1123,7 +1124,6 @@ impl CordialMonitor {
     /// banks that trigger *after* the swap are planned by the new model.
     /// This is the model promotion/rollback hook a fleet supervisor uses.
     pub fn swap_pipeline(&mut self, pipeline: Cordial) -> Cordial {
-        self.flat = pipeline.flatten();
         std::mem::replace(&mut self.pipeline, pipeline)
     }
 

@@ -1,6 +1,8 @@
 //! The end-to-end Cordial pipeline (paper Fig. 5): observe → classify →
 //! predict → recommend a mitigation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use cordial_faultsim::{CoarsePattern, FleetDataset};
@@ -57,12 +59,61 @@ impl MitigationPlan {
     }
 }
 
-/// The trained Cordial predictor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The trained Cordial predictor: an immutable handle to one fitted
+/// pipeline.
+///
+/// One `Arc` holds both fitted stages, the configuration and the
+/// pipeline's [`FlatPipeline`] inference twins, so `clone()` is a
+/// reference-count bump: every monitor serving a pipeline shares one copy
+/// of its models and one set of twins, and creating a monitor costs
+/// nothing in model size. The twins are built once per fitted pipeline,
+/// when it is fitted or deserialized.
+///
+/// The serialized form is the map `{classifier, crossrow, config}`; the
+/// twins are derived state, left out of serialization and equality.
+#[derive(Debug, Clone)]
 pub struct Cordial {
+    fitted: Arc<Fitted>,
+}
+
+/// The shared state behind a [`Cordial`] handle.
+#[derive(Debug)]
+struct Fitted {
     classifier: PatternClassifier,
     crossrow: CrossRowPredictor,
     config: CordialConfig,
+    flat: FlatPipeline,
+}
+
+impl PartialEq for Cordial {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.fitted, &other.fitted);
+        Arc::ptr_eq(a, b)
+            || (a.classifier == b.classifier && a.crossrow == b.crossrow && a.config == b.config)
+    }
+}
+
+impl Serialize for Cordial {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            (
+                String::from("classifier"),
+                self.fitted.classifier.to_value(),
+            ),
+            (String::from("crossrow"), self.fitted.crossrow.to_value()),
+            (String::from("config"), self.fitted.config.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for Cordial {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Self::from_stages(
+            serde::de_field(value, "classifier")?,
+            serde::de_field(value, "crossrow")?,
+            serde::de_field(value, "config")?,
+        ))
+    }
 }
 
 impl Cordial {
@@ -103,7 +154,7 @@ impl Cordial {
                 dataset,
                 train_banks,
                 config,
-                previous.map(|p| &p.classifier),
+                previous.map(Cordial::classifier),
             )?
         };
         let crossrow = {
@@ -112,29 +163,54 @@ impl Cordial {
                 dataset,
                 train_banks,
                 config,
-                previous.map(|p| &p.crossrow),
+                previous.map(Cordial::crossrow),
             )?
         };
-        Ok(Self {
-            classifier,
-            crossrow,
-            config: *config,
-        })
+        Ok(Self::from_stages(classifier, crossrow, *config))
+    }
+
+    /// Wraps fitted stages into a shared handle, building the flat
+    /// inference twins once for every clone to share.
+    fn from_stages(
+        classifier: PatternClassifier,
+        crossrow: CrossRowPredictor,
+        config: CordialConfig,
+    ) -> Self {
+        let (single, double) = crossrow.models();
+        let flat = FlatPipeline {
+            classifier: classifier.model().flatten(),
+            single: single.flatten(),
+            double: double.flatten(),
+        };
+        Self {
+            fitted: Arc::new(Fitted {
+                classifier,
+                crossrow,
+                config,
+                flat,
+            }),
+        }
     }
 
     /// The trained pattern classifier.
     pub fn classifier(&self) -> &PatternClassifier {
-        &self.classifier
+        &self.fitted.classifier
     }
 
     /// The trained cross-row predictors.
     pub fn crossrow(&self) -> &CrossRowPredictor {
-        &self.crossrow
+        &self.fitted.crossrow
     }
 
     /// The configuration the pipeline was trained with.
     pub fn config(&self) -> &CordialConfig {
-        &self.config
+        &self.fitted.config
+    }
+
+    /// The flat inference twins of the fitted ensembles, shared by every
+    /// clone of this pipeline (the monitor's serving path).
+    pub fn flat(&self) -> &FlatPipeline {
+        &self.fitted.flat
     }
 
     /// Produces a mitigation plan for a bank's observed history.
@@ -159,14 +235,14 @@ impl Cordial {
         // more, so a stack-derived path would vary with the thread count.
         let _span = cordial_obs::span_root!("plan");
         cordial_obs::counter!("plan.requests").inc();
-        let Some((window, _)) = history.observe_until_k_uers(self.config.k_uers) else {
+        let Some((window, _)) = history.observe_until_k_uers(self.config().k_uers) else {
             cordial_obs::counter!("plan.insufficient_data").inc();
             return MitigationPlan::InsufficientData;
         };
         // The §IV-B features are computed once and shared by both stages
         // (the classifier and the cross-row predictor used to rescan the
         // window independently).
-        let raw = bank_features(&window, self.classifier.geom());
+        let raw = bank_features(&window, self.classifier().geom());
         self.plan_prepared(&window, &raw, flat)
     }
 
@@ -199,14 +275,14 @@ impl Cordial {
         flat: Option<&FlatPipeline>,
     ) -> MitigationPlan {
         let pattern = self
-            .classifier
+            .classifier()
             .classify_from_features(raw_features, flat.and_then(|f| f.classifier.as_ref()));
         if !pattern.is_aggregation() {
             cordial_obs::counter!("plan.bank_sparing").inc();
             return MitigationPlan::BankSparing;
         }
         let mut rows =
-            self.crossrow
+            self.crossrow()
                 .predicted_rows_from_features(window, pattern, raw_features, flat);
         rows.sort();
         rows.dedup();
@@ -241,7 +317,7 @@ impl Cordial {
         let _span = cordial_obs::span!("plan_batch");
         cordial_obs::histogram!("plan.batch_size", cordial_obs::COUNT_BOUNDS)
             .observe(requests.len() as f64);
-        cordial_trees::parallel::ordered_map(requests, self.config.n_threads, |request| {
+        cordial_trees::parallel::ordered_map(requests, self.config().n_threads, |request| {
             match request {
                 PlanRequest::History(history) => self.plan_with(history, flat),
                 PlanRequest::Window { window, features } => {
@@ -251,16 +327,11 @@ impl Cordial {
         })
     }
 
-    /// Builds the flat inference twins for this pipeline's fitted models.
-    /// Entries stay `None` for model families without a flat form (random
-    /// forests) — callers then use the pointer models.
+    /// An owned copy of the pipeline's flat inference twins
+    /// ([`Cordial::flat`]). Entries are `None` for model families without a
+    /// flat form (random forests) — callers then use the pointer models.
     pub fn flatten(&self) -> FlatPipeline {
-        let (single, double) = self.crossrow.models();
-        FlatPipeline {
-            classifier: self.classifier.model().flatten(),
-            single: single.flatten(),
-            double: double.flatten(),
-        }
+        self.fitted.flat.clone()
     }
 }
 
@@ -280,9 +351,10 @@ pub enum PlanRequest<'a> {
 }
 
 /// Flattened SoA twins of a [`Cordial`] pipeline's fitted ensembles
-/// (classifier + per-pattern block models), built once per serving pipeline
-/// by [`Cordial::flatten`] and carried by the monitor — the pipeline itself
-/// stays pure model state (serde/PartialEq round-trips unchanged).
+/// (classifier + per-pattern block models), built once per fitted pipeline
+/// and shared by all its clones ([`Cordial::flat`]). Monitors carry none of
+/// their own. The twins are derived state: serialization and equality of
+/// the pipeline ignore them.
 ///
 /// Each entry is `None` when the underlying model family has no flat form
 /// (random forests) or a GBDT's threshold tables overflow `u16` bins.

@@ -1,8 +1,14 @@
 //! The trained Cordial pipeline must survive JSON persistence with
 //! identical planning behaviour (the CLI's train → plan workflow).
 
-use cordial::pipeline::Cordial;
+use cordial::pipeline::{Cordial, PlanRequest};
 use cordial::prelude::*;
+
+// Every monitor, shard and worker thread shares one pipeline handle.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Cordial>();
+};
 
 #[test]
 fn trained_pipeline_round_trips_through_json() {
@@ -36,4 +42,51 @@ fn pipeline_config_survives_persistence() {
     assert_eq!(reloaded.config(), &config);
     assert_eq!(reloaded.config().model.short_name(), "XGB");
     assert_eq!(reloaded.crossrow().spec(), config.block);
+}
+
+#[test]
+fn serialized_pipeline_is_the_three_stage_map() {
+    // The CLI's pipeline and `--checkpoint` files, and any tool that
+    // assembles a pipeline from separately fitted stages, rely on exactly
+    // this layout; the flat inference twins are never written.
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 83);
+    let split = split_banks(&dataset, 0.7, 83);
+    let cordial = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+
+    let json = serde_json::to_string(&cordial).unwrap();
+    let serde_json::Value::Map(entries) = serde_json::parse_value_str(&json).unwrap() else {
+        panic!("a pipeline serializes to a map");
+    };
+    let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["classifier", "crossrow", "config"]);
+}
+
+#[test]
+fn reloaded_flat_plans_equal_the_original_pointer_plans() {
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 84);
+    let split = split_banks(&dataset, 0.7, 84);
+    let config = CordialConfig::with_model(ModelKind::lightgbm()).with_seed(84);
+    let cordial = Cordial::fit(&dataset, &split.train, &config).unwrap();
+    let reloaded: Cordial =
+        serde_json::from_str(&serde_json::to_string(&cordial).unwrap()).unwrap();
+    assert!(
+        !reloaded.flat().is_empty(),
+        "LightGBM pipelines have flat twins"
+    );
+
+    let by_bank = dataset.log.by_bank();
+    let requests: Vec<PlanRequest<'_>> = split
+        .test
+        .iter()
+        .map(|bank| PlanRequest::History(&by_bank[bank]))
+        .collect();
+    let pointer = cordial.plan_batch_with(&requests, None);
+    let flat = reloaded.plan_batch_with(&requests, Some(&reloaded.flatten()));
+    assert_eq!(flat, pointer);
+    assert!(
+        pointer
+            .iter()
+            .any(|plan| matches!(plan, MitigationPlan::RowSparing { .. })),
+        "the comparison must cover row-sparing plans"
+    );
 }

@@ -613,3 +613,72 @@ impl DeviceHost {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cordial::split::split_banks;
+    use cordial::{CordialConfig, ModelKind};
+    use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig};
+    use cordial_store::StoreConfig;
+
+    /// Whether every hosted monitor plans with `pipeline`'s own models and
+    /// flat twins rather than a copy of them.
+    fn all_share(host: &DeviceHost, pipeline: &Cordial) -> bool {
+        host.monitors().all(|(_, monitor)| {
+            std::ptr::eq(monitor.pipeline().flat(), pipeline.flat())
+                && std::ptr::eq(monitor.pipeline().classifier(), pipeline.classifier())
+        })
+    }
+
+    #[test]
+    fn every_monitor_shares_the_serving_pipeline_across_restores_and_swaps() {
+        let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 47);
+        let split = split_banks(&dataset, 0.7, 47);
+        let fit = |seed| {
+            let config = CordialConfig::with_model(ModelKind::lightgbm()).with_seed(seed);
+            Cordial::fit(&dataset, &split.train, &config).unwrap()
+        };
+        let (incumbent, candidate) = (fit(47), fit(48));
+        let events = dataset.log.events();
+        let mut ids: Vec<DeviceId> = events.iter().map(|e| DeviceId::of(&e.addr.bank)).collect();
+        ids.sort();
+        ids.dedup();
+        assert!(ids.len() > 4, "the fleet has enough devices");
+        let of = |id: DeviceId| -> Vec<ErrorEvent> {
+            events
+                .iter()
+                .filter(|e| DeviceId::of(&e.addr.bank) == id)
+                .copied()
+                .collect()
+        };
+
+        let dir = std::env::temp_dir().join(format!("host-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let mut host = DeviceHost::new(HostConfig::default(), incumbent.clone());
+        host.attach_store(Arc::new(Mutex::new(store)));
+        for id in &ids[..4] {
+            host.register(*id);
+        }
+        host.route_batch(ids[2], of(ids[2]));
+        assert_eq!(host.checkpoint_all(), (4, 0));
+        // Device 0 has served nothing yet, so the store restores it.
+        let floors = host.restore_from_store(|id| id == ids[0]).unwrap();
+        assert!(floors.contains_key(&ids[0]));
+        // Device 1 panics on its first event and restores from the store.
+        host.inject_panic_after(ids[1], 1);
+        assert_eq!(host.route_event(of(ids[1])[0]), RouteOutcome::Tripped);
+        assert_eq!(host.status(ids[1]).map(|s| s.restores), Some(1));
+        assert!(all_share(&host, &incumbent));
+
+        host.swap_pipeline(candidate.clone());
+        assert!(all_share(&host, &candidate));
+        // Monitors created or restored after the swap share it too.
+        host.route_batch(ids[4], of(ids[4]));
+        assert!(host.rebuild_from_store(ids[1]));
+        assert_eq!(host.len(), 5);
+        assert!(all_share(&host, &candidate));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -32,12 +32,12 @@ where
     let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(n_threads)).collect();
     cordial_obs::counter!("parallel.forks").inc();
     cordial_obs::counter!("parallel.tasks").add(chunks.len() as u64);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Per-worker utilisation: each chunk's wall-clock time
                     // lands in `span.parallel.task.seconds`. This family is
                     // thread-count-dependent by nature and is excluded from
@@ -49,10 +49,12 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("parallel worker panicked"))
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     })
-    .expect("thread scope failed")
 }
 
 /// [`ordered_map`] over an index range: maps `f` over `0..len` in order.
@@ -103,6 +105,14 @@ mod tests {
                 x
             })
         });
-        assert!(result.is_err());
+        // The caller sees the worker's own panic, not a wrapper.
+        let Err(payload) = result else {
+            panic!("a worker panic must reach the caller");
+        };
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("boom"));
     }
 }

@@ -160,7 +160,7 @@ fn flat_batch_kernels_match_per_row_across_thread_counts() {
 
 #[test]
 fn flat_form_survives_pointer_model_serde_round_trip() {
-    // Checkpoint restore re-flattens the deserialised pointer model; the
+    // Loading a pipeline flattens the deserialised pointer model; the
     // result must equal the flat form of the original.
     let data = dataset_with_nans();
     let model = LightGbm::fit(
