@@ -10,11 +10,11 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use cordial::incremental::IncrementalBankFeatures;
-use cordial::pipeline::{Cordial, FlatPipeline, MitigationPlan, PlanRequest};
+use cordial::pipeline::{Cordial, FlatPipeline, MitigationPlan};
 use cordial::{CordialConfig, ModelKind};
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
 use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, ObservedWindow, Timestamp};
-use cordial_topology::{BankAddress, ColId, HbmGeometry, NodeId, RowId};
+use cordial_topology::{BankAddress, ColId, HbmGeometry, RowId};
 use cordial_trees::{
     BinnedDataset, Classifier, Dataset, FlatEnsemble, Gbdt, GbdtConfig, LightGbm, LightGbmConfig,
 };
@@ -398,91 +398,6 @@ fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usi
     }
 }
 
-/// Banks the batch-plan bench serves per iteration.
-const BATCH_BANKS: usize = 12;
-
-/// Batch serving across a fleet of warm banks: the monitor's steady state,
-/// where every bank already carries current incremental features, against
-/// the reference twin that re-derives everything from raw histories.
-/// Baseline: [`Cordial::plan_batch`] over [`BankErrorHistory`] values
-/// (observe-cut, O(n) reference feature scan, pointer inference per bank).
-/// Optimised: [`Cordial::plan_batch_with`] over [`PlanRequest::Window`]
-/// requests carrying the incremental feature vectors, with flat inference.
-/// Identical plan vectors — pinned in setup — so the pair measures only
-/// time.
-fn hotpath_batch_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usize) -> HotpathPair {
-    let geom = HbmGeometry::hbm2e_8hi();
-    let rows = geom.rows;
-    let banks: Vec<BankAddress> = (0..BATCH_BANKS)
-        .map(|i| BankAddress {
-            node: NodeId(i as u32),
-            ..BankAddress::default()
-        })
-        .collect();
-    // Vary the CE count and UER rows per bank so the requests are not
-    // byte-identical; the twins are pinned equal regardless of which plan
-    // each bank classifies to.
-    let per_bank: Vec<Vec<ErrorEvent>> = banks
-        .iter()
-        .enumerate()
-        .map(|(i, &bank)| {
-            let i = i as u32;
-            warm_window_events(
-                bank,
-                5000 + 200 * i as usize,
-                [5 + i, rows / 2 + 3 * i, rows - 10 - i],
-            )
-        })
-        .collect();
-    let histories: Vec<BankErrorHistory> = banks
-        .iter()
-        .zip(&per_bank)
-        .map(|(&bank, events)| BankErrorHistory::new(bank, events.clone()))
-        .collect();
-    let history_refs: Vec<&BankErrorHistory> = histories.iter().collect();
-
-    // The monitor's steady state: warm per-bank incremental features.
-    let features: Vec<Vec<f64>> = per_bank
-        .iter()
-        .map(|events| {
-            IncrementalBankFeatures::replay(events)
-                .vector(&geom)
-                .expect("sorted stream")
-        })
-        .collect();
-    let build_requests = || -> Vec<PlanRequest> {
-        banks
-            .iter()
-            .zip(&per_bank)
-            .zip(&features)
-            .map(|((&bank, events), features)| PlanRequest::Window {
-                window: ObservedWindow::from_sorted_events(bank, events),
-                features,
-            })
-            .collect()
-    };
-
-    // Equivalence pin: identical plan vector from both twins.
-    let reference_plans = pipeline.plan_batch(&history_refs);
-    let fast_plans = pipeline.plan_batch_with(&build_requests(), Some(flat));
-    assert_eq!(fast_plans, reference_plans);
-
-    let baseline_median_ns = measure_median_ns(sample_size, || {
-        black_box(pipeline.plan_batch(black_box(&history_refs)));
-    });
-    let optimised_median_ns = measure_median_ns(sample_size, || {
-        let requests = build_requests();
-        black_box(pipeline.plan_batch_with(black_box(&requests), Some(flat)));
-    });
-    HotpathPair {
-        key: "batch_plan",
-        baseline: "reference_rescan_pointer",
-        optimised: "incremental_flat_batch",
-        baseline_median_ns,
-        optimised_median_ns,
-    }
-}
-
 /// Rows the inference benches sweep per iteration.
 const INFER_BATCH: usize = 256;
 
@@ -527,7 +442,7 @@ fn hotpath_inference(
 
 /// The committed machine-readable trajectory artefact
 /// (`BENCH_hotpath.json` at the workspace root): medians and speedup
-/// ratios for the ingest→plan, batch-plan and flat-inference hot paths.
+/// ratios for the ingest→plan and flat-inference hot paths.
 /// Schema pinned by `crates/bench/tests/bench_schema.rs`.
 fn write_hotpath_json(sample_size: usize, pairs: &[HotpathPair]) {
     use serde_json::Value;
@@ -586,10 +501,7 @@ fn bench_hotpath(c: &mut Criterion) {
         .with_threads(4);
     let pipeline = Cordial::fit(&dataset, &split.train, &config).expect("train");
     let flat = pipeline.flat();
-    let mut pairs = vec![
-        hotpath_ingest_plan(&pipeline, flat, sample_size),
-        hotpath_batch_plan(&pipeline, flat, sample_size),
-    ];
+    let mut pairs = vec![hotpath_ingest_plan(&pipeline, flat, sample_size)];
 
     let data = synthetic_dataset(2000, 27, 3);
     let lgbm = LightGbm::fit(

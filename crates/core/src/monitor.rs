@@ -21,7 +21,7 @@ use cordial_topology::{BankAddress, CellAddress, RowId};
 use crate::checkpoint::checkpoint_migrations;
 use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
-use crate::pipeline::{Cordial, MitigationPlan, PlanRequest};
+use crate::pipeline::{Cordial, MitigationPlan};
 
 /// Version of the [`MonitorCheckpoint`] wire format this build writes.
 ///
@@ -527,16 +527,6 @@ impl CordialMonitor {
     /// Events are expected in roughly time order (the per-bank history is
     /// re-sorted at planning time, so modest reordering is harmless).
     pub fn ingest(&mut self, event: ErrorEvent) -> IngestOutcome {
-        self.ingest_with_cache(event, &mut BTreeMap::new())
-    }
-
-    /// [`CordialMonitor::ingest`], consuming a plan pre-computed for the
-    /// bank's first trigger when one is cached (the batch fast path).
-    fn ingest_with_cache(
-        &mut self,
-        event: ErrorEvent,
-        cache: &mut BTreeMap<BankAddress, MitigationPlan>,
-    ) -> IngestOutcome {
         self.stats.events += 1;
         cordial_obs::counter!("monitor.events").inc();
         let bank = event.addr.bank;
@@ -625,42 +615,34 @@ impl CordialMonitor {
         // Plan exactly once, the moment the observation window completes.
         if !state.planned && state.distinct_uer_rows.len() >= k_uers {
             state.planned = true;
-            let plan = match cache.remove(&bank) {
-                Some(plan) => plan,
+            // Wall-clock planning latency feeds the `wallclock` SLO burn
+            // gauge only (kept out of deterministic digests); timing is
+            // skipped entirely when metrics are off.
+            let started = cordial_obs::enabled().then(std::time::Instant::now);
+            let fast = if completes_window {
+                self.features
+                    .get(&bank)
+                    .and_then(|f| f.vector(self.pipeline.classifier().geom()))
+            } else {
+                None
+            };
+            let pipeline = &self.pipeline;
+            let plan = match fast {
+                Some(raw) => {
+                    cordial_obs::counter!("monitor.features.incremental").inc();
+                    let window = ObservedWindow::from_sorted_events(bank, &state.events);
+                    pipeline.plan_window_with_features(&window, &raw, Some(pipeline.flat()))
+                }
                 None => {
-                    // Wall-clock planning latency feeds the `wallclock`
-                    // SLO burn gauge only (kept out of deterministic
-                    // digests); timing is skipped entirely when metrics
-                    // are off.
-                    let started = cordial_obs::enabled().then(std::time::Instant::now);
-                    let fast = if completes_window {
-                        self.features
-                            .get(&bank)
-                            .and_then(|f| f.vector(self.pipeline.classifier().geom()))
-                    } else {
-                        None
-                    };
-                    let pipeline = &self.pipeline;
-                    let plan = match fast {
-                        Some(raw) => {
-                            cordial_obs::counter!("monitor.features.incremental").inc();
-                            let window = ObservedWindow::from_sorted_events(bank, &state.events);
-                            pipeline.plan_window_with_features(&window, &raw, Some(pipeline.flat()))
-                        }
-                        None => {
-                            cordial_obs::counter!("monitor.features.reference_scan").inc();
-                            let history = BankErrorHistory::new(bank, state.events.clone());
-                            pipeline.plan_with(&history, Some(pipeline.flat()))
-                        }
-                    };
-                    if let Some(started) = started {
-                        let slow =
-                            started.elapsed().as_secs_f64() > self.health.config.plan_latency_slo;
-                        self.health.plan_latency.observe(slow);
-                    }
-                    plan
+                    cordial_obs::counter!("monitor.features.reference_scan").inc();
+                    let history = BankErrorHistory::new(bank, state.events.clone());
+                    pipeline.plan_with(&history, Some(pipeline.flat()))
                 }
             };
+            if let Some(started) = started {
+                let slow = started.elapsed().as_secs_f64() > self.health.config.plan_latency_slo;
+                self.health.plan_latency.observe(slow);
+            }
             if plan == MitigationPlan::InsufficientData {
                 // Extremely rare (duplicate timestamps can reorder the cut);
                 // allow a later event to retrigger.
@@ -735,152 +717,20 @@ impl CordialMonitor {
             .set(self.engine.spare_banks_remaining() as f64);
     }
 
-    /// Ingests a whole batch, returning the triggered plans.
-    ///
-    /// Equivalent to calling [`CordialMonitor::ingest`] per event, but the
-    /// expensive model inference is hoisted into one parallel
-    /// [`Cordial::plan_batch`] call. Three passes:
-    ///
-    /// 1. scan the stream to find each unplanned bank's first trigger
-    ///    point and the event prefix it will plan from — valid because a
-    ///    bank has isolations only once planned, so its pre-trigger prefix
-    ///    is bank-local and independent of the other banks;
-    /// 2. plan every triggering bank in parallel;
-    /// 3. replay the stream sequentially, applying the cached plan the
-    ///    moment each bank triggers, so spare-budget admission and
-    ///    absorption accounting stay order-exact.
+    /// Ingests a batch in arrival order, returning the plans it
+    /// triggered: [`CordialMonitor::ingest`] per event, keeping the
+    /// [`IngestOutcome::Planned`] outcomes. Batch and per-event ingestion
+    /// share the one trigger rule, so they agree for any chunking of a
+    /// stream.
     pub fn ingest_all(
         &mut self,
         events: impl IntoIterator<Item = ErrorEvent>,
     ) -> Vec<(BankAddress, MitigationPlan)> {
         let _span = cordial_obs::span!("ingest_all");
-        let events: Vec<ErrorEvent> = events.into_iter().collect();
-        let k_uers = self.pipeline.config().k_uers;
-        let geom = self.pipeline.classifier().geom();
-
-        struct Probe {
-            /// This batch's events for the bank, up to its trigger point.
-            /// The stored pre-batch history is *not* cloned here: the full
-            /// observed window is materialised after the scan, and only
-            /// for banks that actually trigger — cloning it per batch per
-            /// touched bank made long-running ingestion quadratic.
-            fresh: Vec<ErrorEvent>,
-            distinct_uer_rows: Vec<RowId>,
-            features: IncrementalBankFeatures,
-            /// Incremental feature vector captured at the trigger point,
-            /// when the probe's prefix is exactly the observed window.
-            fast: Option<Vec<f64>>,
-            done: bool,
-            triggered: bool,
-        }
-        let mut probes: BTreeMap<BankAddress, Probe> = BTreeMap::new();
-        for event in &events {
-            let bank = event.addr.bank;
-            let probe = probes.entry(bank).or_insert_with(|| {
-                let state = self.banks.get(&bank);
-                if state.is_some_and(|s| s.planned) {
-                    // Already planned: every event of the batch falls
-                    // through to the sequential replay, so the probe
-                    // carries no state at all.
-                    Probe {
-                        fresh: Vec::new(),
-                        distinct_uer_rows: Vec::new(),
-                        features: IncrementalBankFeatures::with_caps(self.feature_caps),
-                        fast: None,
-                        done: true,
-                        triggered: false,
-                    }
-                } else {
-                    Probe {
-                        fresh: Vec::new(),
-                        distinct_uer_rows: state
-                            .map(|s| s.distinct_uer_rows.clone())
-                            .unwrap_or_default(),
-                        features: self.features.get(&bank).cloned().unwrap_or_else(|| {
-                            IncrementalBankFeatures::with_caps(self.feature_caps)
-                        }),
-                        fast: None,
-                        done: false,
-                        triggered: false,
-                    }
-                }
-            });
-            if probe.done {
-                continue;
-            }
-            let completes_window = event.is_uer()
-                && !probe.distinct_uer_rows.contains(&event.addr.row)
-                && probe.distinct_uer_rows.len() + 1 == k_uers;
-            probe.fresh.push(*event);
-            probe.features.absorb(event);
-            if event.is_uer() && !probe.distinct_uer_rows.contains(&event.addr.row) {
-                probe.distinct_uer_rows.push(event.addr.row);
-            }
-            if probe.distinct_uer_rows.len() >= k_uers {
-                probe.done = true;
-                probe.triggered = true;
-                if completes_window {
-                    probe.fast = probe.features.vector(geom);
-                }
-            }
-        }
-
-        enum Prepared {
-            /// Sorted-arrival window plus its incrementally computed
-            /// features: plan without rescanning or re-sorting.
-            Fast(Vec<ErrorEvent>, Vec<f64>),
-            /// Fallback: sort into a history and rescan.
-            Slow(BankErrorHistory),
-        }
-        let triggering: Vec<(BankAddress, Prepared)> = probes
-            .into_iter()
-            .filter(|(_, probe)| probe.triggered)
-            .map(|(bank, probe)| {
-                // Materialise the observed window only now, only for the
-                // banks that trigger: the stored history as of the start
-                // of this batch (the scan never mutates `self.banks`)
-                // plus the batch's own prefix, in arrival order.
-                let mut window = self
-                    .banks
-                    .get(&bank)
-                    .map(|s| s.events.clone())
-                    .unwrap_or_default();
-                window.extend(probe.fresh);
-                match probe.fast {
-                    Some(raw) => {
-                        cordial_obs::counter!("monitor.features.incremental").inc();
-                        (bank, Prepared::Fast(window, raw))
-                    }
-                    None => {
-                        cordial_obs::counter!("monitor.features.reference_scan").inc();
-                        (bank, Prepared::Slow(BankErrorHistory::new(bank, window)))
-                    }
-                }
-            })
-            .collect();
-        let requests: Vec<PlanRequest<'_>> = triggering
-            .iter()
-            .map(|(bank, prepared)| match prepared {
-                Prepared::Fast(events, raw) => PlanRequest::Window {
-                    window: ObservedWindow::from_sorted_events(*bank, events),
-                    features: raw,
-                },
-                Prepared::Slow(history) => PlanRequest::History(history),
-            })
-            .collect();
-        let pipeline = &self.pipeline;
-        let batch_plans = pipeline.plan_batch_with(&requests, Some(pipeline.flat()));
-        let mut cache: BTreeMap<BankAddress, MitigationPlan> = triggering
-            .iter()
-            .map(|(bank, _)| *bank)
-            .zip(batch_plans)
-            .collect();
-
         let mut plans = Vec::new();
         for event in events {
-            let bank = event.addr.bank;
-            if let IngestOutcome::Planned { plan, .. } = self.ingest_with_cache(event, &mut cache) {
-                plans.push((bank, plan));
+            if let IngestOutcome::Planned { plan, .. } = self.ingest(event) {
+                plans.push((event.addr.bank, plan));
             }
         }
         self.update_gauges();
@@ -1006,7 +856,7 @@ impl CordialMonitor {
 
     /// Guarded batch ingestion: admits the whole batch through the guard
     /// (counting rejections), then runs the sanitised ordered sub-stream
-    /// through the parallel [`CordialMonitor::ingest_all`] fast path.
+    /// through [`CordialMonitor::ingest_all`].
     ///
     /// The batch is treated as the complete remainder of the stream: the
     /// reorder buffer is flushed at the end, so the result equals calling
@@ -1016,14 +866,20 @@ impl CordialMonitor {
         &mut self,
         events: impl IntoIterator<Item = ErrorEvent>,
     ) -> Vec<(BankAddress, MitigationPlan)> {
-        let _span = cordial_obs::span!("ingest_all_guarded");
-        let mut sanitized = Vec::new();
-        for event in events {
-            if self.guard_admit(event).is_none() {
-                sanitized.extend(self.guard_due(false));
+        // The guard's span closes before ingestion, so guard time and
+        // ingest time land in sibling families (`span.ingest_all_guarded`
+        // and `span.ingest_all`) rather than one nested under the other.
+        let sanitized = {
+            let _span = cordial_obs::span!("ingest_all_guarded");
+            let mut sanitized = Vec::new();
+            for event in events {
+                if self.guard_admit(event).is_none() {
+                    sanitized.extend(self.guard_due(false));
+                }
             }
-        }
-        sanitized.extend(self.guard_due(true));
+            sanitized.extend(self.guard_due(true));
+            sanitized
+        };
         self.ingest_all(sanitized)
     }
 
@@ -1254,15 +1110,56 @@ mod tests {
         );
     }
 
+    /// Feeds the stream to `ingest_all` in calls of `chunk` events and
+    /// compares the returned plans, `stats()` and the checkpoint's JSON
+    /// text with per-event `ingest`.
+    fn assert_chunked_batches_match_single_ingestion(chunk: usize) {
+        let (dataset, template) = trained_monitor();
+        let events = dataset.log.events();
+        let mut single = template.clone();
+        let single_plans: Vec<(BankAddress, MitigationPlan)> = events
+            .iter()
+            .filter_map(|event| match single.ingest(*event) {
+                IngestOutcome::Planned { plan, .. } => Some((event.addr.bank, plan)),
+                _ => None,
+            })
+            .collect();
+        assert!(!single_plans.is_empty(), "the stream must trigger plans");
+
+        let mut batch = template;
+        let batch_plans: Vec<(BankAddress, MitigationPlan)> = events
+            .chunks(chunk)
+            .flat_map(|slice| batch.ingest_all(slice.iter().copied()))
+            .collect();
+        assert_eq!(batch_plans, single_plans, "plans, chunks of {chunk}");
+        assert_eq!(batch.stats(), single.stats(), "stats, chunks of {chunk}");
+        assert_eq!(
+            serde_json::to_string(&batch.checkpoint()).unwrap(),
+            serde_json::to_string(&single.checkpoint()).unwrap(),
+            "checkpoint, chunks of {chunk}"
+        );
+    }
+
     #[test]
     fn batch_and_single_ingestion_agree() {
-        let (dataset, mut batch_monitor) = trained_monitor();
-        let (_, mut single_monitor) = trained_monitor();
-        batch_monitor.ingest_all(dataset.log.events().iter().copied());
-        for event in dataset.log.events() {
-            single_monitor.ingest(*event);
-        }
-        assert_eq!(batch_monitor.stats(), single_monitor.stats());
+        // One call for the whole stream.
+        assert_chunked_batches_match_single_ingestion(usize::MAX);
+    }
+
+    #[test]
+    fn batch_and_single_ingestion_agree_event_by_event() {
+        assert_chunked_batches_match_single_ingestion(1);
+    }
+
+    #[test]
+    fn batch_and_single_ingestion_agree_on_device_slices() {
+        // The size of a `steady-fleet` per-device slice.
+        assert_chunked_batches_match_single_ingestion(14);
+    }
+
+    #[test]
+    fn batch_and_single_ingestion_agree_on_wire_batches() {
+        assert_chunked_batches_match_single_ingestion(1024);
     }
 
     fn guard_event(row: u32, millis: u64) -> ErrorEvent {

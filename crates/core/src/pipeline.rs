@@ -299,31 +299,11 @@ impl Cordial {
     /// [`Cordial::plan`] returns for that history — inference is
     /// per-bank independent, so threading cannot change any plan.
     pub fn plan_batch(&self, histories: &[&BankErrorHistory]) -> Vec<MitigationPlan> {
-        let requests: Vec<PlanRequest<'_>> =
-            histories.iter().map(|h| PlanRequest::History(h)).collect();
-        self.plan_batch_with(&requests, None)
-    }
-
-    /// [`Cordial::plan_batch`] over heterogeneous requests: per-bank either
-    /// a raw history (reference path) or a pre-extracted window with its
-    /// incremental features (fast path), optionally with flat inference
-    /// twins. Plans come back in input order and are identical for every
-    /// thread count.
-    pub fn plan_batch_with(
-        &self,
-        requests: &[PlanRequest<'_>],
-        flat: Option<&FlatPipeline>,
-    ) -> Vec<MitigationPlan> {
         let _span = cordial_obs::span!("plan_batch");
         cordial_obs::histogram!("plan.batch_size", cordial_obs::COUNT_BOUNDS)
-            .observe(requests.len() as f64);
-        cordial_trees::parallel::ordered_map(requests, self.config().n_threads, |request| {
-            match request {
-                PlanRequest::History(history) => self.plan_with(history, flat),
-                PlanRequest::Window { window, features } => {
-                    self.plan_window_with_features(window, features, flat)
-                }
-            }
+            .observe(histories.len() as f64);
+        cordial_trees::parallel::ordered_map(histories, self.config().n_threads, |history| {
+            self.plan(history)
         })
     }
 
@@ -333,21 +313,6 @@ impl Cordial {
     pub fn flatten(&self) -> FlatPipeline {
         self.fitted.flat.clone()
     }
-}
-
-/// One entry of [`Cordial::plan_batch_with`].
-#[derive(Debug)]
-pub enum PlanRequest<'a> {
-    /// A raw bank history: observe-cut plus reference feature scan.
-    History(&'a BankErrorHistory),
-    /// A pre-extracted classification window with its pre-computed raw
-    /// §IV-B features (see [`Cordial::plan_window_with_features`]).
-    Window {
-        /// The observed window at the classification cut.
-        window: ObservedWindow<'a>,
-        /// Raw (unmasked) bank features of `window`.
-        features: &'a [f64],
-    },
 }
 
 /// Flattened SoA twins of a [`Cordial`] pipeline's fitted ensembles

@@ -1,7 +1,7 @@
 //! The trained Cordial pipeline must survive JSON persistence with
 //! identical planning behaviour (the CLI's train → plan workflow).
 
-use cordial::pipeline::{Cordial, PlanRequest};
+use cordial::pipeline::Cordial;
 use cordial::prelude::*;
 
 // Every monitor, shard and worker thread shares one pipeline handle.
@@ -75,13 +75,15 @@ fn reloaded_flat_plans_equal_the_original_pointer_plans() {
     );
 
     let by_bank = dataset.log.by_bank();
-    let requests: Vec<PlanRequest<'_>> = split
-        .test
+    let histories: Vec<_> = split.test.iter().map(|bank| &by_bank[bank]).collect();
+    let pointer: Vec<MitigationPlan> = histories
         .iter()
-        .map(|bank| PlanRequest::History(&by_bank[bank]))
+        .map(|history| cordial.plan_with(history, None))
         .collect();
-    let pointer = cordial.plan_batch_with(&requests, None);
-    let flat = reloaded.plan_batch_with(&requests, Some(&reloaded.flatten()));
+    let flat: Vec<MitigationPlan> = histories
+        .iter()
+        .map(|history| reloaded.plan_with(history, Some(reloaded.flat())))
+        .collect();
     assert_eq!(flat, pointer);
     assert!(
         pointer
