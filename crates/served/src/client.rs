@@ -248,8 +248,8 @@ fn unexpected(frame: &Frame) -> io::Error {
     )
 }
 
-/// What one load-generator run measured, serialised into
-/// `BENCH_serve.json` by the bench harness.
+/// What one load-generator run measured; `cordial-cli load` prints it
+/// as JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LoadReport {
     /// Events admitted by the daemon.

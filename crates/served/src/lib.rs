@@ -11,8 +11,9 @@
 //! stats/health/plan queries, exposes the
 //! cordial-obs registry at an HTTP `/metrics` endpoint, and survives
 //! restarts through its durable store: every admitted batch is journaled
-//! before its ack, and graceful shutdown checkpoints every monitor into
-//! the same store.
+//! before its ack (under `--fsync always`, after a group-commit fsync
+//! that may cover several connections' batches), and graceful shutdown
+//! checkpoints every monitor into the same store.
 //!
 //! Three layers, smallest surface first:
 //!
@@ -22,8 +23,9 @@
 //!   backpressure ([`codec::Frame::RetryAfter`]), per-connection decode
 //!   circuit breakers, per-shard device hosts, store-backed journal
 //!   replay, `/metrics`.
-//! * [`client`] — the blocking client and the load generator that drives
-//!   a daemon at millions of events per second (`BENCH_serve.json`).
+//! * [`client`] — the blocking client and the load generator behind
+//!   `cordial-cli load`. The daemon's throughput is measured from
+//!   outside, journaling on, by `bash benchmark/run.sh`.
 //!
 //! Everything is hand-rolled on `std` TCP: the workspace builds offline,
 //! and the protocol is small enough that a runtime would cost more than

@@ -48,6 +48,20 @@
 //! beyond each floor. After an *abrupt* death (no checkpoints) the whole
 //! journal replays, so acked batches are never lost — the property the
 //! kill-mid-load end-to-end test pins.
+//!
+//! Under `Always` the fsync is a **group commit**. A connection thread
+//! appends its batch to the journal and pushes it onto its shard queues
+//! under the `queues` lock, without syncing, so journal order is
+//! admission order. It then waits outside the lock for an fsync that
+//! covers the batch: when none is running it leads one itself, through a
+//! [`cordial_store::SyncHandle`] taken under the store lock and synced
+//! with no lock held, and that fsync covers every batch appended before
+//! it began. Queued parts carry their batch's last journal sequence
+//! number, and workers pop only parts below the durable watermark, so a
+//! batch reaches its shard worker, and its ack leaves, only after its
+//! covering fsync. A failed fsync pulls every batch it covered back out
+//! of the queues and refuses each with [`Frame::Error`]. `batch:N` and
+//! `never` let the store apply the policy inside the append.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -56,7 +70,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -182,11 +196,45 @@ pub struct ShutdownReport {
     pub plans: Vec<PlanRecord>,
 }
 
+/// One shard's share of an admitted batch.
+struct Part {
+    /// Journal sequence number of the batch's last event (0 without a
+    /// journal); the part may be processed once this is durable.
+    seq: u64,
+    events: Vec<ErrorEvent>,
+}
+
+/// The shard queues and the journal's commit state, behind one lock.
+struct Queues {
+    /// One bounded FIFO per shard, in admission (= journal) order.
+    shards: Vec<VecDeque<Part>>,
+    /// Parts with `seq` below this are durable and may be processed:
+    /// `u64::MAX` unless the daemon group-commits.
+    durable_below: u64,
+    /// A group-commit leader's fsync is in flight.
+    syncing: bool,
+    /// Batches a failed fsync covered, by last sequence number, with the
+    /// failure; each batch's connection thread takes its own entry.
+    refused: HashMap<u64, String>,
+}
+
+impl Queues {
+    /// Whether `shard` has a part that may be processed now.
+    fn ready(&self, shard: usize) -> bool {
+        self.shards[shard]
+            .front()
+            .is_some_and(|part| part.seq < self.durable_below)
+    }
+}
+
 /// State shared between the accept loop, connection threads and workers.
 struct Shared {
     config: ServeConfig,
-    queues: Mutex<Vec<VecDeque<Vec<ErrorEvent>>>>,
+    queues: Mutex<Queues>,
+    /// Per-shard worker wake-ups: a part was pushed or became durable.
     room: Vec<Condvar>,
+    /// Group-commit wake-ups: an fsync finished.
+    committed: Condvar,
     /// One device host per shard worker.
     shards: Vec<Mutex<DeviceHost>>,
     plans: Mutex<Vec<PlanRecord>>,
@@ -202,8 +250,9 @@ struct Shared {
 enum EnqueueRefusal {
     /// A target shard queue is full; the client should retry later.
     Full(u16),
-    /// The journal append failed; the batch was **not** admitted (an ack
-    /// must imply durability, so an unjournalable batch is refused).
+    /// The journal append or its covering fsync failed; the batch was
+    /// **not** admitted (an ack must imply durability, so an
+    /// unjournalable batch is refused, and none of it is processed).
     Journal(String),
     /// Shutdown began; the workers may already have drained.
     ShuttingDown,
@@ -225,15 +274,23 @@ impl Shared {
         (device.salt() % self.shards.len() as u64) as usize
     }
 
+    /// Whether acks wait for a shared fsync (a journal under
+    /// [`FsyncPolicy::Always`]).
+    fn group_commits(&self) -> bool {
+        self.store.is_some() && self.config.fsync == FsyncPolicy::Always
+    }
+
     /// Admits a batch to its target shard queues, all-or-nothing.
     ///
     /// Returns the admitted event count, or why the batch was refused.
     /// Capacity is checked for every target shard under one lock before
     /// anything is pushed, so a refusal leaves no partial batch. When a
-    /// journal is configured the batch is appended (and, under
-    /// [`FsyncPolicy::Always`], fsynced) between the capacity check and
-    /// the push, still under the queues lock — journal order is admission
-    /// order, and a batch is on disk before its ack can be written.
+    /// journal is configured the batch is appended between the capacity
+    /// check and the push, still under the queues lock, so journal order
+    /// is admission order. Under [`FsyncPolicy::Always`] the append does
+    /// not sync: [`Shared::await_commit`] then waits, outside the lock,
+    /// for the group-commit fsync that covers the batch, so the batch is
+    /// on disk before its ack can be written.
     ///
     /// The shutdown flag is checked under the same lock the workers check
     /// it under before exiting, so no batch is admitted after its shard
@@ -253,14 +310,16 @@ impl Shared {
             return Err(EnqueueRefusal::ShuttingDown);
         }
         for (shard, hit) in touched.into_iter().enumerate() {
-            if hit && queues[shard].len() >= self.config.queue_capacity {
+            if hit && queues.shards[shard].len() >= self.config.queue_capacity {
                 return Err(EnqueueRefusal::Full(shard as u16));
             }
         }
+        let mut seq = 0;
         if let Some(store) = &self.store {
-            lock(store)
+            let appended = lock(store)
                 .append_events(&batch)
                 .map_err(|err| EnqueueRefusal::Journal(err.to_string()))?;
+            seq = appended.map_or(0, |(_, last)| last);
         }
         let mut parts: Vec<Vec<ErrorEvent>> = Vec::new();
         parts.resize_with(self.shards.len(), Vec::new);
@@ -274,10 +333,66 @@ impl Shared {
                 continue;
             }
             total += events.len() as u32;
-            queues[shard].push_back(events);
-            self.room[shard].notify_one();
+            queues.shards[shard].push_back(Part { seq, events });
+            // A part awaiting its group commit wakes its worker only once
+            // the fsync lands (`await_commit`).
+            if seq < queues.durable_below {
+                self.room[shard].notify_one();
+            }
+        }
+        if total > 0 && self.group_commits() {
+            self.await_commit(queues, seq)?;
         }
         Ok(total)
+    }
+
+    /// Group commit: blocks until the batch journaled through `seq` is
+    /// durable, leading an fsync whenever none is in flight. The leader
+    /// syncs with no lock held and covers every batch appended before its
+    /// [`SyncHandle`](cordial_store::SyncHandle) was taken; on success it
+    /// raises the durable watermark and wakes the workers, on failure it
+    /// pulls every covered batch back out of the queues and refuses it.
+    fn await_commit<'a>(
+        &'a self,
+        mut queues: MutexGuard<'a, Queues>,
+        seq: u64,
+    ) -> Result<(), EnqueueRefusal> {
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        loop {
+            if let Some(why) = queues.refused.remove(&seq) {
+                return Err(EnqueueRefusal::Journal(why));
+            }
+            if seq < queues.durable_below {
+                return Ok(());
+            }
+            if queues.syncing {
+                queues = self
+                    .committed
+                    .wait(queues)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                continue;
+            }
+            queues.syncing = true;
+            drop(queues);
+            let handle = lock(store).sync_handle();
+            let (covers, synced) = match handle {
+                Ok(handle) => (handle.covers().unwrap_or(0), handle.sync()),
+                // No handle, no fsync: nothing appended so far is covered.
+                Err(err) => (u64::MAX, Err(err)),
+            };
+            queues = lock(&self.queues);
+            queues.syncing = false;
+            match synced {
+                Ok(()) => queues.durable_below = queues.durable_below.max(covers + 1),
+                Err(err) => refuse_pending(&mut queues, covers, &err.to_string()),
+            }
+            for cv in &self.room {
+                cv.notify_all();
+            }
+            self.committed.notify_all();
+        }
     }
 
     /// Runs one shard's batches through its device host.
@@ -317,11 +432,13 @@ impl Shared {
             let batch = {
                 let mut queues = lock(&self.queues);
                 loop {
-                    if let Some(batch) = queues[shard_idx].pop_front() {
-                        break Some(batch);
+                    if queues.ready(shard_idx) {
+                        break queues.shards[shard_idx].pop_front().map(|part| part.events);
                     }
-                    if self.shutting_down() {
-                        // Queue drained and no more producers: done.
+                    if self.shutting_down() && queues.shards[shard_idx].is_empty() {
+                        // Queue drained and no more producers: done. A
+                        // part still waiting for its fsync is processed
+                        // or refused first.
                         break None;
                     }
                     let (guard, _timed_out) = self.room[shard_idx]
@@ -350,7 +467,11 @@ impl Shared {
     fn health(&self) -> HealthReport {
         HealthReport {
             shards: self.shards.len(),
-            queue_depths: lock(&self.queues).iter().map(VecDeque::len).collect(),
+            queue_depths: lock(&self.queues)
+                .shards
+                .iter()
+                .map(VecDeque::len)
+                .collect(),
             accepted_batches: self.accepted_batches.load(Ordering::Relaxed),
             rejected_batches: self.rejected_batches.load(Ordering::Relaxed),
             shutting_down: self.shutting_down(),
@@ -378,7 +499,7 @@ impl Shared {
                     Err(EnqueueRefusal::Journal(why)) => {
                         self.rejected_batches.fetch_add(1, Ordering::Relaxed);
                         cordial_obs::counter!("served.journal.errors").inc();
-                        Frame::Error(format!("journal append failed: {why}"))
+                        Frame::Error(format!("journal write failed: {why}"))
                     }
                     Err(EnqueueRefusal::ShuttingDown) => Frame::ShuttingDown,
                 }
@@ -532,10 +653,16 @@ impl Server {
         let shards = config.shards.max(1);
         let store = match config.store_dir.as_deref() {
             Some(dir) => {
+                // Under `always` the connection threads group-commit the
+                // journal themselves (see `Shared::await_commit`).
+                let fsync = match config.fsync {
+                    FsyncPolicy::Always => FsyncPolicy::Never,
+                    policy => policy,
+                };
                 let store = Store::open(
                     dir,
                     StoreConfig {
-                        fsync: config.fsync,
+                        fsync,
                         ..StoreConfig::default()
                     },
                 )
@@ -563,9 +690,21 @@ impl Server {
                 Mutex::new(host)
             })
             .collect::<Vec<_>>();
+        // Everything already in the journal is as durable as recovery
+        // found it; group commit covers what is appended from here on.
+        let durable_below = match &store {
+            Some(store) if config.fsync == FsyncPolicy::Always => lock(store).next_seq(),
+            _ => u64::MAX,
+        };
         let shared = Arc::new(Shared {
-            queues: Mutex::new(vec![VecDeque::new(); shards.len()]),
+            queues: Mutex::new(Queues {
+                shards: (0..shards.len()).map(|_| VecDeque::new()).collect(),
+                durable_below,
+                syncing: false,
+                refused: HashMap::new(),
+            }),
             room: shards.iter().map(|_| Condvar::new()).collect(),
+            committed: Condvar::new(),
             shards,
             plans: Mutex::new(Vec::new()),
             store,
@@ -700,6 +839,28 @@ impl Server {
     }
 }
 
+/// Pulls every batch a failed group-commit fsync covered (those not yet
+/// durable, journaled through `through`) out of the shard queues,
+/// recording each for its connection thread to refuse.
+fn refuse_pending(queues: &mut Queues, through: u64, why: &str) {
+    let Queues {
+        shards,
+        durable_below,
+        refused,
+        ..
+    } = queues;
+    let covered = *durable_below..=through;
+    for queue in shards.iter_mut() {
+        queue.retain(|part| {
+            if covered.contains(&part.seq) {
+                refused.insert(part.seq, why.to_string());
+                return false;
+            }
+            true
+        });
+    }
+}
+
 /// Rebuilds the fleet from the durable store: each shard host restores its
 /// devices' latest checkpoints, then the journal tail beyond each
 /// checkpoint's floor replays through the live processing path. Devices
@@ -808,4 +969,60 @@ fn serve_metrics(mut stream: TcpStream) {
         body.len()
     );
     let _ = stream.write_all(response.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn part(seq: u64) -> Part {
+        Part {
+            seq,
+            events: Vec::new(),
+        }
+    }
+
+    /// Two shards; batches 9, 19 and 29 each span both, 24 only shard 1.
+    fn queues(durable_below: u64) -> Queues {
+        Queues {
+            shards: vec![
+                [9, 19, 29].map(part).into(),
+                [9, 19, 24, 29].map(part).into(),
+            ],
+            durable_below,
+            syncing: false,
+            refused: HashMap::new(),
+        }
+    }
+
+    #[test]
+    fn workers_pop_only_parts_below_the_durable_watermark() {
+        let mut q = queues(9);
+        assert!(!q.ready(0) && !q.ready(1));
+        q.durable_below = 10;
+        assert!(q.ready(0) && q.ready(1));
+        q.shards[0].pop_front();
+        assert!(!q.ready(0), "batch 19 is not durable yet");
+    }
+
+    #[test]
+    fn a_failed_fsync_pulls_exactly_the_batches_it_covered() {
+        // Batch 9 is durable; the failed fsync covered 19 and 24.
+        let mut q = queues(10);
+        refuse_pending(&mut q, 24, "disk on fire");
+        let left: Vec<Vec<u64>> = q
+            .shards
+            .iter()
+            .map(|shard| shard.iter().map(|p| p.seq).collect())
+            .collect();
+        assert_eq!(left, vec![vec![9, 29], vec![9, 29]]);
+        let mut refused: Vec<u64> = q.refused.keys().copied().collect();
+        refused.sort_unstable();
+        assert_eq!(refused, vec![19, 24]);
+        assert_eq!(q.refused[&19], "disk on fire");
+        // Without a handle nothing was synced: every pending batch goes.
+        refuse_pending(&mut q, u64::MAX, "no handle");
+        assert_eq!(q.shards[0].iter().map(|p| p.seq).collect::<Vec<_>>(), [9]);
+        assert_eq!(q.refused.len(), 3);
+    }
 }

@@ -33,6 +33,14 @@ pub enum StoreError {
         /// What is wrong with it.
         what: String,
     },
+    /// A record would exceed the frame body cap, so recovery could not
+    /// read it back; nothing was written.
+    TooLarge {
+        /// The record body's length in bytes.
+        len: usize,
+        /// The cap.
+        max: usize,
+    },
     /// A checkpoint payload could not be migrated to the current schema.
     Migration(MigrationError),
 }
@@ -57,6 +65,9 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { path, what } => {
                 write!(f, "store corrupt at {}: {what}", path.display())
             }
+            StoreError::TooLarge { len, max } => {
+                write!(f, "record body of {len} bytes exceeds the {max}-byte cap")
+            }
             StoreError::Migration(err) => write!(f, "checkpoint migration failed: {err}"),
         }
     }
@@ -66,7 +77,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::Corrupt { .. } => None,
+            StoreError::Corrupt { .. } | StoreError::TooLarge { .. } => None,
             StoreError::Migration(err) => Some(err),
         }
     }

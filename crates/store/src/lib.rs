@@ -12,14 +12,17 @@
 //!    checksummed header plus length+CRC-framed record frames; the
 //!    record payloads ([`record`]) reuse the serving daemon's fixed
 //!    26-byte event layout bit-for-bit, so a journaled batch is
-//!    identical to the batch that arrived on the wire.
+//!    identical to the batch that arrived on the wire, and one frame
+//!    holds a whole batch.
 //! 2. **WAL-style appends** ([`Store::append_events`],
 //!    [`Store::append_checkpoint`]) with a configurable
 //!    [`FsyncPolicy`] (`Always` / `Batch(n)` / `Never`) — the
-//!    journal-before-ack discipline the daemon needs.
+//!    journal-before-ack discipline the daemon needs — plus a
+//!    [`SyncHandle`] that fsyncs outside the store's lock, for group
+//!    commit.
 //! 3. **Torn-write recovery** ([`Store::open`]) — the tail is scanned,
-//!    the first torn or corrupt record truncated, later segments
-//!    dropped, and appending resumes; damage is a
+//!    the first torn or corrupt frame truncated (a torn batch goes
+//!    whole), later segments dropped, and appending resumes; damage is a
 //!    [`RecoveryReport`], not an error.
 //! 4. **Sparse replay index** ([`Store::replay`]) — per-segment time
 //!    bounds plus in-segment seek points make `(device, time-range)`
@@ -71,5 +74,5 @@ pub use record::{
 };
 pub use store::{
     CheckpointRecord, CompactReport, FsyncPolicy, RecoveryReport, ReplayFilter, SegmentReport,
-    Store, StoreConfig, StoreReport, MANIFEST_NAME,
+    Store, StoreConfig, StoreReport, SyncHandle, MANIFEST_NAME,
 };

@@ -15,10 +15,21 @@
 //! kind u8 | seq u64le | kind-specific payload
 //! ```
 //!
-//! * kind `1` (event): one 26-byte event record.
+//! * kind `3` (event batch): `n >= 1` 26-byte event records back to
+//!   back; `seq` is the first event's sequence number and event `i`
+//!   carries `seq + i`. The count is the payload length over 26. Every
+//!   [`crate::Store::append_events`] call and every compaction writes
+//!   events this way, so one frame (one length word, one CRC) covers a
+//!   whole wire batch and recovery keeps or cuts it whole.
 //! * kind `2` (checkpoint): device key (8 bytes) | journal_seq u64le |
 //!   UTF-8 JSON checkpoint payload (schema-agnostic; versioned via
 //!   [`crate::migrate`]).
+//! * kind `1` (event): one 26-byte event record. Stores written before
+//!   event batches framed every event this way; they still open and
+//!   replay, but nothing writes this kind any more.
+//!
+//! Whatever the kind, a body decodes to per-event [`Record`]s: replay
+//! never shows how events were framed.
 
 use std::fmt;
 
@@ -32,14 +43,21 @@ use cordial_topology::{
 /// format's record size).
 pub const EVENT_WIRE_LEN: usize = 26;
 
-/// Kind byte of an event record body.
+/// Kind byte of a single-event record body (read only; see the module
+/// docs).
 pub const KIND_EVENT: u8 = 1;
 
 /// Kind byte of a checkpoint record body.
 pub const KIND_CHECKPOINT: u8 = 2;
 
-/// Smallest well-formed record body (an event: kind + seq + record).
-pub const MIN_BODY_LEN: usize = 1 + 8 + EVENT_WIRE_LEN;
+/// Kind byte of an event-batch record body.
+pub const KIND_EVENT_BATCH: u8 = 3;
+
+/// Bytes every body starts with: the kind byte and a sequence number.
+pub const BODY_PREFIX_LEN: usize = 1 + 8;
+
+/// Bytes a checkpoint body holds besides its payload.
+pub(crate) const CHECKPOINT_OVERHEAD: usize = BODY_PREFIX_LEN + 8 + 8;
 
 /// The device a stored record belongs to: one HBM socket on one NPU of
 /// one node — the granularity the fleet supervisor shards monitors by.
@@ -196,6 +214,16 @@ pub fn encode_event_record(event: &ErrorEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(&record);
 }
 
+/// The severity an event record's last byte encodes.
+fn error_type_of(byte: u8) -> Result<ErrorType, RecordError> {
+    match byte {
+        0 => Ok(ErrorType::Ce),
+        1 => Ok(ErrorType::Ueo),
+        2 => Ok(ErrorType::Uer),
+        other => Err(RecordError::UnknownErrorType(other)),
+    }
+}
+
 /// Parses one fixed-width event record.
 pub fn decode_event_record(bytes: &[u8]) -> Result<ErrorEvent, RecordError> {
     if bytes.len() < EVENT_WIRE_LEN {
@@ -217,12 +245,7 @@ pub fn decode_event_record(bytes: &[u8]) -> Result<ErrorEvent, RecordError> {
     let time = u64::from_le_bytes([
         bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23], bytes[24],
     ]);
-    let error_type = match bytes[25] {
-        0 => ErrorType::Ce,
-        1 => ErrorType::Ueo,
-        2 => ErrorType::Uer,
-        other => return Err(RecordError::UnknownErrorType(other)),
-    };
+    let error_type = error_type_of(bytes[25])?;
     Ok(ErrorEvent::new(
         bank.cell(RowId(row), ColId(col)),
         Timestamp::from_millis(time),
@@ -230,52 +253,165 @@ pub fn decode_event_record(bytes: &[u8]) -> Result<ErrorEvent, RecordError> {
     ))
 }
 
-/// Serialises a record body (kind, seq, payload — the bytes a segment
-/// frame's CRC covers).
-pub fn encode_body(record: &Record) -> Vec<u8> {
-    match record {
-        Record::Event { seq, event } => {
-            let mut out = Vec::with_capacity(MIN_BODY_LEN);
-            out.push(KIND_EVENT);
-            out.extend_from_slice(&seq.to_le_bytes());
-            encode_event_record(event, &mut out);
-            out
+/// Appends a kind-3 body holding `events`, the first carrying sequence
+/// number `first_seq`. The caller keeps the body under the frame cap.
+pub(crate) fn encode_event_batch(first_seq: u64, events: &[ErrorEvent], out: &mut Vec<u8>) {
+    out.push(KIND_EVENT_BATCH);
+    out.extend_from_slice(&first_seq.to_le_bytes());
+    for event in events {
+        encode_event_record(event, out);
+    }
+}
+
+/// Appends a checkpoint body.
+pub(crate) fn encode_checkpoint(
+    seq: u64,
+    device: DeviceKey,
+    journal_seq: u64,
+    payload: &str,
+    out: &mut Vec<u8>,
+) {
+    out.push(KIND_CHECKPOINT);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&device.pack());
+    out.extend_from_slice(&journal_seq.to_le_bytes());
+    out.extend_from_slice(payload.as_bytes());
+}
+
+/// One decoded record body, borrowing from the segment bytes: what a
+/// single frame holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Body<'a> {
+    /// Consecutive events (kind 1 holds one, kind 3 a batch) as raw
+    /// 26-byte records, every one already validated by [`decode_body`].
+    Events {
+        /// Sequence number of the first event.
+        first_seq: u64,
+        /// The event records, back to back.
+        records: &'a [u8],
+    },
+    /// A monitor checkpoint.
+    Checkpoint {
+        /// Store-wide sequence number.
+        seq: u64,
+        /// The device the checkpoint belongs to.
+        device: DeviceKey,
+        /// The journal position the checkpoint covers.
+        journal_seq: u64,
+        /// The JSON payload.
+        payload: &'a str,
+    },
+}
+
+impl Body<'_> {
+    /// Sequence number of the body's first record.
+    pub(crate) fn first_seq(&self) -> u64 {
+        match self {
+            Body::Events { first_seq, .. } => *first_seq,
+            Body::Checkpoint { seq, .. } => *seq,
         }
-        Record::Checkpoint {
-            seq,
-            device,
-            journal_seq,
-            payload,
-        } => {
-            let mut out = Vec::with_capacity(1 + 8 + 8 + 8 + payload.len());
-            out.push(KIND_CHECKPOINT);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(&device.pack());
-            out.extend_from_slice(&journal_seq.to_le_bytes());
-            out.extend_from_slice(payload.as_bytes());
-            out
+    }
+
+    /// Sequence number of the body's last record.
+    pub(crate) fn last_seq(&self) -> u64 {
+        match self {
+            Body::Events { first_seq, records } => {
+                first_seq + (records.len() / EVENT_WIRE_LEN) as u64 - 1
+            }
+            Body::Checkpoint { seq, .. } => *seq,
+        }
+    }
+
+    /// Timestamps (ms) of the body's events, read straight from their
+    /// records; empty for a checkpoint.
+    pub(crate) fn event_times(&self) -> impl Iterator<Item = u64> + '_ {
+        let records: &[u8] = match self {
+            Body::Events { records, .. } => records,
+            Body::Checkpoint { .. } => &[],
+        };
+        records.chunks_exact(EVENT_WIRE_LEN).map(|record| {
+            u64::from_le_bytes([
+                record[17], record[18], record[19], record[20], record[21], record[22], record[23],
+                record[24],
+            ])
+        })
+    }
+
+    /// Appends the body re-encoded for writing: events always as one
+    /// event batch, whichever kind they were read from.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            Body::Events { first_seq, records } => {
+                out.push(KIND_EVENT_BATCH);
+                out.extend_from_slice(&first_seq.to_le_bytes());
+                out.extend_from_slice(records);
+            }
+            Body::Checkpoint {
+                seq,
+                device,
+                journal_seq,
+                payload,
+            } => encode_checkpoint(seq, device, journal_seq, payload, out),
+        }
+    }
+
+    /// Appends the body's per-event (or checkpoint) records to `out`.
+    pub(crate) fn push_records(&self, out: &mut Vec<Record>) {
+        match *self {
+            Body::Events { first_seq, records } => {
+                // `decode_body` validated every record, so none is dropped.
+                out.extend(
+                    records
+                        .chunks_exact(EVENT_WIRE_LEN)
+                        .zip(first_seq..)
+                        .filter_map(|(record, seq)| {
+                            let event = decode_event_record(record).ok()?;
+                            Some(Record::Event { seq, event })
+                        }),
+                );
+            }
+            Body::Checkpoint {
+                seq,
+                device,
+                journal_seq,
+                payload,
+            } => out.push(Record::Checkpoint {
+                seq,
+                device,
+                journal_seq,
+                payload: payload.to_owned(),
+            }),
         }
     }
 }
 
-/// Parses a record body serialised by [`encode_body`].
-pub fn decode_body(bytes: &[u8]) -> Result<Record, RecordError> {
-    if bytes.len() < 9 {
+/// Parses a record body of any kind, validating every event record it
+/// holds so that [`Body::push_records`] cannot fail later.
+pub(crate) fn decode_body(bytes: &[u8]) -> Result<Body<'_>, RecordError> {
+    if bytes.len() < BODY_PREFIX_LEN {
         return Err(RecordError::Truncated);
     }
     let kind = bytes[0];
     let seq = u64::from_le_bytes([
         bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7], bytes[8],
     ]);
-    let rest = &bytes[9..];
+    let rest = &bytes[BODY_PREFIX_LEN..];
     match kind {
-        KIND_EVENT => {
-            if rest.len() != EVENT_WIRE_LEN {
+        KIND_EVENT | KIND_EVENT_BATCH => {
+            let whole = if kind == KIND_EVENT {
+                rest.len() == EVENT_WIRE_LEN
+            } else {
+                !rest.is_empty() && rest.len().is_multiple_of(EVENT_WIRE_LEN)
+            };
+            if !whole {
                 return Err(RecordError::Truncated);
             }
-            Ok(Record::Event {
-                seq,
-                event: decode_event_record(rest)?,
+            for record in rest.chunks_exact(EVENT_WIRE_LEN) {
+                error_type_of(record[EVENT_WIRE_LEN - 1])?;
+            }
+            Ok(Body::Events {
+                first_seq: seq,
+                records: rest,
             })
         }
         KIND_CHECKPOINT => {
@@ -286,10 +422,9 @@ pub fn decode_body(bytes: &[u8]) -> Result<Record, RecordError> {
             let journal_seq = u64::from_le_bytes([
                 rest[8], rest[9], rest[10], rest[11], rest[12], rest[13], rest[14], rest[15],
             ]);
-            let payload = std::str::from_utf8(&rest[16..])
-                .map_err(|_| RecordError::NonUtf8Payload)?
-                .to_owned();
-            Ok(Record::Checkpoint {
+            let payload =
+                std::str::from_utf8(&rest[16..]).map_err(|_| RecordError::NonUtf8Payload)?;
+            Ok(Body::Checkpoint {
                 seq,
                 device,
                 journal_seq,
@@ -326,51 +461,91 @@ mod tests {
         )
     }
 
+    fn records_of(body: &[u8]) -> Vec<Record> {
+        let mut out = Vec::new();
+        decode_body(body).unwrap().push_records(&mut out);
+        out
+    }
+
     #[test]
-    fn event_bodies_round_trip() {
-        for seed in [0u64, 1, 42, 0xFFFF_FFFF, u64::MAX / 31] {
-            let record = Record::Event {
-                seq: seed ^ 7,
-                event: sample_event(seed),
-            };
-            let body = encode_body(&record);
-            assert_eq!(decode_body(&body), Ok(record.clone()));
-            assert_eq!(body.len(), MIN_BODY_LEN);
+    fn event_batch_bodies_round_trip() {
+        let events: Vec<ErrorEvent> = [0u64, 1, 42, 0xFFFF_FFFF, u64::MAX / 31]
+            .into_iter()
+            .map(sample_event)
+            .collect();
+        for n in 1..=events.len() {
+            let mut body = Vec::new();
+            encode_event_batch(7, &events[..n], &mut body);
+            assert_eq!(body.len(), BODY_PREFIX_LEN + n * EVENT_WIRE_LEN);
+            let decoded = decode_body(&body).unwrap();
+            assert_eq!((decoded.first_seq(), decoded.last_seq()), (7, 6 + n as u64));
+            let times: Vec<u64> = decoded.event_times().collect();
+            let want: Vec<u64> = events[..n].iter().map(|e| e.time.as_millis()).collect();
+            assert_eq!(times, want);
+            let records: Vec<Record> = (7..)
+                .zip(&events[..n])
+                .map(|(seq, event)| Record::Event { seq, event: *event })
+                .collect();
+            assert_eq!(records_of(&body), records);
         }
+    }
+
+    #[test]
+    fn single_event_bodies_still_decode() {
+        // The kind-1 layout: kind | seq | one event record.
+        let event = sample_event(42);
+        let mut body = vec![KIND_EVENT];
+        body.extend_from_slice(&9u64.to_le_bytes());
+        encode_event_record(&event, &mut body);
+        assert_eq!(records_of(&body), vec![Record::Event { seq: 9, event }]);
+        // A kind-1 body holds exactly one record.
+        encode_event_record(&event, &mut body);
+        assert_eq!(decode_body(&body), Err(RecordError::Truncated));
     }
 
     #[test]
     fn checkpoint_bodies_round_trip() {
-        let record = Record::Checkpoint {
-            seq: 99,
-            device: DeviceKey {
-                node: 7,
-                npu: 3,
-                hbm: 1,
-            },
-            journal_seq: 42,
-            payload: "{\"schema_version\":1}".to_string(),
+        let device = DeviceKey {
+            node: 7,
+            npu: 3,
+            hbm: 1,
         };
-        let body = encode_body(&record);
-        assert_eq!(decode_body(&body), Ok(record));
+        let mut body = Vec::new();
+        let payload = "{\"schema_version\":1}";
+        encode_checkpoint(99, device, 42, payload, &mut body);
+        assert_eq!(body.len(), CHECKPOINT_OVERHEAD + payload.len());
+        assert_eq!(
+            records_of(&body),
+            vec![Record::Checkpoint {
+                seq: 99,
+                device,
+                journal_seq: 42,
+                payload: payload.to_string(),
+            }]
+        );
     }
 
     #[test]
     fn truncated_and_garbage_bodies_are_rejected() {
-        let record = Record::Event {
-            seq: 1,
-            event: sample_event(5),
-        };
-        let body = encode_body(&record);
+        let mut body = Vec::new();
+        encode_event_batch(1, &[sample_event(5), sample_event(6)], &mut body);
         for cut in 0..body.len() {
-            assert!(decode_body(&body[..cut]).is_err(), "prefix of {cut} bytes");
+            // Only the frame CRC can tell a batch cut on a record
+            // boundary from a shorter batch.
+            let whole =
+                cut > BODY_PREFIX_LEN && (cut - BODY_PREFIX_LEN).is_multiple_of(EVENT_WIRE_LEN);
+            assert_eq!(
+                decode_body(&body[..cut]).is_ok(),
+                whole,
+                "prefix of {cut} bytes"
+            );
         }
         let mut bad_kind = body.clone();
         bad_kind[0] = 0x7F;
         assert_eq!(decode_body(&bad_kind), Err(RecordError::UnknownKind(0x7F)));
+        // A bad severity byte in any record of the batch rejects the body.
         let mut bad_type = body;
-        let last = bad_type.len() - 1;
-        bad_type[last] = 9;
+        bad_type[BODY_PREFIX_LEN + EVENT_WIRE_LEN - 1] = 9;
         assert_eq!(
             decode_body(&bad_type),
             Err(RecordError::UnknownErrorType(9))

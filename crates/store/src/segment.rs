@@ -17,7 +17,13 @@
 //! len u32 le | crc u32 le (of body) | body (len bytes, see crate::record)
 //! ```
 //!
-//! [`scan_records`] is the single reader both recovery and replay go
+//! One frame holds one body, and an event-batch body holds every event of
+//! one append, so recovery keeps or cuts a batch whole. Bodies never
+//! exceed [`MAX_BODY`]: appends refuse a larger checkpoint and spread a
+//! larger event slice over several frames, because the scanner reads a
+//! longer length word as corruption.
+//!
+//! [`scan_frames`] is the single reader both recovery and replay go
 //! through: it walks frames from the header onward and stops at the
 //! **first** violation — short frame header, impossible length, CRC
 //! mismatch, malformed body, or non-increasing sequence number — reporting
@@ -26,7 +32,7 @@
 //! compaction leaves gaps.
 
 use crate::crc::crc32;
-use crate::record::{decode_body, Record};
+use crate::record::{decode_body, Body, BODY_PREFIX_LEN, EVENT_WIRE_LEN};
 
 /// First eight bytes of every segment file.
 pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"CRDLSTO1";
@@ -43,6 +49,9 @@ pub(crate) const FRAME_OVERHEAD: usize = 8;
 /// Upper bound on one record body (16 MiB — matches the wire protocol's
 /// payload cap). Larger declared lengths are treated as corruption.
 pub(crate) const MAX_BODY: u32 = 16 * 1024 * 1024;
+
+/// Most events one event-batch body holds under [`MAX_BODY`].
+pub(crate) const MAX_BATCH_EVENTS: usize = (MAX_BODY as usize - BODY_PREFIX_LEN) / EVENT_WIRE_LEN;
 
 /// Builds a segment header for a segment whose first record will carry
 /// sequence number `base_seq`.
@@ -79,29 +88,39 @@ pub(crate) fn decode_header(bytes: &[u8]) -> Option<u64> {
     ]))
 }
 
-/// Frames one record body (length + CRC + body), appending to `out`.
-pub(crate) fn encode_frame(body: &[u8], out: &mut Vec<u8>) {
+/// Frames the body `write` appends to `out`: the length and CRC words
+/// are reserved first and patched once the body is in place, so the body
+/// is built in the output buffer and never copied. Callers keep the body
+/// within [`MAX_BODY`].
+pub(crate) fn encode_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_OVERHEAD]);
+    write(out);
+    let body = &out[start + FRAME_OVERHEAD..];
     debug_assert!(body.len() <= MAX_BODY as usize, "record body over cap");
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+    let len = (body.len() as u32).to_le_bytes();
+    let crc = crc32(body).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + FRAME_OVERHEAD].copy_from_slice(&crc);
 }
 
-/// One record recovered by [`scan_records`], with the file offset its
-/// frame starts at.
+/// One frame recovered by [`scan_frames`], its body borrowing from the
+/// scanned bytes.
 #[derive(Debug, Clone)]
-pub(crate) struct ScannedRecord {
+pub(crate) struct ScannedFrame<'a> {
     /// Offset of the frame's length word within the segment file.
     pub offset: u64,
-    /// The decoded record.
-    pub record: Record,
+    /// Offset just past the frame's body.
+    pub end: u64,
+    /// The decoded body.
+    pub body: Body<'a>,
 }
 
 /// Result of scanning a segment's record area.
 #[derive(Debug, Clone)]
-pub(crate) struct Scan {
-    /// Every record of the clean prefix, in file order.
-    pub records: Vec<ScannedRecord>,
+pub(crate) struct Scan<'a> {
+    /// Every frame of the clean prefix, in file order.
+    pub frames: Vec<ScannedFrame<'a>>,
     /// Length of the clean prefix in bytes (header included): the offset
     /// a recovering store truncates the file to.
     pub valid_len: u64,
@@ -114,8 +133,8 @@ pub(crate) struct Scan {
 /// sparse-index seek point), stopping at the first torn or corrupt frame.
 /// `last_seq` is the highest sequence number seen in earlier segments,
 /// enforcing store-wide strict monotonicity across segment boundaries.
-pub(crate) fn scan_records(bytes: &[u8], start: usize, mut last_seq: Option<u64>) -> Scan {
-    let mut records = Vec::new();
+pub(crate) fn scan_frames(bytes: &[u8], start: usize, mut last_seq: Option<u64>) -> Scan<'_> {
+    let mut frames = Vec::new();
     let mut offset = start;
     let corruption = loop {
         if offset == bytes.len() {
@@ -150,27 +169,28 @@ pub(crate) fn scan_records(bytes: &[u8], start: usize, mut last_seq: Option<u64>
         if crc32(body) != declared_crc {
             break Some(format!("crc mismatch at offset {offset}"));
         }
-        let record = match decode_body(body) {
-            Ok(record) => record,
+        let body = match decode_body(body) {
+            Ok(body) => body,
             Err(err) => break Some(format!("malformed body at offset {offset}: {err}")),
         };
         if let Some(last) = last_seq {
-            if record.seq() <= last {
+            if body.first_seq() <= last {
                 break Some(format!(
                     "sequence went backwards at offset {offset}: {} after {last}",
-                    record.seq()
+                    body.first_seq()
                 ));
             }
         }
-        last_seq = Some(record.seq());
-        records.push(ScannedRecord {
+        last_seq = Some(body.last_seq());
+        frames.push(ScannedFrame {
             offset: offset as u64,
-            record,
+            end: body_end as u64,
+            body,
         });
         offset = body_end;
     };
     Scan {
-        records,
+        frames,
         valid_len: offset as u64,
         corruption,
     }
@@ -179,7 +199,7 @@ pub(crate) fn scan_records(bytes: &[u8], start: usize, mut last_seq: Option<u64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_body, DeviceKey, Record};
+    use crate::record::{encode_checkpoint, encode_event_batch, DeviceKey, Record};
     use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
     use cordial_topology::{
         BankAddress, BankGroup, BankIndex, Channel, ColId, HbmSocket, NodeId, NpuId, PseudoChannel,
@@ -204,29 +224,39 @@ mod tests {
         )
     }
 
+    /// Appends one frame starting at `seq`: an even `seq` frames a batch
+    /// of `seq % 4 + 1` events, an odd one a checkpoint.
+    fn push_frame(seq: u64, bytes: &mut Vec<u8>) {
+        if seq.is_multiple_of(2) {
+            let events: Vec<ErrorEvent> = (seq..=seq + seq % 4).map(sample_event).collect();
+            encode_frame(bytes, |out| encode_event_batch(seq, &events, out));
+        } else {
+            let device = DeviceKey {
+                node: 1,
+                npu: 0,
+                hbm: 0,
+            };
+            encode_frame(bytes, |out| {
+                encode_checkpoint(seq, device, seq.saturating_sub(1), "{}", out);
+            });
+        }
+    }
+
+    /// A segment of one frame per starting sequence number in `seqs`.
     fn sample_segment(seqs: &[u64]) -> Vec<u8> {
         let mut bytes = encode_header(seqs.first().copied().unwrap_or(0)).to_vec();
         for &seq in seqs {
-            let record = if seq % 2 == 0 {
-                Record::Event {
-                    seq,
-                    event: sample_event(seq),
-                }
-            } else {
-                Record::Checkpoint {
-                    seq,
-                    device: DeviceKey {
-                        node: 1,
-                        npu: 0,
-                        hbm: 0,
-                    },
-                    journal_seq: seq.saturating_sub(1),
-                    payload: "{}".to_string(),
-                }
-            };
-            encode_frame(&encode_body(&record), &mut bytes);
+            push_frame(seq, &mut bytes);
         }
         bytes
+    }
+
+    fn records(scan: &Scan<'_>) -> Vec<Record> {
+        let mut out = Vec::new();
+        for frame in &scan.frames {
+            frame.body.push_records(&mut out);
+        }
+        out
     }
 
     #[test]
@@ -243,32 +273,40 @@ mod tests {
 
     #[test]
     fn clean_segments_scan_fully() {
+        // Batches of 1 (seq 0) and 3 (seq 2, 3, 4) events between
+        // checkpoints.
         let bytes = sample_segment(&[0, 1, 2, 5, 9]);
-        let scan = scan_records(&bytes, SEGMENT_HEADER_LEN, None);
+        let scan = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
         assert_eq!(scan.corruption, None);
         assert_eq!(scan.valid_len, bytes.len() as u64);
-        let seqs: Vec<u64> = scan.records.iter().map(|r| r.record.seq()).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 5, 9]);
+        let firsts: Vec<u64> = scan.frames.iter().map(|f| f.body.first_seq()).collect();
+        assert_eq!(firsts, vec![0, 1, 2, 5, 9]);
+        let seqs: Vec<u64> = records(&scan).iter().map(Record::seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5, 9]);
+        for pair in scan.frames.windows(2) {
+            assert_eq!(pair[0].end, pair[1].offset);
+        }
     }
 
     #[test]
     fn every_truncation_point_yields_a_clean_prefix() {
-        let bytes = sample_segment(&[0, 1, 2, 3]);
-        let full = scan_records(&bytes, SEGMENT_HEADER_LEN, None);
+        let bytes = sample_segment(&[0, 1, 2, 5]);
+        let full = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
         // A cut exactly on a frame boundary leaves a clean (shorter) file;
-        // anywhere else must report a tear.
+        // anywhere else must report a tear and keep only whole frames.
         let boundaries: Vec<usize> = full
-            .records
+            .frames
             .iter()
-            .map(|r| r.offset as usize)
+            .map(|f| f.offset as usize)
             .chain([bytes.len()])
             .collect();
         for cut in SEGMENT_HEADER_LEN..bytes.len() {
-            let scan = scan_records(&bytes[..cut], SEGMENT_HEADER_LEN, None);
+            let scan = scan_frames(&bytes[..cut], SEGMENT_HEADER_LEN, None);
             assert!(scan.valid_len as usize <= cut);
-            // The recovered records must be a prefix of the full set.
-            for (got, want) in scan.records.iter().zip(&full.records) {
-                assert_eq!(got.record, want.record);
+            let whole = full.frames.iter().filter(|f| f.end as usize <= cut).count();
+            assert_eq!(scan.frames.len(), whole, "cut at {cut}");
+            for (got, want) in scan.frames.iter().zip(&full.frames) {
+                assert_eq!(got.body, want.body);
             }
             if boundaries.contains(&cut) {
                 assert!(scan.corruption.is_none(), "cut at boundary {cut} is clean");
@@ -280,35 +318,31 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_bytes_stop_the_scan_at_the_previous_record() {
+    fn corrupted_bytes_stop_the_scan_at_the_previous_frame() {
         let bytes = sample_segment(&[0, 1, 2]);
-        let full = scan_records(&bytes, SEGMENT_HEADER_LEN, None);
-        let second_record_offset = full.records[1].offset as usize;
+        let full = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
+        let second_frame_offset = full.frames[1].offset as usize;
         let mut corrupted = bytes.clone();
-        corrupted[second_record_offset + FRAME_OVERHEAD + 3] ^= 0xFF;
-        let scan = scan_records(&corrupted, SEGMENT_HEADER_LEN, None);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.valid_len, full.records[1].offset);
+        corrupted[second_frame_offset + FRAME_OVERHEAD + 3] ^= 0xFF;
+        let scan = scan_frames(&corrupted, SEGMENT_HEADER_LEN, None);
+        assert_eq!(scan.frames.len(), 1);
+        assert_eq!(scan.valid_len, full.frames[1].offset);
         assert!(scan.corruption.is_some());
     }
 
     #[test]
     fn non_monotonic_sequences_are_corruption() {
-        let mut bytes = sample_segment(&[5]);
-        // A second record re-using seq 5 must stop the scan.
-        encode_frame(
-            &encode_body(&Record::Event {
-                seq: 5,
-                event: sample_event(5),
-            }),
-            &mut bytes,
-        );
-        let scan = scan_records(&bytes, SEGMENT_HEADER_LEN, None);
-        assert_eq!(scan.records.len(), 1);
+        // A batch at seq 4 covers seqs 4..=4; one at 2 covers 2..=4.
+        let mut bytes = sample_segment(&[2]);
+        // A frame starting inside the previous batch must stop the scan.
+        push_frame(4, &mut bytes);
+        let scan = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
+        assert_eq!(scan.frames.len(), 1);
         assert!(scan.corruption.is_some());
         // And a lower bound from an earlier segment is enforced too.
-        let scan = scan_records(&sample_segment(&[5]), SEGMENT_HEADER_LEN, Some(7));
-        assert_eq!(scan.records.len(), 0);
+        let bytes = sample_segment(&[6]);
+        let scan = scan_frames(&bytes, SEGMENT_HEADER_LEN, Some(7));
+        assert_eq!(scan.frames.len(), 0);
         assert!(scan.corruption.is_some());
     }
 }

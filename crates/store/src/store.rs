@@ -15,21 +15,26 @@
 //! append can never sit in an unlisted file.
 //!
 //! Appends go straight to the active segment file; durability is
-//! governed by [`FsyncPolicy`]. Recovery at [`Store::open`] scans every
-//! live segment, truncates the first torn or corrupt record, drops any
+//! governed by [`FsyncPolicy`], or by the caller through a
+//! [`SyncHandle`]. One [`Store::append_events`] call writes one
+//! event-batch frame (several only past the 16 MiB body cap), so recovery
+//! works at batch granularity. Recovery at [`Store::open`] scans every
+//! live segment, truncates the first torn or corrupt frame, drops any
 //! later segments (the write-ahead log's clean prefix ends at the first
 //! tear) and resumes appending; what was cut is reported in
-//! [`RecoveryReport`], not an error.
+//! [`RecoveryReport`], not an error. A torn batch goes whole, and the
+//! journal-before-ack discipline means it was never acknowledged.
 //!
 //! # Replay index
 //!
 //! Each segment keeps an in-memory sparse index (one entry every
-//! [`StoreConfig::index_every`] records) carrying the entry's sequence
-//! number and the maximum event timestamp seen *before* it. A
-//! `(device, time-range)` replay can therefore skip whole segments by
-//! their time bounds and seek within a segment to the last index entry
-//! provably before the requested range — without assuming event
-//! timestamps are globally sorted.
+//! [`StoreConfig::index_every`] frames) carrying the first sequence
+//! number of the entry's frame and the maximum event timestamp seen
+//! *before* it. A `(device, time-range)` replay can therefore skip whole
+//! segments by their time bounds and seek within a segment to the last
+//! index entry provably before the requested range — without assuming
+//! event timestamps are globally sorted. Replay then yields per-event
+//! records, trimming a batch that straddles the requested range.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,20 +48,30 @@ use cordial_obs::fsio;
 use serde::Value;
 
 use crate::error::StoreError;
-use crate::record::{encode_body, DeviceKey, Record};
-use crate::segment::{self, SEGMENT_HEADER_LEN};
+use crate::record::{
+    decode_event_record, encode_checkpoint, encode_event_batch, Body, DeviceKey, Record,
+    BODY_PREFIX_LEN, CHECKPOINT_OVERHEAD, EVENT_WIRE_LEN,
+};
+use crate::segment::{self, FRAME_OVERHEAD, MAX_BATCH_EVENTS, MAX_BODY, SEGMENT_HEADER_LEN};
 
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
 /// When appends reach the disk.
+///
+/// The serving daemon runs `Always` as group commit: it opens its store
+/// with `Never`, and one connection thread at a time fsyncs every batch
+/// appended so far through a [`SyncHandle`], acking each batch only after
+/// the fsync that covers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every append call — an acknowledged record survives
     /// power loss. The journal-before-ack default.
     Always,
-    /// fsync once every `n` records: bounded loss window, amortised
-    /// cost.
+    /// fsync once at least `n` records (events or checkpoints) were
+    /// appended since the last one: bounded loss window, amortised cost.
+    /// The check runs after each append call, so one call of `n` or more
+    /// events syncs at once.
     Batch(u32),
     /// Never fsync on append (the OS flushes eventually). Still syncs
     /// on segment roll, compaction and drop.
@@ -107,8 +122,9 @@ pub struct StoreConfig {
     /// Soft cap on one segment file; appends roll to a new segment once
     /// the active one reaches it (default 8 MiB).
     pub segment_max_bytes: u64,
-    /// Sparse-index granularity: one index entry per this many records
-    /// (default 64).
+    /// Sparse-index granularity: one index entry per this many frames
+    /// (default 64). A frame holds one append call's events or one
+    /// checkpoint.
     pub index_every: u32,
 }
 
@@ -237,9 +253,9 @@ pub struct CompactReport {
 /// One sparse-index entry: a safe in-segment seek point.
 #[derive(Debug, Clone)]
 struct IndexEntry {
-    /// File offset of the record's frame.
+    /// File offset of the frame.
     offset: u64,
-    /// Sequence number of the record at `offset`.
+    /// Sequence number of the frame's first record.
     seq: u64,
     /// Maximum event timestamp of all records *before* `offset` (0 when
     /// none): if a replay's lower time bound exceeds this, everything
@@ -254,6 +270,7 @@ struct SegmentMeta {
     path: PathBuf,
     base_seq: u64,
     len: u64,
+    frames: u64,
     records: u64,
     events: u64,
     checkpoints: u64,
@@ -272,6 +289,7 @@ impl SegmentMeta {
             path,
             base_seq,
             len: SEGMENT_HEADER_LEN as u64,
+            frames: 0,
             records: 0,
             events: 0,
             checkpoints: 0,
@@ -284,27 +302,30 @@ impl SegmentMeta {
         }
     }
 
-    /// Accounts one record whose frame occupies `offset..end`.
-    fn note_record(&mut self, offset: u64, end: u64, record: &Record, index_every: u32) {
-        if self.records.is_multiple_of(u64::from(index_every.max(1))) {
+    /// Accounts one frame occupying `offset..end`.
+    fn note_frame(&mut self, offset: u64, end: u64, body: &Body<'_>, index_every: u32) {
+        if self.frames.is_multiple_of(u64::from(index_every.max(1))) {
             self.sparse.push(IndexEntry {
                 offset,
-                seq: record.seq(),
+                seq: body.first_seq(),
                 max_time_before: self.running_max_time,
             });
         }
-        self.records += 1;
-        self.first_seq.get_or_insert(record.seq());
-        self.last_seq = Some(record.seq());
-        match record {
-            Record::Event { event, .. } => {
-                self.events += 1;
-                let t = event.time.as_millis();
-                self.min_time = Some(self.min_time.map_or(t, |m| m.min(t)));
-                self.max_time = Some(self.max_time.map_or(t, |m| m.max(t)));
-                self.running_max_time = self.running_max_time.max(t);
+        self.frames += 1;
+        let records = body.last_seq() - body.first_seq() + 1;
+        self.records += records;
+        self.first_seq.get_or_insert(body.first_seq());
+        self.last_seq = Some(body.last_seq());
+        match body {
+            Body::Events { .. } => {
+                self.events += records;
+                for t in body.event_times() {
+                    self.min_time = Some(self.min_time.map_or(t, |m| m.min(t)));
+                    self.max_time = Some(self.max_time.map_or(t, |m| m.max(t)));
+                    self.running_max_time = self.running_max_time.max(t);
+                }
             }
-            Record::Checkpoint { .. } => self.checkpoints += 1,
+            Body::Checkpoint { .. } => self.checkpoints += 1,
         }
         self.len = end;
     }
@@ -468,17 +489,10 @@ impl Store {
                 let _ = fs::remove_file(&path);
                 continue;
             }
-            let scan = segment::scan_records(&bytes, SEGMENT_HEADER_LEN, last_seq);
+            let scan = segment::scan_frames(&bytes, SEGMENT_HEADER_LEN, last_seq);
             let mut meta = SegmentMeta::new(name.clone(), path.clone(), base);
-            let mut ends = scan
-                .records
-                .iter()
-                .skip(1)
-                .map(|r| r.offset)
-                .collect::<Vec<u64>>();
-            ends.push(scan.valid_len);
-            for (scanned, end) in scan.records.iter().zip(ends) {
-                meta.note_record(scanned.offset, end, &scanned.record, config.index_every);
+            for frame in &scan.frames {
+                meta.note_frame(frame.offset, frame.end, &frame.body, config.index_every);
             }
             if let Some(corruption) = scan.corruption {
                 let file = OpenOptions::new()
@@ -561,9 +575,11 @@ impl Store {
     }
 
     /// Appends a batch of events in order, returning the `(first, last)`
-    /// sequence numbers assigned (`None` for an empty batch). With
-    /// [`FsyncPolicy::Always`] the batch is on disk when this returns —
-    /// journal-before-ack needs exactly that.
+    /// sequence numbers assigned (`None` for an empty batch). The batch
+    /// is written as one event-batch frame — as many as the 16 MiB body
+    /// cap needs for a larger slice — so recovery keeps or cuts it whole.
+    /// With [`FsyncPolicy::Always`] the batch is on disk when this
+    /// returns — journal-before-ack needs exactly that.
     ///
     /// # Errors
     ///
@@ -576,18 +592,32 @@ impl Store {
             return Ok(None);
         }
         let first = self.next_seq;
-        let records: Vec<Record> = events
-            .iter()
-            .enumerate()
-            .map(|(i, event)| Record::Event {
-                seq: first + i as u64,
-                event: *event,
-            })
-            .collect();
-        let last = first + (events.len() as u64) - 1;
-        self.append_records(&records)?;
+        let chunks = events.chunks(MAX_BATCH_EVENTS);
+        let mut buf = Vec::with_capacity(
+            chunks.len() * (FRAME_OVERHEAD + BODY_PREFIX_LEN) + events.len() * EVENT_WIRE_LEN,
+        );
+        let mut frames = Vec::with_capacity(chunks.len());
+        let mut seq = first;
+        for chunk in chunks {
+            let start = buf.len();
+            segment::encode_frame(&mut buf, |out| encode_event_batch(seq, chunk, out));
+            frames.push((start, buf.len(), seq));
+            seq += chunk.len() as u64;
+        }
+        let base = self.write_active(&buf)?;
+        let index_every = self.config.index_every;
+        let meta = self.active_meta();
+        for &(start, end, first_seq) in &frames {
+            let body = Body::Events {
+                first_seq,
+                records: &buf[start + FRAME_OVERHEAD + BODY_PREFIX_LEN..end],
+            };
+            meta.note_frame(base + start as u64, base + end as u64, &body, index_every);
+        }
+        self.next_seq = seq;
+        self.apply_fsync_policy(events.len())?;
         cordial_obs::counter!("store.append.events").add(events.len() as u64);
-        Ok(Some((first, last)))
+        Ok(Some((first, seq - 1)))
     }
 
     /// Appends a checkpoint for `device` covering the journal up to and
@@ -595,52 +625,61 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// I/O failures; the checkpoint must be considered unstored.
+    /// [`StoreError::TooLarge`], before anything is written, when the
+    /// record would exceed the 16 MiB body cap that recovery enforces;
+    /// I/O failures. Either way the checkpoint must be considered
+    /// unstored.
     pub fn append_checkpoint(
         &mut self,
         device: DeviceKey,
         journal_seq: u64,
         payload: &str,
     ) -> Result<u64, StoreError> {
+        let len = CHECKPOINT_OVERHEAD + payload.len();
+        if len > MAX_BODY as usize {
+            return Err(StoreError::TooLarge {
+                len,
+                max: MAX_BODY as usize,
+            });
+        }
         let seq = self.next_seq;
-        let record = Record::Checkpoint {
+        let mut buf = Vec::with_capacity(FRAME_OVERHEAD + len);
+        segment::encode_frame(&mut buf, |out| {
+            encode_checkpoint(seq, device, journal_seq, payload, out);
+        });
+        let base = self.write_active(&buf)?;
+        let body = Body::Checkpoint {
             seq,
             device,
             journal_seq,
-            payload: payload.to_string(),
+            payload,
         };
-        self.append_records(std::slice::from_ref(&record))?;
+        let index_every = self.config.index_every;
+        self.active_meta()
+            .note_frame(base, base + buf.len() as u64, &body, index_every);
+        self.next_seq = seq + 1;
+        self.apply_fsync_policy(1)?;
         cordial_obs::counter!("store.append.checkpoints").inc();
         Ok(seq)
     }
 
-    /// Frames and writes `records` (which must already carry the next
-    /// sequence numbers in order), updating metadata and applying the
-    /// fsync policy.
-    fn append_records(&mut self, records: &[Record]) -> Result<(), StoreError> {
+    /// Writes whole frames at the end of the active segment (rolling
+    /// first when it is full), returning the offset they start at. A
+    /// failed write is cut back off, so no torn frame can sit in front of
+    /// a later append.
+    fn write_active(&mut self, frames: &[u8]) -> Result<u64, StoreError> {
         self.roll_if_full()?;
-        let mut buf = Vec::new();
-        let mut spans = Vec::with_capacity(records.len());
-        for record in records {
-            let start = buf.len() as u64;
-            segment::encode_frame(&encode_body(record), &mut buf);
-            spans.push((start, buf.len() as u64));
+        let base = self.active_meta().len;
+        if let Err(err) = self.active.write_all(frames) {
+            let _ = self.active.set_len(base);
+            return Err(StoreError::io(
+                "append",
+                self.active_meta().path.clone(),
+                err,
+            ));
         }
-        let meta = self.active_meta();
-        let base = meta.len;
-        let path = meta.path.clone();
-        self.active
-            .write_all(&buf)
-            .map_err(|e| StoreError::io("append", path, e))?;
         self.dirty = true;
-        let index_every = self.config.index_every;
-        let meta = self.active_meta();
-        for (record, (start, end)) in records.iter().zip(spans) {
-            meta.note_record(base + start, base + end, record, index_every);
-        }
-        self.next_seq += records.len() as u64;
-        self.apply_fsync_policy(records.len() as u32)?;
-        Ok(())
+        Ok(base)
     }
 
     fn active_meta(&mut self) -> &mut SegmentMeta {
@@ -650,10 +689,11 @@ impl Store {
         }
     }
 
-    fn apply_fsync_policy(&mut self, appended: u32) -> Result<(), StoreError> {
+    fn apply_fsync_policy(&mut self, appended: usize) -> Result<(), StoreError> {
         match self.config.fsync {
             FsyncPolicy::Always => self.sync(),
             FsyncPolicy::Batch(n) => {
+                let appended = u32::try_from(appended).unwrap_or(u32::MAX);
                 self.unsynced = self.unsynced.saturating_add(appended);
                 if self.unsynced >= n {
                     self.sync()
@@ -683,6 +723,33 @@ impl Store {
         Ok(())
     }
 
+    /// A handle that fsyncs everything appended so far without holding
+    /// the store: a duplicate of the active segment's file plus the last
+    /// sequence number it covers. Records of earlier segments are already
+    /// durable, because a roll syncs the segment it leaves whenever
+    /// something was appended to it after the last sync or handle.
+    ///
+    /// The serving daemon's group commit takes one under the store lock,
+    /// releases the lock, and fsyncs while other threads keep appending.
+    ///
+    /// # Errors
+    ///
+    /// Duplicating the file handle failed.
+    pub fn sync_handle(&mut self) -> Result<SyncHandle, StoreError> {
+        let path = self.active_meta().path.clone();
+        let file = self
+            .active
+            .try_clone()
+            .map_err(|e| StoreError::io("clone active segment", &path, e))?;
+        self.unsynced = 0;
+        self.dirty = false;
+        Ok(SyncHandle {
+            file,
+            path,
+            covers: self.last_seq(),
+        })
+    }
+
     /// Rolls to a fresh segment when the active one is at the size cap.
     /// The new file is created, synced and manifested *before* any
     /// record lands in it.
@@ -699,19 +766,21 @@ impl Store {
         Ok(())
     }
 
-    /// Reads every record of one live segment (clean prefix only).
-    fn scan_segment(
+    /// Calls `visit` on every frame of one live segment (clean prefix
+    /// only), from the deepest seek point `filter` allows.
+    fn for_each_frame(
         &self,
         meta: &SegmentMeta,
         filter: &ReplayFilter,
-    ) -> Result<Vec<Record>, StoreError> {
+        mut visit: impl FnMut(&Body<'_>) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         let bytes = fs::read(&meta.path).map_err(|e| StoreError::io("read", &meta.path, e))?;
         let valid = &bytes[..meta.len.min(bytes.len() as u64) as usize];
         let start = meta.start_offset_for(filter);
         if start >= valid.len() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let scan = segment::scan_records(valid, start, None);
+        let scan = segment::scan_frames(valid, start, None);
         if let Some(what) = scan.corruption {
             // Open-time recovery validated this data; damage appearing
             // afterwards means the files were modified underneath us.
@@ -720,11 +789,11 @@ impl Store {
                 what,
             });
         }
-        Ok(scan.records.into_iter().map(|r| r.record).collect())
+        scan.frames.iter().try_for_each(|frame| visit(&frame.body))
     }
 
     /// Replays stored records matching `filter`, in append (sequence)
-    /// order.
+    /// order, one [`Record`] per event whatever its framing.
     ///
     /// # Errors
     ///
@@ -734,7 +803,14 @@ impl Store {
         let time_filtered = filter.since_ms.is_some() || filter.until_ms.is_some();
         let lo = filter.since_ms.unwrap_or(0);
         let hi = filter.until_ms.unwrap_or(u64::MAX);
+        let per_record = time_filtered || filter.device.is_some() || filter.min_seq.is_some();
+        let keep = |record: &Record| {
+            filter.min_seq.is_none_or(|m| record.seq() >= m)
+                && filter.device.is_none_or(|d| record.device() == d)
+                && (!time_filtered || record.time_ms().is_some_and(|t| t >= lo && t <= hi))
+        };
         let mut out = Vec::new();
+        let mut batch = Vec::new();
         for meta in &self.segments {
             if filter
                 .min_seq
@@ -751,26 +827,21 @@ impl Store {
                     _ => {}
                 }
             }
-            for record in self.scan_segment(meta, filter)? {
-                if filter.min_seq.is_some_and(|m| record.seq() < m) {
-                    continue;
-                }
-                if matches!(record, Record::Checkpoint { .. })
-                    && (filter.events_only || time_filtered)
+            self.for_each_frame(meta, filter, |body| {
+                let skip_checkpoint = filter.events_only || time_filtered;
+                if matches!(body, Body::Checkpoint { .. }) && skip_checkpoint
+                    || filter.min_seq.is_some_and(|m| body.last_seq() < m)
                 {
-                    continue;
+                    return Ok(());
                 }
-                if filter.device.is_some_and(|d| record.device() != d) {
-                    continue;
+                if per_record {
+                    body.push_records(&mut batch);
+                    out.extend(batch.drain(..).filter(keep));
+                } else {
+                    body.push_records(&mut out);
                 }
-                if time_filtered {
-                    let Some(t) = record.time_ms() else { continue };
-                    if t < lo || t > hi {
-                        continue;
-                    }
-                }
-                out.push(record);
-            }
+                Ok(())
+            })?;
         }
         Ok(out)
     }
@@ -778,6 +849,7 @@ impl Store {
     /// The journal tail: every event with sequence number strictly
     /// greater than `journal_seq`, in append order — what a recovering
     /// consumer replays on top of a checkpoint taken at `journal_seq`.
+    /// A `journal_seq` inside a batch splits it.
     ///
     /// # Errors
     ///
@@ -806,30 +878,26 @@ impl Store {
     pub fn latest_checkpoints(&self) -> Result<BTreeMap<DeviceKey, CheckpointRecord>, StoreError> {
         let mut latest: BTreeMap<DeviceKey, CheckpointRecord> = BTreeMap::new();
         let filter = ReplayFilter::default();
-        for meta in &self.segments {
-            if meta.checkpoints == 0 {
-                continue;
-            }
-            for record in self.scan_segment(meta, &filter)? {
-                if let Record::Checkpoint {
+        for meta in self.segments.iter().filter(|meta| meta.checkpoints > 0) {
+            self.for_each_frame(meta, &filter, |body| {
+                if let Body::Checkpoint {
                     seq,
                     device,
                     journal_seq,
                     payload,
-                } = record
+                } = *body
                 {
                     // Later segments and offsets carry higher seqs, so a
                     // plain overwrite keeps the newest.
-                    latest.insert(
-                        device,
-                        CheckpointRecord {
-                            seq,
-                            journal_seq,
-                            payload,
-                        },
-                    );
+                    let record = CheckpointRecord {
+                        seq,
+                        journal_seq,
+                        payload: payload.to_owned(),
+                    };
+                    latest.insert(device, record);
                 }
-            }
+                Ok(())
+            })?;
         }
         Ok(latest)
     }
@@ -849,9 +917,11 @@ impl Store {
     /// Drops records that no recovery could ever need — events already
     /// folded into their device's newest checkpoint, and checkpoints
     /// superseded by a newer one — rewriting the survivors into fresh
-    /// segments. The manifest replacement is the commit point: a crash
-    /// anywhere during compaction leaves either the old store or the new
-    /// one, never a mix.
+    /// segments. The surviving events of one frame stay framed together
+    /// as one batch, split where a dropped event leaves a gap. The
+    /// manifest replacement is the commit point: a crash anywhere during
+    /// compaction leaves either the old store or the new one, never a
+    /// mix.
     ///
     /// # Errors
     ///
@@ -859,79 +929,85 @@ impl Store {
     /// names the old segments).
     pub fn compact(&mut self) -> Result<CompactReport, StoreError> {
         self.sync()?;
-        let filter = ReplayFilter::default();
-        let mut all: Vec<Record> = Vec::new();
-        for meta in &self.segments {
-            all.extend(self.scan_segment(meta, &filter)?);
-        }
+        let everything = ReplayFilter::default();
         let mut latest: BTreeMap<DeviceKey, (u64, u64)> = BTreeMap::new();
-        for record in &all {
-            if let Record::Checkpoint {
-                seq,
-                device,
-                journal_seq,
-                ..
-            } = record
-            {
-                latest.insert(*device, (*seq, *journal_seq));
-            }
+        for meta in self.segments.iter().filter(|meta| meta.checkpoints > 0) {
+            self.for_each_frame(meta, &everything, |body| {
+                if let Body::Checkpoint {
+                    seq,
+                    device,
+                    journal_seq,
+                    ..
+                } = *body
+                {
+                    latest.insert(device, (seq, journal_seq));
+                }
+                Ok(())
+            })?;
         }
+        let covered = |seq: u64, record: &[u8]| {
+            decode_event_record(record).is_ok_and(|event| {
+                latest
+                    .get(&DeviceKey::of_event(&event))
+                    .is_some_and(|&(_, journal_seq)| journal_seq >= seq)
+            })
+        };
         let mut report = CompactReport {
-            records_before: all.len() as u64,
+            records_before: self.segments.iter().map(|m| m.records).sum(),
             bytes_before: self.segments.iter().map(|m| m.len).sum(),
             ..CompactReport::default()
         };
-        let keep: Vec<Record> = all
-            .into_iter()
-            .filter(|record| match record {
-                Record::Event { seq, event } => {
-                    let covered = latest
-                        .get(&DeviceKey::of_event(event))
-                        .is_some_and(|(_, journal_seq)| *journal_seq >= *seq);
-                    if covered {
-                        report.dropped_events += 1;
-                    }
-                    !covered
-                }
-                Record::Checkpoint { seq, device, .. } => {
-                    let newest = latest.get(device).is_some_and(|(s, _)| s == seq);
-                    if !newest {
-                        report.dropped_checkpoints += 1;
-                    }
-                    newest
-                }
-            })
-            .collect();
 
         // Write survivors into a fresh generation of sealed segments.
-        let gen = self.gen + 1;
-        let mut new_metas: Vec<SegmentMeta> = Vec::new();
-        let mut current: Option<(SegmentMeta, File, Vec<u8>)> = None;
-        let index_every = self.config.index_every;
-        for record in &keep {
-            let needs_new = match &current {
-                None => true,
-                Some((meta, _, _)) => meta.len >= self.config.segment_max_bytes,
-            };
-            if needs_new {
-                if let Some((mut meta, file, buf)) = current.take() {
-                    seal_segment(&mut meta, file, buf)?;
-                    new_metas.push(meta);
+        let mut out = Rewriter {
+            dir: &self.dir,
+            gen: self.gen + 1,
+            segment_max_bytes: self.config.segment_max_bytes,
+            index_every: self.config.index_every,
+            sealed: Vec::new(),
+            current: None,
+        };
+        for meta in &self.segments {
+            self.for_each_frame(meta, &everything, |body| match *body {
+                Body::Checkpoint { seq, device, .. } => {
+                    if latest
+                        .get(&device)
+                        .is_some_and(|&(newest, _)| newest == seq)
+                    {
+                        out.push(body)
+                    } else {
+                        report.dropped_checkpoints += 1;
+                        Ok(())
+                    }
                 }
-                let (meta, file) = create_segment(&self.dir, gen, record.seq())?;
-                current = Some((meta, file, Vec::new()));
-            }
-            if let Some((meta, _, buf)) = &mut current {
-                let start = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
-                segment::encode_frame(&encode_body(record), buf);
-                let end = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
-                meta.note_record(start, end, record, index_every);
-            }
+                Body::Events { first_seq, records } => {
+                    // Survivors run from `start` up to each dropped event
+                    // and to the end of the frame.
+                    let n = records.len() / EVENT_WIRE_LEN;
+                    let mut start = 0;
+                    for i in 0..=n {
+                        let at = i * EVENT_WIRE_LEN;
+                        let dropped = i < n
+                            && covered(first_seq + i as u64, &records[at..at + EVENT_WIRE_LEN]);
+                        if i < n && !dropped {
+                            continue;
+                        }
+                        if start < i {
+                            out.push(&Body::Events {
+                                first_seq: first_seq + start as u64,
+                                records: &records[start * EVENT_WIRE_LEN..at],
+                            })?;
+                        }
+                        report.dropped_events += u64::from(dropped);
+                        start = i + 1;
+                    }
+                    Ok(())
+                }
+            })?;
         }
-        if let Some((mut meta, file, buf)) = current.take() {
-            seal_segment(&mut meta, file, buf)?;
-            new_metas.push(meta);
-        }
+        out.seal()?;
+        let gen = out.gen;
+        let mut new_metas = out.sealed;
 
         // Always finish with a fresh empty active segment.
         let (active_meta, active_file) = create_segment(&self.dir, gen, self.next_seq)?;
@@ -948,7 +1024,7 @@ impl Store {
         for path in old_paths {
             let _ = fs::remove_file(path);
         }
-        report.records_after = keep.len() as u64;
+        report.records_after = self.segments.iter().map(|m| m.records).sum();
         report.bytes_after = self.segments.iter().map(|m| m.len).sum();
         cordial_obs::counter!("store.compactions").inc();
         Ok(report)
@@ -989,6 +1065,37 @@ impl Store {
         })?;
         fsio::durable_write(&path, text.as_bytes())
             .map_err(|e| StoreError::io("write manifest", path, e))
+    }
+}
+
+/// An fsync of the active segment detached from the store; see
+/// [`Store::sync_handle`].
+#[derive(Debug)]
+pub struct SyncHandle {
+    file: File,
+    path: PathBuf,
+    covers: Option<u64>,
+}
+
+impl SyncHandle {
+    /// The last sequence number durable once [`SyncHandle::sync`]
+    /// succeeds (`None` for an empty store).
+    pub fn covers(&self) -> Option<u64> {
+        self.covers
+    }
+
+    /// fsyncs the segment, counting it in `store.fsyncs`.
+    ///
+    /// # Errors
+    ///
+    /// The underlying fsync failure: nothing the handle covers may be
+    /// taken as durable.
+    pub fn sync(&self) -> Result<(), StoreError> {
+        self.file
+            .sync_all()
+            .map_err(|e| StoreError::io("fsync", &self.path, e))?;
+        cordial_obs::counter!("store.fsyncs").inc();
+        Ok(())
     }
 }
 
@@ -1058,13 +1165,50 @@ fn create_segment(dir: &Path, gen: u32, base_seq: u64) -> Result<(SegmentMeta, F
     Ok((SegmentMeta::new(name, path, base_seq), file))
 }
 
-/// Writes a sealed segment's buffered records and syncs the file.
-fn seal_segment(meta: &mut SegmentMeta, mut file: File, buf: Vec<u8>) -> Result<(), StoreError> {
-    file.write_all(&buf)
-        .map_err(|e| StoreError::io("write compacted", &meta.path, e))?;
-    file.sync_all()
-        .map_err(|e| StoreError::io("sync compacted", &meta.path, e))?;
-    Ok(())
+/// Compaction output: surviving frames re-encoded into a fresh
+/// generation of sealed segments.
+struct Rewriter<'a> {
+    dir: &'a Path,
+    gen: u32,
+    segment_max_bytes: u64,
+    index_every: u32,
+    sealed: Vec<SegmentMeta>,
+    current: Option<(SegmentMeta, File, Vec<u8>)>,
+}
+
+impl Rewriter<'_> {
+    /// Frames `body` into the current segment, starting a new one when
+    /// there is none or it reached the size cap.
+    fn push(&mut self, body: &Body<'_>) -> Result<(), StoreError> {
+        let full = self
+            .current
+            .as_ref()
+            .is_none_or(|(meta, _, _)| meta.len >= self.segment_max_bytes);
+        if full {
+            self.seal()?;
+            let (meta, file) = create_segment(self.dir, self.gen, body.first_seq())?;
+            self.current = Some((meta, file, Vec::new()));
+        }
+        if let Some((meta, _, buf)) = &mut self.current {
+            let start = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
+            segment::encode_frame(buf, |out| body.encode(out));
+            let end = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
+            meta.note_frame(start, end, body, self.index_every);
+        }
+        Ok(())
+    }
+
+    /// Writes and syncs the current segment's buffered frames.
+    fn seal(&mut self) -> Result<(), StoreError> {
+        if let Some((meta, mut file, buf)) = self.current.take() {
+            file.write_all(&buf)
+                .map_err(|e| StoreError::io("write compacted", &meta.path, e))?;
+            file.sync_all()
+                .map_err(|e| StoreError::io("sync compacted", &meta.path, e))?;
+            self.sealed.push(meta);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1158,15 +1302,204 @@ mod tests {
 
         let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
         assert!(store.recovery().corruption.is_some());
-        // The torn record's surviving 38 bytes (43-byte frame minus the
-        // 5 already chopped) are truncated away.
-        assert_eq!(store.recovery().truncated_bytes, 38);
-        assert_eq!(store.next_seq(), 2);
+        // The three events share one 95-byte frame (8 framing + 9 prefix
+        // + 3 x 26), so the tear takes the whole batch: its surviving 90
+        // bytes are truncated away.
+        assert_eq!(store.recovery().truncated_bytes, 90);
+        assert_eq!(store.next_seq(), 0);
         // New appends take the freed sequence numbers.
-        assert_eq!(store.append_events(&[event(0, 9)]).unwrap(), Some((2, 2)));
+        assert_eq!(store.append_events(&[event(0, 9)]).unwrap(), Some((0, 0)));
         let replayed = store.replay(&ReplayFilter::default()).unwrap();
         let seqs: Vec<u64> = replayed.iter().map(Record::seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(seqs, vec![0]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn events_after_splits_a_batch_at_the_requested_seq() {
+        let dir = scratch("after");
+        // Small index steps so the seek lands on a frame that starts
+        // before the requested seq.
+        let config = StoreConfig {
+            index_every: 1,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, config).unwrap();
+        let events: Vec<ErrorEvent> = (0..30).map(|i| event(i % 2, 100 + u64::from(i))).collect();
+        for batch in [&events[0..1], &events[1..4], &events[4..21], &events[21..]] {
+            store.append_events(batch).unwrap();
+        }
+        store.append_checkpoint(device(0), 29, "{}").unwrap();
+        for k in [0u64, 2, 3, 4, 10, 20, 25, 28] {
+            let tail = store.events_after(k).unwrap();
+            let want: Vec<(u64, ErrorEvent)> =
+                (k + 1..30).map(|s| (s, events[s as usize])).collect();
+            assert_eq!(tail, want, "events after {k}");
+        }
+        assert!(store.events_after(29).unwrap().is_empty());
+        // A seq filter combined with a device filter trims the same way.
+        let dev1 = store
+            .replay(&ReplayFilter {
+                device: Some(device(1)),
+                min_seq: Some(12),
+                events_only: true,
+                ..ReplayFilter::default()
+            })
+            .unwrap();
+        let seqs: Vec<u64> = dev1.iter().map(Record::seq).collect();
+        assert_eq!(seqs, (13..30).step_by(2).collect::<Vec<u64>>());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn single_event_segments_from_earlier_releases_open_and_replay() {
+        let dir = scratch("kind1");
+        fs::create_dir_all(&dir).unwrap();
+        // The layout stores wrote before event batches: one kind-1 frame
+        // per event (kind | seq | record), checkpoints as today.
+        let events: Vec<ErrorEvent> = (0..5).map(|i| event(i, 10 * u64::from(i))).collect();
+        let mut bytes = segment::encode_header(0).to_vec();
+        for (seq, event) in events.iter().enumerate() {
+            segment::encode_frame(&mut bytes, |out| {
+                out.push(crate::record::KIND_EVENT);
+                out.extend_from_slice(&(seq as u64).to_le_bytes());
+                crate::record::encode_event_record(event, out);
+            });
+        }
+        segment::encode_frame(&mut bytes, |out| {
+            encode_checkpoint(5, device(0), 4, "{\"v\":1}", out);
+        });
+        assert_eq!(bytes.len(), SEGMENT_HEADER_LEN + 5 * 43 + 8 + 25 + 7);
+        fs::write(dir.join(segment_name(0, 0)), &bytes).unwrap();
+
+        let mut want: Vec<Record> = events
+            .iter()
+            .enumerate()
+            .map(|(seq, event)| Record::Event {
+                seq: seq as u64,
+                event: *event,
+            })
+            .collect();
+        want.push(Record::Checkpoint {
+            seq: 5,
+            device: device(0),
+            journal_seq: 4,
+            payload: "{\"v\":1}".to_string(),
+        });
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        assert!(store.recovery().corruption.is_none());
+        assert_eq!(store.inspect().records, 6);
+        assert_eq!(store.replay(&ReplayFilter::default()).unwrap(), want);
+        assert_eq!(store.events_after(2).unwrap().len(), 2);
+
+        // New batches land behind the old frames, and compaction
+        // rewrites the survivors as batches.
+        let later = [event(1, 60), event(2, 70)];
+        assert_eq!(store.append_events(&later).unwrap(), Some((6, 7)));
+        drop(store);
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        assert!(store.recovery().corruption.is_none());
+        let replayed = store.replay(&ReplayFilter::default()).unwrap();
+        assert_eq!(replayed[..6], want[..]);
+        assert_eq!(replayed.len(), 8);
+        let report = store.compact().unwrap();
+        // Device 0's checkpoint covers its event 0 only.
+        assert_eq!(report.dropped_events, 1);
+        let seqs: Vec<u64> = store
+            .replay(&ReplayFilter::default())
+            .unwrap()
+            .iter()
+            .map(Record::seq)
+            .collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5, 6, 7]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_checkpoints_are_refused_before_anything_is_written() {
+        let dir = scratch("oversize");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        store.append_events(&[event(0, 1)]).unwrap();
+        let huge = "x".repeat(MAX_BODY as usize);
+        let before = store.inspect().bytes;
+        let err = store.append_checkpoint(device(0), 0, &huge).unwrap_err();
+        assert!(matches!(err, StoreError::TooLarge { .. }), "{err}");
+        assert_eq!(store.inspect().bytes, before, "nothing was written");
+        assert_eq!(store.next_seq(), 1);
+        // The largest payload that fits is accepted and reads back.
+        let fits = "y".repeat(MAX_BODY as usize - CHECKPOINT_OVERHEAD);
+        assert_eq!(store.append_checkpoint(device(0), 0, &fits).unwrap(), 1);
+        assert_eq!(store.append_checkpoint(device(1), 0, "{}").unwrap(), 2);
+        drop(store);
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        assert!(store.recovery().corruption.is_none());
+        let latest = store.latest_checkpoints().unwrap();
+        assert_eq!(latest[&device(0)].payload.len(), fits.len());
+        assert_eq!(latest[&device(1)].seq, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn slices_past_the_body_cap_spread_over_frames() {
+        let dir = scratch("twoframes");
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, config.clone()).unwrap();
+        let n = MAX_BATCH_EVENTS + 1;
+        let events: Vec<ErrorEvent> = (0..n as u64).map(|i| event(0, i)).collect();
+        assert_eq!(
+            store.append_events(&events).unwrap(),
+            Some((0, n as u64 - 1))
+        );
+        // Two frames: one full, one holding the last event.
+        let frames = 2 * (FRAME_OVERHEAD + BODY_PREFIX_LEN);
+        let want_bytes = (SEGMENT_HEADER_LEN + frames + n * EVENT_WIRE_LEN) as u64;
+        assert_eq!(store.inspect().bytes, want_bytes);
+        drop(store);
+        let store = Store::open(&dir, config).unwrap();
+        assert!(store.recovery().corruption.is_none());
+        let replayed = store.replay(&ReplayFilter::default()).unwrap();
+        assert_eq!(replayed.len(), n);
+        for (i, record) in replayed.iter().enumerate() {
+            assert_eq!(
+                record,
+                &Record::Event {
+                    seq: i as u64,
+                    event: events[i]
+                }
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_handles_cover_every_append_before_them() {
+        let dir = scratch("handle");
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Never,
+            segment_max_bytes: 200,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, config.clone()).unwrap();
+        assert_eq!(store.sync_handle().unwrap().covers(), None);
+        store.append_events(&[event(0, 1), event(0, 2)]).unwrap();
+        let handle = store.sync_handle().unwrap();
+        // Appends after the handle, rolling segments on the way, are
+        // not covered by it.
+        for i in 0..10 {
+            store.append_events(&[event(0, 10 + i)]).unwrap();
+        }
+        assert!(store.inspect().segments.len() > 1);
+        assert_eq!(handle.covers(), Some(1));
+        handle.sync().unwrap();
+        let handle = store.sync_handle().unwrap();
+        assert_eq!(handle.covers(), Some(11));
+        handle.sync().unwrap();
+        drop(store);
+        let store = Store::open(&dir, config).unwrap();
+        assert_eq!(store.replay(&ReplayFilter::default()).unwrap().len(), 12);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1284,6 +1617,38 @@ mod tests {
                 .map(Record::seq)
                 .collect::<Vec<u64>>(),
             vec![6, 7, 8]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_splits_a_batch_where_events_were_dropped() {
+        let dir = scratch("compact-split");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let nodes = [0, 1, 0, 0, 1, 1];
+        let batch: Vec<ErrorEvent> = (0..6u64).map(|i| event(nodes[i as usize], i)).collect();
+        store.append_events(&batch).unwrap();
+        store.append_checkpoint(device(0), 5, "{}").unwrap();
+
+        let report = store.compact().unwrap();
+        assert_eq!(report.dropped_events, 3);
+        // Node 1's survivors 1 | 4, 5 become two batch frames, then the
+        // checkpoint, in a sealed segment plus a fresh active one.
+        let frames = 2 * (FRAME_OVERHEAD + BODY_PREFIX_LEN) + 3 * EVENT_WIRE_LEN;
+        let checkpoint = FRAME_OVERHEAD + CHECKPOINT_OVERHEAD + 2;
+        let want = 2 * SEGMENT_HEADER_LEN + frames + checkpoint;
+        assert_eq!(report.bytes_after, want as u64);
+        drop(store);
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let replayed = store.replay(&ReplayFilter::default()).unwrap();
+        let seqs: Vec<u64> = replayed.iter().map(Record::seq).collect();
+        assert_eq!(seqs, vec![1, 4, 5, 6]);
+        assert_eq!(
+            replayed[1],
+            Record::Event {
+                seq: 4,
+                event: batch[4]
+            }
         );
         let _ = fs::remove_dir_all(&dir);
     }

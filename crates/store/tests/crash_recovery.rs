@@ -7,8 +7,12 @@
 //! longest clean prefix, corruption is reported iff the cut is not a
 //! frame boundary, the recovered store accepts new appends, and a second
 //! open is clean. Proptests then repeat the contract under seeded torn
-//! tails, bit rot, garbage tails and short writes over random
-//! event/checkpoint mixes.
+//! tails, bit rot, garbage tails and short writes over random mixes of
+//! event batches and checkpoints.
+//!
+//! Every `append_events` call is one frame, so the contract is proved at
+//! batch granularity: damage inside a batch loses exactly that batch and
+//! nothing before it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -16,7 +20,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cordial_chaos::{crash_sweep, damage_file, DiskFault, DiskFaultInjector};
 use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
-use cordial_store::record::encode_body;
 use cordial_store::{
     DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME,
 };
@@ -69,6 +72,30 @@ fn scratch(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cordial-crash-{}-{label}-{n}", std::process::id()))
 }
 
+/// One append of a golden plan.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// One `append_events` call of this many events.
+    Batch(usize),
+    /// One `append_checkpoint` call.
+    Checkpoint,
+}
+
+/// Batch sizes the golden plans mix.
+const BATCH_SIZES: [usize; 3] = [1, 3, 17];
+
+/// A random plan: roughly one step in four is a checkpoint, the rest are
+/// batches of 1, 3 or 17 events.
+fn plan_of(draws: &[u32]) -> Vec<Step> {
+    draws
+        .iter()
+        .map(|&d| match d {
+            0 => Step::Checkpoint,
+            d => Step::Batch(BATCH_SIZES[d as usize - 1]),
+        })
+        .collect()
+}
+
 /// A healthy single-segment store plus everything the damage assertions
 /// need: its byte image, the replayed records, and the frame geometry.
 struct Golden {
@@ -78,9 +105,10 @@ struct Golden {
     records: Vec<Record>,
     /// Byte offset where the segment header ends and frames begin.
     header_len: usize,
-    /// Offsets where each record's frame *ends*; cutting exactly at one
-    /// of these (or at `header_len`) leaves a clean shorter file.
-    frame_ends: Vec<usize>,
+    /// Per frame: the offset where it *ends*, and how many records the
+    /// frames up to and including it hold. Cutting exactly at an end (or
+    /// at `header_len`) leaves a clean shorter file.
+    frames: Vec<(usize, usize)>,
 }
 
 impl Drop for Golden {
@@ -89,56 +117,59 @@ impl Drop for Golden {
     }
 }
 
-/// Builds a golden store from a plan: `false` appends one event, `true`
-/// appends one checkpoint.
-fn build_golden(label: &str, plan: &[bool]) -> Golden {
+/// Builds a golden store from a plan, one frame per step. The frame
+/// geometry is read from the segment file's length after each append:
+/// the frames as actually written, not as re-encoded here.
+fn build_golden(label: &str, plan: &[Step]) -> Golden {
     let dir = scratch(label);
     let _ = fs::remove_dir_all(&dir);
     let mut store = Store::open(&dir, config()).unwrap();
-    for (i, &checkpoint) in plan.iter().enumerate() {
-        if checkpoint {
-            let device = DeviceKey {
-                node: i as u32 % 3,
-                npu: 0,
-                hbm: 0,
-            };
-            let floor = store.last_seq().unwrap_or(0);
-            store
-                .append_checkpoint(
-                    device,
-                    floor,
-                    &format!("{{\"schema_version\":1,\"i\":{i}}}"),
-                )
-                .unwrap();
-        } else {
-            store.append_events(&[sample_event(i as u64)]).unwrap();
+    let segment_name = only_segment(&dir);
+    let file_len = || fs::metadata(dir.join(&segment_name)).unwrap().len() as usize;
+    let header_len = file_len();
+    let mut frames = Vec::with_capacity(plan.len());
+    let mut next_event = 0u64;
+    for (i, step) in plan.iter().enumerate() {
+        match *step {
+            Step::Checkpoint => {
+                let device = DeviceKey {
+                    node: i as u32 % 3,
+                    npu: 0,
+                    hbm: 0,
+                };
+                let floor = store.last_seq().unwrap_or(0);
+                store
+                    .append_checkpoint(
+                        device,
+                        floor,
+                        &format!("{{\"schema_version\":1,\"i\":{i}}}"),
+                    )
+                    .unwrap();
+            }
+            Step::Batch(n) => {
+                let events: Vec<ErrorEvent> = (next_event..next_event + n as u64)
+                    .map(sample_event)
+                    .collect();
+                next_event += n as u64;
+                store.append_events(&events).unwrap();
+            }
         }
+        frames.push((file_len(), store.next_seq() as usize));
     }
     store.sync().unwrap();
     let records = store.replay(&ReplayFilter::default()).unwrap();
-    assert_eq!(records.len(), plan.len());
+    assert_eq!(records.len(), store.next_seq() as usize);
     drop(store);
 
-    let segment_name = only_segment(&dir);
     let image = fs::read(dir.join(&segment_name)).unwrap();
-    // Reconstruct the frame geometry from the records themselves: each
-    // frame is 8 bytes of overhead plus its encoded body, laid out in
-    // sequence order after the header.
-    let frames: usize = records.iter().map(|r| 8 + encode_body(r).len()).sum();
-    let header_len = image.len() - frames;
-    let mut frame_ends = Vec::with_capacity(records.len());
-    let mut at = header_len;
-    for record in &records {
-        at += 8 + encode_body(record).len();
-        frame_ends.push(at);
-    }
+    assert_eq!(image.len(), frames.last().map_or(header_len, |f| f.0));
     Golden {
         dir,
         segment_name,
         image,
         records,
         header_len,
-        frame_ends,
+        frames,
     }
 }
 
@@ -153,16 +184,18 @@ fn only_segment(dir: &Path) -> String {
 }
 
 /// How many golden records survive damage whose first affected byte is
-/// `offset`: every record whose frame ends at or before it.
+/// `offset`: every record of every frame that ends at or before it. A
+/// batch whose frame the damage touches is lost whole.
 fn surviving(golden: &Golden, offset: usize) -> usize {
     if offset < golden.header_len {
         return 0; // a damaged header drops the whole segment
     }
     golden
-        .frame_ends
+        .frames
         .iter()
-        .filter(|&&end| end <= offset)
-        .count()
+        .take_while(|&&(end, _)| end <= offset)
+        .last()
+        .map_or(0, |&(_, records)| records)
 }
 
 /// Materialises a damaged copy of the golden store and asserts the whole
@@ -243,14 +276,21 @@ fn materialise(golden: &Golden, case_dir: &Path, image: &[u8]) {
 /// Is a cut at `cut` bytes a clean frame boundary (no corruption to
 /// report)?
 fn cut_is_clean(golden: &Golden, cut: usize) -> bool {
-    cut == golden.header_len || golden.frame_ends.contains(&cut)
+    cut == golden.header_len || golden.frames.iter().any(|&(end, _)| end == cut)
 }
 
 #[test]
 fn a_kill_at_every_byte_offset_recovers_the_clean_prefix() {
-    // A representative mix: events with a couple of checkpoints between.
+    // A representative mix: batches of 1, 3 and 17 events with a couple
+    // of checkpoints between.
     let plan = [
-        false, false, true, false, false, false, true, false, false, false,
+        Step::Batch(1),
+        Step::Batch(3),
+        Step::Checkpoint,
+        Step::Batch(17),
+        Step::Batch(1),
+        Step::Checkpoint,
+        Step::Batch(3),
     ];
     let golden = build_golden("sweep", &plan);
     let case_dir = scratch("sweep-case");
@@ -269,7 +309,12 @@ fn a_kill_at_every_byte_offset_recovers_the_clean_prefix() {
 
 #[test]
 fn garbage_tails_are_cut_without_losing_any_record() {
-    let plan = [false, true, false, false];
+    let plan = [
+        Step::Batch(3),
+        Step::Checkpoint,
+        Step::Batch(1),
+        Step::Batch(17),
+    ];
     let golden = build_golden("garbage", &plan);
     for seed in 0..8 {
         let case_dir = scratch("garbage-case");
@@ -292,10 +337,15 @@ fn garbage_tails_are_cut_without_losing_any_record() {
 }
 
 #[test]
-fn short_writes_of_the_final_record_lose_only_that_record() {
-    let plan = [false, false, true, false];
+fn short_writes_of_the_final_batch_lose_only_that_batch() {
+    let plan = [
+        Step::Batch(1),
+        Step::Batch(3),
+        Step::Checkpoint,
+        Step::Batch(17),
+    ];
     let golden = build_golden("short", &plan);
-    let last_start = golden.frame_ends[golden.frame_ends.len() - 2];
+    let (last_start, before_last) = golden.frames[golden.frames.len() - 2];
     let (base, last_frame) = golden.image.split_at(last_start);
     for seed in 0..8 {
         let mut image = base.to_vec();
@@ -309,7 +359,7 @@ fn short_writes_of_the_final_record_lose_only_that_record() {
         assert_recovers(
             &golden,
             &case_dir,
-            golden.records.len() - 1,
+            before_last,
             wrote == 0, // losing the whole append leaves a clean boundary
             &format!("short write of {wrote}/{intended} bytes"),
         );
@@ -320,16 +370,14 @@ fn short_writes_of_the_final_record_lose_only_that_record() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Seeded torn tails over random event/checkpoint mixes obey the
+    /// Seeded torn tails over random batch/checkpoint mixes obey the
     /// same contract the exhaustive sweep proves for one mix.
     #[test]
     fn torn_tails_recover_a_clean_prefix(
-        plan in proptest::collection::vec(0u32..4, 1..14),
+        draws in proptest::collection::vec(0u32..4, 1..14),
         seed in 0u64..u64::MAX,
     ) {
-        // Roughly one record in four is a checkpoint.
-        let plan: Vec<bool> = plan.iter().map(|&p| p == 0).collect();
-        let golden = build_golden("torn", &plan);
+        let golden = build_golden("torn", &plan_of(&draws));
         let mut image = golden.image.clone();
         let fault = DiskFaultInjector::new(seed).torn_tail(&mut image, 0);
         let DiskFault::TornTail { keep } = fault else {
@@ -353,11 +401,10 @@ proptest! {
     /// changes nothing.
     #[test]
     fn bit_rot_recovers_the_records_before_the_flip(
-        plan in proptest::collection::vec(0u32..4, 1..14),
+        draws in proptest::collection::vec(0u32..4, 1..14),
         seed in 0u64..u64::MAX,
     ) {
-        let plan: Vec<bool> = plan.iter().map(|&p| p == 0).collect();
-        let golden = build_golden("rot", &plan);
+        let golden = build_golden("rot", &plan_of(&draws));
         let mut image = golden.image.clone();
         let fault = DiskFaultInjector::new(seed).bit_rot(&mut image, 0);
         let Some(DiskFault::BitRot { offset }) = fault else {
