@@ -6,10 +6,9 @@
 //! sweep the design choices called out in DESIGN.md
 //! (`benches/ablations.rs`), and time the performance layers against
 //! their reference twins: parallel training and the serving hot path
-//! (`benches/perf.rs`) and warm-start refits (`benches/refit.rs`).
-//! `perf` and `refit` commit their medians as the `BENCH_*.json` files at
-//! the workspace root. The serving daemon and the durable store are
-//! measured end to end, journaling on, by `bash benchmark/run.sh`.
+//! (`benches/perf.rs`). `perf` commits its medians as the `BENCH_*.json`
+//! files at the workspace root. The serving daemon and the durable store
+//! are measured end to end, journaling on, by `bash benchmark/run.sh`.
 
 use cordial::split::{split_banks, BankSplit};
 use cordial_faultsim::{generate_fleet_dataset, FleetDataset, FleetDatasetConfig};

@@ -1,12 +1,11 @@
 //! Schema and acceptance pins for the committed benchmark artefacts:
 //! `BENCH_hotpath.json` (written by `cargo bench -p cordial-bench --bench
-//! perf -- hotpath`), `BENCH_obs.json` (written by `-- obs_recorder`) and
-//! `BENCH_refit.json` (written by `--bench refit`).
+//! perf -- hotpath`) and `BENCH_obs.json` (written by `-- obs_recorder`).
 //! CI runs a `--sample-size 10` smoke of those benches and then this
 //! test, so a bench change that breaks an artefact's shape — or regresses
-//! the committed hot-path ratios / recorder overhead / refit speedups
-//! past their acceptance bounds — fails the build rather than silently
-//! rotting the committed files. Serving and store throughput are measured
+//! the committed hot-path ratios / recorder overhead past their
+//! acceptance bounds — fails the build rather than silently rotting the
+//! committed files. Serving and store throughput are measured
 //! end to end by `bash benchmark/run.sh` (`steady-fleet`,
 //! `crash-recovery`).
 
@@ -89,80 +88,6 @@ fn committed_obs_artefact_matches_schema_and_overhead_ceiling() {
         "committed recorder overhead {:.2}% breaches the 5% ceiling",
         (overhead - 1.0) * 100.0
     );
-}
-
-/// The refit artefact's pairs and their speedup floors. The pipeline pair
-/// is a regression guard — a full `Cordial` fit is dominated by feature
-/// extraction and boosting, so bin-mapper reuse buys little there and the
-/// floor only asserts warm starting never becomes a slowdown. The
-/// trees-level pair isolates the regime warm starting targets (wide
-/// matrix, short boosting schedule, measured ~1.15x) and pins a real
-/// floor with noise margin.
-const REQUIRED_REFIT_BENCHES: &[(&str, f64)] = &[("pipeline_refit", 0.85), ("lgbm_refit", 1.02)];
-
-#[test]
-fn committed_refit_artefact_matches_schema_and_floors() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_refit.json");
-    let body = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("BENCH_refit.json must be committed at {path}: {e}"));
-    let doc = serde_json::parse_value_str(&body).expect("valid JSON");
-
-    assert_eq!(as_f64(get(&doc, "schema_version"), "schema_version"), 1.0);
-    match get(&doc, "source") {
-        Value::Str(s) => assert!(
-            s.contains("cargo bench") && s.contains("refit"),
-            "source must record the producing command, got {s:?}"
-        ),
-        other => panic!("source: expected string, got {other:?}"),
-    }
-    assert!(as_f64(get(&doc, "sample_size"), "sample_size") >= 1.0);
-    match get(&doc, "model") {
-        Value::Str(s) => assert_eq!(
-            s, "lightgbm",
-            "warm starting only exists for the boosted model"
-        ),
-        other => panic!("model: expected string, got {other:?}"),
-    }
-
-    let benches = get(&doc, "benches");
-    let n_benches = match benches {
-        Value::Map(entries) => entries.len(),
-        other => panic!("benches: expected map, got {other:?}"),
-    };
-    assert_eq!(
-        n_benches,
-        REQUIRED_REFIT_BENCHES.len(),
-        "exactly the required refit benches, no strays"
-    );
-
-    for &(key, floor) in REQUIRED_REFIT_BENCHES {
-        let bench = get(benches, key);
-        for label in ["baseline", "optimised"] {
-            match get(bench, label) {
-                Value::Str(s) => assert!(!s.is_empty(), "{key}.{label} must name the twin"),
-                other => panic!("{key}.{label}: expected string, got {other:?}"),
-            }
-        }
-        let baseline = as_f64(get(bench, "baseline_median_s"), key);
-        let optimised = as_f64(get(bench, "optimised_median_s"), key);
-        let speedup = as_f64(get(bench, "speedup"), key);
-        assert!(
-            baseline.is_finite() && baseline > 0.0,
-            "{key}: baseline median must be positive, got {baseline}"
-        );
-        assert!(
-            optimised.is_finite() && optimised > 0.0,
-            "{key}: optimised median must be positive, got {optimised}"
-        );
-        assert!(
-            (speedup - baseline / optimised).abs() <= 1e-9 * speedup.abs(),
-            "{key}: speedup {speedup} inconsistent with medians {baseline}/{optimised}"
-        );
-        assert!(
-            speedup >= floor,
-            "{key}: committed speedup {speedup:.2}x below its {floor}x floor"
-        );
-    }
 }
 
 #[test]

@@ -39,23 +39,6 @@ impl PatternClassifier {
         train_banks: &[BankAddress],
         config: &CordialConfig,
     ) -> Result<Self, CordialError> {
-        Self::fit_warm(dataset, train_banks, config, None)
-    }
-
-    /// As [`PatternClassifier::fit`], but warm-starts the underlying
-    /// model from `previous` when the family supports it (see
-    /// [`crate::model::ModelKind::fit_threaded_warm`]); the feature
-    /// pipeline is identical either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`PatternClassifier::fit`].
-    pub fn fit_warm(
-        dataset: &FleetDataset,
-        train_banks: &[BankAddress],
-        config: &CordialConfig,
-        previous: Option<&Self>,
-    ) -> Result<Self, CordialError> {
         let geom = geometry_of(dataset);
         let by_bank = dataset.log.by_bank();
         // Feature extraction is per-bank independent, so it fans out to
@@ -85,12 +68,9 @@ impl PatternClassifier {
         cordial_obs::counter!("fit.classifier_samples").add(data.n_rows() as u64);
         let model = {
             let _span = cordial_obs::span!("model");
-            config.model.fit_threaded_warm(
-                &data,
-                config.seed,
-                config.n_threads,
-                previous.map(|p| &p.model),
-            )?
+            config
+                .model
+                .fit_threaded(&data, config.seed, config.n_threads)?
         };
         Ok(Self {
             model,

@@ -112,23 +112,6 @@ impl CrossRowPredictor {
         train_banks: &[BankAddress],
         config: &CordialConfig,
     ) -> Result<Self, CordialError> {
-        Self::fit_warm(dataset, train_banks, config, None)
-    }
-
-    /// As [`CrossRowPredictor::fit`], but warm-starts the per-pattern
-    /// block models from `previous` when the family supports it (see
-    /// [`crate::model::ModelKind::fit_threaded_warm`]); thresholds are
-    /// re-calibrated on the fresh data either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`CrossRowPredictor::fit`].
-    pub fn fit_warm(
-        dataset: &FleetDataset,
-        train_banks: &[BankAddress],
-        config: &CordialConfig,
-        previous: Option<&Self>,
-    ) -> Result<Self, CordialError> {
         /// One aggregation bank's pattern plus its labelled block samples.
         type BankBlockSamples = (CoarsePattern, Vec<(Vec<f64>, usize)>);
 
@@ -183,22 +166,19 @@ impl CrossRowPredictor {
             });
         }
         cordial_obs::counter!("fit.crossrow_samples").add(pooled.n_rows() as u64);
-        let fit_or_pool = |own: &Dataset,
-                           prev: Option<&TrainedModel>|
-         -> Result<(TrainedModel, f64), CordialError> {
+        let fit_or_pool = |own: &Dataset| -> Result<(TrainedModel, f64), CordialError> {
             let _span = cordial_obs::span!("model");
             let source = if own.is_empty() { &pooled } else { own };
-            let model =
-                config
-                    .model
-                    .fit_threaded_warm(source, config.seed, config.n_threads, prev)?;
+            let model = config
+                .model
+                .fit_threaded(source, config.seed, config.n_threads)?;
             let threshold = config
                 .block_threshold
                 .unwrap_or_else(|| calibrate_threshold(&model, source));
             Ok((model, threshold))
         };
-        let (single, single_threshold) = fit_or_pool(&single, previous.map(|p| &p.single))?;
-        let (double, double_threshold) = fit_or_pool(&double, previous.map(|p| &p.double))?;
+        let (single, single_threshold) = fit_or_pool(&single)?;
+        let (double, double_threshold) = fit_or_pool(&double)?;
         Ok(Self {
             single,
             double,

@@ -160,47 +160,6 @@ impl ModelKind {
             }
         }
     }
-
-    /// As [`ModelKind::fit_threaded`], but warm-starts from `previous`
-    /// when possible. Only the LightGBM family has a warm path (the
-    /// fitted quantile bin mapper is reused via
-    /// [`LightGbm::refit_warm`], skipping the dataset scan); any other
-    /// family, a family mismatch, or a feature-count mismatch falls back
-    /// to a cold fit. The fallback is silent by design: warm start is an
-    /// optimisation, never a requirement.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelKind::fit_threaded`].
-    pub fn fit_threaded_warm(
-        &self,
-        data: &Dataset,
-        seed: u64,
-        n_threads: usize,
-        previous: Option<&TrainedModel>,
-    ) -> Result<TrainedModel, FitError> {
-        if let ModelKind::LightGbm {
-            n_rounds,
-            max_leaves,
-            learning_rate,
-        } = *self
-        {
-            if let Some(TrainedModel::Lgbm(prev)) = previous {
-                if prev.n_features() == data.n_features() {
-                    let config = LightGbmConfig {
-                        n_rounds,
-                        max_leaves,
-                        learning_rate,
-                        seed,
-                        n_threads,
-                        ..Default::default()
-                    };
-                    return prev.refit_warm(data, &config).map(TrainedModel::Lgbm);
-                }
-            }
-        }
-        self.fit_threaded(data, seed, n_threads)
-    }
 }
 
 impl Default for ModelKind {

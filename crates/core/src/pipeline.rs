@@ -127,44 +127,15 @@ impl Cordial {
         train_banks: &[BankAddress],
         config: &CordialConfig,
     ) -> Result<Self, CordialError> {
-        Self::fit_warm(dataset, train_banks, config, None)
-    }
-
-    /// As [`Cordial::fit`], but warm-starts both stages from a previously
-    /// trained pipeline when the model family supports it (LightGBM
-    /// reuses its fitted quantile bin mapper; other families fall back to
-    /// a cold fit). This is the online-retraining path: the candidate is
-    /// a full retrain on the fresh window, warm start only removes the
-    /// fixed per-refit binning cost.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cordial::fit`].
-    pub fn fit_warm(
-        dataset: &FleetDataset,
-        train_banks: &[BankAddress],
-        config: &CordialConfig,
-        previous: Option<&Self>,
-    ) -> Result<Self, CordialError> {
         let _span = cordial_obs::span!("fit");
         cordial_obs::counter!("fit.train_banks").add(train_banks.len() as u64);
         let classifier = {
             let _span = cordial_obs::span!("classifier");
-            PatternClassifier::fit_warm(
-                dataset,
-                train_banks,
-                config,
-                previous.map(Cordial::classifier),
-            )?
+            PatternClassifier::fit(dataset, train_banks, config)?
         };
         let crossrow = {
             let _span = cordial_obs::span!("crossrow");
-            CrossRowPredictor::fit_warm(
-                dataset,
-                train_banks,
-                config,
-                previous.map(Cordial::crossrow),
-            )?
+            CrossRowPredictor::fit(dataset, train_banks, config)?
         };
         Ok(Self::from_stages(classifier, crossrow, *config))
     }

@@ -1055,7 +1055,6 @@ pub fn run_drift(ctx: &Context) -> Result<(), String> {
         // distribution alone.
         window_span_ms,
         max_window_events: 1 << 18,
-        background: false,
         seed,
         ..RelearnConfig::default()
     };
@@ -1083,12 +1082,11 @@ pub fn run_drift(ctx: &Context) -> Result<(), String> {
         .relearn_outcomes()
         .ok_or("adaptive supervisor must run with relearn enabled")?;
     println!(
-        "relearn: started {} promoted {} rejected {} failed {} timed_out {} rolled_back {}",
+        "relearn: started {} promoted {} rejected {} failed {} rolled_back {}",
         outcomes.started,
         outcomes.promoted,
         outcomes.rejected,
         outcomes.failed,
-        outcomes.timed_out,
         outcomes.rolled_back,
     );
     if outcomes.promoted == 0 {

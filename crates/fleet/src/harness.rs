@@ -96,7 +96,6 @@ impl Default for FleetHarnessConfig {
                 // chaos run exercises the refit loop too.
                 relearn: Some(cordial_relearn::RelearnConfig {
                     refit_every_events: 2048,
-                    background: false,
                     ..cordial_relearn::RelearnConfig::default()
                 }),
                 ..SupervisorConfig::default()
@@ -174,12 +173,11 @@ impl FleetReport {
         if let Some(relearn) = &self.relearn {
             let _ = writeln!(
                 out,
-                "fleet relearn: started {} promoted {} rejected {} failed {} timed_out {} rolled_back {}",
+                "fleet relearn: started {} promoted {} rejected {} failed {} rolled_back {}",
                 relearn.started,
                 relearn.promoted,
                 relearn.rejected,
                 relearn.failed,
-                relearn.timed_out,
                 relearn.rolled_back,
             );
         }

@@ -14,7 +14,7 @@
 //! from seeded per-device streams, so a host replays bit-identically.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use cordial::monitor::{
     CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint, MonitorStats,
@@ -22,6 +22,7 @@ use cordial::monitor::{
 use cordial::pipeline::{Cordial, MitigationPlan};
 use cordial_faultsim::SparingBudget;
 use cordial_mcelog::ErrorEvent;
+use cordial_obs::lock;
 use cordial_store::Store;
 use cordial_topology::BankAddress;
 
@@ -31,13 +32,6 @@ use crate::device::DeviceId;
 /// A durable store shared between a host and the rest of its process (the
 /// serving daemon's shards and connection threads journal into one store).
 pub type SharedStore = Arc<Mutex<Store>>;
-
-/// Locks a mutex, riding through poisoning: a panic while the lock was held
-/// has already been contained or reported where it happened, and must not
-/// wedge the threads that still serve.
-pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Tuning of one device host.
 #[derive(Debug, Clone, Copy, PartialEq)]

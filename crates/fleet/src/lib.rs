@@ -48,7 +48,7 @@ mod supervisor;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, MAX_BACKOFF_DOUBLINGS};
 pub use device::DeviceId;
 pub use harness::{run_fleet_harness, FleetHarnessConfig, FleetReport};
-pub use host::{lock, DeviceHost, DeviceStatus, HostConfig, RouteOutcome, SharedStore};
+pub use host::{DeviceHost, DeviceStatus, HostConfig, RouteOutcome, SharedStore};
 pub use registry::{
     clears_gate, shadow_score, GateConfig, ModelRegistry, PromotionDecision, ShadowScore,
 };

@@ -14,16 +14,17 @@ use std::sync::{Arc, Mutex};
 use cordial::pipeline::Cordial;
 use cordial_faultsim::FleetDataset;
 use cordial_mcelog::ErrorEvent;
+use cordial_obs::lock;
 use cordial_store::Store;
 use cordial_topology::BankAddress;
 
 use cordial_relearn::{
-    build_job, RefitCompletion, RefitScheduler, RefitWorker, RelearnConfig, TrainingWindow,
+    build_job, run_refit, RefitCompletion, RefitJob, RefitScheduler, RelearnConfig, TrainingWindow,
 };
 
 use crate::breaker::BreakerState;
 use crate::device::DeviceId;
-use crate::host::{lock, DeviceHost, DeviceStatus, HostConfig, RouteOutcome};
+use crate::host::{DeviceHost, DeviceStatus, HostConfig, RouteOutcome};
 use crate::registry::{clears_gate, shadow_score, GateConfig, ModelRegistry, PromotionDecision};
 
 /// Bucket bounds for the per-device availability histogram.
@@ -53,9 +54,9 @@ pub struct SupervisorConfig {
     pub watchdog_deadline_ms: u64,
     /// Continuous-learning loop: `Some` maintains a sliding training
     /// window over accepted events (journaled into the attached store),
-    /// runs scheduled / drift-triggered warm-start refits, and routes
-    /// every candidate through the promotion gate. `None` (default)
-    /// keeps the model one-shot.
+    /// runs scheduled / drift-triggered refits inline at the sweep point,
+    /// and routes every candidate through the promotion gate. `None`
+    /// (default) keeps the model one-shot.
     pub relearn: Option<RelearnConfig>,
 }
 
@@ -83,7 +84,9 @@ struct PrecisionBaseline {
 }
 
 /// Lifetime refit outcome counters for the continuous-learning loop
-/// (mirrored into the `obs.relearn.*` telemetry family).
+/// (mirrored into the `obs.relearn.*` telemetry family). Every refit
+/// settles where it starts, so `started == promoted + rejected + failed`
+/// always holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RelearnOutcomes {
     /// Refits started (scheduled, drift-escalated or operator-begun).
@@ -94,8 +97,6 @@ pub struct RelearnOutcomes {
     pub rejected: u64,
     /// Refits that failed or panicked during training (contained).
     pub failed: u64,
-    /// Background refits abandoned past their stream-time budget.
-    pub timed_out: u64,
     /// Relearn-promoted models the live-precision canary rolled back.
     pub rolled_back: u64,
 }
@@ -105,7 +106,6 @@ struct RelearnState {
     config: RelearnConfig,
     window: TrainingWindow,
     scheduler: RefitScheduler,
-    inflight: Option<RefitWorker>,
     outcomes: RelearnOutcomes,
     /// Fleet-wide drift-watchdog alert total at the last sweep; any
     /// increase escalates the scheduler to an immediate refit.
@@ -122,7 +122,6 @@ impl RelearnState {
         Self {
             window: TrainingWindow::new(config.window_span_ms, config.max_window_events),
             scheduler: RefitScheduler::new(&config),
-            inflight: None,
             outcomes: RelearnOutcomes::default(),
             last_drift_alerts: 0,
             promoted_by_relearn: false,
@@ -140,7 +139,6 @@ fn touch_relearn_counters() {
     cordial_obs::counter!("obs.relearn.refits_promoted").add(0);
     cordial_obs::counter!("obs.relearn.refits_rejected").add(0);
     cordial_obs::counter!("obs.relearn.refits_failed").add(0);
-    cordial_obs::counter!("obs.relearn.refits_timed_out").add(0);
     cordial_obs::counter!("obs.relearn.refits_rolled_back").add(0);
     cordial_obs::counter!("obs.relearn.refits_skipped").add(0);
     cordial_obs::counter!("obs.relearn.drift_triggers").add(0);
@@ -300,8 +298,8 @@ impl FleetSupervisor {
         state.scheduler.observe_accept();
     }
 
-    /// One relearn sweep: settle any finished (or overdue) refit, escalate
-    /// on new drift-watchdog alerts, start a refit when one is due.
+    /// One relearn sweep: escalate on new drift-watchdog alerts, then run
+    /// a refit when one is due.
     fn poll_relearn(&mut self, now_ms: u64) {
         // The state moves out of `self` for the sweep so the settle path
         // can route the candidate through `consider_candidate` (&mut self)
@@ -309,12 +307,6 @@ impl FleetSupervisor {
         let Some(mut state) = self.relearn.take() else {
             return;
         };
-        if let Some(worker) = state.inflight.as_mut() {
-            if let Some(completion) = worker.try_take(now_ms, state.config.refit_timeout_ms) {
-                state.inflight = None;
-                self.settle_refit(&mut state, completion);
-            }
-        }
         let alerts = self.total_drift_alerts();
         if alerts > state.last_drift_alerts {
             state.last_drift_alerts = alerts;
@@ -328,8 +320,8 @@ impl FleetSupervisor {
             }
             state.scheduler.note_drift();
         }
-        if state.inflight.is_none() && state.scheduler.due() {
-            self.start_refit(&mut state, now_ms);
+        if state.scheduler.due() {
+            self.refit(&mut state, now_ms);
         }
         self.relearn = Some(state);
     }
@@ -346,12 +338,15 @@ impl FleetSupervisor {
             .sum()
     }
 
-    /// Builds a refit job from the current window and launches it
-    /// (inline jobs also settle here; background jobs settle at a later
-    /// sweep). Thin windows count as skipped and wait out one cadence.
-    fn start_refit(&mut self, state: &mut RelearnState, now_ms: u64) {
-        let incumbent = self.registry.incumbent();
-        let job = build_job(&state.window, &state.config, incumbent.config(), incumbent);
+    /// Builds a refit job from the current window, fits it and settles
+    /// the outcome, all before returning. Thin windows count as skipped
+    /// and wait out one cadence.
+    fn refit(&mut self, state: &mut RelearnState, now_ms: u64) {
+        let job = build_job(
+            &state.window,
+            &state.config,
+            self.registry.incumbent().config(),
+        );
         state.scheduler.note_started();
         let Some(mut job) = job else {
             cordial_obs::counter!("obs.relearn.refits_skipped").inc();
@@ -372,37 +367,35 @@ impl FleetSupervisor {
                 ),
             );
         }
-        let mut worker = RefitWorker::start(job, state.config.background, now_ms);
-        if state.config.background {
-            state.inflight = Some(worker);
-        } else if let Some(completion) = worker.try_take(now_ms, 0) {
-            self.settle_refit(state, completion);
-        }
+        let completion = run_refit(&job);
+        self.settle_refit(state, &job, completion);
     }
 
-    /// Applies one refit completion: failures and timeouts feed the
-    /// scheduler's backoff, candidates go through the promotion gate.
-    fn settle_refit(&mut self, state: &mut RelearnState, completion: RefitCompletion) {
-        if completion.timed_out {
-            state.outcomes.timed_out += 1;
-            cordial_obs::counter!("obs.relearn.refits_timed_out").inc();
-            state.scheduler.note_failure();
-            return;
-        }
-        let panicked = completion.panicked;
-        let (Some(candidate), Some(job)) = (completion.candidate, completion.job) else {
-            state.outcomes.failed += 1;
-            cordial_obs::counter!("obs.relearn.refits_failed").inc();
-            if panicked {
-                cordial_obs::blackbox::trigger(
-                    "refit_panic_contained",
-                    "background refit panicked during training (contained)",
-                );
+    /// Applies one refit completion: failures feed the scheduler's
+    /// backoff, candidates go through the promotion gate on the job's
+    /// calibration banks.
+    fn settle_refit(
+        &mut self,
+        state: &mut RelearnState,
+        job: &RefitJob,
+        completion: RefitCompletion,
+    ) {
+        let candidate = match completion {
+            RefitCompletion::Fitted(candidate) => candidate,
+            RefitCompletion::Failed(_) | RefitCompletion::Panicked => {
+                state.outcomes.failed += 1;
+                cordial_obs::counter!("obs.relearn.refits_failed").inc();
+                if matches!(completion, RefitCompletion::Panicked) {
+                    cordial_obs::blackbox::trigger(
+                        "refit_panic_contained",
+                        "refit panicked during training (contained)",
+                    );
+                }
+                state.scheduler.note_failure();
+                return;
             }
-            state.scheduler.note_failure();
-            return;
         };
-        match self.consider_candidate(*candidate, &job.dataset, &job.calibration) {
+        match self.consider_candidate(candidate, &job.dataset, &job.calibration) {
             PromotionDecision::Promoted { .. } => {
                 state.outcomes.promoted += 1;
                 cordial_obs::counter!("obs.relearn.refits_promoted").inc();
@@ -416,19 +409,17 @@ impl FleetSupervisor {
         state.scheduler.note_success();
     }
 
-    /// Operator/test trigger: starts a refit right now from the current
-    /// window (ignoring cadence and backoff). Returns whether a job
-    /// actually launched — `false` when relearn is disabled, a refit is
-    /// already in flight, or the window is too thin to train from.
+    /// Operator/test trigger: runs a refit right now from the current
+    /// window (ignoring cadence and backoff) and settles it before
+    /// returning. Returns whether a job actually ran — `false` when
+    /// relearn is disabled or the window is too thin to train from.
     pub fn begin_refit(&mut self) -> bool {
         let now_ms = self.watermark_ms;
         let Some(mut state) = self.relearn.take() else {
             return false;
         };
         let before = state.outcomes;
-        if state.inflight.is_none() {
-            self.start_refit(&mut state, now_ms);
-        }
+        self.refit(&mut state, now_ms);
         let started = state.outcomes.started > before.started;
         self.relearn = Some(state);
         started
@@ -442,13 +433,6 @@ impl FleetSupervisor {
     /// The sliding training window (`None` when relearn is disabled).
     pub fn training_window(&self) -> Option<&TrainingWindow> {
         self.relearn.as_ref().map(|state| &state.window)
-    }
-
-    /// Whether a background refit is currently in flight.
-    pub fn refit_in_flight(&self) -> bool {
-        self.relearn
-            .as_ref()
-            .is_some_and(|state| state.inflight.is_some())
     }
 
     /// Chaos hook: the next refit job panics mid-fit (contained; counted

@@ -136,6 +136,12 @@ fn fleet_telemetry_digest_is_thread_invariant() {
         cordial_obs::reset();
         let report = run_fleet_harness(&config).unwrap();
         assert!(report.all_passed(), "{}", report.render());
+        let relearn = report.relearn.expect("the harness runs the relearn loop");
+        assert_eq!(
+            relearn.started,
+            relearn.promoted + relearn.rejected + relearn.failed,
+            "every refit settles: {relearn:?}"
+        );
         digests.push(cordial_obs::snapshot().digest());
     }
     cordial_obs::set_enabled(false);

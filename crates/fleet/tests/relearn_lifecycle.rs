@@ -1,9 +1,10 @@
 //! Acceptance tests for the continuous-learning lifecycle: a supervisor
-//! killed mid-refit keeps serving the old model after restart, rebuilds
-//! its training window from the durable journal with zero acked events
-//! lost, and ends with monitor state identical to an uninterrupted twin;
-//! refit candidates route through the promotion gate; injected refit
-//! panics are contained and counted.
+//! killed right after a refit keeps serving the old model after restart,
+//! rebuilds its training window from the durable journal with zero acked
+//! events lost, and ends with monitor state identical to an uninterrupted
+//! twin; refit candidates route through the promotion gate; injected
+//! refit panics are contained and counted; every started refit settles
+//! as exactly one of promoted, rejected or failed.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -49,6 +50,12 @@ fn journal_event_count(store: &Store) -> usize {
         .count()
 }
 
+/// Every refit settles where it starts: the outcome split is complete.
+fn assert_outcomes_settled(supervisor: &FleetSupervisor) {
+    let o = supervisor.relearn_outcomes().unwrap();
+    assert_eq!(o.started, o.promoted + o.rejected + o.failed, "{o:?}");
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("cordial-relearn-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -56,10 +63,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The kill-mid-refit scenario: supervisor A is dropped without `finish`
-/// while a background refit is in flight. The journal still covers every
-/// acked event; a restarted supervisor B rebuilds the same training
-/// window, keeps serving the old model, and — fed the remaining stream —
-/// ends with per-device monitor stats identical to an uninterrupted twin.
+/// right after an inline refit. The journal still covers every acked
+/// event; a restarted supervisor B rebuilds the same training window,
+/// keeps serving the old model, and — fed the remaining stream — ends
+/// with per-device monitor stats identical to an uninterrupted twin.
 #[test]
 fn kill_mid_refit_loses_nothing_and_matches_uninterrupted_twin() {
     let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 21);
@@ -70,12 +77,11 @@ fn kill_mid_refit_loses_nothing_and_matches_uninterrupted_twin() {
     let dir = temp_dir("kill-mid-refit");
 
     // Relearn config for the supervisor that will be killed: drift-only
-    // cadence (we trigger the refit manually) on a background thread.
+    // cadence (we trigger the refit manually).
     let killed_relearn = RelearnConfig {
         refit_every_events: 0,
         min_window_events: 64,
         min_window_banks: 2,
-        background: true,
         ..RelearnConfig::default()
     };
     // Relearn config for the restarted supervisor and its twin: the
@@ -114,10 +120,10 @@ fn kill_mid_refit_loses_nothing_and_matches_uninterrupted_twin() {
         supervisor_a.begin_refit(),
         "the window after half the stream must be trainable"
     );
-    assert!(supervisor_a.refit_in_flight());
+    assert_eq!(supervisor_a.relearn_outcomes().unwrap().started, 1);
     let window_before_kill = supervisor_a.training_window().unwrap().snapshot();
     assert!(!window_before_kill.is_empty());
-    // Kill: no finish(), no final checkpoint, the refit thread abandoned.
+    // Kill: no finish(), no final checkpoint.
     drop(supervisor_a);
 
     // --- Zero acked events lost: the journal covers every ack. ---
@@ -211,6 +217,7 @@ fn inline_refit_routes_candidate_through_the_gate() {
         "an inline refit settles through the gate immediately: {outcomes:?}"
     );
     assert_eq!(outcomes.failed, 0);
+    assert_outcomes_settled(&supervisor);
     assert_eq!(
         supervisor.registry().promotions() + supervisor.registry().rejections(),
         1
@@ -241,6 +248,7 @@ fn refit_panic_is_contained_and_counted() {
     assert_eq!(outcomes.started, 1);
     assert_eq!(outcomes.failed, 1, "the panic settles as a failure");
     assert_eq!(outcomes.promoted, 0);
+    assert_outcomes_settled(&supervisor);
     assert_eq!(
         supervisor.incumbent(),
         &pipeline,
@@ -251,5 +259,6 @@ fn refit_panic_is_contained_and_counted() {
         supervisor.route(*event);
     }
     supervisor.finish();
+    assert_outcomes_settled(&supervisor);
     assert!(supervisor.availability() > 0.0);
 }

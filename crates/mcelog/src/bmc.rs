@@ -8,10 +8,10 @@
 //! actually receives.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
+use cordial_obs::lock;
 use cordial_topology::CellAddress;
 
 use crate::event::{ErrorEvent, ErrorType, Timestamp};
@@ -78,7 +78,7 @@ impl BmcCollector {
     /// Reports one raw event. Returns `true` if the event was buffered,
     /// `false` if it was throttled away.
     pub fn report(&self, event: ErrorEvent) -> bool {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         if event.error_type == ErrorType::Ce {
             if let Some(&last) = state.last_ce.get(&event.addr) {
                 if event.time.saturating_since(last) < self.config.ce_throttle && event.time >= last
@@ -95,17 +95,17 @@ impl BmcCollector {
 
     /// Number of events throttled away so far.
     pub fn dropped(&self) -> u64 {
-        self.state.lock().dropped
+        lock(&self.state).dropped
     }
 
     /// Whether the buffer currently exceeds the configured capacity.
     pub fn is_over_capacity(&self) -> bool {
-        self.state.lock().buffer.len() > self.config.buffer_capacity
+        lock(&self.state).buffer.len() > self.config.buffer_capacity
     }
 
     /// Removes and returns all buffered events as a time-ordered log.
     pub fn drain(&self) -> MceLog {
-        let events = std::mem::take(&mut self.state.lock().buffer);
+        let events = std::mem::take(&mut lock(&self.state).buffer);
         MceLog::from_events(events)
     }
 }

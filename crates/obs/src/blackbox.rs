@@ -29,9 +29,8 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Once;
+use std::sync::{Mutex, Once};
 
-use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
 /// Where dumps land; `None` (the default) disables dumping.
@@ -46,12 +45,12 @@ pub const DUMP_SCHEMA_VERSION: u64 = 1;
 /// Points black-box dumping at `dir` (`None` disables it). The directory
 /// is created on the first dump, not here.
 pub fn set_dump_dir(dir: Option<&Path>) {
-    *DUMP_DIR.lock() = dir.map(Path::to_path_buf);
+    *crate::lock(&DUMP_DIR) = dir.map(Path::to_path_buf);
 }
 
 /// The currently configured dump directory.
 pub fn dump_dir() -> Option<PathBuf> {
-    DUMP_DIR.lock().clone()
+    crate::lock(&DUMP_DIR).clone()
 }
 
 thread_local! {

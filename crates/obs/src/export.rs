@@ -14,8 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use crate::registry::{HistogramSnapshot, Snapshot};
 
@@ -34,12 +33,17 @@ static HELP: RwLock<BTreeMap<String, String>> = RwLock::new(BTreeMap::new());
 /// dotted form). Idempotent; the latest text wins. Escaping is applied at
 /// export time, so `help` may contain newlines and backslashes.
 pub fn describe(name: &str, help: &str) {
-    HELP.write().insert(name.to_string(), help.to_string());
+    HELP.write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(name.to_string(), help.to_string());
 }
 
 /// The registered help text for `name`, if any.
 fn help_for(name: &str) -> Option<String> {
-    HELP.read().get(name).cloned()
+    HELP.read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(name)
+        .cloned()
 }
 
 /// Escapes a `# HELP` text per the Prometheus exposition format:

@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub mod blackbox;
 pub mod export;
@@ -87,6 +88,13 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Locks a mutex, riding through poisoning: a panic while the lock was held
+/// has already been contained or reported where it happened, and must not
+/// wedge the threads that still serve or record.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The process-wide registry every macro records into.

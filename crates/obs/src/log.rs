@@ -11,8 +11,9 @@
 use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Log severity, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -52,7 +53,7 @@ pub fn set_min_level(level: Level) {
 /// Redirects log output; `None` restores the stderr default. Returns the
 /// previous replacement sink, if any.
 pub fn set_sink(sink: Option<Box<dyn Write + Send>>) -> Option<Box<dyn Write + Send>> {
-    std::mem::replace(&mut *SINK.lock(), sink)
+    std::mem::replace(&mut *lock(&SINK), sink)
 }
 
 /// Emits one message at `level`. Use the [`error!`](crate::error!),
@@ -63,7 +64,7 @@ pub fn log(level: Level, args: fmt::Arguments<'_>) {
         return;
     }
     crate::global().counter(level.counter_name()).inc();
-    let mut sink = SINK.lock();
+    let mut sink = lock(&SINK);
     match sink.as_mut() {
         Some(writer) => {
             let _ = writeln!(writer, "{args}");
@@ -110,14 +111,31 @@ macro_rules! debug {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex as StdMutex};
+    use std::sync::Arc;
+
+    /// Serialises the tests that swap the process-wide sink.
+    static SINK_TESTS: Mutex<()> = Mutex::new(());
 
     /// A sink that appends into a shared buffer.
-    struct Capture(Arc<StdMutex<Vec<u8>>>);
+    struct Capture(Arc<Mutex<Vec<u8>>>);
 
     impl Write for Capture {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
+            lock(&self.0).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A sink whose `write` panics on one marked message (other threads'
+    /// messages pass through), with the sink lock held.
+    struct Exploding;
+
+    impl Write for Exploding {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            assert!(!buf.starts_with(b"boom"), "sink failure");
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -127,7 +145,8 @@ mod tests {
 
     #[test]
     fn messages_respect_the_level_filter_and_sink() {
-        let buffer = Arc::new(StdMutex::new(Vec::new()));
+        let _serial = lock(&SINK_TESTS);
+        let buffer = Arc::new(Mutex::new(Vec::new()));
         let previous = set_sink(Some(Box::new(Capture(buffer.clone()))));
         crate::info!("visible {}", 42);
         crate::debug!("invisible");
@@ -136,10 +155,28 @@ mod tests {
         set_min_level(Level::Info);
         set_sink(previous);
 
-        let text = String::from_utf8(buffer.lock().unwrap().clone()).unwrap();
+        let text = String::from_utf8(lock(&buffer).clone()).unwrap();
         assert!(text.contains("visible 42"));
         assert!(!text.contains("invisible\n"));
         assert!(text.contains("now visible"));
+    }
+
+    #[test]
+    fn a_sink_that_panics_does_not_wedge_logging() {
+        let _serial = lock(&SINK_TESTS);
+        let previous = set_sink(Some(Box::new(Exploding)));
+        let unwound = std::panic::catch_unwind(|| crate::info!("boom"));
+        assert!(unwound.is_err(), "the sink's panic unwinds out of info!");
+
+        // The panic unwound with the sink lock held; the next message must
+        // still get through.
+        let buffer = Arc::new(Mutex::new(Vec::new()));
+        set_sink(Some(Box::new(Capture(buffer.clone()))));
+        crate::info!("still logging");
+        set_sink(previous);
+
+        let text = String::from_utf8(lock(&buffer).clone()).unwrap();
+        assert!(text.contains("still logging"));
     }
 
     #[test]

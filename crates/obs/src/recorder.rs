@@ -16,9 +16,9 @@
 //! Recording is **off by default** ([`set_enabled`]) and independent of the
 //! metrics switch: a disabled site costs one relaxed atomic load. When on,
 //! an event is pushed onto the current thread's ring under a thread-local
-//! `parking_lot` mutex — uncontended for the owning thread (a single CAS;
-//! the crate forbids `unsafe`, so a literally lock-free queue is out of
-//! reach), contended only while a drain or dump walks the rings.
+//! mutex — uncontended for the owning thread (a single CAS; the crate
+//! forbids `unsafe`, so a literally lock-free queue is out of reach),
+//! contended only while a drain or dump walks the rings.
 //!
 //! Bookkeeping lands in the metrics registry (which follows the *metrics*
 //! switch, [`crate::set_enabled`]):
@@ -34,10 +34,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// Default per-thread ring capacity (events retained per thread).
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -156,7 +156,7 @@ fn register_ring() -> Arc<Mutex<Ring>> {
         events: VecDeque::new(),
         dropped: 0,
     }));
-    RINGS.lock().push(Arc::clone(&ring));
+    lock(&RINGS).push(Arc::clone(&ring));
     ring
 }
 
@@ -174,7 +174,7 @@ fn push(
     // `try_with` so a record during thread teardown degrades to a drop
     // instead of a panic.
     let _ = LOCAL_RING.try_with(|ring| {
-        let mut ring = ring.lock();
+        let mut ring = lock(ring);
         let cap = capacity();
         while ring.events.len() >= cap {
             ring.events.pop_front();
@@ -287,10 +287,10 @@ pub fn capture() -> Vec<TraceEvent> {
 }
 
 fn collect(clear: bool) -> Vec<TraceEvent> {
-    let rings: Vec<Arc<Mutex<Ring>>> = RINGS.lock().clone();
+    let rings: Vec<Arc<Mutex<Ring>>> = lock(&RINGS).clone();
     let mut all = Vec::new();
     for ring in rings {
-        let mut ring = ring.lock();
+        let mut ring = lock(&ring);
         if clear {
             all.extend(ring.events.drain(..));
             ring.dropped = 0;
@@ -304,10 +304,9 @@ fn collect(clear: bool) -> Vec<TraceEvent> {
 
 /// Total events currently buffered across all rings.
 pub fn buffered() -> usize {
-    RINGS
-        .lock()
+    lock(&RINGS)
         .iter()
-        .map(|ring| ring.lock().events.len())
+        .map(|ring| lock(ring).events.len())
         .sum()
 }
 
@@ -323,7 +322,7 @@ pub(crate) mod testutil {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     pub fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        crate::lock(&LOCK)
     }
 }
 

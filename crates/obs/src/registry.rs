@@ -1,7 +1,7 @@
 //! The metrics registry: counters, gauges, fixed-bucket histograms, and
 //! deterministic snapshots.
 //!
-//! Registration (name → metric) is guarded by a `parking_lot` `RwLock`, but
+//! Registration (name → metric) is guarded by a `std` `RwLock`, but
 //! the lock is only touched when a call site first resolves its handle (the
 //! `counter!`/`gauge!`/`histogram!` macros cache handles in statics).
 //! Recording itself is relaxed atomics on `Arc`-shared cells, safe to call
@@ -9,9 +9,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing counter.
@@ -170,13 +169,18 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(metric) = self.metrics.read().get(name) {
+        if let Some(metric) = self
+            .metrics
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             return match metric {
                 Metric::Counter(c) => c.clone(),
                 _ => panic!("metric `{name}` already registered with a different kind"),
             };
         }
-        let mut metrics = self.metrics.write();
+        let mut metrics = self.metrics.write().unwrap_or_else(PoisonError::into_inner);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| {
@@ -197,13 +201,18 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(metric) = self.metrics.read().get(name) {
+        if let Some(metric) = self
+            .metrics
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             return match metric {
                 Metric::Gauge(g) => g.clone(),
                 _ => panic!("metric `{name}` already registered with a different kind"),
             };
         }
-        let mut metrics = self.metrics.write();
+        let mut metrics = self.metrics.write().unwrap_or_else(PoisonError::into_inner);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| {
@@ -227,7 +236,12 @@ impl MetricsRegistry {
     /// Panics if `bounds` is empty or not strictly ascending, or if `name`
     /// is already registered as a different metric kind.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        if let Some(metric) = self.metrics.read().get(name) {
+        if let Some(metric) = self
+            .metrics
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             return match metric {
                 Metric::Histogram(h) => h.clone(),
                 _ => panic!("metric `{name}` already registered with a different kind"),
@@ -238,7 +252,7 @@ impl MetricsRegistry {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram `{name}` bounds must be strictly ascending"
         );
-        let mut metrics = self.metrics.write();
+        let mut metrics = self.metrics.write().unwrap_or_else(PoisonError::into_inner);
         match metrics
             .entry(name.to_string())
             .or_insert_with(|| {
@@ -262,7 +276,7 @@ impl MetricsRegistry {
     /// order. Two snapshots of identical registry state are identical —
     /// the property the export and determinism tests build on.
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.metrics.read();
+        let metrics = self.metrics.read().unwrap_or_else(PoisonError::into_inner);
         let mut snapshot = Snapshot::default();
         for (name, metric) in metrics.iter() {
             match metric {
@@ -283,7 +297,7 @@ impl MetricsRegistry {
     /// Zeroes every registered metric in place without unregistering it, so
     /// handles cached by call sites stay valid.
     pub fn reset(&self) {
-        let metrics = self.metrics.read();
+        let metrics = self.metrics.read().unwrap_or_else(PoisonError::into_inner);
         for metric in metrics.values() {
             match metric {
                 Metric::Counter(c) => c.cell.store(0, Ordering::Relaxed),

@@ -8,34 +8,34 @@
 //!
 //! 1. **Sliding training window** ([`TrainingWindow`]) — the stream of
 //!    accepted events, bounded by stream-time span and event count, and
-//!    rebuildable from a `cordial-store` journal so an in-flight refit
-//!    survives a process kill with zero acked events lost.
+//!    rebuildable from a `cordial-store` journal so a killed supervisor
+//!    resumes retraining with zero acked events lost.
 //! 2. **Hindsight labels** ([`labels::synthesize_truth`]) — ground truth
 //!    for retraining does not exist online; the observed UER row
 //!    geometry of each bank is clustered into the paper's coarse
 //!    pattern classes, which is exactly the label granularity the
 //!    training pipeline consumes (`BankTruth::kind().coarse()`).
-//! 3. **Warm-start refit jobs** ([`RefitJob`], [`RefitWorker`]) — a
-//!    snapshot of the window becomes a [`cordial::pipeline::Cordial::fit_warm`]
-//!    job (LightGBM reuses its fitted bin mapper via `fit_prebinned`),
-//!    run inline for deterministic scenarios or on a panic-contained
-//!    background thread so ingest never blocks; a panicking, failing or
-//!    timed-out refit is contained and reported, never propagated.
+//! 3. **Refit jobs** ([`RefitJob`], [`run_refit`]) — a snapshot of the
+//!    window becomes a cold [`cordial::pipeline::Cordial::fit`], run
+//!    inline at the supervisor's sweep point under panic containment: a
+//!    panicking or failing refit is contained and reported, never
+//!    propagated. The refit blocks the `route` call that triggers it
+//!    (about 0.5–0.7 s at small and medium scale on a 2-core VM).
 //! 4. **Drift-aware scheduling** ([`RefitScheduler`]) — scheduled refits
 //!    on an accepted-event cadence, escalated to immediate when the
 //!    monitors' pattern-mix / lead-time watchdogs raise fresh alerts,
 //!    with seeded jittered backoff after failures.
 //!
 //! The fleet supervisor (`cordial-fleet`) owns the other half of the
-//! loop: it feeds the window, polls the worker at its sweep points and
+//! loop: it feeds the window, runs due refits at its sweep points and
 //! routes every candidate through the promotion gate with the
 //! live-precision canary — a refit can only ever improve the serving
 //! model or be rejected, never degrade it.
 //!
 //! Determinism contract: nothing here reads the wall clock. Scheduling
-//! runs on accepted-event counts, timeouts on stream time, jitter on
-//! seeded RNG streams; with the inline worker, identical streams produce
-//! identical refits, promotions and telemetry at every thread count.
+//! runs on accepted-event counts and jitter on seeded RNG streams, so
+//! identical streams produce identical refits, promotions and telemetry
+//! at every thread count.
 
 #![warn(missing_docs)]
 
@@ -46,4 +46,4 @@ pub mod worker;
 
 pub use policy::{RefitScheduler, RelearnConfig};
 pub use window::TrainingWindow;
-pub use worker::{build_job, run_refit, RefitCompletion, RefitJob, RefitWorker};
+pub use worker::{build_job, run_refit, RefitCompletion, RefitJob};

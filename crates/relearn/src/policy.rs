@@ -23,13 +23,6 @@ pub struct RelearnConfig {
     /// Fraction of labelled window banks held out for shadow-scoring the
     /// candidate against the incumbent (the promotion gate's evidence).
     pub calibration_fraction: f64,
-    /// Stream-time budget for one refit in milliseconds; a background
-    /// refit still unfinished this far past its start is abandoned and
-    /// counted as timed out. `0` disables the timeout.
-    pub refit_timeout_ms: u64,
-    /// Run refits on a background thread (`true`) or inline at the
-    /// supervisor's sweep point (`false`, deterministic).
-    pub background: bool,
     /// Seed for backoff jitter.
     pub seed: u64,
 }
@@ -44,8 +37,6 @@ impl Default for RelearnConfig {
             max_window_events: 1 << 18,
             min_uer_rows: 4,
             calibration_fraction: 0.3,
-            refit_timeout_ms: 0,
-            background: false,
             seed: 0,
         }
     }
@@ -74,7 +65,7 @@ impl SplitMix64 {
 ///   events.
 /// * Drift escalation: [`RefitScheduler::note_drift`] makes the next
 ///   check due immediately, jumping the cadence.
-/// * Failure backoff: after a failed/panicked/timed-out refit the next
+/// * Failure backoff: after a failed or panicked refit the next
 ///   attempt is pushed out exponentially (doubling per consecutive
 ///   failure, seeded jitter of up to 25% added, capped at 64× the
 ///   cadence) so a deterministically-crashing refit cannot busy-loop
@@ -147,8 +138,8 @@ impl RefitScheduler {
         self.backoff_until = 0;
     }
 
-    /// Records a refit that failed, panicked or timed out; pushes the
-    /// next attempt out with exponential, seeded-jittered backoff.
+    /// Records a refit that failed or panicked; pushes the next attempt
+    /// out with exponential, seeded-jittered backoff.
     pub fn note_failure(&mut self) {
         self.consecutive_failures = (self.consecutive_failures + 1).min(16);
         let base = self.refit_every.max(256);

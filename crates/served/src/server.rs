@@ -75,10 +75,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use cordial::prelude::{Cordial, MonitorStats, SparingBudget};
-use cordial_fleet::{
-    lock, BreakerConfig, CircuitBreaker, DeviceHost, DeviceId, HostConfig, SharedStore,
-};
+use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceHost, DeviceId, HostConfig, SharedStore};
 use cordial_mcelog::ErrorEvent;
+use cordial_obs::lock;
 use cordial_store::{FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
 use serde::{Deserialize, Serialize};
 

@@ -134,31 +134,6 @@ impl LightGbm {
         Self::fit_prebinned(data, &binned, config)
     }
 
-    /// Refits a model on fresh data, reusing this model's fitted quantile
-    /// bin mapper instead of re-deriving one — the warm-start path for
-    /// online retraining, where the sliding window's feature distribution
-    /// moves slowly and the quantile scan is the dominant fixed cost.
-    ///
-    /// Training itself is a full rebuild through [`LightGbm::fit_prebinned`]
-    /// on the reused binning: the returned model carries no state from
-    /// `self` beyond the mapper, so a warm refit on identical data with an
-    /// identically-derived mapper is bit-identical to a cold fit.
-    ///
-    /// # Errors
-    ///
-    /// As [`LightGbm::fit`], plus [`FitError::InvalidConfig`] when `data`'s
-    /// feature count does not match the model's.
-    pub fn refit_warm(&self, data: &Dataset, config: &LightGbmConfig) -> Result<Self, FitError> {
-        validate(data, config)?;
-        if data.n_features() != self.n_features {
-            return Err(FitError::InvalidConfig(
-                "warm refit feature count does not match the fitted model",
-            ));
-        }
-        let binned = BinnedDataset::with_mapper(self.mapper.clone(), data);
-        Self::fit_prebinned(data, &binned, config)
-    }
-
     /// Fits a model on a dataset binned up front with [`BinnedDataset::fit`]
     /// (or [`BinnedDataset::with_mapper`]), skipping the quantile fit and
     /// the dataset scan — the dominant fixed cost when the same dataset is
@@ -772,52 +747,6 @@ mod tests {
         let binned = BinnedDataset::fit(&data, config.max_bins);
         let prebinned = LightGbm::fit_prebinned(&data, &binned, &config).unwrap();
         assert_eq!(plain, prebinned);
-    }
-
-    #[test]
-    fn warm_refit_on_same_data_matches_cold_fit() {
-        let data = blobs();
-        let config = LightGbmConfig::default().with_rounds(8).with_seed(5);
-        let cold = LightGbm::fit(&data, &config).unwrap();
-        let warm = cold.refit_warm(&data, &config).unwrap();
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn warm_refit_learns_shifted_data() {
-        // Refit on data the old mapper never saw: the clusters move but
-        // stay inside the mapper's bin range, so the warm model must
-        // re-learn the new boundaries rather than echo the old ones.
-        let data = blobs();
-        let config = LightGbmConfig::default().with_rounds(10).with_seed(5);
-        let old = LightGbm::fit(&data, &config).unwrap();
-        let mut shifted = Dataset::new(2, 3);
-        for i in 0..40 {
-            let jitter = (i % 5) as f64 * 0.1;
-            // Classes rotated relative to `blobs()`.
-            shifted.push_row(&[jitter, jitter], 2).unwrap();
-            shifted.push_row(&[5.0 + jitter, 5.0 + jitter], 0).unwrap();
-            shifted
-                .push_row(&[10.0 + jitter, -5.0 + jitter], 1)
-                .unwrap();
-        }
-        let warm = old.refit_warm(&shifted, &config).unwrap();
-        assert_eq!(warm.predict(&[0.2, 0.2]), 2);
-        assert_eq!(warm.predict(&[5.2, 5.2]), 0);
-        assert_eq!(warm.predict(&[10.2, -5.2]), 1);
-    }
-
-    #[test]
-    fn warm_refit_feature_mismatch_is_rejected() {
-        let model = LightGbm::fit(&blobs(), &LightGbmConfig::default().with_rounds(2)).unwrap();
-        let mut narrow = Dataset::new(1, 2);
-        for i in 0..20 {
-            narrow.push_row(&[i as f64], usize::from(i >= 10)).unwrap();
-        }
-        assert!(matches!(
-            model.refit_warm(&narrow, &LightGbmConfig::default()),
-            Err(FitError::InvalidConfig(_))
-        ));
     }
 
     #[test]
