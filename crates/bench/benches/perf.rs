@@ -162,8 +162,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// off vs on, metrics enabled in both modes so the pair isolates the
 /// recorder's own cost (ring push per span/instant). Interleaved samples,
 /// like the obs no-op pin, so clock drift and cache warmth hit both
-/// modes equally. Schema and the ≤5% overhead ceiling are pinned by
-/// `crates/bench/tests/bench_schema.rs`.
+/// modes equally. Schema and the ≤5% overhead ceiling (ratio ≤ 1.05) are
+/// pinned by `crates/bench/tests/bench_schema.rs`.
 fn bench_recorder_overhead(c: &mut Criterion) {
     if !c.matches("obs_recorder") {
         return;
@@ -206,54 +206,21 @@ fn bench_recorder_overhead(c: &mut Criterion) {
         samples.sort_by(f64::total_cmp);
         samples[samples.len() / 2]
     };
-    let disabled_ns = median(&mut disabled) * 1e9;
-    let enabled_ns = median(&mut enabled) * 1e9;
-    let overhead = enabled_ns / disabled_ns;
-    println!(
-        "obs_recorder/monitor_replay       off: {disabled_ns:>12.0} ns   on: {enabled_ns:>12.0} ns   overhead {:.2}%",
-        (overhead - 1.0) * 100.0
-    );
-    write_obs_json(sample_size, disabled_ns, enabled_ns);
-}
-
-/// Serialises the recorder-overhead pin (`BENCH_obs.json` at the
-/// workspace root). Schema pinned by `crates/bench/tests/bench_schema.rs`.
-fn write_obs_json(sample_size: usize, disabled_ns: f64, enabled_ns: f64) {
-    use serde_json::Value;
-    let doc = Value::Map(vec![
-        ("schema_version".into(), Value::U64(1)),
-        (
-            "source".into(),
-            Value::Str("cargo bench -p cordial-bench --bench perf -- obs_recorder".into()),
-        ),
-        ("sample_size".into(), Value::U64(sample_size as u64)),
-        (
-            "benches".into(),
-            Value::Map(vec![(
-                "recorder_replay".into(),
-                Value::Map(vec![
-                    ("disabled".into(), Value::Str("recorder_off".into())),
-                    ("enabled".into(), Value::Str("recorder_on".into())),
-                    ("disabled_median_ns".into(), Value::F64(disabled_ns)),
-                    ("enabled_median_ns".into(), Value::F64(enabled_ns)),
-                    ("overhead".into(), Value::F64(enabled_ns / disabled_ns)),
-                ]),
-            )]),
-        ),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    let body = serde_json::to_string_pretty(&doc).expect("serialise") + "\n";
-    if let Err(e) = std::fs::write(path, body) {
-        println!("obs_recorder: could not write {path}: {e}");
-    } else {
-        println!("obs_recorder: wrote {path}");
-    }
+    let pair = HotpathPair {
+        name: "recorder_replay",
+        reference: "recorder_off",
+        candidate: "recorder_on",
+        reference_ns: median(&mut disabled) * 1e9,
+        candidate_ns: median(&mut enabled) * 1e9,
+    };
+    pair.report();
+    write_pairs_json("BENCH_obs.json", "obs_recorder", sample_size, &[pair]);
 }
 
 /// Median per-iteration time of `f` in nanoseconds, measured like the
 /// vendored harness (calibrated repetition count, median of
 /// `sample_size` samples) but returning the number so the hot-path
-/// benches can compute speedup ratios and emit `BENCH_hotpath.json`.
+/// benches can compute ratios and emit `BENCH_hotpath.json`.
 fn measure_median_ns<F: FnMut()>(sample_size: usize, mut f: F) -> f64 {
     let start = Instant::now();
     f();
@@ -277,30 +244,70 @@ fn measure_median_ns<F: FnMut()>(sample_size: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One measured baseline/optimised pair of the hot-path suite.
+/// One measured reference/candidate pair: the one record both committed
+/// artefacts (`BENCH_hotpath.json`, `BENCH_obs.json`) list.
 struct HotpathPair {
-    key: &'static str,
-    baseline: &'static str,
-    optimised: &'static str,
-    baseline_median_ns: f64,
-    optimised_median_ns: f64,
+    name: &'static str,
+    reference: &'static str,
+    candidate: &'static str,
+    reference_ns: f64,
+    candidate_ns: f64,
 }
 
 impl HotpathPair {
-    fn speedup(&self) -> f64 {
-        self.baseline_median_ns / self.optimised_median_ns
+    /// Candidate median over reference median: below 1 the candidate is
+    /// faster.
+    fn ratio(&self) -> f64 {
+        self.candidate_ns / self.reference_ns
     }
 
     fn report(&self) {
         println!(
-            "hotpath/{:<28} {}: {:>12.0} ns   {}: {:>12.0} ns   speedup {:.2}x",
-            self.key,
-            self.baseline,
-            self.baseline_median_ns,
-            self.optimised,
-            self.optimised_median_ns,
-            self.speedup()
+            "{:<28} {}: {:>12.0} ns   {}: {:>12.0} ns   ratio {:.4}",
+            self.name,
+            self.reference,
+            self.reference_ns,
+            self.candidate,
+            self.candidate_ns,
+            self.ratio()
         );
+    }
+}
+
+/// Writes `pairs` to `file` at the workspace root, naming the
+/// `cargo bench` filter that produced them. Both committed artefacts use
+/// this one shape, validated by `crates/bench/tests/bench_schema.rs`.
+fn write_pairs_json(file: &str, filter: &str, sample_size: usize, pairs: &[HotpathPair]) {
+    use serde_json::Value;
+    let records = pairs
+        .iter()
+        .map(|p| {
+            Value::Map(vec![
+                ("name".into(), Value::Str(p.name.into())),
+                ("reference".into(), Value::Str(p.reference.into())),
+                ("candidate".into(), Value::Str(p.candidate.into())),
+                ("reference_ns".into(), Value::F64(p.reference_ns)),
+                ("candidate_ns".into(), Value::F64(p.candidate_ns)),
+                ("ratio".into(), Value::F64(p.ratio())),
+            ])
+        })
+        .collect();
+    let doc = Value::Map(vec![
+        ("schema_version".into(), Value::U64(2)),
+        (
+            "source".into(),
+            Value::Str(format!(
+                "cargo bench -p cordial-bench --bench perf -- {filter}"
+            )),
+        ),
+        ("sample_size".into(), Value::U64(sample_size as u64)),
+        ("pairs".into(), Value::Seq(records)),
+    ]);
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    let body = serde_json::to_string_pretty(&doc).expect("serialise") + "\n";
+    match std::fs::write(&path, body) {
+        Ok(()) => println!("{filter}: wrote {path}"),
+        Err(e) => println!("{filter}: could not write {path}: {e}"),
     }
 }
 
@@ -378,11 +385,11 @@ fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usi
     assert_eq!(fast_plan, reference_plan);
     assert_eq!(fast_plan, MitigationPlan::BankSparing);
 
-    let baseline_median_ns = measure_median_ns(sample_size, || {
+    let reference_ns = measure_median_ns(sample_size, || {
         let history = BankErrorHistory::new(bank, events.clone());
         black_box(pipeline.plan(&history));
     });
-    let optimised_median_ns = measure_median_ns(sample_size, || {
+    let candidate_ns = measure_median_ns(sample_size, || {
         let mut state = warm.clone();
         state.absorb(&trigger);
         let raw = state.vector(&geom).expect("sorted stream");
@@ -390,11 +397,11 @@ fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usi
         black_box(pipeline.plan_window_with_features(&window, &raw, Some(flat)));
     });
     HotpathPair {
-        key: "ingest_plan",
-        baseline: "reference_rescan",
-        optimised: "incremental_fast_path",
-        baseline_median_ns,
-        optimised_median_ns,
+        name: "ingest_plan",
+        reference: "reference_rescan",
+        candidate: "incremental_fast_path",
+        reference_ns,
+        candidate_ns,
     }
 }
 
@@ -407,7 +414,7 @@ const INFER_BATCH: usize = 256;
 /// records). Bit-identical probabilities — pinned in setup — so the pair
 /// measures only time.
 fn hotpath_inference(
-    key: &'static str,
+    name: &'static str,
     pointer: &dyn Classifier,
     flat: &FlatEnsemble,
     data: &Dataset,
@@ -423,65 +430,20 @@ fn hotpath_inference(
             "flat twin must be bit-identical before timing"
         );
     }
-    let baseline_median_ns = measure_median_ns(sample_size, || {
+    let reference_ns = measure_median_ns(sample_size, || {
         for row in &rows {
             black_box(pointer.predict_proba(black_box(row)));
         }
     });
-    let optimised_median_ns = measure_median_ns(sample_size, || {
+    let candidate_ns = measure_median_ns(sample_size, || {
         black_box(flat.predict_proba_batch(black_box(&rows)));
     });
     HotpathPair {
-        key,
-        baseline: "pointer_per_row",
-        optimised: "flat_soa_batch",
-        baseline_median_ns,
-        optimised_median_ns,
-    }
-}
-
-/// The committed machine-readable trajectory artefact
-/// (`BENCH_hotpath.json` at the workspace root): medians and speedup
-/// ratios for the ingest→plan and flat-inference hot paths.
-/// Schema pinned by `crates/bench/tests/bench_schema.rs`.
-fn write_hotpath_json(sample_size: usize, pairs: &[HotpathPair]) {
-    use serde_json::Value;
-    let benches: Vec<(String, Value)> = pairs
-        .iter()
-        .map(|p| {
-            (
-                p.key.to_string(),
-                Value::Map(vec![
-                    ("baseline".into(), Value::Str(p.baseline.into())),
-                    ("optimised".into(), Value::Str(p.optimised.into())),
-                    (
-                        "baseline_median_ns".into(),
-                        Value::F64(p.baseline_median_ns),
-                    ),
-                    (
-                        "optimised_median_ns".into(),
-                        Value::F64(p.optimised_median_ns),
-                    ),
-                    ("speedup".into(), Value::F64(p.speedup())),
-                ]),
-            )
-        })
-        .collect();
-    let doc = Value::Map(vec![
-        ("schema_version".into(), Value::U64(1)),
-        (
-            "source".into(),
-            Value::Str("cargo bench -p cordial-bench --bench perf -- hotpath".into()),
-        ),
-        ("sample_size".into(), Value::U64(sample_size as u64)),
-        ("benches".into(), Value::Map(benches)),
-    ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-    let body = serde_json::to_string_pretty(&doc).expect("serialise") + "\n";
-    if let Err(e) = std::fs::write(path, body) {
-        println!("hotpath: could not write {path}: {e}");
-    } else {
-        println!("hotpath: wrote {path}");
+        name,
+        reference: "pointer_per_row",
+        candidate: "flat_soa_batch",
+        reference_ns,
+        candidate_ns,
     }
 }
 
@@ -537,7 +499,7 @@ fn bench_hotpath(c: &mut Criterion) {
     for pair in &pairs {
         pair.report();
     }
-    write_hotpath_json(sample_size, &pairs);
+    write_pairs_json("BENCH_hotpath.json", "hotpath", sample_size, &pairs);
 }
 
 criterion_group!(

@@ -102,9 +102,10 @@ pub fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> Result<(), Str
 /// On-disk checkpoint of a monitoring session: the (immutable) trained
 /// pipeline plus the monitor's mutable state, so `--resume` needs exactly
 /// one file. Always written via [`write_json_atomic`]; read back with
-/// [`read_json`], which upgrades older monitor state through
+/// [`read_json`], where the monitor state passes the same schema-version
+/// gate as store checkpoints, run by
 /// [`MonitorCheckpoint`](cordial::monitor::MonitorCheckpoint)'s own
-/// migration-aware deserializer.
+/// deserializer: older state loads, newer state is refused.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct CheckpointFile {
     /// The trained pipeline the monitor was running.
@@ -223,27 +224,31 @@ mod tests {
         use cordial::split::split_banks;
         use cordial::CordialConfig;
         use cordial_faultsim::SparingBudget;
-        use cordial_store::migrate::set_version;
         use serde::Value;
 
-        /// Rewrites the `state` subtree of a checkpoint file's JSON tree.
-        fn map_state(value: Value, f: impl Fn(Value) -> Value) -> Value {
-            match value {
-                Value::Map(fields) => Value::Map(
-                    fields
-                        .into_iter()
-                        .map(|(key, sub)| {
-                            if key == "state" {
-                                let sub = f(sub);
-                                (key, sub)
-                            } else {
-                                (key, sub)
-                            }
-                        })
-                        .collect(),
-                ),
-                other => other,
-            }
+        /// The file's JSON tree with the state's `schema_version` replaced
+        /// by `version`, or removed when `version` is `None`.
+        fn with_state_version(file: &Value, version: Option<u64>) -> Value {
+            let Value::Map(fields) = file.clone() else {
+                panic!("checkpoint files are JSON objects");
+            };
+            let fields = fields
+                .into_iter()
+                .map(|(key, sub)| match sub {
+                    Value::Map(state) if key == "state" => {
+                        let mut state: Vec<_> = state
+                            .into_iter()
+                            .filter(|(field, _)| field != "schema_version")
+                            .collect();
+                        if let Some(version) = version {
+                            state.insert(0, ("schema_version".to_string(), Value::U64(version)));
+                        }
+                        (key, Value::Map(state))
+                    }
+                    other => (key, other),
+                })
+                .collect();
+            Value::Map(fields)
         }
 
         let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 9);
@@ -273,25 +278,14 @@ mod tests {
         let value = serde_json::parse_value_str(&fs::read_to_string(&path).unwrap()).unwrap();
 
         // A pre-versioning (v0) file — no `schema_version` in the state —
-        // migrates on load.
-        let v0 = map_state(value.clone(), |state| match state {
-            Value::Map(fields) => Value::Map(
-                fields
-                    .into_iter()
-                    .filter(|(key, _)| key != "schema_version")
-                    .collect(),
-            ),
-            other => other,
-        });
+        // loads too.
+        let v0 = with_state_version(&value, None);
         let v0_path = temp_path("resume-v0.json");
         fs::write(&v0_path, serde_json::to_string(&v0).unwrap()).unwrap();
         assert_eq!(resume(&v0_path).unwrap().stats(), monitor.stats());
 
         // A file from a future release fails with the greppable error.
-        let future = map_state(value, |mut state| {
-            set_version(&mut state, u64::from(CHECKPOINT_SCHEMA_VERSION) + 9).unwrap();
-            state
-        });
+        let future = with_state_version(&value, Some(u64::from(CHECKPOINT_SCHEMA_VERSION) + 9));
         let future_path = temp_path("resume-future.json");
         fs::write(&future_path, serde_json::to_string(&future).unwrap()).unwrap();
         let err = resume(&future_path).unwrap_err();

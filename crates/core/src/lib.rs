@@ -57,7 +57,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod baseline;
-pub mod checkpoint;
+mod checkpoint;
 pub mod classifier;
 pub mod config;
 pub mod crossrow;

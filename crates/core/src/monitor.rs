@@ -18,7 +18,7 @@ use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, ObservedWindow, Ti
 use cordial_obs::{BurnConfig, BurnRate, DriftConfig, MixDriftDetector};
 use cordial_topology::{BankAddress, CellAddress, RowId};
 
-use crate::checkpoint::checkpoint_migrations;
+use crate::checkpoint::check_schema_version;
 use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
 use crate::pipeline::{Cordial, MitigationPlan};
@@ -26,8 +26,8 @@ use crate::pipeline::{Cordial, MitigationPlan};
 /// Version of the [`MonitorCheckpoint`] wire format this build writes.
 ///
 /// Bumped whenever the checkpoint layout changes incompatibly (new stats
-/// fields, guard-buffer shape, …), together with a new step in
-/// [`checkpoint_migrations`](crate::checkpoint::checkpoint_migrations) so
+/// fields, guard-buffer shape, …), together with a new arm in the
+/// checkpoint's schema-version gate (`crates/core/src/checkpoint.rs`) so
 /// older checkpoints keep loading.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
@@ -410,9 +410,8 @@ struct BankState {
 ///
 /// Serialization is hand-written rather than derived because the payload
 /// is versioned: `Serialize` stamps [`CHECKPOINT_SCHEMA_VERSION`], and
-/// `Deserialize` first runs the payload through
-/// [`checkpoint_migrations`](crate::checkpoint::checkpoint_migrations), so
-/// every loader upgrades older checkpoints and refuses newer ones with the
+/// `Deserialize` first checks the payload's schema version in place, so
+/// every loader accepts older checkpoints and refuses newer ones with the
 /// "unsupported future schema version" error.
 #[derive(Debug, Clone)]
 pub struct MonitorCheckpoint {
@@ -454,14 +453,12 @@ impl Serialize for MonitorCheckpoint {
 
 impl<'de> Deserialize<'de> for MonitorCheckpoint {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let (value, _from_version) = checkpoint_migrations()
-            .upgrade(value.clone())
-            .map_err(|err| serde::Error::custom(err.to_string()))?;
+        check_schema_version(value)?;
         Ok(Self {
-            engine: serde::de_field(&value, "engine")?,
-            banks: serde::de_field(&value, "banks")?,
-            stats: serde::de_field(&value, "stats")?,
-            guard: serde::de_field(&value, "guard")?,
+            engine: serde::de_field(value, "engine")?,
+            banks: serde::de_field(value, "banks")?,
+            stats: serde::de_field(value, "stats")?,
+            guard: serde::de_field(value, "guard")?,
             // Absent in same-version checkpoints written before the caps
             // existed: default rather than reject.
             feature_caps: match value.get("feature_caps") {
@@ -919,7 +916,8 @@ impl CordialMonitor {
     /// Resumed ingestion is bit-equivalent to never having stopped: final
     /// stats and isolation state match the uninterrupted run's for any
     /// checkpoint index. Infallible: a [`MonitorCheckpoint`] value is
-    /// always in the current layout, because deserializing one migrates it.
+    /// always in the current layout, because deserializing one passes the
+    /// schema-version gate first.
     pub fn restore(pipeline: Cordial, checkpoint: MonitorCheckpoint) -> Self {
         let banks: BTreeMap<BankAddress, BankState> = checkpoint.banks.into_iter().collect();
         // Incremental feature state is derived, not persisted: replay each

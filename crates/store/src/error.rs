@@ -6,13 +6,13 @@
 //! [`RecoveryReport`](crate::store::RecoveryReport). [`StoreError`] is for
 //! the failures the store cannot absorb: I/O errors talking to the
 //! filesystem, structural corruption outside the recoverable tail (a
-//! malformed manifest), and schema migrations that cannot be applied.
+//! malformed manifest), and records too large to frame. Checkpoint
+//! payloads are opaque here: their schema version is checked by whoever
+//! decodes them.
 
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-
-use crate::migrate::MigrationError;
 
 /// A failure the store cannot recover from on its own.
 #[derive(Debug)]
@@ -41,8 +41,6 @@ pub enum StoreError {
         /// The cap.
         max: usize,
     },
-    /// A checkpoint payload could not be migrated to the current schema.
-    Migration(MigrationError),
 }
 
 impl StoreError {
@@ -68,7 +66,6 @@ impl fmt::Display for StoreError {
             StoreError::TooLarge { len, max } => {
                 write!(f, "record body of {len} bytes exceeds the {max}-byte cap")
             }
-            StoreError::Migration(err) => write!(f, "checkpoint migration failed: {err}"),
         }
     }
 }
@@ -78,14 +75,7 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Corrupt { .. } | StoreError::TooLarge { .. } => None,
-            StoreError::Migration(err) => Some(err),
         }
-    }
-}
-
-impl From<MigrationError> for StoreError {
-    fn from(err: MigrationError) -> Self {
-        StoreError::Migration(err)
     }
 }
 

@@ -27,11 +27,7 @@
 //! 4. **Sparse replay index** ([`Store::replay`]) — per-segment time
 //!    bounds plus in-segment seek points make `(device, time-range)`
 //!    replay skip what it can prove irrelevant.
-//! 5. **Versioned schema migrations** ([`migrate`]) — a
-//!    `migrate_v0_v1`-style registry that upgrades checkpoint payloads
-//!    written by older releases and fails future ones with a greppable
-//!    typed error.
-//! 6. **Compaction** ([`Store::compact`]) — events covered by their
+//! 5. **Compaction** ([`Store::compact`]) — events covered by their
 //!    device's newest checkpoint and superseded checkpoints are
 //!    rewritten away behind an atomic manifest swap.
 //!
@@ -61,14 +57,12 @@
 
 pub mod crc;
 pub mod error;
-pub mod migrate;
 pub mod record;
 pub(crate) mod segment;
 pub mod store;
 
 pub use crc::crc32;
 pub use error::StoreError;
-pub use migrate::{Migration, MigrationError, MigrationRegistry};
 pub use record::{
     decode_event_record, encode_event_record, DeviceKey, Record, RecordError, EVENT_WIRE_LEN,
 };

@@ -22,8 +22,8 @@
 //!   events this way, so one frame (one length word, one CRC) covers a
 //!   whole wire batch and recovery keeps or cuts it whole.
 //! * kind `2` (checkpoint): device key (8 bytes) | journal_seq u64le |
-//!   UTF-8 JSON checkpoint payload (schema-agnostic; versioned via
-//!   [`crate::migrate`]).
+//!   UTF-8 JSON checkpoint payload (schema-agnostic: the payload carries
+//!   its own version, checked by whoever decodes it).
 //! * kind `1` (event): one 26-byte event record. Stores written before
 //!   event batches framed every event this way; they still open and
 //!   replay, but nothing writes this kind any more.
@@ -157,8 +157,8 @@ pub enum Record {
         /// `seq <= journal_seq` for this device is already folded into
         /// the checkpointed state, so replay starts *after* it.
         journal_seq: u64,
-        /// Schema-agnostic JSON checkpoint payload (see
-        /// [`crate::migrate`] for versioning).
+        /// Schema-agnostic JSON checkpoint payload; the store never
+        /// decodes it.
         payload: String,
     },
 }
