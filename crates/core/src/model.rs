@@ -104,6 +104,10 @@ impl ModelKind {
     /// Fits the selected family with an explicit worker-thread count
     /// (1 = sequential; the fitted model is the same either way).
     ///
+    /// All three families use it: the forest fits its trees on that many
+    /// workers, and XGBoost and LightGBM fit each round's per-class trees
+    /// on them.
+    ///
     /// # Errors
     ///
     /// Propagates the underlying [`FitError`].
@@ -133,12 +137,12 @@ impl ModelKind {
                 max_depth,
                 learning_rate,
             } => {
-                // The depth-wise GBDT has no parallel fit path.
                 let config = GbdtConfig {
                     n_rounds,
                     max_depth,
                     learning_rate,
                     seed,
+                    n_threads,
                     ..Default::default()
                 };
                 Gbdt::fit(data, &config).map(TrainedModel::Xgb)

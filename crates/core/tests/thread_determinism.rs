@@ -34,7 +34,11 @@ fn trained_models_are_identical_for_every_thread_count() {
     let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 85);
     let split = split_banks(&dataset, 0.7, 85);
 
-    for model in [ModelKind::random_forest(), ModelKind::lightgbm()] {
+    for model in [
+        ModelKind::random_forest(),
+        ModelKind::xgboost(),
+        ModelKind::lightgbm(),
+    ] {
         let sequential = fit_with_threads(&dataset, &split.train, model, 1);
         for n_threads in [2, 4, 8] {
             let parallel = fit_with_threads(&dataset, &split.train, model, n_threads);

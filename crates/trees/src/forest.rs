@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::error::FitError;
+use crate::rank::RankedColumns;
 use crate::tree::{DecisionTree, TreeConfig};
 use crate::Classifier;
 
@@ -122,6 +123,8 @@ impl RandomForest {
         let tree_seeds: Vec<u64> = (0..config.n_trees).map(|_| seed_rng.gen()).collect();
 
         let _span = cordial_obs::span!("forest_fit");
+        // Encoded once, read by every tree worker.
+        let ranked = RankedColumns::new(data);
         let fit_one = |tree_seed: u64| -> Result<DecisionTree, FitError> {
             cordial_obs::counter!("trees.trees_built").inc();
             let mut rng = StdRng::seed_from_u64(tree_seed);
@@ -133,7 +136,7 @@ impl RandomForest {
                 seed: tree_seed,
                 ..config.base
             };
-            DecisionTree::fit_indices(data, &indices, &tree_config)
+            DecisionTree::fit_ranked(data, &ranked, &indices, &tree_config)
         };
 
         let trees = crate::parallel::ordered_map(&tree_seeds, config.n_threads, |&s| fit_one(s))

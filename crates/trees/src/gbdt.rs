@@ -8,6 +8,12 @@
 //! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 //! leaf  = −G/(H+λ)
 //! ```
+//!
+//! Splits are exact: every feature is rank-encoded once per fit
+//! (`RankedColumns`), and a node orders its rows by those ranks instead
+//! of sorting values. The per-class trees of one round are fitted on
+//! worker threads; sampling is drawn before the fork and results are
+//! folded back in class order, so every `n_threads` gives the same model.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -16,6 +22,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::error::FitError;
+use crate::parallel::ordered_map_indexed;
+use crate::rank::{nan_first, RankSort, RankedColumns};
 use crate::Classifier;
 
 /// Hyperparameters of a [`Gbdt`].
@@ -45,6 +53,9 @@ pub struct GbdtConfig {
     pub validation_fraction: f64,
     /// RNG seed for row/feature subsampling.
     pub seed: u64,
+    /// Worker threads fitting one round's per-class trees (1 = sequential).
+    /// The fitted model is identical for every thread count.
+    pub n_threads: usize,
 }
 
 impl Default for GbdtConfig {
@@ -61,6 +72,7 @@ impl Default for GbdtConfig {
             early_stopping_rounds: None,
             validation_fraction: 0.15,
             seed: 0,
+            n_threads: 4,
         }
     }
 }
@@ -101,10 +113,12 @@ impl Gbdt {
     /// [`FitError::InvalidConfig`] for invalid hyperparameters.
     pub fn fit(data: &Dataset, config: &GbdtConfig) -> Result<Self, FitError> {
         validate(data, config)?;
+        let _span = cordial_obs::span!("xgb_fit");
         let n = data.n_rows();
         let k = data.n_classes();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut gains = vec![0.0f64; data.n_features()];
+        let ranked = RankedColumns::new(data);
 
         // Early-stopping holdout: validation rows never feed tree fitting.
         let (train_rows, val_rows): (Vec<usize>, Vec<usize>) =
@@ -134,6 +148,7 @@ impl Gbdt {
         let mut rounds_since_best = 0usize;
 
         for _ in 0..config.n_rounds {
+            cordial_obs::counter!("trees.boost_rounds").inc();
             // Softmax probabilities.
             let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
 
@@ -149,8 +164,26 @@ impl Gbdt {
                 train_rows.clone()
             };
 
-            let mut round_trees = Vec::with_capacity(k);
-            for class in 0..k {
+            // Each class's feature sample, drawn before the fork in class
+            // order: the RNG stream is the sequential one.
+            let class_features: Vec<Vec<usize>> = (0..k)
+                .map(|_| {
+                    if config.colsample < 1.0 {
+                        let target = (((data.n_features() as f64) * config.colsample).ceil()
+                            as usize)
+                            .max(1);
+                        let mut all: Vec<usize> = (0..data.n_features()).collect();
+                        all.shuffle(&mut rng);
+                        all.truncate(target);
+                        all
+                    } else {
+                        (0..data.n_features()).collect()
+                    }
+                })
+                .collect();
+
+            let fit_class = |class: usize| -> ClassFit {
+                cordial_obs::counter!("trees.trees_built").inc();
                 let grad_hess: Vec<(f64, f64)> = (0..n)
                     .map(|i| {
                         let p = probs[i][class];
@@ -158,23 +191,26 @@ impl Gbdt {
                         (p - y, (p * (1.0 - p)).max(1e-16))
                     })
                     .collect();
+                let (tree, gains) =
+                    RegTree::fit(&ranked, &rows, &grad_hess, &class_features[class], config);
+                let preds = (0..n).map(|i| tree.predict(data.row(i))).collect();
+                ClassFit { tree, gains, preds }
+            };
 
-                let features: Vec<usize> = if config.colsample < 1.0 {
-                    let target =
-                        (((data.n_features() as f64) * config.colsample).ceil() as usize).max(1);
-                    let mut all: Vec<usize> = (0..data.n_features()).collect();
-                    all.shuffle(&mut rng);
-                    all.truncate(target);
-                    all
-                } else {
-                    (0..data.n_features()).collect()
-                };
-
-                let tree = RegTree::fit(data, &rows, &grad_hess, &features, config, &mut gains);
-                for (i, score_row) in scores.iter_mut().enumerate() {
-                    score_row[class] += config.learning_rate * tree.predict(data.row(i));
+            // Fold in class order: the same additions, in the same order,
+            // as fitting the classes one after another.
+            let mut round_trees = Vec::with_capacity(k);
+            for (class, fit) in ordered_map_indexed(k, config.n_threads, fit_class)
+                .into_iter()
+                .enumerate()
+            {
+                for (score_row, pred) in scores.iter_mut().zip(&fit.preds) {
+                    score_row[class] += config.learning_rate * pred;
                 }
-                round_trees.push(tree);
+                for (feature, gain) in fit.gains {
+                    gains[feature] += gain;
+                }
+                round_trees.push(fit.tree);
             }
             trees.push(round_trees);
 
@@ -285,7 +321,21 @@ fn validate(data: &Dataset, config: &GbdtConfig) -> Result<(), FitError> {
     if config.lambda < 0.0 {
         return Err(FitError::InvalidConfig("lambda must be non-negative"));
     }
+    if config.early_stopping_rounds.is_some() && data.n_rows() < 2 {
+        return Err(FitError::InvalidConfig(
+            "early stopping needs at least 2 rows",
+        ));
+    }
     Ok(())
+}
+
+/// One class tree of a boosting round, fitted on a worker.
+struct ClassFit {
+    tree: RegTree,
+    /// `(feature, gain)` per split, in build order.
+    gains: Vec<(usize, f64)>,
+    /// The tree's output for every row of the dataset.
+    preds: Vec<f64>,
 }
 
 /// Normalises a gain vector to sum to 1 (zeros stay zeros).
@@ -326,76 +376,26 @@ pub(crate) enum RegNode {
 }
 
 impl RegTree {
+    /// Fits one tree to `rows`. Returns it with its `(feature, gain)`
+    /// contributions, one per split in build (depth-first) order.
     fn fit(
-        data: &Dataset,
+        ranked: &RankedColumns,
         rows: &[usize],
         grad_hess: &[(f64, f64)],
         features: &[usize],
         config: &GbdtConfig,
-        gains: &mut [f64],
-    ) -> Self {
-        let mut tree = RegTree { nodes: Vec::new() };
-        let mut work = rows.to_vec();
-        tree.build(data, &mut work, grad_hess, features, 0, config, gains);
-        tree
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &mut self,
-        data: &Dataset,
-        rows: &mut [usize],
-        grad_hess: &[(f64, f64)],
-        features: &[usize],
-        depth: usize,
-        config: &GbdtConfig,
-        gains: &mut [f64],
-    ) -> usize {
-        let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
-            (g + grad_hess[i].0, h + grad_hess[i].1)
-        });
-
-        if depth < config.max_depth && rows.len() >= 2 {
-            if let Some(split) = best_split(data, rows, grad_hess, features, g_sum, h_sum, config) {
-                let mid = partition(data, rows, split.feature, split.threshold);
-                if mid > 0 && mid < rows.len() {
-                    gains[split.feature] += split.gain.max(0.0);
-                    let node_idx = self.nodes.len();
-                    self.nodes.push(RegNode::Leaf { weight: 0.0 });
-                    let (left_rows, right_rows) = rows.split_at_mut(mid);
-                    let left = self.build(
-                        data,
-                        left_rows,
-                        grad_hess,
-                        features,
-                        depth + 1,
-                        config,
-                        gains,
-                    );
-                    let right = self.build(
-                        data,
-                        right_rows,
-                        grad_hess,
-                        features,
-                        depth + 1,
-                        config,
-                        gains,
-                    );
-                    self.nodes[node_idx] = RegNode::Split {
-                        feature: split.feature,
-                        threshold: split.threshold,
-                        left,
-                        right,
-                    };
-                    return node_idx;
-                }
-            }
-        }
-
-        let weight = -g_sum / (h_sum + config.lambda);
-        let node_idx = self.nodes.len();
-        self.nodes.push(RegNode::Leaf { weight });
-        node_idx
+    ) -> (Self, Vec<(usize, f64)>) {
+        let mut grow = Grow {
+            ranked,
+            grad_hess,
+            features,
+            config,
+            sort: RankSort::default(),
+            nodes: Vec::new(),
+            gains: Vec::new(),
+        };
+        grow.build(&mut rows.to_vec(), 0);
+        (RegTree { nodes: grow.nodes }, grow.gains)
     }
 
     pub(crate) fn predict(&self, row: &[f64]) -> f64 {
@@ -421,14 +421,108 @@ impl RegTree {
     }
 }
 
+/// One tree's growth: its inputs, sort buffers, nodes and split gains.
+struct Grow<'a> {
+    ranked: &'a RankedColumns,
+    grad_hess: &'a [(f64, f64)],
+    features: &'a [usize],
+    config: &'a GbdtConfig,
+    sort: RankSort,
+    nodes: Vec<RegNode>,
+    gains: Vec<(usize, f64)>,
+}
+
+impl Grow<'_> {
+    fn build(&mut self, rows: &mut [usize], depth: usize) -> usize {
+        let grad_hess = self.grad_hess;
+        let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
+            (g + grad_hess[i].0, h + grad_hess[i].1)
+        });
+
+        if depth < self.config.max_depth && rows.len() >= 2 {
+            if let Some(split) = self.best_split(rows, g_sum, h_sum) {
+                let mid = self.ranked.partition(rows, split.feature, split.threshold);
+                if mid > 0 && mid < rows.len() {
+                    self.gains.push((split.feature, split.gain.max(0.0)));
+                    let node_idx = self.nodes.len();
+                    self.nodes.push(RegNode::Leaf { weight: 0.0 });
+                    let (left_rows, right_rows) = rows.split_at_mut(mid);
+                    let left = self.build(left_rows, depth + 1);
+                    let right = self.build(right_rows, depth + 1);
+                    self.nodes[node_idx] = RegNode::Split {
+                        feature: split.feature,
+                        threshold: split.threshold,
+                        left,
+                        right,
+                    };
+                    return node_idx;
+                }
+            }
+        }
+
+        let weight = -g_sum / (h_sum + self.config.lambda);
+        let node_idx = self.nodes.len();
+        self.nodes.push(RegNode::Leaf { weight });
+        node_idx
+    }
+
+    /// The exact best split of `rows`: for each feature, prefix sums in
+    /// rank order, a candidate between every two distinct keys.
+    fn best_split(&mut self, rows: &[usize], g_sum: f64, h_sum: f64) -> Option<RegSplit> {
+        let config = self.config;
+        let parent_score = g_sum * g_sum / (h_sum + config.lambda);
+        let mut best_gain = 1e-12;
+        let mut best = None;
+        for &feature in self.features {
+            let sorted = self.sort.sort(self.ranked, feature, rows);
+            let column = self.ranked.values(feature);
+
+            let mut g_left = 0.0;
+            let mut h_left = 0.0;
+            for pos in 0..sorted.len() - 1 {
+                g_left += self.grad_hess[sorted[pos]].0;
+                h_left += self.grad_hess[sorted[pos]].1;
+                let (value, next_value) = (
+                    nan_first(column[sorted[pos]]),
+                    nan_first(column[sorted[pos + 1]]),
+                );
+                if value == next_value || value == f64::NEG_INFINITY {
+                    continue;
+                }
+                let h_right = h_sum - h_left;
+                if h_left < config.min_child_weight || h_right < config.min_child_weight {
+                    continue;
+                }
+                let g_right = g_sum - g_left;
+                let gain = 0.5
+                    * (g_left * g_left / (h_left + config.lambda)
+                        + g_right * g_right / (h_right + config.lambda)
+                        - parent_score)
+                    - config.gamma;
+                if gain > best_gain {
+                    best_gain = gain;
+                    best = Some(RegSplit {
+                        feature,
+                        threshold: value + (next_value - value) / 2.0,
+                        gain,
+                    });
+                }
+            }
+        }
+        best
+    }
+}
+
 struct RegSplit {
     feature: usize,
     threshold: f64,
     gain: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn best_split(
+/// The per-node value sort and scan that [`Grow::best_split`] replaced,
+/// kept as the oracle its bit-identity test compares against.
+#[cfg(test)]
+fn best_split_by_value(
     data: &Dataset,
     rows: &[usize],
     grad_hess: &[(f64, f64)],
@@ -482,21 +576,10 @@ fn best_split(
     best
 }
 
-fn partition(data: &Dataset, rows: &mut [usize], feature: usize, threshold: f64) -> usize {
-    let mut mid = 0;
-    for i in 0..rows.len() {
-        let v = data.value(rows[i], feature);
-        if v.is_nan() || v <= threshold {
-            rows.swap(i, mid);
-            mid += 1;
-        }
-    }
-    mid
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn blobs() -> Dataset {
         let mut data = Dataset::new(2, 3);
@@ -600,6 +683,19 @@ mod tests {
             Gbdt::fit(&Dataset::new(1, 2), &GbdtConfig::default()),
             Err(FitError::EmptyDataset)
         );
+        // A one-row dataset leaves no row to hold out for validation.
+        let mut one_row = Dataset::new(1, 2);
+        one_row.push_row(&[1.0], 0).unwrap();
+        let early = GbdtConfig {
+            early_stopping_rounds: Some(3),
+            ..GbdtConfig::default()
+        };
+        assert_eq!(
+            Gbdt::fit(&one_row, &early),
+            Err(FitError::InvalidConfig(
+                "early stopping needs at least 2 rows"
+            ))
+        );
     }
 
     #[test]
@@ -637,5 +733,98 @@ mod tests {
         let model = Gbdt::fit(&blobs(), &GbdtConfig::default().with_rounds(2)).unwrap();
         assert_eq!(model.raw_scores(&[1.0, 1.0]).len(), 3);
         assert_eq!(model.n_rounds(), 2);
+    }
+
+    #[test]
+    fn model_is_identical_for_every_thread_count() {
+        let data = blobs();
+        let base = GbdtConfig {
+            subsample: 0.8,
+            colsample: 0.5,
+            early_stopping_rounds: Some(3),
+            n_threads: 1,
+            ..GbdtConfig::default().with_rounds(8).with_seed(3)
+        };
+        let sequential = Gbdt::fit(&data, &base).unwrap();
+        for n_threads in [2, 3, 8] {
+            let parallel = Gbdt::fit(&data, &GbdtConfig { n_threads, ..base }).unwrap();
+            assert_eq!(sequential, parallel, "n_threads={n_threads}");
+            assert_eq!(
+                sequential.feature_importance(),
+                parallel.feature_importance()
+            );
+        }
+    }
+
+    /// Values with NaN, ±0.0, ±∞ and heavy ties.
+    const POOL: [f64; 8] = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        -0.0,
+        0.0,
+        1.0,
+        2.0,
+        -3.5,
+    ];
+
+    type Node = (Dataset, Vec<(f64, f64)>, Vec<usize>, Vec<usize>);
+
+    /// A dataset, its grad/hess pairs, one node's rows (repeats allowed,
+    /// as in bootstrap samples) and the features it may split on.
+    fn arb_node() -> impl Strategy<Value = Node> {
+        (2usize..200, 1usize..4).prop_flat_map(|(n_rows, n_features)| {
+            let value = || {
+                prop_oneof![
+                    3 => (0usize..POOL.len()).prop_map(|i| POOL[i]),
+                    1 => -50.0..50.0f64,
+                ]
+            };
+            let table = prop::collection::vec(prop::collection::vec(value(), n_features), n_rows);
+            let grad_hess = prop::collection::vec((-1.0..1.0f64, 0.001..1.0f64), n_rows);
+            let rows = prop::collection::vec(0..n_rows, 2..250);
+            let features = prop::collection::vec(0..n_features, 1..=n_features);
+            (table, grad_hess, rows, features).prop_map(
+                move |(table, grad_hess, rows, features)| {
+                    let mut data = Dataset::new(n_features, 2);
+                    for row in &table {
+                        data.push_row(row, 0).unwrap();
+                    }
+                    (data, grad_hess, rows, features)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn ranked_split_search_matches_the_value_sort(
+            (data, grad_hess, rows, features) in arb_node(),
+            min_child_weight in prop_oneof![Just(0.0), Just(1.0)],
+        ) {
+            let config = GbdtConfig { min_child_weight, ..GbdtConfig::default() };
+            let ranked = RankedColumns::new(&data);
+            let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
+                (g + grad_hess[i].0, h + grad_hess[i].1)
+            });
+            let mut grow = Grow {
+                ranked: &ranked,
+                grad_hess: &grad_hess,
+                features: &features,
+                config: &config,
+                sort: RankSort::default(),
+                nodes: Vec::new(),
+                gains: Vec::new(),
+            };
+            let bits = |split: Option<RegSplit>| {
+                split.map(|s| (s.feature, s.threshold.to_bits(), s.gain.to_bits()))
+            };
+            prop_assert_eq!(
+                bits(grow.best_split(&rows, g_sum, h_sum)),
+                bits(best_split_by_value(&data, &rows, &grad_hess, &features, g_sum, h_sum, &config))
+            );
+        }
     }
 }

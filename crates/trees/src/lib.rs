@@ -53,6 +53,7 @@ mod lgbm;
 pub mod metrics;
 pub mod model_selection;
 pub mod parallel;
+mod rank;
 pub mod stats;
 mod tree;
 

@@ -5,8 +5,8 @@
 //! and any RNG seeds are derived *before* the fork, each item is processed
 //! independently, and results are re-assembled in input order. The output
 //! is therefore bit-identical to the sequential path regardless of thread
-//! count or scheduling — the invariant the forest, LightGBM and pipeline
-//! determinism tests assert.
+//! count or scheduling — the invariant the forest, GBDT, LightGBM and
+//! pipeline determinism tests assert.
 
 /// Maps `f` over `items` in input order, splitting the slice across up to
 /// `n_threads` scoped worker threads.

@@ -1,5 +1,7 @@
 //! CART decision trees: exact-split classification trees with optional
 //! per-split feature subsampling (the building block of [`RandomForest`]).
+//! Split search orders each node's rows by feature ranks encoded once per
+//! fit (`RankedColumns`), not by sorting values at every node.
 //!
 //! [`RandomForest`]: crate::RandomForest
 
@@ -10,6 +12,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::error::FitError;
+#[cfg(test)]
+use crate::rank::nan_first;
+use crate::rank::{RankSort, RankedColumns};
 use crate::Classifier;
 
 /// Split-impurity criterion.
@@ -134,135 +139,39 @@ impl DecisionTree {
         indices: &[usize],
         config: &TreeConfig,
     ) -> Result<Self, FitError> {
+        Self::fit_ranked(data, &RankedColumns::new(data), indices, config)
+    }
+
+    /// [`DecisionTree::fit_indices`] on a rank encoding of `data` built
+    /// once and shared by every tree of a forest.
+    pub(crate) fn fit_ranked(
+        data: &Dataset,
+        ranked: &RankedColumns,
+        indices: &[usize],
+        config: &TreeConfig,
+    ) -> Result<Self, FitError> {
         if indices.is_empty() || data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
         if config.min_samples_leaf == 0 {
             return Err(FitError::InvalidConfig("min_samples_leaf must be >= 1"));
         }
-        let mut tree = DecisionTree {
+        let mut grow = Grow {
+            data,
+            ranked,
+            config,
+            rng: StdRng::seed_from_u64(config.seed),
+            sort: RankSort::default(),
             nodes: Vec::new(),
-            n_features: data.n_features(),
-            n_classes: data.n_classes(),
             gains: vec![0.0; data.n_features()],
         };
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut work = indices.to_vec();
-        tree.build(data, &mut work, 0, config, &mut rng);
-        Ok(tree)
-    }
-
-    fn build(
-        &mut self,
-        data: &Dataset,
-        indices: &mut [usize],
-        depth: usize,
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> usize {
-        let counts = class_counts(data, indices, self.n_classes);
-        let total = indices.len() as f64;
-        let node_impurity = config.impurity.impurity(&counts, total);
-
-        let stop = depth >= config.max_depth
-            || indices.len() < config.min_samples_split
-            || node_impurity == 0.0;
-        if !stop {
-            if let Some(split) = self.best_split(data, indices, &counts, node_impurity, config, rng)
-            {
-                // Partition in place: left = value <= threshold or NaN.
-                let mid = partition(data, indices, split.feature, split.threshold);
-                if mid >= config.min_samples_leaf && indices.len() - mid >= config.min_samples_leaf
-                {
-                    self.gains[split.feature] += split.gain * total;
-                    let node_idx = self.nodes.len();
-                    self.nodes.push(Node::Leaf { proba: Vec::new() }); // placeholder
-                    let (left_slice, right_slice) = indices.split_at_mut(mid);
-                    let left = self.build(data, left_slice, depth + 1, config, rng);
-                    let right = self.build(data, right_slice, depth + 1, config, rng);
-                    self.nodes[node_idx] = Node::Split {
-                        feature: split.feature,
-                        threshold: split.threshold,
-                        left,
-                        right,
-                    };
-                    return node_idx;
-                }
-            }
-        }
-        let proba: Vec<f64> = counts.iter().map(|&c| c / total).collect();
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { proba });
-        node_idx
-    }
-
-    fn best_split(
-        &self,
-        data: &Dataset,
-        indices: &[usize],
-        parent_counts: &[f64],
-        parent_impurity: f64,
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> Option<SplitCandidate> {
-        let n_features = data.n_features();
-        let feature_pool: Vec<usize> = match config.max_features {
-            Some(k) if k < n_features => {
-                let mut all: Vec<usize> = (0..n_features).collect();
-                all.shuffle(rng);
-                all.truncate(k.max(1));
-                all
-            }
-            _ => (0..n_features).collect(),
-        };
-
-        let total = indices.len() as f64;
-        let mut best: Option<SplitCandidate> = None;
-        let mut sorted: Vec<(f64, usize)> = Vec::with_capacity(indices.len());
-        for &feature in &feature_pool {
-            sorted.clear();
-            sorted.extend(
-                indices
-                    .iter()
-                    .map(|&i| (data.value(i, feature), data.label(i))),
-            );
-            // NaN sorts first so missing rows stay in the left prefix.
-            sorted.sort_by(|a, b| {
-                nan_first(a.0)
-                    .partial_cmp(&nan_first(b.0))
-                    .expect("nan_first removes NaN")
-            });
-
-            let mut left_counts = vec![0.0f64; self.n_classes];
-            for pos in 0..sorted.len().saturating_sub(1) {
-                left_counts[sorted[pos].1] += 1.0;
-                let (value, next_value) = (sorted[pos].0, sorted[pos + 1].0);
-                // No threshold can separate NaN rows or equal values.
-                if value.is_nan() || next_value.is_nan() || value == next_value {
-                    continue;
-                }
-                let left_total = (pos + 1) as f64;
-                let right_total = total - left_total;
-                let right_counts: Vec<f64> = parent_counts
-                    .iter()
-                    .zip(&left_counts)
-                    .map(|(p, l)| p - l)
-                    .collect();
-                let weighted = (left_total / total)
-                    * config.impurity.impurity(&left_counts, left_total)
-                    + (right_total / total) * config.impurity.impurity(&right_counts, right_total);
-                let gain = parent_impurity - weighted;
-                if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
-                    let threshold = midpoint(value, next_value);
-                    best = Some(SplitCandidate {
-                        feature,
-                        threshold,
-                        gain,
-                    });
-                }
-            }
-        }
-        best
+        grow.build(&mut indices.to_vec(), 0);
+        Ok(DecisionTree {
+            nodes: grow.nodes,
+            n_features: data.n_features(),
+            n_classes: data.n_classes(),
+            gains: grow.gains,
+        })
     }
 
     /// Class-probability vector at the leaf reached by `row`.
@@ -326,6 +235,187 @@ impl Classifier for DecisionTree {
     }
 }
 
+/// One tree's growth: its inputs, RNG, sort buffers, nodes and gains.
+struct Grow<'a> {
+    data: &'a Dataset,
+    ranked: &'a RankedColumns,
+    config: &'a TreeConfig,
+    rng: StdRng,
+    sort: RankSort,
+    nodes: Vec<Node>,
+    gains: Vec<f64>,
+}
+
+impl Grow<'_> {
+    fn build(&mut self, indices: &mut [usize], depth: usize) -> usize {
+        let config = self.config;
+        let counts = class_counts(self.data, indices, self.data.n_classes());
+        let total = indices.len() as f64;
+        let node_impurity = config.impurity.impurity(&counts, total);
+
+        let stop = depth >= config.max_depth
+            || indices.len() < config.min_samples_split
+            || node_impurity == 0.0;
+        if !stop {
+            if let Some(split) = self.best_split(indices, &counts, node_impurity) {
+                // Partition in place: left = value <= threshold or NaN.
+                let mid = self
+                    .ranked
+                    .partition(indices, split.feature, split.threshold);
+                if mid >= config.min_samples_leaf && indices.len() - mid >= config.min_samples_leaf
+                {
+                    self.gains[split.feature] += split.gain * total;
+                    let node_idx = self.nodes.len();
+                    self.nodes.push(Node::Leaf { proba: Vec::new() }); // placeholder
+                    let (left_slice, right_slice) = indices.split_at_mut(mid);
+                    let left = self.build(left_slice, depth + 1);
+                    let right = self.build(right_slice, depth + 1);
+                    self.nodes[node_idx] = Node::Split {
+                        feature: split.feature,
+                        threshold: split.threshold,
+                        left,
+                        right,
+                    };
+                    return node_idx;
+                }
+            }
+        }
+        let proba: Vec<f64> = counts.iter().map(|&c| c / total).collect();
+        let node_idx = self.nodes.len();
+        self.nodes.push(Node::Leaf { proba });
+        node_idx
+    }
+
+    fn best_split(
+        &mut self,
+        indices: &[usize],
+        parent_counts: &[f64],
+        parent_impurity: f64,
+    ) -> Option<SplitCandidate> {
+        let n_features = self.data.n_features();
+        let feature_pool: Vec<usize> = match self.config.max_features {
+            Some(k) if k < n_features => {
+                let mut all: Vec<usize> = (0..n_features).collect();
+                all.shuffle(&mut self.rng);
+                all.truncate(k.max(1));
+                all
+            }
+            _ => (0..n_features).collect(),
+        };
+        self.best_split_among(&feature_pool, indices, parent_counts, parent_impurity)
+    }
+
+    /// The exact best split of `indices` over `feature_pool`: class counts
+    /// in rank order, a candidate between every two distinct values.
+    fn best_split_among(
+        &mut self,
+        feature_pool: &[usize],
+        indices: &[usize],
+        parent_counts: &[f64],
+        parent_impurity: f64,
+    ) -> Option<SplitCandidate> {
+        let config = self.config;
+        let total = indices.len() as f64;
+        let mut best: Option<SplitCandidate> = None;
+        let mut left_counts = vec![0.0f64; parent_counts.len()];
+        let mut right_counts = vec![0.0f64; parent_counts.len()];
+        for &feature in feature_pool {
+            let sorted = self.sort.sort(self.ranked, feature, indices);
+            let column = self.ranked.values(feature);
+
+            left_counts.fill(0.0);
+            for pos in 0..sorted.len().saturating_sub(1) {
+                left_counts[self.data.label(sorted[pos])] += 1.0;
+                let (value, next_value) = (column[sorted[pos]], column[sorted[pos + 1]]);
+                // No threshold can separate NaN rows or equal values.
+                if value.is_nan() || next_value.is_nan() || value == next_value {
+                    continue;
+                }
+                let left_total = (pos + 1) as f64;
+                let right_total = total - left_total;
+                for ((right, parent), left) in
+                    right_counts.iter_mut().zip(parent_counts).zip(&left_counts)
+                {
+                    *right = parent - left;
+                }
+                let weighted = (left_total / total)
+                    * config.impurity.impurity(&left_counts, left_total)
+                    + (right_total / total) * config.impurity.impurity(&right_counts, right_total);
+                let gain = parent_impurity - weighted;
+                if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
+                    let threshold = midpoint(value, next_value);
+                    best = Some(SplitCandidate {
+                        feature,
+                        threshold,
+                        gain,
+                    });
+                }
+            }
+        }
+        best
+    }
+}
+
+/// The per-node value sort and scan that [`Grow::best_split_among`]
+/// replaced, kept as the oracle its bit-identity test compares against.
+#[cfg(test)]
+fn best_split_by_value(
+    data: &Dataset,
+    feature_pool: &[usize],
+    indices: &[usize],
+    parent_counts: &[f64],
+    parent_impurity: f64,
+    config: &TreeConfig,
+) -> Option<SplitCandidate> {
+    let total = indices.len() as f64;
+    let mut best: Option<SplitCandidate> = None;
+    let mut sorted: Vec<(f64, usize)> = Vec::with_capacity(indices.len());
+    for &feature in feature_pool {
+        sorted.clear();
+        sorted.extend(
+            indices
+                .iter()
+                .map(|&i| (data.value(i, feature), data.label(i))),
+        );
+        // NaN sorts first so missing rows stay in the left prefix.
+        sorted.sort_by(|a, b| {
+            nan_first(a.0)
+                .partial_cmp(&nan_first(b.0))
+                .expect("nan_first removes NaN")
+        });
+
+        let mut left_counts = vec![0.0f64; data.n_classes()];
+        for pos in 0..sorted.len().saturating_sub(1) {
+            left_counts[sorted[pos].1] += 1.0;
+            let (value, next_value) = (sorted[pos].0, sorted[pos + 1].0);
+            // No threshold can separate NaN rows or equal values.
+            if value.is_nan() || next_value.is_nan() || value == next_value {
+                continue;
+            }
+            let left_total = (pos + 1) as f64;
+            let right_total = total - left_total;
+            let right_counts: Vec<f64> = parent_counts
+                .iter()
+                .zip(&left_counts)
+                .map(|(p, l)| p - l)
+                .collect();
+            let weighted = (left_total / total)
+                * config.impurity.impurity(&left_counts, left_total)
+                + (right_total / total) * config.impurity.impurity(&right_counts, right_total);
+            let gain = parent_impurity - weighted;
+            if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
+                let threshold = midpoint(value, next_value);
+                best = Some(SplitCandidate {
+                    feature,
+                    threshold,
+                    gain,
+                });
+            }
+        }
+    }
+    best
+}
+
 struct SplitCandidate {
     feature: usize,
     threshold: f64,
@@ -338,28 +428,6 @@ fn class_counts(data: &Dataset, indices: &[usize], n_classes: usize) -> Vec<f64>
         counts[data.label(i)] += 1.0;
     }
     counts
-}
-
-/// Partitions `indices` so rows with `value <= threshold` (or NaN) come
-/// first; returns the boundary position.
-fn partition(data: &Dataset, indices: &mut [usize], feature: usize, threshold: f64) -> usize {
-    let mut mid = 0;
-    for i in 0..indices.len() {
-        let v = data.value(indices[i], feature);
-        if v.is_nan() || v <= threshold {
-            indices.swap(i, mid);
-            mid += 1;
-        }
-    }
-    mid
-}
-
-fn nan_first(v: f64) -> f64 {
-    if v.is_nan() {
-        f64::NEG_INFINITY
-    } else {
-        v
-    }
 }
 
 fn midpoint(a: f64, b: f64) -> f64 {
@@ -375,6 +443,7 @@ fn midpoint(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A near-XOR dataset: a perfectly balanced XOR gives every root split
     /// exactly zero impurity gain (greedy CART correctly refuses it), so the
@@ -540,6 +609,78 @@ mod tests {
     fn predict_rejects_wrong_arity() {
         let tree = DecisionTree::fit(&xor_dataset(), &TreeConfig::default()).unwrap();
         tree.predict(&[1.0]);
+    }
+
+    /// Values with NaN, ±0.0, ±∞ and heavy ties.
+    const POOL: [f64; 8] = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        -0.0,
+        0.0,
+        1.0,
+        2.0,
+        -3.5,
+    ];
+
+    /// A labelled dataset, one node's rows (repeats allowed, as in
+    /// bootstrap samples) and the feature pool it may split on.
+    fn arb_node() -> impl Strategy<Value = (Dataset, Vec<usize>, Vec<usize>)> {
+        (1usize..200, 1usize..4, 2usize..=3).prop_flat_map(|(n_rows, n_features, n_classes)| {
+            let value = || {
+                prop_oneof![
+                    3 => (0usize..POOL.len()).prop_map(|i| POOL[i]),
+                    1 => -50.0..50.0f64,
+                ]
+            };
+            let table = prop::collection::vec(
+                (prop::collection::vec(value(), n_features), 0..n_classes),
+                n_rows,
+            );
+            let indices = prop::collection::vec(0..n_rows, 1..250);
+            let pool = prop::collection::vec(0..n_features, 1..=n_features);
+            (table, indices, pool).prop_map(move |(table, indices, pool)| {
+                let mut data = Dataset::new(n_features, n_classes);
+                for (row, label) in &table {
+                    data.push_row(row, *label).unwrap();
+                }
+                (data, indices, pool)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn ranked_split_search_matches_the_value_sort(
+            (data, indices, pool) in arb_node(),
+            entropy in prop_oneof![Just(false), Just(true)],
+        ) {
+            let config = TreeConfig {
+                impurity: if entropy { ImpurityKind::Entropy } else { ImpurityKind::Gini },
+                ..TreeConfig::default()
+            };
+            let ranked = RankedColumns::new(&data);
+            let counts = class_counts(&data, &indices, data.n_classes());
+            let impurity = config.impurity.impurity(&counts, indices.len() as f64);
+            let mut grow = Grow {
+                data: &data,
+                ranked: &ranked,
+                config: &config,
+                rng: StdRng::seed_from_u64(0),
+                sort: RankSort::default(),
+                nodes: Vec::new(),
+                gains: Vec::new(),
+            };
+            let bits = |split: Option<SplitCandidate>| {
+                split.map(|s| (s.feature, s.threshold.to_bits(), s.gain.to_bits()))
+            };
+            prop_assert_eq!(
+                bits(grow.best_split_among(&pool, &indices, &counts, impurity)),
+                bits(best_split_by_value(&data, &pool, &indices, &counts, impurity, &config))
+            );
+        }
     }
 
     #[test]
