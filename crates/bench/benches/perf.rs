@@ -9,12 +9,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use cordial::incremental::IncrementalBankFeatures;
-use cordial::pipeline::{Cordial, FlatPipeline, MitigationPlan};
-use cordial::{CordialConfig, ModelKind};
+use cordial::pipeline::Cordial;
+use cordial::CordialConfig;
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
-use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, ObservedWindow, Timestamp};
-use cordial_topology::{BankAddress, ColId, HbmGeometry, RowId};
 use cordial_trees::{
     BinnedDataset, Classifier, Dataset, FlatEnsemble, Gbdt, GbdtConfig, LightGbm, LightGbmConfig,
 };
@@ -311,100 +308,6 @@ fn write_pairs_json(file: &str, filter: &str, sample_size: usize, pairs: &[Hotpa
     }
 }
 
-/// A warm observation window for one bank: `n_ce` scattered correctable
-/// errors followed by three far-apart UER rows, the last of which is the
-/// trigger. Returned pre-sorted by arrival (= sort-key) order.
-fn warm_window_events(bank: BankAddress, n_ce: usize, uer_rows: [u32; 3]) -> Vec<ErrorEvent> {
-    let rows = HbmGeometry::hbm2e_8hi().rows;
-    let mut x = 1u64;
-    let mut events: Vec<ErrorEvent> = (0..n_ce)
-        .map(|i| {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ErrorEvent::new(
-                bank.cell(RowId((x >> 33) as u32 % rows), ColId(0)),
-                Timestamp::from_millis(i as u64 + 1),
-                ErrorType::Ce,
-            )
-        })
-        .collect();
-    for (i, row) in uer_rows.into_iter().enumerate() {
-        events.push(ErrorEvent::new(
-            bank.cell(RowId(row), ColId(0)),
-            Timestamp::from_millis((n_ce + i + 1) as u64),
-            ErrorType::Uer,
-        ));
-    }
-    events
-}
-
-/// Ingest→plan on a warm window: the monitor's incremental fast path
-/// (clone warm state, absorb the trigger UER, assemble the feature vector,
-/// plan on the borrowed sorted buffer with flat inference) against the
-/// reference twin (clone + re-sort the buffer into a history, rescan the
-/// features, pointer inference). Both produce the identical plan — pinned
-/// in setup — so the pair measures only time.
-fn hotpath_ingest_plan(pipeline: &Cordial, flat: &FlatPipeline, sample_size: usize) -> HotpathPair {
-    let geom = HbmGeometry::hbm2e_8hi();
-    let bank = BankAddress::default();
-
-    // A bank-level pattern (scattered UERs) keeps the plan at
-    // `BankSparing`: row sparing would add 16 O(n) block scans to both
-    // twins and drown the feature/inference delta being measured. The
-    // classifier is data-dependent, so probe candidate layouts and pin the
-    // first that the fitted model calls bank-level.
-    let rows = geom.rows;
-    let candidates = [
-        [5, rows / 2, rows - 10],
-        [100, rows / 3, 2 * rows / 3],
-        [1, rows / 4, rows - 1],
-    ];
-    let events = candidates
-        .into_iter()
-        .map(|uer_rows| warm_window_events(bank, 6000, uer_rows))
-        .find(|events| {
-            let history = BankErrorHistory::new(bank, events.clone());
-            pipeline.plan(&history) == MitigationPlan::BankSparing
-        })
-        .expect("no candidate window classifies as bank-level; adjust layouts");
-
-    let (pre_events, trigger) = events.split_at(events.len() - 1);
-    let trigger = trigger[0];
-    let warm = IncrementalBankFeatures::replay(pre_events);
-
-    // Equivalence pin: the fast path's plan is identical to the reference.
-    let fast_plan = {
-        let mut state = warm.clone();
-        state.absorb(&trigger);
-        let raw = state.vector(&geom).expect("sorted stream");
-        let window = ObservedWindow::from_sorted_events(bank, &events);
-        pipeline.plan_window_with_features(&window, &raw, Some(flat))
-    };
-    let reference_plan = pipeline.plan(&BankErrorHistory::new(bank, events.clone()));
-    assert_eq!(fast_plan, reference_plan);
-    assert_eq!(fast_plan, MitigationPlan::BankSparing);
-
-    let reference_ns = measure_median_ns(sample_size, || {
-        let history = BankErrorHistory::new(bank, events.clone());
-        black_box(pipeline.plan(&history));
-    });
-    let candidate_ns = measure_median_ns(sample_size, || {
-        let mut state = warm.clone();
-        state.absorb(&trigger);
-        let raw = state.vector(&geom).expect("sorted stream");
-        let window = ObservedWindow::from_sorted_events(bank, &events);
-        black_box(pipeline.plan_window_with_features(&window, &raw, Some(flat)));
-    });
-    HotpathPair {
-        name: "ingest_plan",
-        reference: "reference_rescan",
-        candidate: "incremental_fast_path",
-        reference_ns,
-        candidate_ns,
-    }
-}
-
 /// Rows the inference benches sweep per iteration.
 const INFER_BATCH: usize = 256;
 
@@ -456,15 +359,6 @@ fn bench_hotpath(c: &mut Criterion) {
         return;
     }
     let sample_size = c.sample_size();
-    let dataset = bench_dataset();
-    let split = bench_split(&dataset);
-    let config = CordialConfig::with_model(ModelKind::lightgbm())
-        .with_seed(BENCH_SEED)
-        .with_threads(4);
-    let pipeline = Cordial::fit(&dataset, &split.train, &config).expect("train");
-    let flat = pipeline.flat();
-    let mut pairs = vec![hotpath_ingest_plan(&pipeline, flat, sample_size)];
-
     let data = synthetic_dataset(2000, 27, 3);
     let lgbm = LightGbm::fit(
         &data,
@@ -474,13 +368,13 @@ fn bench_hotpath(c: &mut Criterion) {
     )
     .expect("fit");
     let lgbm_flat = FlatEnsemble::from_lightgbm(&lgbm);
-    pairs.push(hotpath_inference(
+    let mut pairs = vec![hotpath_inference(
         "lgbm_inference",
         &lgbm,
         &lgbm_flat,
         &data,
         sample_size,
-    ));
+    )];
 
     let gbdt = Gbdt::fit(
         &data,

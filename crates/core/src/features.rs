@@ -15,10 +15,10 @@
 //! Missing values (e.g. no UEO observed) are encoded as `NaN`; every model
 //! in [`cordial_trees`] is NaN-tolerant by construction.
 
-use std::cell::RefCell;
-
-use cordial_mcelog::{ErrorType, ObservedWindow, Timestamp};
+use cordial_mcelog::{ErrorType, ObservedWindow};
 use cordial_topology::HbmGeometry;
+
+use crate::incremental::IncrementalBankFeatures;
 
 /// Names of the bank-level features, aligned with
 /// [`bank_features`]'s output.
@@ -111,7 +111,7 @@ impl DiffScan {
     }
 }
 
-/// Running per-severity aggregates of one [`bank_features`] scan.
+/// Running per-severity aggregates of one [`IncrementalBankFeatures`] fold.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SeverityScan {
     pub(crate) row_min: f64,
@@ -133,162 +133,12 @@ impl SeverityScan {
     }
 }
 
-/// Reusable buffers for [`bank_features_with_scratch`].
-///
-/// A fresh scan buffers candidate pre-first-UER timestamps and pairwise UER
-/// row distances in `Vec`s; allocating them anew per call is measurable when
-/// a plan batch scans thousands of windows. Threading one scratch through a
-/// batch (the monitor and [`crate::pipeline::Cordial::plan_batch`] keep one
-/// per worker thread) amortises the allocations across every scan.
-#[derive(Debug, Default)]
-pub struct FeatureScratch {
-    pending_ce: Vec<Timestamp>,
-    pending_ueo: Vec<Timestamp>,
-    pairwise: Vec<f64>,
-}
-
-impl FeatureScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-thread_local! {
-    /// Per-thread scratch behind [`bank_features`], so every caller —
-    /// training loops included — reuses buffers without threading state.
-    static BANK_FEATURE_SCRATCH: RefCell<FeatureScratch> = RefCell::new(FeatureScratch::new());
-}
-
-/// Extracts the §IV-B bank-level feature vector from an observed window.
-///
-/// All per-severity extrema, inter-arrival extrema, consecutive row
-/// differences and pre-first-UER counts come out of a **single scan** over
-/// the window's events (the window is re-scanned per block sample during
-/// training, so this is a hot path). The output — NaN encodings included —
-/// is identical to computing each statistic with its own filtered pass.
+/// Extracts the §IV-B bank-level feature vector from an observed window:
+/// one [`IncrementalBankFeatures`] fold over the window's events (see
+/// [`crate::incremental`]).
 pub fn bank_features(window: &ObservedWindow<'_>, geom: &HbmGeometry) -> Vec<f64> {
-    BANK_FEATURE_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
-        Ok(mut scratch) => bank_features_with_scratch(window, geom, &mut scratch),
-        // Re-entrant call (not expected on any current path): fall back to
-        // a one-shot scratch rather than panicking.
-        Err(_) => bank_features_with_scratch(window, geom, &mut FeatureScratch::new()),
-    })
-}
-
-/// [`bank_features`] with caller-owned scratch buffers (see
-/// [`FeatureScratch`]).
-pub fn bank_features_with_scratch(
-    window: &ObservedWindow<'_>,
-    geom: &HbmGeometry,
-    scratch: &mut FeatureScratch,
-) -> Vec<f64> {
-    let events = window.events();
-
-    let mut ce = SeverityScan::EMPTY;
-    let mut ueo = SeverityScan::EMPTY;
-    let mut uer = SeverityScan::EMPTY;
-    let mut all_rows = DiffScan::EMPTY;
-    let mut uer_rows = DiffScan::EMPTY;
-
-    // Counts before the first UER (§IV-B count features): strictly earlier
-    // timestamps only, every CE/UEO when no UER exists. Until the first
-    // UER's timestamp is known, candidate times are buffered.
-    let mut first_uer_time = None;
-    let mut ce_before = 0usize;
-    let mut ueo_before = 0usize;
-    let pending_ce = &mut scratch.pending_ce;
-    let pending_ueo = &mut scratch.pending_ueo;
-    pending_ce.clear();
-    pending_ueo.clear();
-
-    for e in events {
-        let row = e.addr.row.0 as f64;
-        let time_s = e.time.as_millis() as f64 / 1000.0;
-        all_rows.absorb(row);
-        match e.error_type {
-            ErrorType::Ce => ce.absorb(row, time_s),
-            ErrorType::Ueo => ueo.absorb(row, time_s),
-            ErrorType::Uer => {
-                uer.absorb(row, time_s);
-                uer_rows.absorb(row);
-            }
-        }
-        match first_uer_time {
-            Some(t) => match e.error_type {
-                ErrorType::Ce if e.time < t => ce_before += 1,
-                ErrorType::Ueo if e.time < t => ueo_before += 1,
-                _ => {}
-            },
-            None if e.is_uer() => {
-                first_uer_time = Some(e.time);
-                ce_before = pending_ce.iter().filter(|&&t| t < e.time).count();
-                ueo_before = pending_ueo.iter().filter(|&&t| t < e.time).count();
-            }
-            None => match e.error_type {
-                ErrorType::Ce => pending_ce.push(e.time),
-                ErrorType::Ueo => pending_ueo.push(e.time),
-                ErrorType::Uer => unreachable!("handled above"),
-            },
-        }
-    }
-    if first_uer_time.is_none() {
-        ce_before = pending_ce.len();
-        ueo_before = pending_ueo.len();
-    }
-
-    let uer_span = if uer_rows.seen == 0 {
-        f64::NAN
-    } else {
-        uer.row_max - uer.row_min
-    };
-
-    // Pairwise distances among the distinct observed UER rows.
-    let distinct_uer: Vec<f64> = window.uer_rows().iter().map(|r| r.0 as f64).collect();
-    let pairwise = &mut scratch.pairwise;
-    pairwise.clear();
-    for i in 0..distinct_uer.len() {
-        for j in (i + 1)..distinct_uer.len() {
-            pairwise.push((distinct_uer[i] - distinct_uer[j]).abs());
-        }
-    }
-    pairwise.sort_by(f64::total_cmp);
-    let pd = |i: usize| pairwise.get(i).copied().unwrap_or(f64::NAN);
-    let dist_ratio = if pairwise.len() >= 2 {
-        pairwise[pairwise.len() - 1] / (pairwise[0] + 1.0)
-    } else {
-        f64::NAN
-    };
-
-    vec![
-        ce_before as f64,
-        ueo_before as f64,
-        ce.row_min,
-        ce.row_max,
-        ueo.row_min,
-        ueo.row_max,
-        uer.row_min,
-        uer.row_max,
-        uer_span,
-        all_rows.min,
-        all_rows.max,
-        all_rows.mean(),
-        uer_rows.min,
-        uer_rows.max,
-        uer_rows.mean(),
-        ce.times.min,
-        ce.times.max,
-        ueo.times.min,
-        ueo.times.max,
-        uer.times.min,
-        uer.times.max,
-        pd(0),
-        pd(pairwise.len().saturating_sub(1) / 2),
-        pd(pairwise.len().saturating_sub(1)),
-        dist_ratio,
-        uer_span / geom.rows as f64,
-        events.len() as f64,
-    ]
+    // Windows are sorted by construction, so the fold cannot go unsorted.
+    IncrementalBankFeatures::replay(window.events()).assemble(geom)
 }
 
 /// Extracts the §IV-D block-level feature vector: block context relative to
@@ -344,6 +194,116 @@ pub fn block_features(
     out.push(counts[2]);
     out.extend_from_slice(bank_feats);
     out
+}
+
+/// The single-pass scan [`bank_features`] ran before the fold replaced it,
+/// kept verbatim (minus its reusable scratch buffers) as the oracle the
+/// fold is pinned against, bit for bit.
+#[cfg(test)]
+pub(crate) fn reference_bank_features(window: &ObservedWindow<'_>, geom: &HbmGeometry) -> Vec<f64> {
+    let events = window.events();
+
+    let mut ce = SeverityScan::EMPTY;
+    let mut ueo = SeverityScan::EMPTY;
+    let mut uer = SeverityScan::EMPTY;
+    let mut all_rows = DiffScan::EMPTY;
+    let mut uer_rows = DiffScan::EMPTY;
+
+    // Counts before the first UER (§IV-B count features): strictly earlier
+    // timestamps only, every CE/UEO when no UER exists. Until the first
+    // UER's timestamp is known, candidate times are buffered.
+    let mut first_uer_time = None;
+    let mut ce_before = 0usize;
+    let mut ueo_before = 0usize;
+    let mut pending_ce = Vec::new();
+    let mut pending_ueo = Vec::new();
+
+    for e in events {
+        let row = e.addr.row.0 as f64;
+        let time_s = e.time.as_millis() as f64 / 1000.0;
+        all_rows.absorb(row);
+        match e.error_type {
+            ErrorType::Ce => ce.absorb(row, time_s),
+            ErrorType::Ueo => ueo.absorb(row, time_s),
+            ErrorType::Uer => {
+                uer.absorb(row, time_s);
+                uer_rows.absorb(row);
+            }
+        }
+        match first_uer_time {
+            Some(t) => match e.error_type {
+                ErrorType::Ce if e.time < t => ce_before += 1,
+                ErrorType::Ueo if e.time < t => ueo_before += 1,
+                _ => {}
+            },
+            None if e.is_uer() => {
+                first_uer_time = Some(e.time);
+                ce_before = pending_ce.iter().filter(|&&t| t < e.time).count();
+                ueo_before = pending_ueo.iter().filter(|&&t| t < e.time).count();
+            }
+            None => match e.error_type {
+                ErrorType::Ce => pending_ce.push(e.time),
+                ErrorType::Ueo => pending_ueo.push(e.time),
+                ErrorType::Uer => unreachable!("handled above"),
+            },
+        }
+    }
+    if first_uer_time.is_none() {
+        ce_before = pending_ce.len();
+        ueo_before = pending_ueo.len();
+    }
+
+    let uer_span = if uer_rows.seen == 0 {
+        f64::NAN
+    } else {
+        uer.row_max - uer.row_min
+    };
+
+    // Pairwise distances among the distinct observed UER rows.
+    let distinct_uer: Vec<f64> = window.uer_rows().iter().map(|r| r.0 as f64).collect();
+    let mut pairwise: Vec<f64> = Vec::new();
+    for i in 0..distinct_uer.len() {
+        for j in (i + 1)..distinct_uer.len() {
+            pairwise.push((distinct_uer[i] - distinct_uer[j]).abs());
+        }
+    }
+    pairwise.sort_by(f64::total_cmp);
+    let pd = |i: usize| pairwise.get(i).copied().unwrap_or(f64::NAN);
+    let dist_ratio = if pairwise.len() >= 2 {
+        pairwise[pairwise.len() - 1] / (pairwise[0] + 1.0)
+    } else {
+        f64::NAN
+    };
+
+    vec![
+        ce_before as f64,
+        ueo_before as f64,
+        ce.row_min,
+        ce.row_max,
+        ueo.row_min,
+        ueo.row_max,
+        uer.row_min,
+        uer.row_max,
+        uer_span,
+        all_rows.min,
+        all_rows.max,
+        all_rows.mean(),
+        uer_rows.min,
+        uer_rows.max,
+        uer_rows.mean(),
+        ce.times.min,
+        ce.times.max,
+        ueo.times.min,
+        ueo.times.max,
+        uer.times.min,
+        uer.times.max,
+        pd(0),
+        pd(pairwise.len().saturating_sub(1) / 2),
+        pd(pairwise.len().saturating_sub(1)),
+        dist_ratio,
+        uer_span / geom.rows as f64,
+        events.len() as f64,
+    ]
 }
 
 /// Reference multi-pass fold that [`DiffScan`] replaced; kept as the
@@ -574,6 +534,208 @@ mod tests {
                     "{values:?}: {streamed} vs {reference}"
                 );
             }
+        }
+    }
+}
+
+/// The fold against [`reference_bank_features`], bit for bit (NaN
+/// encodings included), at every prefix of random sorted streams.
+#[cfg(test)]
+mod fold_tests {
+    use super::*;
+    use cordial_mcelog::{ErrorEvent, MceLog, Timestamp};
+    use cordial_topology::{BankAddress, ColId, RowId};
+    use proptest::prelude::*;
+
+    fn bank() -> BankAddress {
+        BankAddress::default()
+    }
+
+    /// One random event, `0..=max_step_ms` after the previous one: small
+    /// steps force duplicate timestamps, the row range forces repeated
+    /// rows, and the severity weights regularly produce streams missing
+    /// whole severities (whose features must come out NaN with identical
+    /// bit patterns).
+    fn arb_event_parts(max_step_ms: u64) -> impl Strategy<Value = (u64, u32, ErrorType)> {
+        (
+            0..=max_step_ms,
+            0u32..48,
+            prop_oneof![
+                5 => Just(ErrorType::Ce),
+                2 => Just(ErrorType::Ueo),
+                2 => Just(ErrorType::Uer),
+            ],
+        )
+    }
+
+    /// A stream nondecreasing by [`MceLog::sort_key`], as every observed
+    /// window is. Duplicate sort keys survive the (stable) sort, so ties
+    /// are exercised too.
+    fn arb_sorted_stream(max_step_ms: u64) -> impl Strategy<Value = Vec<ErrorEvent>> {
+        prop::collection::vec(arb_event_parts(max_step_ms), 0..60).prop_map(|parts| {
+            let mut time = 0u64;
+            let mut events: Vec<ErrorEvent> = parts
+                .into_iter()
+                .map(|(step, row, error_type)| {
+                    time += step;
+                    ErrorEvent::new(
+                        bank().cell(RowId(row), ColId(0)),
+                        Timestamp::from_millis(time),
+                        error_type,
+                    )
+                })
+                .collect();
+            events.sort_by_key(MceLog::sort_key);
+            events
+        })
+    }
+
+    /// Bitwise comparison with feature names in the failure message, so a
+    /// mismatch points at the drifting statistic directly.
+    fn assert_bitwise(reference: &[f64], fold: &[f64]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(reference.len(), fold.len());
+        for (name, (r, f)) in BANK_FEATURE_NAMES.iter().zip(reference.iter().zip(fold)) {
+            prop_assert_eq!(
+                r.to_bits(),
+                f.to_bits(),
+                "{}: reference {} vs fold {}",
+                name,
+                r,
+                f
+            );
+        }
+        Ok(())
+    }
+
+    /// One state absorbing `events` in a single pass, and
+    /// [`bank_features`] over the same prefix, must both equal the oracle
+    /// at every prefix.
+    fn check_every_prefix(events: &[ErrorEvent]) -> Result<(), TestCaseError> {
+        let geom = HbmGeometry::hbm2e_8hi();
+        let mut state = IncrementalBankFeatures::new();
+        for cut in 0..=events.len() {
+            if cut > 0 {
+                state.absorb(&events[cut - 1]);
+            }
+            prop_assert!(state.is_sorted());
+            let window = ObservedWindow::from_sorted_events(bank(), &events[..cut]);
+            let reference = reference_bank_features(&window, &geom);
+            assert_bitwise(&reference, &state.vector(&geom).expect("sorted stream"))?;
+            assert_bitwise(&reference, &bank_features(&window, &geom))?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn single_pass_state_matches_reference_at_every_window_slide(
+            events in arb_sorted_stream(40),
+        ) {
+            check_every_prefix(&events)?;
+        }
+
+        /// Folding a prefix from scratch equals having slid to it.
+        #[test]
+        fn replay_of_any_prefix_matches_the_slid_state(events in arb_sorted_stream(40)) {
+            let geom = HbmGeometry::hbm2e_8hi();
+            for cut in 0..=events.len() {
+                let replayed = IncrementalBankFeatures::replay(&events[..cut]);
+                prop_assert_eq!(replayed.n_events(), cut);
+                let window = ObservedWindow::from_sorted_events(bank(), &events[..cut]);
+                assert_bitwise(
+                    &reference_bank_features(&window, &geom),
+                    &replayed.vector(&geom).expect("sorted"),
+                )?;
+            }
+        }
+
+        /// An arrival whose sort key strictly decreases disables `vector`
+        /// permanently: it returns `None` from that point on, no matter how
+        /// many in-order events follow.
+        #[test]
+        fn strictly_decreasing_arrival_disables_the_vector_forever(
+            events in arb_sorted_stream(40),
+            swap_seed in 0usize..1000,
+            tail in prop::collection::vec(arb_event_parts(40), 0..8),
+        ) {
+            let geom = HbmGeometry::hbm2e_8hi();
+            // Find an adjacent pair with strictly increasing keys to swap;
+            // streams made entirely of duplicate keys cannot go unsorted.
+            let increasing: Vec<usize> = events
+                .windows(2)
+                .enumerate()
+                .filter(|(_, w)| MceLog::sort_key(&w[0]) < MceLog::sort_key(&w[1]))
+                .map(|(i, _)| i)
+                .collect();
+            prop_assume!(!increasing.is_empty());
+            let at = increasing[swap_seed % increasing.len()];
+            let mut shuffled = events.clone();
+            shuffled.swap(at, at + 1);
+
+            let mut state = IncrementalBankFeatures::replay(&shuffled);
+            prop_assert!(!state.is_sorted());
+            prop_assert!(state.vector(&geom).is_none());
+            let last_ms = events.last().map_or(0, |e| e.time.as_millis());
+            for (step, row, error_type) in tail {
+                state.absorb(&ErrorEvent::new(
+                    bank().cell(RowId(row), ColId(0)),
+                    Timestamp::from_millis(last_ms + 1 + step),
+                    error_type,
+                ));
+                prop_assert!(state.vector(&geom).is_none());
+            }
+        }
+
+        /// Streams missing whole severities (all-CE, no-UER, even empty)
+        /// keep the corresponding features NaN with the oracle's exact bit
+        /// patterns: canonicalising NaNs would change tree routing.
+        #[test]
+        fn missing_severities_reproduce_reference_nan_encodings(
+            parts in prop::collection::vec((0u64..40, 0u32..48), 0..40),
+            keep in prop_oneof![
+                Just([true, false, false]),
+                Just([false, true, false]),
+                Just([true, true, false]),
+                Just([false, false, true]),
+            ],
+        ) {
+            let kinds: Vec<ErrorType> = [ErrorType::Ce, ErrorType::Ueo, ErrorType::Uer]
+                .into_iter()
+                .zip(keep)
+                .filter(|(_, k)| *k)
+                .map(|(kind, _)| kind)
+                .collect();
+            let mut time = 0u64;
+            let mut events: Vec<ErrorEvent> = parts
+                .iter()
+                .enumerate()
+                .map(|(i, &(step, row))| {
+                    time += step;
+                    ErrorEvent::new(
+                        bank().cell(RowId(row), ColId(0)),
+                        Timestamp::from_millis(time),
+                        kinds[i % kinds.len()],
+                    )
+                })
+                .collect();
+            events.sort_by_key(MceLog::sort_key);
+            check_every_prefix(&events)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// 0–3 ms steps: heavy timestamp ties, among them CE/UEO runs tied
+        /// at the first UER's timestamp, which the fold's tie correction
+        /// must leave out of the count features.
+        #[test]
+        fn ties_at_the_first_uer_match_reference_at_every_prefix(
+            events in arb_sorted_stream(3),
+        ) {
+            check_every_prefix(&events)?;
         }
     }
 }

@@ -1,76 +1,38 @@
-//! Incrementally maintained §IV-B bank features (the monitor's ingest→plan
-//! fast path).
+//! The §IV-B feature fold: the one implementation of the bank feature
+//! vector.
 //!
-//! [`crate::features::bank_features`] rescans a bank's whole observed
-//! window per plan call. A monitor that replans per ingested batch pays
-//! that scan — plus a clone-and-sort of the event buffer to build a
-//! [`cordial_mcelog::BankErrorHistory`] — on every trigger.
-//! [`IncrementalBankFeatures`] maintains the same statistics under O(1)
-//! amortised per-event updates instead: the per-severity extrema and
-//! running diff accumulators of the reference scan absorb each event as it
-//! arrives, and the feature vector is assembled on demand in O(feature
-//! count).
+//! [`IncrementalBankFeatures`] folds a bank's events one at a time, in
+//! [`MceLog::sort_key`] order, into running per-severity extrema and
+//! consecutive-difference accumulators, and assembles the 27-value vector
+//! on demand in O(feature count).
+//! [`crate::features::bank_features`] is this fold run once over an
+//! observed window, so training, `plan`/`plan_batch`, evaluation and the
+//! monitor all compute features through it, once per plan.
 //!
-//! **Bit-identity contract.** When events arrive nondecreasing by
-//! [`MceLog::sort_key`] (equal keys allowed — the reference sort is
-//! stable), absorbing them one by one visits the exact event sequence the
-//! reference scan sees, applying the *same f64 operations in the same
-//! order*. [`IncrementalBankFeatures::vector`] is therefore bit-identical
-//! to the reference — NaN encodings of empty severities included — which
-//! property tests pin down. An out-of-order arrival permanently marks the
-//! state unsorted and `vector` returns `None`; callers then fall back to
-//! the reference scan (the monitor counts both paths, see
-//! `monitor.features.*` counters).
+//! **State.** Apart from the distinct UER rows (at most `k_uers` in a
+//! window that plans), the fold holds O(1) state. The count features
+//! ("CEs/UEOs strictly before the first UER") need no buffered
+//! timestamps: in a sorted stream every CE/UEO folded before the first
+//! UER has a timestamp ≤ that UER's, so the strictly-earlier count is the
+//! pre-UER count minus the run tied at the latest pre-UER timestamp when
+//! that timestamp equals the first UER's (the *tie correction*). Events
+//! after the first UER can never be strictly earlier than it.
 //!
-//! **Memory bounds.** Two of the state's buffers would otherwise grow with
-//! the stream: the pre-first-UER candidate timestamps (`pending_ce`/
-//! `pending_ueo`, which a long UER-free stream feeds forever) and the
-//! distinct-UER row list (which keeps growing after a bank is planned).
-//! [`FeatureCaps`] bounds both: an event that would push either buffer
-//! past its cap instead marks the state *capped* — a permanent
-//! reference-scan fallback exactly like the unsorted flag, counted by the
-//! monitor as `monitor.features.capped`. The defaults are far above
-//! anything a window that actually plans can produce, so the caps change
-//! behaviour only on the pathological streams they exist to bound.
+//! **Sort order.** Folding events nondecreasing by [`MceLog::sort_key`]
+//! (equal keys allowed) is the precondition for every statistic above. An
+//! out-of-order arrival permanently marks the state unsorted: later
+//! events are counted but not folded, and [`IncrementalBankFeatures::vector`]
+//! returns `None`. Unit tests pin the fold bit-for-bit (NaN encodings
+//! included) against the previous single-pass scan at every prefix of
+//! random sorted streams, ties at the first UER's timestamp included.
 
 use cordial_mcelog::{ErrorEvent, ErrorType, MceLog, Timestamp};
 use cordial_topology::{CellAddress, HbmGeometry, RowId};
-use serde::{Deserialize, Serialize};
 
 use crate::features::{DiffScan, SeverityScan, BANK_FEATURE_NAMES};
 
-/// Memory bounds for one bank's [`IncrementalBankFeatures`] state.
-///
-/// Exceeding either cap permanently marks the state capped:
-/// [`IncrementalBankFeatures::vector`] returns `None` from then on and the
-/// caller takes the reference-scan fallback, keeping the fast path's
-/// per-bank memory O(cap) on arbitrary streams (a days-long UER-free CE
-/// stream being the canonical offender).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FeatureCaps {
-    /// Maximum buffered pre-first-UER candidate timestamps
-    /// (`pending_ce` and `pending_ueo` combined).
-    pub max_pending: usize,
-    /// Maximum tracked distinct UER rows. Must be at least the monitor's
-    /// `k_uers` trigger threshold or the fast path degrades to the
-    /// reference scan before any bank can plan.
-    pub max_distinct_uer: usize,
-}
-
-impl Default for FeatureCaps {
-    /// 65,536 pending timestamps (512 KiB per pathological bank) and 64
-    /// distinct UER rows — far above the paper's `k_uers` = 3 trigger.
-    fn default() -> Self {
-        Self {
-            max_pending: 65_536,
-            max_distinct_uer: 64,
-        }
-    }
-}
-
-/// Streaming twin of [`crate::features::bank_features`]: absorbs a bank's
-/// events one at a time and reproduces the reference feature vector
-/// bit-for-bit (see the [module docs](self) for the contract).
+/// Streaming fold of one bank's events into the §IV-B feature vector (see
+/// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct IncrementalBankFeatures {
     ce: SeverityScan,
@@ -78,27 +40,20 @@ pub struct IncrementalBankFeatures {
     uer: SeverityScan,
     all_rows: DiffScan,
     uer_rows: DiffScan,
-    first_uer_time: Option<Timestamp>,
+    /// CEs and UEOs folded before the first UER, frozen (tie-corrected)
+    /// when it arrives.
     ce_before: usize,
     ueo_before: usize,
-    /// Candidate pre-first-UER timestamps; cleared once the first UER fixes
-    /// the counts, so a long UER-free stream is the only case that buffers.
-    /// Bounded by `caps.max_pending` (overflow marks the state capped).
-    pending_ce: Vec<Timestamp>,
-    pending_ueo: Vec<Timestamp>,
-    /// Distinct UER rows in first-occurrence order. The planning trigger
-    /// consults only the first `k_uers` (3 in the paper configuration),
-    /// but absorption continues after a bank plans, so the list is bounded
-    /// by `caps.max_distinct_uer`, not by `k_uers`.
+    /// The latest CE/UEO timestamp folded before the first UER, and how
+    /// many CEs and UEOs share it.
+    tie_time: Option<Timestamp>,
+    ce_tied: usize,
+    ueo_tied: usize,
+    /// Distinct UER rows in first-occurrence order.
     distinct_uer: Vec<RowId>,
     n_events: usize,
     last_key: Option<(Timestamp, CellAddress, ErrorType)>,
     sorted: bool,
-    /// Memory bounds; exceeding one sets `capped`.
-    caps: FeatureCaps,
-    /// Permanently true once a cap was exceeded: statistics updates stop
-    /// and [`Self::vector`] returns `None` (reference-scan fallback).
-    capped: bool,
 }
 
 impl Default for IncrementalBankFeatures {
@@ -108,31 +63,23 @@ impl Default for IncrementalBankFeatures {
 }
 
 impl IncrementalBankFeatures {
-    /// Empty state with the default [`FeatureCaps`].
+    /// Empty state: no events absorbed, arrival order (vacuously) sorted.
     pub fn new() -> Self {
-        Self::with_caps(FeatureCaps::default())
-    }
-
-    /// Empty state with explicit memory bounds: no events absorbed,
-    /// arrival order (vacuously) sorted.
-    pub fn with_caps(caps: FeatureCaps) -> Self {
         Self {
             ce: SeverityScan::EMPTY,
             ueo: SeverityScan::EMPTY,
             uer: SeverityScan::EMPTY,
             all_rows: DiffScan::EMPTY,
             uer_rows: DiffScan::EMPTY,
-            first_uer_time: None,
             ce_before: 0,
             ueo_before: 0,
-            pending_ce: Vec::new(),
-            pending_ueo: Vec::new(),
+            tie_time: None,
+            ce_tied: 0,
+            ueo_tied: 0,
             distinct_uer: Vec::new(),
             n_events: 0,
             last_key: None,
             sorted: true,
-            caps,
-            capped: false,
         }
     }
 
@@ -142,32 +89,9 @@ impl IncrementalBankFeatures {
         self.sorted
     }
 
-    /// Whether a memory cap was exceeded: the state is permanently on the
-    /// reference-scan fallback (see [`FeatureCaps`]).
-    pub fn is_capped(&self) -> bool {
-        self.capped
-    }
-
-    /// The memory bounds this state enforces.
-    pub fn caps(&self) -> FeatureCaps {
-        self.caps
-    }
-
-    /// Buffered pre-first-UER candidate timestamps (`pending_ce` plus
-    /// `pending_ueo`) — the quantity [`FeatureCaps::max_pending`] bounds.
-    pub fn pending_len(&self) -> usize {
-        self.pending_ce.len() + self.pending_ueo.len()
-    }
-
     /// Number of events absorbed.
     pub fn n_events(&self) -> usize {
         self.n_events
-    }
-
-    /// Distinct UER rows absorbed so far, in first-occurrence order
-    /// (released — empty — once the state is capped or unsorted).
-    pub fn distinct_uer_rows(&self) -> &[RowId] {
-        &self.distinct_uer
     }
 
     /// Absorbs one event in arrival order.
@@ -175,9 +99,7 @@ impl IncrementalBankFeatures {
     /// An event whose sort key is strictly below the previous one marks the
     /// state permanently unsorted; further statistics updates are skipped
     /// (the state can no longer match any sorted window) and
-    /// [`Self::vector`] returns `None`. An event that would grow a buffer
-    /// past its [`FeatureCaps`] bound likewise marks the state permanently
-    /// capped (and releases the pending buffers) instead of absorbing.
+    /// [`Self::vector`] returns `None`.
     pub fn absorb(&mut self, event: &ErrorEvent) {
         self.n_events += 1;
         let key = MceLog::sort_key(event);
@@ -187,28 +109,33 @@ impl IncrementalBankFeatures {
             }
         }
         self.last_key = Some(key);
-        if !self.sorted || self.capped {
+        if !self.sorted {
             return;
         }
-        // Enforce the memory caps before touching any statistic: a capped
-        // state is abandoned wholesale (like an unsorted one), so partial
-        // updates would only waste work.
-        let overflows = match event.error_type {
-            ErrorType::Uer => {
-                !self.distinct_uer.contains(&event.addr.row)
-                    && self.distinct_uer.len() >= self.caps.max_distinct_uer
+
+        // Count features: only events up to the first UER move them.
+        if self.uer_rows.seen == 0 {
+            if event.is_uer() {
+                // The first UER: only strictly earlier CEs/UEOs count, so
+                // drop the run tied at its timestamp.
+                if self.tie_time == Some(event.time) {
+                    self.ce_before -= self.ce_tied;
+                    self.ueo_before -= self.ueo_tied;
+                }
+            } else {
+                if self.tie_time != Some(event.time) {
+                    self.tie_time = Some(event.time);
+                    self.ce_tied = 0;
+                    self.ueo_tied = 0;
+                }
+                if event.error_type == ErrorType::Ce {
+                    self.ce_before += 1;
+                    self.ce_tied += 1;
+                } else {
+                    self.ueo_before += 1;
+                    self.ueo_tied += 1;
+                }
             }
-            ErrorType::Ce | ErrorType::Ueo => {
-                self.first_uer_time.is_none() && self.pending_len() >= self.caps.max_pending
-            }
-        };
-        if overflows {
-            self.capped = true;
-            // Release the buffers now: the state will never read them again.
-            self.pending_ce = Vec::new();
-            self.pending_ueo = Vec::new();
-            self.distinct_uer = Vec::new();
-            return;
         }
 
         let row = event.addr.row.0 as f64;
@@ -225,58 +152,30 @@ impl IncrementalBankFeatures {
                 }
             }
         }
-        match self.first_uer_time {
-            Some(t) => match event.error_type {
-                ErrorType::Ce if event.time < t => self.ce_before += 1,
-                ErrorType::Ueo if event.time < t => self.ueo_before += 1,
-                _ => {}
-            },
-            None if event.is_uer() => {
-                self.first_uer_time = Some(event.time);
-                self.ce_before = self.pending_ce.iter().filter(|&&t| t < event.time).count();
-                self.ueo_before = self.pending_ueo.iter().filter(|&&t| t < event.time).count();
-                self.pending_ce = Vec::new();
-                self.pending_ueo = Vec::new();
-            }
-            None => match event.error_type {
-                ErrorType::Ce => self.pending_ce.push(event.time),
-                ErrorType::Ueo => self.pending_ueo.push(event.time),
-                ErrorType::Uer => unreachable!("handled above"),
-            },
-        }
     }
 
-    /// Assembles the §IV-B feature vector for the absorbed prefix.
-    ///
-    /// Returns `None` when events arrived out of sort order or a
-    /// [`FeatureCaps`] bound was exceeded — callers must then rebuild a
-    /// sorted window and run the reference scan. When `Some`, the vector is
-    /// bit-identical to [`crate::features::bank_features`] over the
-    /// equivalent [`cordial_mcelog::ObservedWindow`].
+    /// Assembles the §IV-B feature vector for the absorbed prefix, or
+    /// `None` when events arrived out of sort order.
     pub fn vector(&self, geom: &HbmGeometry) -> Option<Vec<f64>> {
-        if !self.sorted || self.capped {
-            return None;
-        }
-        let (ce_before, ueo_before) = if self.first_uer_time.is_none() {
-            (self.pending_ce.len(), self.pending_ueo.len())
-        } else {
-            (self.ce_before, self.ueo_before)
-        };
+        self.sorted.then(|| self.assemble(geom))
+    }
 
+    /// [`Self::vector`] without the sort check, for callers whose events
+    /// are sorted by construction (observed windows).
+    pub(crate) fn assemble(&self, geom: &HbmGeometry) -> Vec<f64> {
         let uer_span = if self.uer_rows.seen == 0 {
             f64::NAN
         } else {
             self.uer.row_max - self.uer.row_min
         };
 
-        // Pairwise distances among distinct UER rows: |distinct| is bounded
-        // by the trigger threshold (3 in the paper), so recomputing the
-        // O(k²) pairs per read keeps absorb O(1) without approximation.
-        let distinct_uer: Vec<f64> = self.distinct_uer.iter().map(|r| r.0 as f64).collect();
+        // Pairwise distances among distinct UER rows: at most `k_uers`
+        // rows (3 in the paper) in a window that plans, so the O(k²)
+        // pairs are recomputed per read.
         let mut pairwise: Vec<f64> = Vec::new();
-        for i in 0..distinct_uer.len() {
-            for j in (i + 1)..distinct_uer.len() {
-                pairwise.push((distinct_uer[i] - distinct_uer[j]).abs());
+        for (i, a) in self.distinct_uer.iter().enumerate() {
+            for b in &self.distinct_uer[i + 1..] {
+                pairwise.push((a.0 as f64 - b.0 as f64).abs());
             }
         }
         pairwise.sort_by(f64::total_cmp);
@@ -288,8 +187,8 @@ impl IncrementalBankFeatures {
         };
 
         let vector = vec![
-            ce_before as f64,
-            ueo_before as f64,
+            self.ce_before as f64,
+            self.ueo_before as f64,
             self.ce.row_min,
             self.ce.row_max,
             self.ueo.row_min,
@@ -317,21 +216,12 @@ impl IncrementalBankFeatures {
             self.n_events as f64,
         ];
         debug_assert_eq!(vector.len(), BANK_FEATURE_NAMES.len());
-        Some(vector)
+        vector
     }
 
-    /// Rebuilds the state by replaying `events` in order (checkpoint
-    /// restore: the monitor's per-bank buffers are persisted, this state is
-    /// not). Uses the default [`FeatureCaps`].
+    /// Folds `events` in order into a fresh state.
     pub fn replay(events: &[ErrorEvent]) -> Self {
-        Self::replay_with_caps(events, FeatureCaps::default())
-    }
-
-    /// [`Self::replay`] under explicit memory bounds — restore must replay
-    /// with the caps the live monitor ran, or the rebuilt fast/fallback
-    /// choice could diverge from the uninterrupted run's.
-    pub fn replay_with_caps(events: &[ErrorEvent], caps: FeatureCaps) -> Self {
-        let mut state = Self::with_caps(caps);
+        let mut state = Self::new();
         for event in events {
             state.absorb(event);
         }
@@ -342,19 +232,15 @@ impl IncrementalBankFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::bank_features;
+    use crate::features::reference_bank_features;
     use cordial_mcelog::ObservedWindow;
     use cordial_topology::BankAddress;
-
-    fn bank() -> BankAddress {
-        BankAddress::default()
-    }
 
     fn event(ms: u64, row: u32, kind: ErrorType) -> ErrorEvent {
         ErrorEvent {
             time: Timestamp::from_millis(ms),
             addr: CellAddress {
-                bank: bank(),
+                bank: BankAddress::default(),
                 row: RowId(row),
                 ..CellAddress::default()
             },
@@ -365,17 +251,22 @@ mod tests {
     fn assert_matches_reference(events: &[ErrorEvent]) {
         let geom = HbmGeometry::hbm2e_8hi();
         let state = IncrementalBankFeatures::replay(events);
-        let window = ObservedWindow::from_sorted_events(bank(), events);
-        let reference = bank_features(&window, &geom);
-        let fast = state.vector(&geom).expect("sorted stream");
-        assert_eq!(reference.len(), fast.len());
-        for (name, (r, f)) in BANK_FEATURE_NAMES.iter().zip(reference.iter().zip(&fast)) {
+        let window = ObservedWindow::from_sorted_events(BankAddress::default(), events);
+        let reference = reference_bank_features(&window, &geom);
+        let fold = state.vector(&geom).expect("sorted stream");
+        assert_eq!(reference.len(), fold.len());
+        for (name, (r, f)) in BANK_FEATURE_NAMES.iter().zip(reference.iter().zip(&fold)) {
             assert_eq!(
                 r.to_bits(),
                 f.to_bits(),
-                "{name}: reference {r} vs fast {f}"
+                "{name}: reference {r} vs fold {f}"
             );
         }
+    }
+
+    fn counts(state: &IncrementalBankFeatures) -> (f64, f64) {
+        let vector = state.vector(&HbmGeometry::hbm2e_8hi()).expect("sorted");
+        (vector[0], vector[1])
     }
 
     #[test]
@@ -411,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_arrival_disables_the_fast_path() {
+    fn out_of_order_arrival_disables_the_vector() {
         let mut state = IncrementalBankFeatures::new();
         state.absorb(&event(20, 1, ErrorType::Ce));
         state.absorb(&event(10, 2, ErrorType::Ce));
@@ -420,10 +311,11 @@ mod tests {
         // Later in-order events cannot resurrect the state.
         state.absorb(&event(30, 3, ErrorType::Ce));
         assert!(state.vector(&HbmGeometry::hbm2e_8hi()).is_none());
+        assert_eq!(state.n_events(), 3, "events keep being counted");
     }
 
     #[test]
-    fn equal_sort_keys_stay_on_the_fast_path() {
+    fn equal_sort_keys_keep_the_state_sorted() {
         let events = vec![
             event(10, 7, ErrorType::Ce),
             event(10, 7, ErrorType::Ce),
@@ -433,50 +325,42 @@ mod tests {
     }
 
     #[test]
-    fn pending_cap_forces_the_fallback_permanently() {
-        let caps = FeatureCaps {
-            max_pending: 4,
-            ..FeatureCaps::default()
-        };
-        let mut state = IncrementalBankFeatures::with_caps(caps);
-        for i in 0..4u64 {
-            state.absorb(&event(i * 10, i as u32, ErrorType::Ce));
-        }
-        assert!(!state.is_capped(), "at the cap is still fine");
-        assert!(state.vector(&HbmGeometry::hbm2e_8hi()).is_some());
-        state.absorb(&event(50, 9, ErrorType::Ueo));
-        assert!(state.is_capped());
-        assert_eq!(state.pending_len(), 0, "buffers are released");
-        assert!(state.vector(&HbmGeometry::hbm2e_8hi()).is_none());
-        // A later UER cannot resurrect a capped state.
-        state.absorb(&event(60, 2, ErrorType::Uer));
-        assert!(state.vector(&HbmGeometry::hbm2e_8hi()).is_none());
-        assert_eq!(state.n_events(), 6, "events keep being counted");
+    fn ties_at_the_first_uer_timestamp_are_not_counted_before_it() {
+        let events = [
+            event(5, 1, ErrorType::Ce),
+            event(9, 2, ErrorType::Ce),
+            event(9, 3, ErrorType::Ueo),
+            event(9, 4, ErrorType::Uer),
+            // After the first UER: never strictly earlier than it.
+            event(9, 5, ErrorType::Ce),
+            event(12, 6, ErrorType::Ueo),
+        ];
+        assert_eq!(
+            counts(&IncrementalBankFeatures::replay(&events)),
+            (1.0, 0.0)
+        );
+        assert_matches_reference(&events);
     }
 
     #[test]
-    fn distinct_uer_cap_forces_the_fallback() {
-        let caps = FeatureCaps {
-            max_distinct_uer: 2,
-            ..FeatureCaps::default()
-        };
-        let mut state = IncrementalBankFeatures::with_caps(caps);
-        state.absorb(&event(10, 1, ErrorType::Uer));
-        state.absorb(&event(20, 2, ErrorType::Uer));
-        // A repeat of a known row does not overflow.
-        state.absorb(&event(30, 1, ErrorType::Uer));
-        assert!(!state.is_capped());
-        assert!(state.vector(&HbmGeometry::hbm2e_8hi()).is_some());
-        state.absorb(&event(40, 3, ErrorType::Uer));
-        assert!(state.is_capped());
-        assert!(state.vector(&HbmGeometry::hbm2e_8hi()).is_none());
+    fn an_earlier_tie_run_still_counts_before_the_first_uer() {
+        let events = [
+            event(5, 1, ErrorType::Ce),
+            event(5, 2, ErrorType::Ueo),
+            event(7, 3, ErrorType::Uer),
+        ];
+        assert_eq!(
+            counts(&IncrementalBankFeatures::replay(&events)),
+            (1.0, 1.0)
+        );
+        assert_matches_reference(&events);
     }
 
-    /// The satellite regression: a multi-million-event UER-free stream — a
-    /// days-long daemon watching a healthy CE-noisy bank — must not grow
-    /// the pending buffers without bound.
+    /// A multi-million-event UER-free stream (a days-long daemon watching
+    /// a healthy CE-noisy bank) folds into counters, not buffers: without
+    /// a UER every CE and UEO counts as "before the first UER".
     #[test]
-    fn multi_million_event_uer_free_stream_stays_bounded() {
+    fn multi_million_event_uer_free_stream_folds_into_counts() {
         let mut state = IncrementalBankFeatures::new();
         for i in 0..3_000_000u64 {
             let kind = if i % 5 == 0 {
@@ -488,34 +372,6 @@ mod tests {
         }
         assert_eq!(state.n_events(), 3_000_000);
         assert!(state.is_sorted(), "the stream itself was sorted");
-        assert!(state.is_capped(), "the pending cap must have fired");
-        assert_eq!(
-            state.pending_len(),
-            0,
-            "capped state holds no pending timestamps (would be ~3M unbounded)"
-        );
-        assert!(
-            state.vector(&HbmGeometry::hbm2e_8hi()).is_none(),
-            "capped state reports the reference-scan fallback"
-        );
-    }
-
-    /// Below the cap nothing changes: bit-identity holds with caps in play.
-    #[test]
-    fn caps_do_not_disturb_bit_identity_below_the_bound() {
-        let events: Vec<ErrorEvent> = (0..100u64)
-            .map(|i| {
-                event(
-                    i * 7,
-                    (i % 40) as u32,
-                    match i % 7 {
-                        0 => ErrorType::Uer,
-                        1 | 2 => ErrorType::Ueo,
-                        _ => ErrorType::Ce,
-                    },
-                )
-            })
-            .collect();
-        assert_matches_reference(&events);
+        assert_eq!(counts(&state), (2_400_000.0, 600_000.0));
     }
 }

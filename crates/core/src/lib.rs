@@ -87,8 +87,7 @@ pub mod prelude {
     pub use crate::eval::{
         evaluate_cordial, evaluate_neighbor_rows, evaluate_pipeline, PredictionEval,
     };
-    pub use crate::features::FeatureScratch;
-    pub use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
+    pub use crate::incremental::IncrementalBankFeatures;
     pub use crate::isolation::icr;
     pub use crate::model::{ModelKind, TrainedModel};
     pub use crate::monitor::{

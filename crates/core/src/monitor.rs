@@ -14,12 +14,11 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use cordial_faultsim::{CoarsePattern, IsolationEngine, IsolationSnapshot, SparingBudget};
-use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, ObservedWindow, Timestamp};
+use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, Timestamp};
 use cordial_obs::{BurnConfig, BurnRate, DriftConfig, MixDriftDetector};
 use cordial_topology::{BankAddress, CellAddress, RowId};
 
 use crate::checkpoint::check_schema_version;
-use crate::incremental::{FeatureCaps, IncrementalBankFeatures};
 use crate::isolation::apply_plan;
 use crate::pipeline::{Cordial, MitigationPlan};
 
@@ -261,13 +260,6 @@ pub struct CordialMonitor {
     engine: IsolationEngine,
     /// Per-bank incremental state.
     banks: BTreeMap<BankAddress, BankState>,
-    /// Per-bank incrementally maintained §IV-B features — the ingest→plan
-    /// fast path. Not checkpointed: rebuilt by replaying the persisted
-    /// per-bank event buffers on restore.
-    features: BTreeMap<BankAddress, IncrementalBankFeatures>,
-    /// Memory bounds applied to every per-bank feature state; persisted in
-    /// checkpoints so restore replays under the same caps.
-    feature_caps: FeatureCaps,
     stats: MonitorStats,
     /// Degraded-stream front end for the `*_guarded` ingestion paths.
     guard: StreamGuard,
@@ -419,12 +411,6 @@ pub struct MonitorCheckpoint {
     banks: Vec<(BankAddress, BankState)>,
     stats: MonitorStats,
     guard: StreamGuard,
-    /// Fast-path memory bounds the monitor ran with; restore replays the
-    /// per-bank feature states under the same caps so the fast/fallback
-    /// choice matches the uninterrupted run. Optional in the wire format
-    /// (same-version checkpoints written before the field existed read
-    /// back with the defaults), so no schema-version bump is needed.
-    feature_caps: FeatureCaps,
 }
 
 impl MonitorCheckpoint {
@@ -446,7 +432,6 @@ impl Serialize for MonitorCheckpoint {
             (String::from("banks"), self.banks.to_value()),
             (String::from("stats"), self.stats.to_value()),
             (String::from("guard"), self.guard.to_value()),
-            (String::from("feature_caps"), self.feature_caps.to_value()),
         ])
     }
 }
@@ -454,17 +439,13 @@ impl Serialize for MonitorCheckpoint {
 impl<'de> Deserialize<'de> for MonitorCheckpoint {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         check_schema_version(value)?;
+        // Older checkpoints also carry a `feature_caps` entry (per-bank
+        // feature-state bounds the monitor no longer has); it is ignored.
         Ok(Self {
             engine: serde::de_field(value, "engine")?,
             banks: serde::de_field(value, "banks")?,
             stats: serde::de_field(value, "stats")?,
             guard: serde::de_field(value, "guard")?,
-            // Absent in same-version checkpoints written before the caps
-            // existed: default rather than reject.
-            feature_caps: match value.get("feature_caps") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => FeatureCaps::default(),
-            },
         })
     }
 }
@@ -477,8 +458,6 @@ impl CordialMonitor {
             pipeline,
             engine: IsolationEngine::new(budget),
             banks: BTreeMap::new(),
-            features: BTreeMap::new(),
-            feature_caps: FeatureCaps::default(),
             stats: MonitorStats::default(),
             guard: StreamGuard::new(GuardConfig::default()),
             health: MonitorHealth::new(HealthConfig::default()),
@@ -491,16 +470,6 @@ impl CordialMonitor {
     /// bound mid-stream would retroactively reclassify buffered events.
     pub fn with_guard_config(mut self, config: GuardConfig) -> Self {
         self.guard = StreamGuard::new(config);
-        self
-    }
-
-    /// Replaces the fast-path memory bounds (builder style).
-    ///
-    /// Only meaningful before ingestion starts: per-bank feature states
-    /// capture the caps when their bank is first seen. The caps travel in
-    /// checkpoints, so a restored monitor keeps the bounds it ran with.
-    pub fn with_feature_caps(mut self, caps: FeatureCaps) -> Self {
-        self.feature_caps = caps;
         self
     }
 
@@ -576,34 +545,12 @@ impl CordialMonitor {
 
         let k_uers = self.pipeline.config().k_uers;
         let state = self.banks.entry(bank).or_default();
-        // Incremental features are valid only at the *first* completion of
-        // the observation window: there the buffered events are exactly the
-        // window the pipeline would observe, so a sorted-arrival stream can
-        // reuse the incrementally maintained vector instead of rescanning.
-        // A retrigger after `InsufficientData` has trailing events beyond
-        // the cut and must take the reference scan.
-        let completes_window = !state.planned
-            && event.is_uer()
-            && !state.distinct_uer_rows.contains(&event.addr.row)
-            && state.distinct_uer_rows.len() + 1 == k_uers;
-        // The event buffer and incremental features exist to materialise
-        // the observation window; once the bank is planned the window is
-        // closed, and feeding them further would grow per-bank state (and
-        // per-event cost) without bound on a long-running stream.
+        // The event buffer exists to materialise the observation window;
+        // once the bank is planned the window is closed, and feeding it
+        // further would grow per-bank state (and per-event cost) without
+        // bound on a long-running stream.
         if !state.planned {
             state.events.push(event);
-            let feature_caps = self.feature_caps;
-            let features = self
-                .features
-                .entry(bank)
-                .or_insert_with(|| IncrementalBankFeatures::with_caps(feature_caps));
-            let was_capped = features.is_capped();
-            features.absorb(&event);
-            if features.is_capped() && !was_capped {
-                // A memory cap just forced this bank onto the reference-scan
-                // fallback (see `FeatureCaps`); once per bank.
-                cordial_obs::counter!("monitor.features.capped").inc();
-            }
             if event.is_uer() && !state.distinct_uer_rows.contains(&event.addr.row) {
                 state.distinct_uer_rows.push(event.addr.row);
             }
@@ -616,26 +563,12 @@ impl CordialMonitor {
             // gauge only (kept out of deterministic digests); timing is
             // skipped entirely when metrics are off.
             let started = cordial_obs::enabled().then(std::time::Instant::now);
-            let fast = if completes_window {
-                self.features
-                    .get(&bank)
-                    .and_then(|f| f.vector(self.pipeline.classifier().geom()))
-            } else {
-                None
-            };
-            let pipeline = &self.pipeline;
-            let plan = match fast {
-                Some(raw) => {
-                    cordial_obs::counter!("monitor.features.incremental").inc();
-                    let window = ObservedWindow::from_sorted_events(bank, &state.events);
-                    pipeline.plan_window_with_features(&window, &raw, Some(pipeline.flat()))
-                }
-                None => {
-                    cordial_obs::counter!("monitor.features.reference_scan").inc();
-                    let history = BankErrorHistory::new(bank, state.events.clone());
-                    pipeline.plan_with(&history, Some(pipeline.flat()))
-                }
-            };
+            // One §IV-B feature fold over the window, inside the plan.
+            cordial_obs::counter!("monitor.features.reference_scan").inc();
+            let history = BankErrorHistory::new(bank, state.events.clone());
+            let plan = self
+                .pipeline
+                .plan_with(&history, Some(self.pipeline.flat()));
             if let Some(started) = started {
                 let slow = started.elapsed().as_secs_f64() > self.health.config.plan_latency_slo;
                 self.health.plan_latency.observe(slow);
@@ -906,7 +839,6 @@ impl CordialMonitor {
                 .collect(),
             stats: self.stats,
             guard: self.guard.clone(),
-            feature_caps: self.feature_caps,
         }
     }
 
@@ -919,29 +851,10 @@ impl CordialMonitor {
     /// always in the current layout, because deserializing one passes the
     /// schema-version gate first.
     pub fn restore(pipeline: Cordial, checkpoint: MonitorCheckpoint) -> Self {
-        let banks: BTreeMap<BankAddress, BankState> = checkpoint.banks.into_iter().collect();
-        // Incremental feature state is derived, not persisted: replay each
-        // bank's buffered events (arrival order) under the checkpointed
-        // caps so a restored monitor's fast/fallback path choice — sorted
-        // and capped flags included — matches an uninterrupted run's.
-        let features = banks
-            .iter()
-            .map(|(bank, state)| {
-                (
-                    *bank,
-                    IncrementalBankFeatures::replay_with_caps(
-                        &state.events,
-                        checkpoint.feature_caps,
-                    ),
-                )
-            })
-            .collect();
         Self {
             pipeline,
             engine: IsolationEngine::from_snapshot(checkpoint.engine),
-            banks,
-            features,
-            feature_caps: checkpoint.feature_caps,
+            banks: checkpoint.banks.into_iter().collect(),
             stats: checkpoint.stats,
             guard: checkpoint.guard,
             // Watchdog windows are derived, short-horizon state: they
@@ -1284,6 +1197,17 @@ mod tests {
         let v0 = json.replacen(&stamp, "", 1);
         assert_ne!(v0, json, "fixture must actually strip the field");
         let checkpoint: MonitorCheckpoint = serde_json::from_str(&v0).unwrap();
+        let restored = CordialMonitor::restore(monitor.pipeline.clone(), checkpoint);
+        assert_eq!(restored.stats(), monitor.stats());
+
+        // Checkpoints written while the monitor kept per-bank feature state
+        // carry that state's bounds; the entry loads and is ignored.
+        assert!(!json.contains("feature_caps"), "no longer written");
+        let with_caps = format!(
+            "{},\"feature_caps\":{{\"max_pending\":65536,\"max_distinct_uer\":64}}}}",
+            json.strip_suffix('}').unwrap()
+        );
+        let checkpoint: MonitorCheckpoint = serde_json::from_str(&with_caps).unwrap();
         let restored = CordialMonitor::restore(monitor.pipeline.clone(), checkpoint);
         assert_eq!(restored.stats(), monitor.stats());
 

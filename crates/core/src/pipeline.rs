@@ -6,7 +6,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use cordial_faultsim::{CoarsePattern, FleetDataset};
-use cordial_mcelog::{BankErrorHistory, ObservedWindow};
+use cordial_mcelog::BankErrorHistory;
 use cordial_topology::{BankAddress, RowId};
 use cordial_trees::FlatEnsemble;
 
@@ -214,47 +214,16 @@ impl Cordial {
         // (the classifier and the cross-row predictor used to rescan the
         // window independently).
         let raw = bank_features(&window, self.classifier().geom());
-        self.plan_prepared(&window, &raw, flat)
-    }
-
-    /// Plans from a pre-extracted observed window and its pre-computed
-    /// **raw** (unmasked) §IV-B feature vector — the incremental ingest
-    /// fast path: the monitor maintains the features under O(1) updates
-    /// and skips the clone-sort-rescan of [`Cordial::plan`] entirely.
-    ///
-    /// The caller guarantees `window` is the classification cut (it ends
-    /// at the event completing the `k`-th distinct UER row) and that
-    /// `raw_features` equals the reference scan of `window`; under those
-    /// preconditions the returned plan is identical to [`Cordial::plan`]
-    /// on the equivalent history.
-    pub fn plan_window_with_features(
-        &self,
-        window: &ObservedWindow<'_>,
-        raw_features: &[f64],
-        flat: Option<&FlatPipeline>,
-    ) -> MitigationPlan {
-        let _span = cordial_obs::span_root!("plan");
-        cordial_obs::counter!("plan.requests").inc();
-        self.plan_prepared(window, raw_features, flat)
-    }
-
-    /// Shared classify → predict tail of every plan entry point.
-    fn plan_prepared(
-        &self,
-        window: &ObservedWindow<'_>,
-        raw_features: &[f64],
-        flat: Option<&FlatPipeline>,
-    ) -> MitigationPlan {
         let pattern = self
             .classifier()
-            .classify_from_features(raw_features, flat.and_then(|f| f.classifier.as_ref()));
+            .classify_from_features(&raw, flat.and_then(|f| f.classifier.as_ref()));
         if !pattern.is_aggregation() {
             cordial_obs::counter!("plan.bank_sparing").inc();
             return MitigationPlan::BankSparing;
         }
-        let mut rows =
-            self.crossrow()
-                .predicted_rows_from_features(window, pattern, raw_features, flat);
+        let mut rows = self
+            .crossrow()
+            .predicted_rows_from_features(&window, pattern, &raw, flat);
         rows.sort();
         rows.dedup();
         cordial_obs::counter!("plan.row_sparing").inc();

@@ -116,11 +116,11 @@ fn plan_batch_telemetry_is_identical_across_thread_counts() {
     );
 }
 
-/// The incremental-feature fast path and the flat inference twins must not
-/// perturb the thread-invariance of monitor telemetry: a full LightGBM
-/// monitor replay (sorted stream, so the fast path fires) produces the
-/// same digest for 1 and 4 planner threads, and that digest shows both the
-/// fast-path counter and the flat-inference histogram actually firing.
+/// The monitor's serving path (one feature scan per plan, flat inference
+/// twins) must not perturb the thread-invariance of monitor telemetry: a
+/// full LightGBM monitor replay produces the same digest for 1 and 4
+/// planner threads, and that digest shows both the feature-scan counter
+/// and the flat-inference histogram actually firing.
 #[test]
 fn monitor_fast_path_telemetry_is_identical_across_thread_counts() {
     let _guard = obs_guard();
@@ -157,8 +157,8 @@ fn monitor_fast_path_telemetry_is_identical_across_thread_counts() {
 
     let digest = &digests[0];
     assert!(
-        digest.contains_key("monitor.features.incremental"),
-        "sorted fleet replay must exercise the incremental fast path: {:?}",
+        digest.contains_key("monitor.features.reference_scan"),
+        "every plan must count its feature scan: {:?}",
         digest.keys().collect::<Vec<_>>()
     );
     assert!(

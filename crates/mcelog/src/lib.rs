@@ -11,8 +11,6 @@
 //! * [`MceLog`] — a time-ordered event store with per-bank views
 //!   ([`BankErrorHistory`]) and the "first *k* UERs" observation cut that
 //!   Cordial's classifier consumes,
-//! * [`BmcCollector`] — a thread-safe collector simulating BMC-side CE
-//!   throttling and buffering,
 //! * [`rollup`] — per-[`MicroLevel`](cordial_topology::MicroLevel) population
 //!   counts (Table II), and
 //! * [`sudden`] — sudden vs. non-sudden UER analysis (Table I).
@@ -46,7 +44,6 @@
 // (`clippy.toml` sets `allow-unwrap-in-tests`).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-mod bmc;
 pub mod burst;
 mod event;
 mod log;
@@ -54,7 +51,6 @@ mod record;
 pub mod rollup;
 pub mod sudden;
 
-pub use bmc::{BmcCollector, BmcConfig};
 pub use event::{ErrorEvent, ErrorType, Timestamp};
 pub use log::{BankErrorHistory, MceLog, ObservedWindow};
 pub use record::{MceRecord, RecordParseError};

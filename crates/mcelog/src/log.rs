@@ -32,9 +32,8 @@ impl MceLog {
 
     /// The `(time, address, type)` key the log keeps events sorted by.
     ///
-    /// Public so streaming consumers (the monitor's incremental feature
-    /// path) can check whether events arrive already in log order and skip
-    /// the clone-and-sort of [`BankErrorHistory::new`].
+    /// Public so streaming consumers (the §IV-B feature fold in the core
+    /// crate) can check that events arrive in log order.
     pub fn sort_key(e: &ErrorEvent) -> (Timestamp, cordial_topology::CellAddress, ErrorType) {
         (e.time, e.addr, e.error_type)
     }
@@ -248,9 +247,7 @@ impl<'a> ObservedWindow<'a> {
     ///
     /// The caller asserts that `events` are nondecreasing by
     /// [`MceLog::sort_key`] and already end at the classification cut (the
-    /// event completing the `k`-th distinct UER row is the last element) —
-    /// exactly the state of a monitor's per-bank buffer at first trigger
-    /// when events arrived in log order.
+    /// event completing the `k`-th distinct UER row is the last element).
     pub fn from_sorted_events(bank: BankAddress, events: &'a [ErrorEvent]) -> Self {
         debug_assert!(
             events

@@ -1,5 +1,6 @@
 //! The cordial-served daemon: a TCP server that shards a fleet of
-//! per-device [`CordialMonitor`]s across worker threads.
+//! per-device [`CordialMonitor`](cordial::monitor::CordialMonitor)s across
+//! worker threads.
 //!
 //! ## Architecture
 //!
@@ -29,10 +30,10 @@
 //!
 //! ## Graceful shutdown
 //!
-//! A [`Frame::Shutdown`] RPC (or [`signal::install`] + SIGTERM in the CLI)
-//! flips one atomic flag. The accept loop stops taking connections,
-//! workers drain their queues to empty, and [`Server::wait`] then
-//! checkpoints every monitor into the durable store (when
+//! A [`Frame::Shutdown`] RPC (or [`crate::signal::install`] + SIGTERM in
+//! the CLI) flips one atomic flag. The accept loop stops taking
+//! connections, workers drain their queues to empty, and [`Server::wait`]
+//! then checkpoints every monitor into the durable store (when
 //! [`ServeConfig::store_dir`] is set), so a restart resumes
 //! bit-identically (see the drain-resume acceptance tests).
 //!

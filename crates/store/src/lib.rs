@@ -8,7 +8,7 @@
 //! standard library and the vendored offline deps (see DESIGN.md
 //! "Offline builds"):
 //!
-//! 1. **Segment files of CRC-framed records** ([`segment`]) — a fixed,
+//! 1. **Segment files of CRC-framed records** (`segment.rs`) — a fixed,
 //!    checksummed header plus length+CRC-framed record frames; the
 //!    record payloads ([`record`]) reuse the serving daemon's fixed
 //!    26-byte event layout bit-for-bit, so a journaled batch is

@@ -5,7 +5,7 @@
 //! # Layout and crash safety
 //!
 //! A store directory holds numbered segment files
-//! (`seg-<generation>-<base_seq>.cst`, see [`crate::segment`] for the
+//! (`seg-<generation>-<base_seq>.cst`, see `segment.rs` for the
 //! file format) and a `MANIFEST.json` naming the live segments in order.
 //! The manifest is the commit point for every structural change (segment
 //! roll, compaction): it is replaced atomically and durably
