@@ -5,7 +5,6 @@
 //! coarse classes: double-row clustering, single-row clustering, scattered.
 
 use cordial_faultsim::{CoarsePattern, FleetDataset};
-use cordial_mcelog::{BankErrorHistory, ObservedWindow};
 use cordial_topology::{BankAddress, HbmGeometry};
 use cordial_trees::{Classifier, Dataset};
 use serde::{Deserialize, Serialize};
@@ -85,30 +84,18 @@ impl PatternClassifier {
         self.k_uers
     }
 
-    /// Classifies an observed window.
-    pub fn classify_window(&self, window: &ObservedWindow<'_>) -> CoarsePattern {
-        self.classify_masked(bank_features(window, &self.geom), None)
-    }
-
-    /// Classifies from a pre-computed **raw** (unmasked) §IV-B feature
-    /// vector, optionally through a flattened model twin.
-    /// [`crate::pipeline::Cordial`] computes features once per plan and
-    /// shares them between classification and cross-row prediction; the
-    /// flat twin produces bit-identical probabilities, so the predicted
-    /// class never differs from the pointer-based model.
+    /// Classifies a bank from its **raw** (unmasked) §IV-B feature vector,
+    /// optionally through a flattened model twin. This is the classifier's
+    /// one inference entry point: [`crate::pipeline::Cordial`] computes the
+    /// features once per plan and shares them between classification and
+    /// cross-row prediction. The flat twin produces bit-identical
+    /// probabilities, so the predicted class never depends on it.
     pub fn classify_from_features(
         &self,
         raw_features: &[f64],
         flat: Option<&cordial_trees::FlatEnsemble>,
     ) -> CoarsePattern {
-        self.classify_masked(raw_features.to_vec(), flat)
-    }
-
-    fn classify_masked(
-        &self,
-        mut features: Vec<f64>,
-        flat: Option<&cordial_trees::FlatEnsemble>,
-    ) -> CoarsePattern {
+        let mut features = raw_features.to_vec();
         mask_bank_features(&mut features, &self.mask);
         let class = match flat {
             Some(flat) => flat.predict(&features),
@@ -125,21 +112,6 @@ impl PatternClassifier {
     /// The geometry features are normalised against.
     pub(crate) fn geom(&self) -> &HbmGeometry {
         &self.geom
-    }
-
-    /// Classifies a bank history, returning `None` when the bank has not yet
-    /// accumulated enough distinct UER rows.
-    pub fn classify(&self, history: &BankErrorHistory) -> Option<CoarsePattern> {
-        let (window, _) = history.observe_until_k_uers(self.k_uers)?;
-        Some(self.classify_window(&window))
-    }
-
-    /// Class probabilities for an observed window, indexed by
-    /// [`CoarsePattern::class_index`].
-    pub fn classify_proba(&self, window: &ObservedWindow<'_>) -> Vec<f64> {
-        let mut features = bank_features(window, &self.geom);
-        mask_bank_features(&mut features, &self.mask);
-        self.model.predict_proba(&features)
     }
 
     /// The classifier's gain-based feature importances, paired with the
@@ -166,9 +138,11 @@ impl PatternClassifier {
             let (Some(truth), Some(history)) = (dataset.truth.get(bank), by_bank.get(bank)) else {
                 continue;
             };
-            if let Some(predicted) = self.classify(history) {
-                pairs.push((truth.kind().coarse(), predicted));
-            }
+            let Some((window, _)) = history.observe_until_k_uers(self.k_uers) else {
+                continue;
+            };
+            let predicted = self.classify_from_features(&bank_features(&window, &self.geom), None);
+            pairs.push((truth.kind().coarse(), predicted));
         }
         pairs
     }
@@ -222,21 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn classify_returns_none_for_uer_poor_banks() {
-        let (_, _, classifier) = trained();
-        let history = BankErrorHistory::new(cordial_topology::BankAddress::default(), vec![]);
-        assert_eq!(classifier.classify(&history), None);
-    }
-
-    #[test]
-    fn probabilities_are_a_distribution_over_three_classes() {
+    fn model_probabilities_are_a_distribution_over_three_classes() {
         let (dataset, split, classifier) = trained();
         let by_bank = dataset.log.by_bank();
         let history = &by_bank[&split.test[0]];
         if let Some((window, _)) = history.observe_until_k_uers(3) {
-            let proba = classifier.classify_proba(&window);
+            let raw = bank_features(&window, classifier.geom());
+            let mut features = raw.clone();
+            mask_bank_features(&mut features, &classifier.mask);
+            let proba = classifier.model().predict_proba(&features);
             assert_eq!(proba.len(), 3);
             assert!((proba.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            let class = CoarsePattern::from_class_index(classifier.model().predict(&features));
+            assert_eq!(classifier.classify_from_features(&raw, None), class);
         }
     }
 

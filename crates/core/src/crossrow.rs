@@ -20,6 +20,7 @@ use crate::features::{
     bank_features, block_features, mask_bank_features, FeatureMask, BLOCK_FEATURE_LEN,
 };
 use crate::model::TrainedModel;
+use crate::pipeline::FlatPipeline;
 
 /// Geometry of the cross-row prediction window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,6 +79,24 @@ impl BlockSpec {
 impl Default for BlockSpec {
     fn default() -> Self {
         Self::paper()
+    }
+}
+
+/// The scores a row-sparing plan was cut from: one probability of a future
+/// UER per block of the window, and the threshold they were cut at.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockScores {
+    /// Probability of a future UER in each block, in block order.
+    pub proba: Vec<f64>,
+    /// The pattern's calibrated threshold: a block is predicted positive,
+    /// and its rows isolated, iff its probability is at least this.
+    pub threshold: f64,
+}
+
+impl BlockScores {
+    /// Per-block predictions, in block order.
+    pub fn predicted(&self) -> impl Iterator<Item = bool> + '_ {
+        self.proba.iter().map(|p| *p >= self.threshold)
     }
 }
 
@@ -211,80 +230,14 @@ impl CrossRowPredictor {
         self.spec
     }
 
-    /// Per-block probability of a future UER for an observed window, using
-    /// the predictor of the given aggregation pattern.
+    /// The rows Cordial would isolate for this window, from a pre-computed
+    /// **raw** (unmasked) §IV-B bank feature vector: every row of every
+    /// block whose probability reaches the pattern's threshold. `flat`
+    /// routes the ensemble through flattened twins, which give
+    /// bit-identical probabilities, so the rows never depend on it.
     ///
-    /// A window with no UER row has no anchor: every block probability is
-    /// zero (nothing to predict from, nothing isolated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern` is [`CoarsePattern::Scattered`] — scattered banks
-    /// never reach cross-row prediction (§IV-C).
-    pub fn predict_block_proba(
-        &self,
-        window: &ObservedWindow<'_>,
-        pattern: CoarsePattern,
-    ) -> Vec<f64> {
-        let model = match pattern {
-            CoarsePattern::SingleRow => &self.single,
-            CoarsePattern::DoubleRow => &self.double,
-            CoarsePattern::Scattered => {
-                panic!("cross-row prediction is not defined for scattered banks")
-            }
-        };
-        let Some(anchor) = window.last_uer_row() else {
-            return vec![0.0; self.spec.n_blocks];
-        };
-        let mut bank_feats = bank_features(window, &self.geom);
-        mask_bank_features(&mut bank_feats, &self.mask);
-        (0..self.spec.n_blocks)
-            .map(|index| {
-                let (lo, hi) = self.spec.block_bounds(anchor, index);
-                let features = block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64);
-                model.predict_proba(&features)[1]
-            })
-            .collect()
-    }
-
-    /// Per-block boolean predictions (probability ≥ the pattern's calibrated
-    /// threshold).
-    pub fn predict_blocks(&self, window: &ObservedWindow<'_>, pattern: CoarsePattern) -> Vec<bool> {
-        let threshold = self.threshold(pattern);
-        self.predict_block_proba(window, pattern)
-            .into_iter()
-            .map(|p| p >= threshold)
-            .collect()
-    }
-
-    /// The rows Cordial would isolate for this window: every row of every
-    /// positive block.
-    pub fn predicted_rows(
-        &self,
-        window: &ObservedWindow<'_>,
-        pattern: CoarsePattern,
-    ) -> Vec<RowId> {
-        let Some(anchor) = window.last_uer_row() else {
-            return Vec::new();
-        };
-        let mut rows = Vec::new();
-        for (index, positive) in self.predict_blocks(window, pattern).iter().enumerate() {
-            if *positive {
-                rows.extend(self.spec.rows_in_block(anchor, index, &self.geom));
-            }
-        }
-        rows
-    }
-
-    /// [`CrossRowPredictor::predicted_rows`] from a pre-computed **raw**
-    /// (unmasked) §IV-B bank feature vector, optionally through flattened
-    /// model twins.
-    ///
-    /// This is the plan hot path: [`crate::pipeline::Cordial`] computes the
-    /// bank features once per plan and shares them between classification
-    /// and block prediction instead of rescanning the window per stage.
-    /// The flat twins produce bit-identical probabilities, so the rows
-    /// never differ from the pointer-based path.
+    /// This is [`crate::pipeline::Cordial::decide`]'s block-scoring loop
+    /// without the scores.
     ///
     /// # Panics
     ///
@@ -294,22 +247,46 @@ impl CrossRowPredictor {
         window: &ObservedWindow<'_>,
         pattern: CoarsePattern,
         raw_features: &[f64],
-        flat: Option<&crate::pipeline::FlatPipeline>,
+        flat: Option<&FlatPipeline>,
     ) -> Vec<RowId> {
+        let pointer = FlatPipeline::default();
+        self.score_blocks(window, pattern, raw_features, flat.unwrap_or(&pointer))
+            .1
+    }
+
+    /// Scores every block of the window around the last observed UER row
+    /// with the block model of `pattern`, through `flat`'s twin of that
+    /// model when it has one. Returns the scores and the rows of the
+    /// positive blocks, ascending.
+    ///
+    /// A window with no UER row has no anchor: every block scores zero and
+    /// no row is isolated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern` is [`CoarsePattern::Scattered`] — scattered banks
+    /// never reach cross-row prediction (§IV-C).
+    pub(crate) fn score_blocks(
+        &self,
+        window: &ObservedWindow<'_>,
+        pattern: CoarsePattern,
+        raw_features: &[f64],
+        flat: &FlatPipeline,
+    ) -> (BlockScores, Vec<RowId>) {
         let (model, flat_model) = match pattern {
-            CoarsePattern::SingleRow => (&self.single, flat.and_then(|f| f.single.as_ref())),
-            CoarsePattern::DoubleRow => (&self.double, flat.and_then(|f| f.double.as_ref())),
+            CoarsePattern::SingleRow => (&self.single, flat.single()),
+            CoarsePattern::DoubleRow => (&self.double, flat.double()),
             CoarsePattern::Scattered => {
                 panic!("cross-row prediction is not defined for scattered banks")
             }
         };
         let threshold = self.threshold(pattern);
         let Some(anchor) = window.last_uer_row() else {
-            return Vec::new();
+            let proba = vec![0.0; self.spec.n_blocks];
+            return (BlockScores { proba, threshold }, Vec::new());
         };
         let mut bank_feats = raw_features.to_vec();
         mask_bank_features(&mut bank_feats, &self.mask);
-        let mut rows = Vec::new();
         let flat_timer = flat_model.map(|_| std::time::Instant::now());
         let block_rows: Vec<Vec<f64>> = (0..self.spec.n_blocks)
             .map(|index| {
@@ -317,7 +294,7 @@ impl CrossRowPredictor {
                 block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64)
             })
             .collect();
-        let probas: Vec<f64> = match flat_model {
+        let proba: Vec<f64> = match flat_model {
             // All blocks of a plan go through the flat ensemble as one
             // batch: rows share a single binning buffer and traverse the
             // packed node pool together ([`FlatEnsemble::predict_proba_batch`]
@@ -327,7 +304,7 @@ impl CrossRowPredictor {
                 flat_model
                     .predict_proba_batch(&refs)
                     .iter()
-                    .map(|proba| proba[1])
+                    .map(|p| p[1])
                     .collect()
             }
             None => block_rows
@@ -335,8 +312,9 @@ impl CrossRowPredictor {
                 .map(|features| model.predict_proba(features)[1])
                 .collect(),
         };
-        for (index, proba) in probas.iter().enumerate() {
-            if *proba >= threshold {
+        let mut rows = Vec::new();
+        for (index, p) in proba.iter().enumerate() {
+            if *p >= threshold {
                 rows.extend(self.spec.rows_in_block(anchor, index, &self.geom));
             }
         }
@@ -346,7 +324,7 @@ impl CrossRowPredictor {
             cordial_obs::histogram!("plan.flat_infer.seconds", cordial_obs::DURATION_BOUNDS)
                 .observe(start.elapsed().as_secs_f64());
         }
-        rows
+        (BlockScores { proba, threshold }, rows)
     }
 
     /// The per-pattern block models, `(single, double)` (flat-twin
@@ -588,12 +566,33 @@ mod tests {
             })
             .expect("aggregation test bank exists");
         let (window, _) = by_bank[bank].observe_until_k_uers(3).unwrap();
-        let proba = predictor.predict_block_proba(&window, CoarsePattern::SingleRow);
-        assert_eq!(proba.len(), 16);
-        assert!(proba.iter().all(|p| (0.0..=1.0).contains(p)));
-        let rows = predictor.predicted_rows(&window, CoarsePattern::SingleRow);
-        // Every predicted row is inside the ±64 window of the anchor.
+        let raw = bank_features(&window, &HbmGeometry::hbm2e_8hi());
+        let (scores, rows) = predictor.score_blocks(
+            &window,
+            CoarsePattern::SingleRow,
+            &raw,
+            &FlatPipeline::default(),
+        );
+        assert_eq!(scores.proba.len(), 16);
+        assert!(scores.proba.iter().all(|p| (0.0..=1.0).contains(p)));
+        assert_eq!(
+            scores.threshold,
+            predictor.threshold(CoarsePattern::SingleRow)
+        );
+        // The rows are exactly those of the positive blocks.
         let anchor = window.last_uer_row().unwrap();
+        let expected: Vec<RowId> = scores
+            .predicted()
+            .enumerate()
+            .filter(|(_, positive)| *positive)
+            .flat_map(|(index, _)| predictor.spec.rows_in_block(anchor, index, &predictor.geom))
+            .collect();
+        assert_eq!(rows, expected);
+        assert_eq!(
+            predictor.predicted_rows_from_features(&window, CoarsePattern::SingleRow, &raw, None),
+            rows
+        );
+        // Every predicted row is inside the ±64 window of the anchor.
         for row in &rows {
             assert!(row.distance(anchor) <= 64 + 8);
         }
@@ -613,7 +612,9 @@ mod tests {
             .find(|b| by_bank[*b].observe_until_k_uers(3).is_some())
             .unwrap();
         let (window, _) = by_bank[bank].observe_until_k_uers(3).unwrap();
-        let _ = predictor.predict_blocks(&window, CoarsePattern::Scattered);
+        let raw = bank_features(&window, &HbmGeometry::hbm2e_8hi());
+        let _ =
+            predictor.predicted_rows_from_features(&window, CoarsePattern::Scattered, &raw, None);
     }
 
     #[test]

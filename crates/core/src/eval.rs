@@ -13,7 +13,7 @@ use crate::config::CordialConfig;
 use crate::crossrow::block_labels;
 use crate::error::CordialError;
 use crate::isolation::{future_new_uer_rows, icr, score_plan, IcrAccounting};
-use crate::pipeline::{Cordial, MitigationPlan};
+use crate::pipeline::Cordial;
 
 /// Evaluation result of one prediction method (one row of Table IV).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,9 +33,10 @@ pub struct PredictionEval {
 /// Trains and evaluates the full Cordial pipeline on a split.
 ///
 /// Block P/R/F1 is computed over the banks where cross-row prediction
-/// actually ran (classified as an aggregation pattern); ICR is computed
-/// over every test bank with an observation window, with bank-spared banks
-/// covering all of their future rows.
+/// actually ran (classified as an aggregation pattern). ICR is computed
+/// over every test bank with an observation window. A bank-spared bank's
+/// future rows count in ICR's denominator only: only rows a row-sparing
+/// plan isolates count as covered ([`score_plan`]).
 ///
 /// # Errors
 ///
@@ -66,26 +67,27 @@ pub fn evaluate_pipeline(
     let mut predicted_blocks = Vec::new();
     let mut accounting = IcrAccounting::default();
 
-    // Plan the whole test fleet in one parallel batch, then score the
-    // plans sequentially in bank order.
+    // Decide the whole test fleet in one parallel batch, then score the
+    // decisions sequentially in bank order: ICR from each plan, block
+    // P/R/F1 from the scores that plan was cut from.
     let histories: Vec<&_> = test_banks
         .iter()
         .filter_map(|bank| by_bank.get(bank))
         .filter(|history| history.observe_until_k_uers(config.k_uers).is_some())
         .collect();
     let n_banks = histories.len();
-    let plans = cordial.plan_batch(&histories);
+    let decisions = cordial.decide_batch(&histories);
 
-    for (history, plan) in histories.iter().zip(&plans) {
+    for (history, decision) in histories.iter().zip(&decisions) {
         // Guaranteed by the filter above; skip rather than panic if not.
         let Some((window, future)) = history.observe_until_k_uers(config.k_uers) else {
             continue;
         };
-        accounting.absorb(score_plan(plan, &window, future));
+        accounting.absorb(score_plan(&decision.plan, &window, future));
 
-        if let MitigationPlan::RowSparing { pattern, .. } = plan {
+        if let Some(blocks) = &decision.blocks {
             actual_blocks.extend(block_labels(&window, future, &config.block));
-            predicted_blocks.extend(cordial.crossrow().predict_blocks(&window, *pattern));
+            predicted_blocks.extend(blocks.predicted());
         }
     }
 

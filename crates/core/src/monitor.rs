@@ -566,9 +566,7 @@ impl CordialMonitor {
             // One §IV-B feature fold over the window, inside the plan.
             cordial_obs::counter!("monitor.features.reference_scan").inc();
             let history = BankErrorHistory::new(bank, state.events.clone());
-            let plan = self
-                .pipeline
-                .plan_with(&history, Some(self.pipeline.flat()));
+            let plan = self.pipeline.plan(&history);
             if let Some(started) = started {
                 let slow = started.elapsed().as_secs_f64() > self.health.config.plan_latency_slo;
                 self.health.plan_latency.observe(slow);

@@ -12,7 +12,7 @@ use cordial_trees::FlatEnsemble;
 
 use crate::classifier::PatternClassifier;
 use crate::config::CordialConfig;
-use crate::crossrow::CrossRowPredictor;
+use crate::crossrow::{BlockScores, CrossRowPredictor};
 use crate::error::CordialError;
 use crate::features::bank_features;
 
@@ -56,6 +56,24 @@ impl MitigationPlan {
             // `rows` is ascending and distinct by construction.
             MitigationPlan::RowSparing { rows, .. } => rows.binary_search(&row).is_ok(),
         }
+    }
+}
+
+/// One bank's plan together with the scores it was cut from, as
+/// [`Cordial::decide`] returns it. Evaluation scores the block predictions
+/// of the very decision that produced the plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlanDecision {
+    /// The mitigation to apply.
+    pub plan: MitigationPlan,
+    /// Row sparing only: the per-block probabilities and the threshold the
+    /// plan's rows were cut at. `None` for every other plan.
+    pub blocks: Option<BlockScores>,
+}
+
+impl PlanDecision {
+    fn without_blocks(plan: MitigationPlan) -> Self {
+        Self { plan, blocks: None }
     }
 }
 
@@ -179,77 +197,87 @@ impl Cordial {
     }
 
     /// The flat inference twins of the fitted ensembles, shared by every
-    /// clone of this pipeline (the monitor's serving path).
+    /// clone of this pipeline; [`Cordial::decide`] infers through them.
     pub fn flat(&self) -> &FlatPipeline {
         &self.fitted.flat
     }
 
-    /// Produces a mitigation plan for a bank's observed history.
+    /// Plans a bank from its observed history and keeps the scores the plan
+    /// was cut from. This is the pipeline's one planning routine:
     ///
     /// * fewer than `k_uers` distinct UER rows → [`MitigationPlan::InsufficientData`];
     /// * classified scattered → [`MitigationPlan::BankSparing`];
     /// * classified aggregation → [`MitigationPlan::RowSparing`] with the
-    ///   rows of every positively predicted block.
-    pub fn plan(&self, history: &BankErrorHistory) -> MitigationPlan {
-        self.plan_with(history, None)
-    }
-
-    /// [`Cordial::plan`], optionally routing ensemble inference through
-    /// flattened model twins (the monitor's serving path). The twins are
-    /// bit-identical to the pointer models, so the plan never differs.
-    pub fn plan_with(
-        &self,
-        history: &BankErrorHistory,
-        flat: Option<&FlatPipeline>,
-    ) -> MitigationPlan {
-        // Root span: `plan` runs inline for 1 thread but on workers for
+    ///   rows of every block whose probability reaches the pattern's
+    ///   threshold, and those [`BlockScores`] in the decision.
+    ///
+    /// Inference runs through the pipeline's flat twins ([`Cordial::flat`])
+    /// where the model family has them and through the fitted models
+    /// otherwise. The twins are bit-identical to the fitted models, so the
+    /// decision never depends on which ran.
+    pub fn decide(&self, history: &BankErrorHistory) -> PlanDecision {
+        // Root span: `decide` runs inline for 1 thread but on workers for
         // more, so a stack-derived path would vary with the thread count.
         let _span = cordial_obs::span_root!("plan");
         cordial_obs::counter!("plan.requests").inc();
         let Some((window, _)) = history.observe_until_k_uers(self.config().k_uers) else {
             cordial_obs::counter!("plan.insufficient_data").inc();
-            return MitigationPlan::InsufficientData;
+            return PlanDecision::without_blocks(MitigationPlan::InsufficientData);
         };
-        // The §IV-B features are computed once and shared by both stages
-        // (the classifier and the cross-row predictor used to rescan the
-        // window independently).
+        // The §IV-B features are computed once and shared by both stages.
         let raw = bank_features(&window, self.classifier().geom());
+        let flat = self.flat();
         let pattern = self
             .classifier()
-            .classify_from_features(&raw, flat.and_then(|f| f.classifier.as_ref()));
+            .classify_from_features(&raw, flat.classifier());
         if !pattern.is_aggregation() {
             cordial_obs::counter!("plan.bank_sparing").inc();
-            return MitigationPlan::BankSparing;
+            return PlanDecision::without_blocks(MitigationPlan::BankSparing);
         }
-        let mut rows = self
-            .crossrow()
-            .predicted_rows_from_features(&window, pattern, &raw, flat);
+        let (blocks, mut rows) = self.crossrow().score_blocks(&window, pattern, &raw, flat);
         rows.sort();
         rows.dedup();
         cordial_obs::counter!("plan.row_sparing").inc();
         cordial_obs::histogram!("plan.rows_per_plan", cordial_obs::COUNT_BOUNDS)
             .observe(rows.len() as f64);
-        MitigationPlan::RowSparing { pattern, rows }
+        PlanDecision {
+            plan: MitigationPlan::RowSparing { pattern, rows },
+            blocks: Some(blocks),
+        }
     }
 
-    /// Plans a whole fleet of banks at once: [`Cordial::plan`] for each
-    /// history, fanned out over `config.n_threads` worker threads.
+    /// The mitigation plan of [`Cordial::decide`].
+    pub fn plan(&self, history: &BankErrorHistory) -> MitigationPlan {
+        self.decide(history).plan
+    }
+
+    /// [`Cordial::decide`] for a whole fleet of banks at once, fanned out
+    /// over `config.n_threads` worker threads.
     ///
-    /// The returned plans are in input order and each is exactly what
-    /// [`Cordial::plan`] returns for that history — inference is
-    /// per-bank independent, so threading cannot change any plan.
-    pub fn plan_batch(&self, histories: &[&BankErrorHistory]) -> Vec<MitigationPlan> {
+    /// The decisions are in input order and each is exactly what
+    /// [`Cordial::decide`] returns for that history — inference is
+    /// per-bank independent, so threading cannot change any decision.
+    pub fn decide_batch(&self, histories: &[&BankErrorHistory]) -> Vec<PlanDecision> {
         let _span = cordial_obs::span!("plan_batch");
         cordial_obs::histogram!("plan.batch_size", cordial_obs::COUNT_BOUNDS)
             .observe(histories.len() as f64);
         cordial_trees::parallel::ordered_map(histories, self.config().n_threads, |history| {
-            self.plan(history)
+            self.decide(history)
         })
     }
 
+    /// The mitigation plans of [`Cordial::decide_batch`].
+    pub fn plan_batch(&self, histories: &[&BankErrorHistory]) -> Vec<MitigationPlan> {
+        self.decide_batch(histories)
+            .into_iter()
+            .map(|decision| decision.plan)
+            .collect()
+    }
+
     /// An owned copy of the pipeline's flat inference twins
-    /// ([`Cordial::flat`]). Entries are `None` for model families without a
-    /// flat form (random forests) — callers then use the pointer models.
+    /// ([`Cordial::flat`]), for callers that drive the stages themselves.
+    /// Entries are `None` for model families without a flat form (random
+    /// forests) — those stages then use the fitted models.
     pub fn flatten(&self) -> FlatPipeline {
         self.fitted.flat.clone()
     }
@@ -327,6 +355,42 @@ mod tests {
             row_sparing > bank_sparing,
             "{row_sparing} vs {bank_sparing}"
         );
+    }
+
+    #[test]
+    fn decisions_carry_the_block_scores_their_rows_were_cut_from() {
+        let (dataset, split, cordial) = trained();
+        let by_bank = dataset.log.by_bank();
+        let histories: Vec<_> = split.test.iter().map(|bank| &by_bank[bank]).collect();
+        let decisions = cordial.decide_batch(&histories);
+        assert_eq!(cordial.plan_batch(&histories).len(), decisions.len());
+        let spec = cordial.crossrow().spec();
+        let geom = cordial.classifier().geom();
+        let mut row_sparing = 0;
+        for (history, decision) in histories.iter().zip(&decisions) {
+            assert_eq!(decision.plan, cordial.plan(history));
+            let MitigationPlan::RowSparing { pattern, rows } = &decision.plan else {
+                assert_eq!(decision.blocks, None, "only row sparing keeps block scores");
+                continue;
+            };
+            row_sparing += 1;
+            let blocks = decision
+                .blocks
+                .as_ref()
+                .expect("row sparing keeps its scores");
+            assert_eq!(blocks.proba.len(), spec.n_blocks);
+            assert_eq!(blocks.threshold, cordial.crossrow().threshold(*pattern));
+            let (window, _) = history.observe_until_k_uers(3).unwrap();
+            let anchor = window.last_uer_row().unwrap();
+            let cut: Vec<RowId> = blocks
+                .predicted()
+                .enumerate()
+                .filter(|(_, positive)| *positive)
+                .flat_map(|(index, _)| spec.rows_in_block(anchor, index, geom))
+                .collect();
+            assert_eq!(rows, &cut, "the plan's rows are its positive blocks");
+        }
+        assert!(row_sparing > 0);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod ecc;
 pub mod fault;
 pub mod patterns;
 pub mod plan;
-pub mod repair;
 pub mod scrub;
 pub mod sparing;
 pub mod workload;
@@ -56,7 +55,6 @@ pub use patterns::{
     CoarsePattern, GrowthDirection, LocalityKernel, PatternKind, PatternLayout, PatternMix,
 };
 pub use plan::{BankFaultPlan, PlanConfig};
-pub use repair::{RepairOutcome, RepairProcess};
 pub use scrub::PatrolScrubber;
 pub use sparing::{IsolationEngine, IsolationSnapshot, SparingBudget, SparingOutcome};
 pub use workload::WorkloadModel;

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 mod address;
-pub mod addrmap;
 mod error;
 mod fleet;
 mod geometry;
@@ -56,7 +55,6 @@ pub use address::{
     BankAddress, BankGroup, BankIndex, CellAddress, Channel, ColId, HbmSocket, NodeId, NpuId,
     PseudoChannel, RowId, StackId,
 };
-pub use addrmap::{AddressMap, PhysicalAddress};
 pub use error::{AddressParseError, GeometryError};
 pub use fleet::{FleetConfig, HbmRef, NpuRef};
 pub use geometry::HbmGeometry;

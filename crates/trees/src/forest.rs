@@ -53,19 +53,6 @@ impl RandomForestConfig {
     }
 }
 
-/// Out-of-bag accuracy estimate of a fitted forest.
-///
-/// Returned by [`RandomForest::fit_with_oob`]: each training row is scored
-/// only by the trees whose bootstrap sample *excluded* it, giving an
-/// honest generalisation estimate without a held-out set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OobEstimate {
-    /// Fraction of evaluable rows classified correctly out-of-bag.
-    pub accuracy: f64,
-    /// Rows that at least one tree left out of bag (only these are scored).
-    pub evaluable_rows: usize,
-}
-
 /// A fitted random-forest classifier.
 ///
 /// Each tree is grown on a bootstrap sample with per-split feature
@@ -88,18 +75,6 @@ impl RandomForest {
     /// [`FitError::InvalidConfig`] for a zero tree count or non-positive
     /// sample fraction.
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> Result<Self, FitError> {
-        Self::fit_with_oob(data, config).map(|(forest, _)| forest)
-    }
-
-    /// Fits a forest and computes its out-of-bag accuracy estimate.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RandomForest::fit`].
-    pub fn fit_with_oob(
-        data: &Dataset,
-        config: &RandomForestConfig,
-    ) -> Result<(Self, OobEstimate), FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
         }
@@ -142,46 +117,11 @@ impl RandomForest {
         let trees = crate::parallel::ordered_map(&tree_seeds, config.n_threads, |&s| fit_one(s))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
-        let forest = RandomForest {
+        Ok(RandomForest {
             trees,
             n_classes: data.n_classes(),
             n_features: data.n_features(),
-        };
-
-        // Out-of-bag scoring: re-derive each tree's bootstrap membership
-        // from its seed (cheaper than storing index vectors on every tree).
-        let mut oob_votes: Vec<Vec<f64>> = vec![vec![0.0; data.n_classes()]; data.n_rows()];
-        let mut oob_counts = vec![0u32; data.n_rows()];
-        for (tree, &tree_seed) in forest.trees.iter().zip(&tree_seeds) {
-            let mut rng = StdRng::seed_from_u64(tree_seed);
-            let mut in_bag = vec![false; data.n_rows()];
-            for _ in 0..sample_size {
-                in_bag[rng.gen_range(0..data.n_rows())] = true;
-            }
-            for i in 0..data.n_rows() {
-                if !in_bag[i] {
-                    for (vote, p) in oob_votes[i].iter_mut().zip(tree.predict_proba(data.row(i))) {
-                        *vote += p;
-                    }
-                    oob_counts[i] += 1;
-                }
-            }
-        }
-        let mut correct = 0usize;
-        let mut evaluable = 0usize;
-        for i in 0..data.n_rows() {
-            if oob_counts[i] > 0 {
-                evaluable += 1;
-                if crate::argmax(&oob_votes[i]) == data.label(i) {
-                    correct += 1;
-                }
-            }
-        }
-        let oob = OobEstimate {
-            accuracy: correct as f64 / evaluable.max(1) as f64,
-            evaluable_rows: evaluable,
-        };
-        Ok((forest, oob))
+        })
     }
 
     /// Number of trees in the ensemble.
@@ -343,60 +283,5 @@ mod tests {
         assert_eq!(sqrt_features(9), 3);
         assert_eq!(sqrt_features(16), 4);
         assert_eq!(sqrt_features(20), 4);
-    }
-}
-
-#[cfg(test)]
-mod oob_tests {
-    use super::*;
-
-    fn blobs() -> Dataset {
-        let mut data = Dataset::new(2, 2);
-        for i in 0..60 {
-            let v = (i % 12) as f64;
-            data.push_row(&[v, v], 0).unwrap();
-            data.push_row(&[40.0 + v, 40.0 + v], 1).unwrap();
-        }
-        data
-    }
-
-    #[test]
-    fn oob_accuracy_is_high_on_separable_data() {
-        let (forest, oob) =
-            RandomForest::fit_with_oob(&blobs(), &RandomForestConfig::default().with_trees(30))
-                .unwrap();
-        assert!(oob.accuracy > 0.95, "OOB accuracy {}", oob.accuracy);
-        assert!(oob.evaluable_rows > 100, "rows {}", oob.evaluable_rows);
-        assert_eq!(forest.n_trees(), 30);
-    }
-
-    #[test]
-    fn oob_accuracy_is_poor_on_label_noise() {
-        // Random labels: OOB accuracy must hover near chance.
-        let mut data = Dataset::new(1, 2);
-        let mut x = 7u64;
-        for i in 0..200 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            data.push_row(&[i as f64], (x >> 33) as usize % 2).unwrap();
-        }
-        let (_, oob) =
-            RandomForest::fit_with_oob(&data, &RandomForestConfig::default().with_trees(20))
-                .unwrap();
-        assert!(
-            oob.accuracy < 0.70,
-            "OOB must expose overfitting on noise: {}",
-            oob.accuracy
-        );
-    }
-
-    #[test]
-    fn fit_and_fit_with_oob_produce_identical_forests() {
-        let data = blobs();
-        let config = RandomForestConfig::default().with_trees(8).with_seed(5);
-        let plain = RandomForest::fit(&data, &config).unwrap();
-        let (with_oob, _) = RandomForest::fit_with_oob(&data, &config).unwrap();
-        assert_eq!(plain, with_oob);
     }
 }

@@ -60,7 +60,7 @@ mod tree;
 pub use data::{Dataset, SplitSets};
 pub use error::FitError;
 pub use flat::FlatEnsemble;
-pub use forest::{OobEstimate, RandomForest, RandomForestConfig};
+pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use hist::{BinMapper, BinnedDataset, FeatureHistogram};
 pub use lgbm::{LightGbm, LightGbmConfig};

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let idx = BANK_FEATURE_NAMES.iter().position(|&n| n == name).unwrap();
                 println!("    {name:<26} = {:>12.1}", features[idx]);
             }
-            let predicted = classifier.classify_window(&window);
+            let predicted = classifier.classify_from_features(&features, None);
             println!(
                 "  classifier verdict: {predicted}  (ground truth: {})",
                 kind.coarse()
