@@ -1,14 +1,12 @@
-//! Shared fixtures for the Cordial benchmark suite.
+//! Shared fixtures for the `perf` criterion bench.
 //!
-//! The benchmarks regenerate scaled-down kernels of every table and figure
-//! in the paper (`benches/tables.rs`, `benches/figures.rs`), measure the
-//! component costs a deployment cares about (`benches/components.rs`),
-//! sweep the design choices called out in DESIGN.md
-//! (`benches/ablations.rs`), and time the performance layers against
-//! their reference twins: parallel training and the serving hot path
-//! (`benches/perf.rs`). `perf` commits its medians as the `BENCH_*.json`
-//! files at the workspace root. The serving daemon and the durable store
-//! are measured end to end, journaling on, by `bash benchmark/run.sh`.
+//! `benches/perf.rs` times the performance layers against their reference
+//! twins: parallel training, batch planning and the serving hot path. Its
+//! hot-path and flight-recorder pairs are committed as the `BENCH_*.json`
+//! files at the workspace root and gated by `tests/bench_schema.rs`. The
+//! paper's tables and figures are regenerated by `cordial-experiments`,
+//! and the serving daemon and the durable store are measured end to end,
+//! journaling on, by `bash benchmark/run.sh`.
 
 use cordial::split::{split_banks, BankSplit};
 use cordial_faultsim::{generate_fleet_dataset, FleetDataset, FleetDatasetConfig};

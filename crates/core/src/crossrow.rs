@@ -294,7 +294,7 @@ impl CrossRowPredictor {
                 block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64)
             })
             .collect();
-        let proba: Vec<f64> = match flat_model {
+        let probas: Vec<f64> = match flat_model {
             // All blocks of a plan go through the flat ensemble as one
             // batch: rows share a single binning buffer and traverse the
             // packed node pool together ([`FlatEnsemble::predict_proba_batch`]
@@ -304,7 +304,7 @@ impl CrossRowPredictor {
                 flat_model
                     .predict_proba_batch(&refs)
                     .iter()
-                    .map(|p| p[1])
+                    .map(|proba| proba[1])
                     .collect()
             }
             None => block_rows
@@ -313,8 +313,8 @@ impl CrossRowPredictor {
                 .collect(),
         };
         let mut rows = Vec::new();
-        for (index, p) in proba.iter().enumerate() {
-            if *p >= threshold {
+        for (index, proba) in probas.iter().enumerate() {
+            if *proba >= threshold {
                 rows.extend(self.spec.rows_in_block(anchor, index, &self.geom));
             }
         }
@@ -324,7 +324,11 @@ impl CrossRowPredictor {
             cordial_obs::histogram!("plan.flat_infer.seconds", cordial_obs::DURATION_BOUNDS)
                 .observe(start.elapsed().as_secs_f64());
         }
-        (BlockScores { proba, threshold }, rows)
+        let scores = BlockScores {
+            proba: probas,
+            threshold,
+        };
+        (scores, rows)
     }
 
     /// The per-pattern block models, `(single, double)` (flat-twin

@@ -71,12 +71,6 @@ pub struct PlanDecision {
     pub blocks: Option<BlockScores>,
 }
 
-impl PlanDecision {
-    fn without_blocks(plan: MitigationPlan) -> Self {
-        Self { plan, blocks: None }
-    }
-}
-
 /// The trained Cordial predictor: an immutable handle to one fitted
 /// pipeline.
 ///
@@ -222,7 +216,10 @@ impl Cordial {
         cordial_obs::counter!("plan.requests").inc();
         let Some((window, _)) = history.observe_until_k_uers(self.config().k_uers) else {
             cordial_obs::counter!("plan.insufficient_data").inc();
-            return PlanDecision::without_blocks(MitigationPlan::InsufficientData);
+            return PlanDecision {
+                plan: MitigationPlan::InsufficientData,
+                blocks: None,
+            };
         };
         // The §IV-B features are computed once and shared by both stages.
         let raw = bank_features(&window, self.classifier().geom());
@@ -232,7 +229,10 @@ impl Cordial {
             .classify_from_features(&raw, flat.classifier());
         if !pattern.is_aggregation() {
             cordial_obs::counter!("plan.bank_sparing").inc();
-            return PlanDecision::without_blocks(MitigationPlan::BankSparing);
+            return PlanDecision {
+                plan: MitigationPlan::BankSparing,
+                blocks: None,
+            };
         }
         let (blocks, mut rows) = self.crossrow().score_blocks(&window, pattern, &raw, flat);
         rows.sort();
