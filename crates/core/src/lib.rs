@@ -22,8 +22,10 @@
 //!    eight-row blocks within ±64 rows of the last UER row will fail
 //!    (§IV-D); scattered banks are bank-spared directly.
 //!
-//! [`pipeline::Cordial`] glues the stages into a deployable predictor that
-//! emits [`pipeline::MitigationPlan`]s; [`isolation`] scores plans with the
+//! [`pipeline::Cordial`] glues the stages into a deployable predictor whose
+//! one planning routine, [`pipeline::Cordial::decide`], emits a
+//! [`pipeline::MitigationPlan`] with the block scores it was cut from
+//! ([`pipeline::PlanDecision`]); [`isolation`] scores plans with the
 //! paper's Isolation Coverage Rate; [`baseline`] provides the industrial
 //! neighbor-rows baseline and the in-row ceiling; [`locality`] reproduces
 //! the Fig. 4 chi-square locality sweep; [`empirical`] reproduces the
