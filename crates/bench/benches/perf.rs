@@ -9,8 +9,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use cordial::crossrow::block_samples;
+use cordial::features::BLOCK_FEATURE_LEN;
 use cordial::pipeline::Cordial;
-use cordial::CordialConfig;
+use cordial::prelude::{BankAddress, BlockSpec, HbmGeometry};
+use cordial::{CordialConfig, ModelKind, TrainedModel};
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
 use cordial_trees::{
     BinnedDataset, Classifier, Dataset, FlatEnsemble, Gbdt, GbdtConfig, LightGbm, LightGbmConfig,
@@ -350,6 +353,73 @@ fn hotpath_inference(
     }
 }
 
+/// One plan's cross-row stage on the serving default, a 100-tree random
+/// forest fitted on the bench fleet's aggregation-bank block samples: a
+/// test bank's 16 block rows scored by 16 per-row `predict_proba` calls
+/// vs one tree-major `predict_proba_rows` call. Bit-identical
+/// probabilities — pinned in setup — so the pair measures only time.
+fn hotpath_forest(sample_size: usize) -> HotpathPair {
+    let dataset = bench_dataset();
+    let split = bench_split(&dataset);
+    let by_bank = dataset.log.by_bank();
+    let k_uers = CordialConfig::default().k_uers;
+    let (spec, geom) = (BlockSpec::paper(), HbmGeometry::hbm2e_8hi());
+    let samples = |bank: &BankAddress| -> Vec<(Vec<f64>, usize)> {
+        let aggregation = dataset
+            .truth
+            .get(bank)
+            .is_some_and(|truth| truth.kind().coarse().is_aggregation());
+        match by_bank
+            .get(bank)
+            .and_then(|h| h.observe_until_k_uers(k_uers))
+        {
+            Some((window, future)) if aggregation => block_samples(&window, future, &spec, &geom),
+            _ => Vec::new(),
+        }
+    };
+    let mut data = Dataset::new(BLOCK_FEATURE_LEN, 2);
+    for (features, label) in split.train.iter().flat_map(&samples) {
+        data.push_row(&features, label).expect("row");
+    }
+    let plan: Vec<Vec<f64>> = split
+        .test
+        .iter()
+        .map(&samples)
+        .find(|blocks| !blocks.is_empty())
+        .expect("a test aggregation bank with a window")
+        .into_iter()
+        .map(|(features, _)| features)
+        .collect();
+    let TrainedModel::Forest(forest) = ModelKind::default().fit(&data, BENCH_SEED).expect("fit")
+    else {
+        unreachable!("the default model family is a random forest")
+    };
+    let rows: Vec<&[f64]> = plan.iter().map(Vec::as_slice).collect();
+    let batch = forest.predict_proba_rows(&rows);
+    for (row, b) in rows.iter().zip(batch.chunks_exact(forest.n_classes())) {
+        let p = forest.predict_proba(row);
+        assert!(
+            p.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "batch scoring must be bit-identical before timing"
+        );
+    }
+    let reference_ns = measure_median_ns(sample_size, || {
+        for row in &rows {
+            black_box(forest.predict_proba(black_box(row)));
+        }
+    });
+    let candidate_ns = measure_median_ns(sample_size, || {
+        black_box(forest.predict_proba_rows(black_box(&rows)));
+    });
+    HotpathPair {
+        name: "forest_inference",
+        reference: "per_row_predict_proba",
+        candidate: "tree_major_batch",
+        reference_ns,
+        candidate_ns,
+    }
+}
+
 /// The hot-path suite: measured outside `Bencher::iter` because the JSON
 /// artefact needs the raw medians, but honouring the harness's filter and
 /// `--sample-size` configuration. The artefact is only (re)written when
@@ -389,6 +459,7 @@ fn bench_hotpath(c: &mut Criterion) {
         &data,
         sample_size,
     ));
+    pairs.push(hotpath_forest(sample_size));
 
     for pair in &pairs {
         pair.report();

@@ -284,6 +284,76 @@ fn plan_accepts_a_single_bank_filter() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Runs `cmd` to completion, killing it and failing the test if it takes
+/// longer than `limit`.
+fn output_within(mut cmd: Command, limit: std::time::Duration) -> std::process::Output {
+    use std::process::Stdio;
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let start = std::time::Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{cmd:?} still running after {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn plan_refuses_a_pipeline_whose_forest_loops() {
+    let dir = workdir("loop");
+    let log = dir.join("fleet.mce");
+    let truth = dir.join("truth.json");
+    let model = dir.join("model.json");
+
+    let out = bin()
+        .args(["simulate", "--scale", "small", "--seed", "5"])
+        .args(["--log", log.to_str().unwrap()])
+        .args(["--truth", truth.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let out = bin()
+        .args(["train", "--model", "rf", "--seed", "5"])
+        .args(["--log", log.to_str().unwrap()])
+        .args(["--truth", truth.to_str().unwrap()])
+        .args(["--out", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+
+    // Point the first split of the classifier's first tree back at itself:
+    // scoring any row would then walk forever.
+    let text = std::fs::read_to_string(&model).unwrap();
+    let key = r#""left":"#;
+    let at = text.find(key).expect("the forest has a split") + key.len();
+    let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let looped = format!("{}0{}", &text[..at], &text[at + digits..]);
+    assert_ne!(looped, text);
+    std::fs::write(&model, looped).unwrap();
+
+    let mut plan = bin();
+    plan.args(["plan"])
+        .args(["--log", log.to_str().unwrap()])
+        .args(["--pipeline", model.to_str().unwrap()]);
+    let out = output_within(plan, std::time::Duration::from_secs(60));
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot decode"), "{stderr}");
+    assert!(
+        stderr.contains("tree 0: node 0: child index 0 does not come after its parent"),
+        "{stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn run_with_trace_out_and_dump_dir_exports_observability_artifacts() {
     let dir = workdir("trace");

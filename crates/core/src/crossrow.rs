@@ -288,29 +288,35 @@ impl CrossRowPredictor {
         let mut bank_feats = raw_features.to_vec();
         mask_bank_features(&mut bank_feats, &self.mask);
         let flat_timer = flat_model.map(|_| std::time::Instant::now());
-        let block_rows: Vec<Vec<f64>> = (0..self.spec.n_blocks)
-            .map(|index| {
-                let (lo, hi) = self.spec.block_bounds(anchor, index);
-                block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64)
-            })
-            .collect();
+        // One buffer holds every block's row, so a plan allocates nothing
+        // per block.
+        let mut matrix = Vec::with_capacity(self.spec.n_blocks * BLOCK_FEATURE_LEN);
+        for index in 0..self.spec.n_blocks {
+            let (lo, hi) = self.spec.block_bounds(anchor, index);
+            block_features(
+                &mut matrix,
+                window,
+                &bank_feats,
+                index,
+                lo,
+                hi,
+                anchor.0 as i64,
+            );
+        }
+        let block_rows: Vec<&[f64]> = matrix.chunks_exact(BLOCK_FEATURE_LEN).collect();
         let probas: Vec<f64> = match flat_model {
             // All blocks of a plan go through the flat ensemble as one
             // batch: rows share a single binning buffer and traverse the
             // packed node pool together ([`FlatEnsemble::predict_proba_batch`]
             // is bit-identical to the per-row path).
-            Some(flat_model) => {
-                let refs: Vec<&[f64]> = block_rows.iter().map(Vec::as_slice).collect();
-                flat_model
-                    .predict_proba_batch(&refs)
-                    .iter()
-                    .map(|proba| proba[1])
-                    .collect()
-            }
-            None => block_rows
+            Some(flat_model) => flat_model
+                .predict_proba_batch(&block_rows)
                 .iter()
-                .map(|features| model.predict_proba(features)[1])
+                .map(|proba| proba[1])
                 .collect(),
+            // Without a twin (forests), the model scores all blocks in one
+            // call; a forest walks them through each tree together.
+            None => positive_probas(model, &block_rows),
         };
         let mut rows = Vec::new();
         for (index, proba) in probas.iter().enumerate() {
@@ -348,9 +354,8 @@ impl CrossRowPredictor {
 /// isolation coverage — spare rows are cheap relative to an unabsorbed UER,
 /// which is the economics the paper's ICR metric encodes.
 fn calibrate_threshold(model: &TrainedModel, data: &Dataset) -> f64 {
-    let probs: Vec<f64> = (0..data.n_rows())
-        .map(|i| model.predict_proba(data.row(i))[1])
-        .collect();
+    let rows: Vec<&[f64]> = (0..data.n_rows()).map(|i| data.row(i)).collect();
+    let probs = positive_probas(model, &rows);
     let mut candidates: Vec<f64> = probs.clone();
     candidates.sort_by(f64::total_cmp);
     candidates.dedup();
@@ -384,6 +389,15 @@ fn calibrate_threshold(model: &TrainedModel, data: &Dataset) -> f64 {
         .map(|&(threshold, _)| threshold)
         .fold(f64::INFINITY, f64::min)
         .clamp(0.0, 1.0)
+}
+
+/// The class-1 (future UER) probability of every row, in one batch call.
+fn positive_probas(model: &TrainedModel, rows: &[&[f64]]) -> Vec<f64> {
+    model
+        .predict_proba_rows(rows)
+        .chunks_exact(model.n_classes())
+        .map(|proba| proba[1])
+        .collect()
 }
 
 /// The future UER rows a block is labelled against: every row with a future
@@ -430,7 +444,16 @@ pub fn block_samples_masked(
     (0..spec.n_blocks)
         .map(|index| {
             let (lo, hi) = spec.block_bounds(anchor, index);
-            let features = block_features(window, &bank_feats, index, lo, hi, anchor.0 as i64);
+            let mut features = Vec::with_capacity(BLOCK_FEATURE_LEN);
+            block_features(
+                &mut features,
+                window,
+                &bank_feats,
+                index,
+                lo,
+                hi,
+                anchor.0 as i64,
+            );
             let label = usize::from(targets.iter().any(|row| spec.contains(anchor, index, *row)));
             (features, label)
         })

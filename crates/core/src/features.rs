@@ -141,19 +141,22 @@ pub fn bank_features(window: &ObservedWindow<'_>, geom: &HbmGeometry) -> Vec<f64
     IncrementalBankFeatures::replay(window.events()).assemble(geom)
 }
 
-/// Extracts the §IV-D block-level feature vector: block context relative to
-/// the prediction window plus the full bank feature vector.
+/// Appends the §IV-D block-level feature vector to `out`: block context
+/// relative to the prediction window plus the full bank feature vector,
+/// [`BLOCK_FEATURE_LEN`] values. Appending lets a plan put all its blocks'
+/// rows in one buffer.
 ///
 /// `block_lo..=block_hi` is the block's (possibly bank-clamped) row range
 /// and `anchor` is the last observed UER row the window is centred on.
 pub fn block_features(
+    out: &mut Vec<f64>,
     window: &ObservedWindow<'_>,
     bank_feats: &[f64],
     block_index: usize,
     block_lo: i64,
     block_hi: i64,
     anchor: i64,
-) -> Vec<f64> {
+) {
     debug_assert_eq!(bank_feats.len(), BANK_FEATURE_NAMES.len());
     let center = (block_lo + block_hi) as f64 / 2.0;
     let offset = center - anchor as f64;
@@ -182,18 +185,18 @@ pub fn block_features(
         }
     }
 
-    let mut out = Vec::with_capacity(BLOCK_FEATURE_LEN);
-    out.push(block_index as f64);
-    out.push(offset);
-    out.push(offset.abs());
-    out.push(min_dist[0]);
-    out.push(min_dist[1]);
-    out.push(min_dist[2]);
-    out.push(counts[0]);
-    out.push(counts[1]);
-    out.push(counts[2]);
+    out.extend_from_slice(&[
+        block_index as f64,
+        offset,
+        offset.abs(),
+        min_dist[0],
+        min_dist[1],
+        min_dist[2],
+        counts[0],
+        counts[1],
+        counts[2],
+    ]);
     out.extend_from_slice(bank_feats);
-    out
 }
 
 /// The single-pass scan [`bank_features`] ran before the fold replaced it,
@@ -474,7 +477,8 @@ mod tests {
         let (window, _) = history.observe_until_k_uers(3).unwrap();
         let bank = bank_features(&window, &HbmGeometry::hbm2e_8hi());
         // Block covering rows 96..=103 contains all three UERs and the CE at 90 is 6 away.
-        let f = block_features(&window, &bank, 12, 96, 103, 102);
+        let mut f = Vec::new();
+        block_features(&mut f, &window, &bank, 12, 96, 103, 102);
         assert_eq!(f.len(), BLOCK_FEATURE_LEN);
         assert_eq!(f[0], 12.0); // index
         assert_eq!(f[3], 0.0); // min dist to UER
@@ -496,8 +500,9 @@ mod tests {
         );
         let (window, _) = history.observe_until_k_uers(3).unwrap();
         let bank = bank_features(&window, &HbmGeometry::hbm2e_8hi());
-        let below = block_features(&window, &bank, 0, 38, 45, 102);
-        let above = block_features(&window, &bank, 15, 158, 165, 102);
+        let (mut below, mut above) = (Vec::new(), Vec::new());
+        block_features(&mut below, &window, &bank, 0, 38, 45, 102);
+        block_features(&mut above, &window, &bank, 15, 158, 165, 102);
         assert!(below[1] < 0.0);
         assert!(above[1] > 0.0);
         assert_eq!(below[2], -below[1]);

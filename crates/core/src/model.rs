@@ -201,6 +201,21 @@ impl TrainedModel {
         }
     }
 
+    /// Class probabilities of a batch of rows, row-major in one vector
+    /// (`n_classes` per row). A random forest scores the batch tree-major
+    /// in one call ([`RandomForest::predict_proba_rows`]); the boosted
+    /// families score it row by row. Either way each row's probabilities
+    /// are bit-identical to [`Classifier::predict_proba`] on that row.
+    pub fn predict_proba_rows(&self, rows: &[&[f64]]) -> Vec<f64> {
+        match self {
+            TrainedModel::Forest(m) => m.predict_proba_rows(rows),
+            TrainedModel::Xgb(_) | TrainedModel::Lgbm(_) => rows
+                .iter()
+                .flat_map(|row| self.predict_proba(row))
+                .collect(),
+        }
+    }
+
     /// Flattens the model into a branchless SoA inference twin
     /// ([`FlatEnsemble`]). `None` for random forests (no boosted-ensemble
     /// flat form) and for GBDTs whose per-feature threshold tables would

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::error::FitError;
@@ -92,26 +92,43 @@ impl TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        proba: Vec<f64>,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// One node of a [`DecisionTree`], 24 bytes.
+///
+/// A split sends a row to `children[0]` when its `feature` value is NaN or
+/// at most `threshold`, and to `children[1]` otherwise. A leaf points both
+/// children at itself, so a walk of the tree's depth in steps ends on the
+/// row's leaf whatever level that leaf is at. `leaf` is the offset of a
+/// leaf's `n_classes` probabilities in the tree's pool (0 for a split).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Node {
+    threshold: f64,
+    feature: u32,
+    children: [u32; 2],
+    leaf: u32,
+}
+
+impl Node {
+    /// Whether the node at index `idx` is a leaf (points at itself).
+    fn is_leaf(&self, idx: usize) -> bool {
+        self.children[0] as usize == idx
+    }
 }
 
 /// A fitted CART classification tree.
 ///
 /// Missing values (`NaN`) always route to the left child, both during
 /// training and prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Nodes are stored in pre-order (every child after its parent) as 24-byte
+/// records, with the probabilities of all leaves in one pool. The JSON
+/// form is a list of `{"Split": {feature, threshold, left, right}}` and
+/// `{"Leaf": {proba}}` nodes; reading it refuses any tree a walk could not
+/// finish on.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
+    leaves: Vec<f64>,
+    depth: usize,
     n_features: usize,
     n_classes: usize,
     gains: Vec<f64>,
@@ -162,39 +179,83 @@ impl DecisionTree {
             config,
             rng: StdRng::seed_from_u64(config.seed),
             sort: RankSort::default(),
-            nodes: Vec::new(),
-            gains: vec![0.0; data.n_features()],
+            tree: DecisionTree::unfitted(data),
         };
         grow.build(&mut indices.to_vec(), 0);
-        Ok(DecisionTree {
-            nodes: grow.nodes,
+        Ok(grow.tree)
+    }
+
+    /// A tree with no nodes yet, shaped for `data`.
+    fn unfitted(data: &Dataset) -> Self {
+        DecisionTree {
+            nodes: Vec::new(),
+            leaves: Vec::new(),
+            depth: 0,
             n_features: data.n_features(),
             n_classes: data.n_classes(),
-            gains: grow.gains,
-        })
+            gains: vec![0.0; data.n_features()],
+        }
+    }
+
+    /// One step of a walk: the child of node `idx` that `row` goes to (a
+    /// leaf's own index for a leaf).
+    #[inline]
+    fn step(&self, idx: u32, row: &[f64]) -> u32 {
+        let node = &self.nodes[idx as usize];
+        let value = row[node.feature as usize];
+        let right = !(value.is_nan() | (value <= node.threshold));
+        node.children[usize::from(right)]
+    }
+
+    /// The probabilities of the leaf at node `idx`.
+    #[inline]
+    fn leaf_at(&self, idx: u32) -> &[f64] {
+        let start = self.nodes[idx as usize].leaf as usize;
+        &self.leaves[start..start + self.n_classes]
     }
 
     /// Class-probability vector at the leaf reached by `row`.
     fn leaf_proba(&self, row: &[f64]) -> &[f64] {
         assert_eq!(row.len(), self.n_features, "feature count mismatch");
+        let idx = (0..self.depth).fold(0, |idx, _| self.step(idx, row));
+        self.leaf_at(idx)
+    }
+
+    /// Walks `rows` (at most [`LANES`]) through the tree in lockstep, each
+    /// exactly `depth` steps, and adds each row's leaf probabilities to its
+    /// `n_classes` slots of `acc`. The walks are independent, so the CPU
+    /// overlaps their node loads. Row lengths are the caller's to check.
+    pub(crate) fn add_leaf_probas(&self, rows: &[&[f64]], acc: &mut [f64]) {
+        let mut at = [0u32; LANES];
+        let at = &mut at[..rows.len()];
+        for _ in 0..self.depth {
+            for (idx, row) in at.iter_mut().zip(rows) {
+                *idx = self.step(*idx, row);
+            }
+        }
+        for (&idx, acc) in at.iter().zip(acc.chunks_exact_mut(self.n_classes)) {
+            for (a, p) in acc.iter_mut().zip(self.leaf_at(idx)) {
+                *a += p;
+            }
+        }
+    }
+
+    /// The leaf `row` reaches by following splits until a node points at
+    /// itself: the branchy walk the lockstep kernel is checked against.
+    #[cfg(test)]
+    pub(crate) fn walk_to_leaf(&self, row: &[f64]) -> &[f64] {
         let mut idx = 0;
         loop {
-            match &self.nodes[idx] {
-                Node::Leaf { proba } => return proba,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let v = row[*feature];
-                    idx = if v.is_nan() || v <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+            let node = &self.nodes[idx];
+            if node.is_leaf(idx) {
+                return self.leaf_at(idx as u32);
             }
+            let v = row[node.feature as usize];
+            idx = if v.is_nan() || v <= node.threshold {
+                node.children[0]
+            } else {
+                node.children[1]
+            } as usize;
         }
     }
 
@@ -205,13 +266,12 @@ impl DecisionTree {
 
     /// Depth of the fitted tree (a lone leaf has depth 0).
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], idx: usize) -> usize {
-            match &nodes[idx] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
-            }
-        }
-        walk(&self.nodes, 0)
+        self.depth
+    }
+
+    /// Number of features the tree was fitted on.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
     }
 
     /// Total impurity gain contributed by each feature, normalised to sum
@@ -225,6 +285,9 @@ impl DecisionTree {
     }
 }
 
+/// Rows a tree walks in lockstep: one plan's 16 block rows.
+pub(crate) const LANES: usize = 16;
+
 impl Classifier for DecisionTree {
     fn n_classes(&self) -> usize {
         self.n_classes
@@ -235,19 +298,185 @@ impl Classifier for DecisionTree {
     }
 }
 
-/// One tree's growth: its inputs, RNG, sort buffers, nodes and gains.
+/// `{"<tag>": {fields}}`: how the tree's JSON has always written a node.
+fn tagged(tag: &str, fields: Vec<(&str, Value)>) -> Value {
+    let fields = fields
+        .into_iter()
+        .map(|(name, value)| (name.to_owned(), value))
+        .collect();
+    Value::Map(vec![(tag.to_owned(), Value::Map(fields))])
+}
+
+impl Serialize for DecisionTree {
+    fn to_value(&self) -> Value {
+        let nodes = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(idx, node)| {
+                if node.is_leaf(idx) {
+                    tagged("Leaf", vec![("proba", self.leaf_at(idx as u32).to_value())])
+                } else {
+                    tagged(
+                        "Split",
+                        vec![
+                            ("feature", (node.feature as usize).to_value()),
+                            ("threshold", node.threshold.to_value()),
+                            ("left", (node.children[0] as usize).to_value()),
+                            ("right", (node.children[1] as usize).to_value()),
+                        ],
+                    )
+                }
+            })
+            .collect();
+        Value::Map(vec![
+            ("nodes".to_owned(), Value::Seq(nodes)),
+            ("n_features".to_owned(), self.n_features.to_value()),
+            ("n_classes".to_owned(), self.n_classes.to_value()),
+            ("gains".to_owned(), self.gains.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for DecisionTree {
+    /// Reads the JSON [`Serialize`] writes and refuses a tree a walk could
+    /// not finish on: no nodes, no classes, a child index out of range or
+    /// not after its parent (so every walk descends and ends), a split
+    /// feature at or above `n_features`, or a leaf without exactly
+    /// `n_classes` probabilities. Errors name the node.
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let n_features: usize = serde::de_field(value, "n_features")?;
+        let n_classes: usize = serde::de_field(value, "n_classes")?;
+        let gains: Vec<f64> = serde::de_field(value, "gains")?;
+        let Some(Value::Seq(items)) = value.get("nodes") else {
+            return Err(serde::Error::custom(
+                "field `nodes`: expected a list of nodes",
+            ));
+        };
+        if items.is_empty() {
+            return Err(serde::Error::custom("tree has no nodes"));
+        }
+        if u32::try_from(items.len()).is_err() {
+            return Err(serde::Error::custom("tree has more nodes than u32 indices"));
+        }
+        if n_classes == 0 {
+            return Err(serde::Error::custom("tree has no classes"));
+        }
+        if gains.len() != n_features {
+            return Err(serde::Error::custom(format!(
+                "tree has {} gains for {n_features} features",
+                gains.len()
+            )));
+        }
+        let mut tree = DecisionTree {
+            nodes: Vec::with_capacity(items.len()),
+            leaves: Vec::new(),
+            depth: 0,
+            n_features,
+            n_classes,
+            gains,
+        };
+        // Node depths, known before each node is read: parents come first.
+        let mut depths = vec![None; items.len()];
+        depths[0] = Some(0);
+        for (idx, item) in items.iter().enumerate() {
+            let node = tree
+                .read_node(idx, item, items.len())
+                .map_err(|e| serde::Error::custom(format!("node {idx}: {e}")))?;
+            if let Some(depth) = depths[idx] {
+                tree.depth = tree.depth.max(depth);
+                if !node.is_leaf(idx) {
+                    for child in node.children {
+                        let slot = &mut depths[child as usize];
+                        *slot = Some(slot.unwrap_or(0).max(depth + 1));
+                    }
+                }
+            }
+            tree.nodes.push(node);
+        }
+        Ok(tree)
+    }
+}
+
+impl DecisionTree {
+    /// Reads node `idx` of `n_nodes`, appending a leaf's probabilities to
+    /// the pool.
+    fn read_node(&mut self, idx: usize, item: &Value, n_nodes: usize) -> Result<Node, String> {
+        let (tag, payload) = match item {
+            Value::Map(entries) if entries.len() == 1 => (entries[0].0.as_str(), &entries[0].1),
+            other => return Err(format!("expected a Leaf or Split node, got {other:?}")),
+        };
+        let field_err = |e: serde::Error| e.to_string();
+        match tag {
+            "Leaf" => {
+                let proba: Vec<f64> = serde::de_field(payload, "proba").map_err(field_err)?;
+                if proba.len() != self.n_classes {
+                    return Err(format!(
+                        "leaf has {} probabilities for {} classes",
+                        proba.len(),
+                        self.n_classes
+                    ));
+                }
+                let leaf = u32::try_from(self.leaves.len())
+                    .map_err(|_| "leaf pool exceeds u32 offsets".to_owned())?;
+                self.leaves.extend_from_slice(&proba);
+                let own = idx as u32;
+                Ok(Node {
+                    threshold: 0.0,
+                    feature: 0,
+                    children: [own, own],
+                    leaf,
+                })
+            }
+            "Split" => {
+                let feature: usize = serde::de_field(payload, "feature").map_err(field_err)?;
+                let threshold: f64 = serde::de_field(payload, "threshold").map_err(field_err)?;
+                let left: usize = serde::de_field(payload, "left").map_err(field_err)?;
+                let right: usize = serde::de_field(payload, "right").map_err(field_err)?;
+                if feature >= self.n_features {
+                    return Err(format!(
+                        "split feature {feature} is out of range ({} features)",
+                        self.n_features
+                    ));
+                }
+                for child in [left, right] {
+                    if child >= n_nodes {
+                        return Err(format!(
+                            "child index {child} is out of range ({n_nodes} nodes)"
+                        ));
+                    }
+                    if child <= idx {
+                        return Err(format!(
+                            "child index {child} does not come after its parent"
+                        ));
+                    }
+                }
+                Ok(Node {
+                    threshold,
+                    feature: u32::try_from(feature)
+                        .map_err(|_| format!("split feature {feature} exceeds u32"))?,
+                    children: [left as u32, right as u32],
+                    leaf: 0,
+                })
+            }
+            other => Err(format!("unknown node kind `{other}`")),
+        }
+    }
+}
+
+/// One tree's growth: its inputs, RNG, sort buffers and the tree so far.
 struct Grow<'a> {
     data: &'a Dataset,
     ranked: &'a RankedColumns,
     config: &'a TreeConfig,
     rng: StdRng,
     sort: RankSort,
-    nodes: Vec<Node>,
-    gains: Vec<f64>,
+    tree: DecisionTree,
 }
 
 impl Grow<'_> {
-    fn build(&mut self, indices: &mut [usize], depth: usize) -> usize {
+    /// Grows the subtree of `indices` at `depth`, returning its root.
+    fn build(&mut self, indices: &mut [usize], depth: usize) -> u32 {
         let config = self.config;
         let counts = class_counts(self.data, indices, self.data.n_classes());
         let total = indices.len() as f64;
@@ -264,26 +493,39 @@ impl Grow<'_> {
                     .partition(indices, split.feature, split.threshold);
                 if mid >= config.min_samples_leaf && indices.len() - mid >= config.min_samples_leaf
                 {
-                    self.gains[split.feature] += split.gain * total;
-                    let node_idx = self.nodes.len();
-                    self.nodes.push(Node::Leaf { proba: Vec::new() }); // placeholder
+                    self.tree.gains[split.feature] += split.gain * total;
+                    let node_idx = self.push(Node {
+                        threshold: split.threshold,
+                        feature: to_u32(split.feature),
+                        children: [0, 0], // set once the children are grown
+                        leaf: 0,
+                    });
                     let (left_slice, right_slice) = indices.split_at_mut(mid);
                     let left = self.build(left_slice, depth + 1);
                     let right = self.build(right_slice, depth + 1);
-                    self.nodes[node_idx] = Node::Split {
-                        feature: split.feature,
-                        threshold: split.threshold,
-                        left,
-                        right,
-                    };
+                    self.tree.nodes[node_idx as usize].children = [left, right];
                     return node_idx;
                 }
             }
         }
-        let proba: Vec<f64> = counts.iter().map(|&c| c / total).collect();
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { proba });
-        node_idx
+        let tree = &mut self.tree;
+        tree.depth = tree.depth.max(depth);
+        let leaf = to_u32(tree.leaves.len());
+        tree.leaves.extend(counts.iter().map(|&c| c / total));
+        let own = to_u32(tree.nodes.len());
+        self.push(Node {
+            threshold: 0.0,
+            feature: 0,
+            children: [own, own],
+            leaf,
+        })
+    }
+
+    /// Appends a node, returning its index.
+    fn push(&mut self, node: Node) -> u32 {
+        let idx = to_u32(self.tree.nodes.len());
+        self.tree.nodes.push(node);
+        idx
     }
 
     fn best_split(
@@ -428,6 +670,24 @@ fn class_counts(data: &Dataset, indices: &[usize], n_classes: usize) -> Vec<f64>
         counts[data.label(i)] += 1.0;
     }
     counts
+}
+
+/// Feature values with NaN, ±0.0, ±∞ and heavy ties, for property tests.
+#[cfg(test)]
+pub(crate) const POOL: [f64; 8] = [
+    f64::NAN,
+    f64::NEG_INFINITY,
+    f64::INFINITY,
+    -0.0,
+    0.0,
+    1.0,
+    2.0,
+    -3.5,
+];
+
+/// A node, leaf-pool or feature index as stored in a [`Node`].
+fn to_u32(idx: usize) -> u32 {
+    u32::try_from(idx).expect("tree indices fit in u32")
 }
 
 fn midpoint(a: f64, b: f64) -> f64 {
@@ -611,18 +871,6 @@ mod tests {
         tree.predict(&[1.0]);
     }
 
-    /// Values with NaN, ±0.0, ±∞ and heavy ties.
-    const POOL: [f64; 8] = [
-        f64::NAN,
-        f64::NEG_INFINITY,
-        f64::INFINITY,
-        -0.0,
-        0.0,
-        1.0,
-        2.0,
-        -3.5,
-    ];
-
     /// A labelled dataset, one node's rows (repeats allowed, as in
     /// bootstrap samples) and the feature pool it may split on.
     fn arb_node() -> impl Strategy<Value = (Dataset, Vec<usize>, Vec<usize>)> {
@@ -669,9 +917,8 @@ mod tests {
                 ranked: &ranked,
                 config: &config,
                 rng: StdRng::seed_from_u64(0),
-                sort: RankSort::default(),
-                nodes: Vec::new(),
-                gains: Vec::new(),
+                    sort: RankSort::default(),
+                tree: DecisionTree::unfitted(&data),
             };
             let bits = |split: Option<SplitCandidate>| {
                 split.map(|s| (s.feature, s.threshold.to_bits(), s.gain.to_bits()))
