@@ -41,6 +41,9 @@ pub enum StoreError {
         /// The cap.
         max: usize,
     },
+    /// An fsync failed earlier, so the store refuses every append, sync
+    /// and sync handle until it is reopened; nothing was written.
+    Poisoned,
 }
 
 impl StoreError {
@@ -66,6 +69,9 @@ impl fmt::Display for StoreError {
             StoreError::TooLarge { len, max } => {
                 write!(f, "record body of {len} bytes exceeds the {max}-byte cap")
             }
+            StoreError::Poisoned => {
+                f.write_str("store refuses writes after a failed fsync; reopen it")
+            }
         }
     }
 }
@@ -74,7 +80,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::Corrupt { .. } | StoreError::TooLarge { .. } => None,
+            StoreError::Corrupt { .. } | StoreError::TooLarge { .. } | StoreError::Poisoned => None,
         }
     }
 }

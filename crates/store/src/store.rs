@@ -25,6 +25,12 @@
 //! [`RecoveryReport`], not an error. A torn batch goes whole, and the
 //! journal-before-ack discipline means it was never acknowledged.
 //!
+//! The first failed fsync, whether [`Store::sync`]'s or a
+//! [`SyncHandle`]'s, poisons the store: every later append, sync and
+//! sync handle returns [`StoreError::Poisoned`] until the store is
+//! reopened. Bytes a failed fsync covered may or may not reach the disk,
+//! so a later fsync must not be allowed to turn refused batches durable.
+//!
 //! # Replay index
 //!
 //! Each segment keeps an in-memory sparse index (one entry every
@@ -42,6 +48,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::fsio;
@@ -391,6 +399,10 @@ pub struct Store {
     next_seq: u64,
     unsynced: u32,
     dirty: bool,
+    /// Set by the first failed fsync, of the store's or of a
+    /// [`SyncHandle`]'s: from then on the store refuses every append,
+    /// sync and handle until it is reopened.
+    poisoned: Arc<AtomicBool>,
     recovery: RecoveryReport,
 }
 
@@ -546,6 +558,7 @@ impl Store {
             next_seq,
             unsynced: 0,
             dirty: false,
+            poisoned: Arc::default(),
             recovery: report,
         };
         // Commit the recovered view (drops swept/cut names, adds a
@@ -584,10 +597,12 @@ impl Store {
     /// # Errors
     ///
     /// I/O failures; the batch must be considered unjournaled.
+    /// [`StoreError::Poisoned`] once an fsync has failed.
     pub fn append_events(
         &mut self,
         events: &[ErrorEvent],
     ) -> Result<Option<(u64, u64)>, StoreError> {
+        self.refuse_if_poisoned()?;
         if events.is_empty() {
             return Ok(None);
         }
@@ -627,14 +642,15 @@ impl Store {
     ///
     /// [`StoreError::TooLarge`], before anything is written, when the
     /// record would exceed the 16 MiB body cap that recovery enforces;
-    /// I/O failures. Either way the checkpoint must be considered
-    /// unstored.
+    /// I/O failures; [`StoreError::Poisoned`] once an fsync has failed.
+    /// Either way the checkpoint must be considered unstored.
     pub fn append_checkpoint(
         &mut self,
         device: DeviceKey,
         journal_seq: u64,
         payload: &str,
     ) -> Result<u64, StoreError> {
+        self.refuse_if_poisoned()?;
         let len = CHECKPOINT_OVERHEAD + payload.len();
         if len > MAX_BODY as usize {
             return Err(StoreError::TooLarge {
@@ -691,12 +707,12 @@ impl Store {
 
     fn apply_fsync_policy(&mut self, appended: usize) -> Result<(), StoreError> {
         match self.config.fsync {
-            FsyncPolicy::Always => self.sync(),
+            FsyncPolicy::Always => self.sync_active(),
             FsyncPolicy::Batch(n) => {
                 let appended = u32::try_from(appended).unwrap_or(u32::MAX);
                 self.unsynced = self.unsynced.saturating_add(appended);
                 if self.unsynced >= n {
-                    self.sync()
+                    self.sync_active()
                 } else {
                     Ok(())
                 }
@@ -705,18 +721,34 @@ impl Store {
         }
     }
 
+    /// [`StoreError::Poisoned`] once an fsync has failed. After a failed
+    /// fsync the kernel may have dropped the unwritten pages or may still
+    /// write them later, so no later append or fsync can be trusted to
+    /// mean what it says: refused batches could turn durable, or a hole
+    /// could open in front of acknowledged ones.
+    fn refuse_if_poisoned(&self) -> Result<(), StoreError> {
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(StoreError::Poisoned);
+        }
+        Ok(())
+    }
+
     /// Forces buffered appends to disk regardless of policy.
     ///
     /// # Errors
     ///
-    /// The underlying fsync failure.
+    /// The underlying fsync failure, which poisons the store;
+    /// [`StoreError::Poisoned`] once an fsync has failed.
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        self.refuse_if_poisoned()?;
+        self.sync_active()
+    }
+
+    /// [`Store::sync`] for callers that already checked the poison flag.
+    fn sync_active(&mut self) -> Result<(), StoreError> {
         if self.dirty {
             let path = self.active_meta().path.clone();
-            self.active
-                .sync_all()
-                .map_err(|e| StoreError::io("fsync", path, e))?;
-            cordial_obs::counter!("store.fsyncs").inc();
+            fsync(&self.active, &path, &self.poisoned)?;
         }
         self.unsynced = 0;
         self.dirty = false;
@@ -734,8 +766,10 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Duplicating the file handle failed.
+    /// Duplicating the file handle failed; [`StoreError::Poisoned`] once
+    /// an fsync has failed.
     pub fn sync_handle(&mut self) -> Result<SyncHandle, StoreError> {
+        self.refuse_if_poisoned()?;
         let path = self.active_meta().path.clone();
         let file = self
             .active
@@ -747,6 +781,7 @@ impl Store {
             file,
             path,
             covers: self.last_seq(),
+            poisoned: Arc::clone(&self.poisoned),
         })
     }
 
@@ -757,7 +792,7 @@ impl Store {
         if self.active_meta().len < self.config.segment_max_bytes {
             return Ok(());
         }
-        self.sync()?;
+        self.sync_active()?;
         let (meta, file) = create_segment(&self.dir, self.gen, self.next_seq)?;
         self.segments.push(meta);
         self.active = file;
@@ -1075,6 +1110,7 @@ pub struct SyncHandle {
     file: File,
     path: PathBuf,
     covers: Option<u64>,
+    poisoned: Arc<AtomicBool>,
 }
 
 impl SyncHandle {
@@ -1089,22 +1125,48 @@ impl SyncHandle {
     /// # Errors
     ///
     /// The underlying fsync failure: nothing the handle covers may be
-    /// taken as durable.
+    /// taken as durable, and the store that issued the handle is
+    /// poisoned. [`StoreError::Poisoned`] once an fsync has failed.
     pub fn sync(&self) -> Result<(), StoreError> {
-        self.file
-            .sync_all()
-            .map_err(|e| StoreError::io("fsync", &self.path, e))?;
-        cordial_obs::counter!("store.fsyncs").inc();
-        Ok(())
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(StoreError::Poisoned);
+        }
+        fsync(&self.file, &self.path, &self.poisoned)
     }
 }
 
 impl Drop for Store {
     fn drop(&mut self) {
-        if self.dirty {
+        if self.dirty && !self.poisoned.load(Ordering::Acquire) {
             let _ = self.active.sync_all();
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: fail this thread's next [`fsync`].
+    static FAIL_NEXT_FSYNC: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// fsyncs a segment file, counting it in `store.fsyncs`. A failure
+/// poisons the store (see [`Store::sync`]).
+fn fsync(file: &File, path: &Path, poisoned: &AtomicBool) -> Result<(), StoreError> {
+    #[cfg(test)]
+    let injected = FAIL_NEXT_FSYNC.with(|fail| fail.replace(false));
+    #[cfg(not(test))]
+    let injected = false;
+    let result = if injected {
+        Err(std::io::Error::other("injected fsync failure"))
+    } else {
+        file.sync_all()
+    };
+    if let Err(err) = result {
+        poisoned.store(true, Ordering::Release);
+        return Err(StoreError::io("fsync", path, err));
+    }
+    cordial_obs::counter!("store.fsyncs").inc();
+    Ok(())
 }
 
 /// File names inside the store directory.
@@ -1471,6 +1533,68 @@ mod tests {
                 }
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Makes this thread's next fsync fail.
+    fn fail_next_fsync() {
+        FAIL_NEXT_FSYNC.with(|fail| fail.set(true));
+    }
+
+    fn assert_poisoned<T: fmt::Debug>(result: Result<T, StoreError>) {
+        assert!(matches!(result, Err(StoreError::Poisoned)), "{result:?}");
+    }
+
+    #[test]
+    fn a_failed_fsync_poisons_the_store_until_it_is_reopened() {
+        let dir = scratch("poison-sync");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        store.append_events(&[event(0, 1)]).unwrap();
+        fail_next_fsync();
+        let err = store.append_events(&[event(0, 2)]).unwrap_err();
+        assert!(err.to_string().contains("injected fsync failure"), "{err}");
+        // The fsync hook is spent: these would succeed on a healthy store.
+        assert_poisoned(store.append_events(&[event(0, 3)]));
+        assert_poisoned(store.append_checkpoint(device(0), 1, "{}"));
+        assert_poisoned(store.sync_handle());
+        assert_poisoned(store.sync());
+        assert!(store
+            .sync()
+            .unwrap_err()
+            .to_string()
+            .contains("after a failed fsync"));
+        drop(store);
+
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        store.append_events(&[event(0, 4)]).unwrap();
+        store.sync_handle().unwrap().sync().unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_group_commit_poisons_the_store() {
+        let dir = scratch("poison-handle");
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, config.clone()).unwrap();
+        store.append_events(&[event(0, 1)]).unwrap();
+        let handle = store.sync_handle().unwrap();
+        // Appends keep landing while the detached fsync runs.
+        store.append_events(&[event(0, 2)]).unwrap();
+        fail_next_fsync();
+        assert!(handle.sync().is_err());
+        assert_poisoned(store.append_events(&[event(0, 3)]));
+        assert_poisoned(store.append_checkpoint(device(0), 1, "{}"));
+        assert_poisoned(store.sync_handle());
+        assert_poisoned(handle.sync());
+        assert_poisoned(store.sync());
+        drop(store);
+
+        let mut store = Store::open(&dir, config).unwrap();
+        store.append_events(&[event(0, 4)]).unwrap();
+        store.sync().unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 
