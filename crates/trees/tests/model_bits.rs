@@ -1,11 +1,14 @@
-//! Pins the exact split searches to their fitted bits: three models fitted
-//! on one fixed dataset with NaN, ±0.0 and heavy ties must serialize to
-//! the bytes that the per-node value sort (the search before features were
+//! Pins the exact split searches to their fitted bits: models fitted on
+//! one fixed dataset with NaN, ±0.0 and heavy ties must serialize to the
+//! bytes that the per-node value sort (the search before features were
 //! rank-encoded) produced. Any change in split order, tie handling or
-//! floating-point summation order shows up as a different hash.
+//! floating-point summation order shows up as a different hash. The
+//! boosted families are pinned at the settings the pipeline fits them
+//! with: defaults apart from the round count.
 
 use cordial_trees::{
-    Dataset, DecisionTree, Gbdt, GbdtConfig, RandomForest, RandomForestConfig, TreeConfig,
+    Dataset, DecisionTree, Gbdt, GbdtConfig, LightGbm, LightGbmConfig, RandomForest,
+    RandomForestConfig, TreeConfig,
 };
 
 /// 64-bit FNV-1a.
@@ -76,6 +79,42 @@ fn boosted_model_keeps_its_bits_for_every_thread_count() {
         assert_eq!(
             model_hash(&model),
             0x17de_6038_ee72_6021,
+            "n_threads={n_threads}"
+        );
+    }
+}
+
+#[test]
+fn xgboost_keeps_its_bits_at_default_settings() {
+    let data = dataset();
+    for n_threads in [1, 4] {
+        let config = GbdtConfig {
+            n_rounds: 30,
+            n_threads,
+            ..GbdtConfig::default()
+        };
+        let model = Gbdt::fit(&data, &config).unwrap();
+        assert_eq!(
+            model_hash(&model),
+            0x8aba_12c0_7942_9dcd,
+            "n_threads={n_threads}"
+        );
+    }
+}
+
+#[test]
+fn lightgbm_keeps_its_bits_at_default_settings() {
+    let data = dataset();
+    for n_threads in [1, 4] {
+        let config = LightGbmConfig {
+            n_rounds: 30,
+            n_threads,
+            ..LightGbmConfig::default()
+        };
+        let model = LightGbm::fit(&data, &config).unwrap();
+        assert_eq!(
+            model_hash(&model),
+            0xa70d_018b_57f9_b191,
             "n_threads={n_threads}"
         );
     }
