@@ -1,7 +1,7 @@
 //! Performance-layer benchmarks: the speedups claimed by the suite-wide
-//! parallel/pre-binned training paths, measured against their sequential
-//! twins. Every compared pair produces bit-identical models (enforced by
-//! the determinism tests), so these benches measure *only* time.
+//! parallel training paths, measured against their sequential twins.
+//! Every compared pair produces bit-identical models (enforced by the
+//! determinism tests), so these benches measure *only* time.
 //!
 //! Run with `cargo bench -p cordial-bench --bench perf`.
 
@@ -15,9 +15,7 @@ use cordial::pipeline::Cordial;
 use cordial::prelude::{BankAddress, BlockSpec, HbmGeometry};
 use cordial::{CordialConfig, ModelKind, TrainedModel};
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
-use cordial_trees::{
-    BinnedDataset, Classifier, Dataset, FlatEnsemble, Gbdt, GbdtConfig, LightGbm, LightGbmConfig,
-};
+use cordial_trees::{Classifier, Dataset, FlatEnsemble, LightGbm, LightGbmConfig};
 
 /// A synthetic multi-class matrix big enough for the parallel paths to
 /// engage (the per-feature histogram fan-out gates on rows × features).
@@ -37,25 +35,25 @@ fn synthetic_dataset(n_rows: usize, n_features: usize, n_classes: usize) -> Data
 }
 
 fn bench_lgbm_fit(c: &mut Criterion) {
+    if !c.matches("lgbm_fit") {
+        return;
+    }
     let data = synthetic_dataset(2000, 27, 3);
-    let binned = BinnedDataset::fit(&data, LightGbmConfig::default().max_bins);
     let mut group = c.benchmark_group("lgbm_fit");
     group.sample_size(10);
     for threads in [1, 4] {
-        let config = LightGbmConfig::default()
-            .with_seed(BENCH_SEED)
-            .with_threads(threads);
-        group.bench_function(format!("raw_{threads}_threads"), |b| {
+        let config = LightGbmConfig::default().with_threads(threads);
+        group.bench_function(format!("{threads}_threads"), |b| {
             b.iter(|| black_box(LightGbm::fit(&data, &config).expect("fit")))
-        });
-        group.bench_function(format!("prebinned_{threads}_threads"), |b| {
-            b.iter(|| black_box(LightGbm::fit_prebinned(&data, &binned, &config).expect("fit")))
         });
     }
     group.finish();
 }
 
 fn bench_cordial_fit(c: &mut Criterion) {
+    if !c.matches("cordial_fit") {
+        return;
+    }
     let dataset = bench_dataset();
     let split = bench_split(&dataset);
     let mut group = c.benchmark_group("cordial_fit");
@@ -72,6 +70,9 @@ fn bench_cordial_fit(c: &mut Criterion) {
 }
 
 fn bench_plan_batch(c: &mut Criterion) {
+    if !c.matches("plan_batch") {
+        return;
+    }
     let dataset = bench_dataset();
     let split = bench_split(&dataset);
     let by_bank = dataset.log.by_bank();
@@ -100,6 +101,9 @@ fn bench_plan_batch(c: &mut Criterion) {
 ///   the enabled path — the disabled path does strictly less work, so any
 ///   violation beyond noise means the no-op gate is broken.
 fn bench_obs_overhead(c: &mut Criterion) {
+    if !c.matches("obs_overhead") {
+        return;
+    }
     let dataset = bench_dataset();
     let split = bench_split(&dataset);
     let by_bank = dataset.log.by_bank();
@@ -314,18 +318,14 @@ fn write_pairs_json(file: &str, filter: &str, sample_size: usize, pairs: &[Hotpa
 /// Rows the inference benches sweep per iteration.
 const INFER_BATCH: usize = 256;
 
-/// Batch `predict_proba` over a fitted boosted ensemble: per-row
+/// Batch `predict_proba` over a fitted LightGBM ensemble: per-row
 /// pointer-chasing node traversal vs the flat SoA twin's batch kernel
 /// (bin every row once into a shared buffer, then walk the packed node
 /// records). Bit-identical probabilities — pinned in setup — so the pair
 /// measures only time.
-fn hotpath_inference(
-    name: &'static str,
-    pointer: &dyn Classifier,
-    flat: &FlatEnsemble,
-    data: &Dataset,
-    sample_size: usize,
-) -> HotpathPair {
+fn hotpath_lgbm(data: &Dataset, sample_size: usize) -> HotpathPair {
+    let pointer = LightGbm::fit(data, &LightGbmConfig::default().with_rounds(60)).expect("fit");
+    let flat = FlatEnsemble::from_lightgbm(&pointer);
     let rows: Vec<&[f64]> = (0..INFER_BATCH.min(data.n_rows()))
         .map(|i| data.row(i))
         .collect();
@@ -345,7 +345,7 @@ fn hotpath_inference(
         black_box(flat.predict_proba_batch(black_box(&rows)));
     });
     HotpathPair {
-        name,
+        name: "lgbm_inference",
         reference: "pointer_per_row",
         candidate: "flat_soa_batch",
         reference_ns,
@@ -430,36 +430,10 @@ fn bench_hotpath(c: &mut Criterion) {
     }
     let sample_size = c.sample_size();
     let data = synthetic_dataset(2000, 27, 3);
-    let lgbm = LightGbm::fit(
-        &data,
-        &LightGbmConfig::default()
-            .with_rounds(60)
-            .with_seed(BENCH_SEED),
-    )
-    .expect("fit");
-    let lgbm_flat = FlatEnsemble::from_lightgbm(&lgbm);
-    let mut pairs = vec![hotpath_inference(
-        "lgbm_inference",
-        &lgbm,
-        &lgbm_flat,
-        &data,
-        sample_size,
-    )];
-
-    let gbdt = Gbdt::fit(
-        &data,
-        &GbdtConfig::default().with_rounds(40).with_seed(BENCH_SEED),
-    )
-    .expect("fit");
-    let gbdt_flat = FlatEnsemble::from_gbdt(&gbdt).expect("bin tables fit u16");
-    pairs.push(hotpath_inference(
-        "gbdt_inference",
-        &gbdt,
-        &gbdt_flat,
-        &data,
-        sample_size,
-    ));
-    pairs.push(hotpath_forest(sample_size));
+    let pairs = [
+        hotpath_lgbm(&data, sample_size),
+        hotpath_forest(sample_size),
+    ];
 
     for pair in &pairs {
         pair.report();

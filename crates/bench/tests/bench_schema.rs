@@ -14,16 +14,15 @@ use serde_json::Value;
 
 /// Every pair each artefact must list, with the largest `ratio`
 /// (candidate median / reference median) it may reach: below 1 the
-/// candidate is faster. The boosted-tree flat-kernel pairs are
-/// trajectory records (the pointer walk over those shallow boosted trees
-/// is already near-optimal, see DESIGN.md §12) and only pin a sanity
-/// bound (≥ 0.1x). The random forest's tree-major batch call over a
-/// plan's 16 block rows may never be slower than 16 per-row calls: its
-/// trees grow to depth 12, where the lockstep walk pays. The flight
-/// recorder may cost at most 5% of the full monitor-replay hot path.
+/// candidate is faster. The LightGBM flat-kernel pair is a trajectory
+/// record (the pointer walk over those shallow boosted trees is already
+/// near-optimal, see DESIGN.md §12) and only pins a sanity bound
+/// (≥ 0.1x). The random forest's tree-major batch call over a plan's 16
+/// block rows may never be slower than 16 per-row calls: its trees grow
+/// to depth 12, where the lockstep walk pays. The flight recorder may
+/// cost at most 5% of the full monitor-replay hot path.
 const MAX_RATIOS: &[(&str, &str, f64)] = &[
     ("BENCH_hotpath.json", "lgbm_inference", 10.0),
-    ("BENCH_hotpath.json", "gbdt_inference", 10.0),
     ("BENCH_hotpath.json", "forest_inference", 1.0),
     ("BENCH_obs.json", "recorder_replay", 1.05),
 ];

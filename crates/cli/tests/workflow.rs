@@ -305,12 +305,14 @@ fn output_within(mut cmd: Command, limit: std::time::Duration) -> std::process::
     child.wait_with_output().unwrap()
 }
 
-#[test]
-fn plan_refuses_a_pipeline_whose_forest_loops() {
-    let dir = workdir("loop");
+/// Trains a `model` pipeline, points the first split of its classifier's
+/// first tree back at itself (scoring any row would then walk forever),
+/// and runs `plan` on it, failing the test if `plan` takes over a minute.
+fn plan_on_a_looped_pipeline(model: &str) -> std::process::Output {
+    let dir = workdir(&format!("loop-{model}"));
     let log = dir.join("fleet.mce");
     let truth = dir.join("truth.json");
-    let model = dir.join("model.json");
+    let pipeline = dir.join("model.json");
 
     let out = bin()
         .args(["simulate", "--scale", "small", "--seed", "5"])
@@ -320,29 +322,34 @@ fn plan_refuses_a_pipeline_whose_forest_loops() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let out = bin()
-        .args(["train", "--model", "rf", "--seed", "5"])
+        .args(["train", "--model", model, "--seed", "5"])
         .args(["--log", log.to_str().unwrap()])
         .args(["--truth", truth.to_str().unwrap()])
-        .args(["--out", model.to_str().unwrap()])
+        .args(["--out", pipeline.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
 
-    // Point the first split of the classifier's first tree back at itself:
-    // scoring any row would then walk forever.
-    let text = std::fs::read_to_string(&model).unwrap();
+    let text = std::fs::read_to_string(&pipeline).unwrap();
     let key = r#""left":"#;
-    let at = text.find(key).expect("the forest has a split") + key.len();
+    let at = text.find(key).expect("the model has a split") + key.len();
     let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
     let looped = format!("{}0{}", &text[..at], &text[at + digits..]);
     assert_ne!(looped, text);
-    std::fs::write(&model, looped).unwrap();
+    std::fs::write(&pipeline, looped).unwrap();
 
     let mut plan = bin();
     plan.args(["plan"])
         .args(["--log", log.to_str().unwrap()])
-        .args(["--pipeline", model.to_str().unwrap()]);
+        .args(["--pipeline", pipeline.to_str().unwrap()]);
     let out = output_within(plan, std::time::Duration::from_secs(60));
+    let _ = std::fs::remove_dir_all(dir);
+    out
+}
+
+#[test]
+fn plan_refuses_a_pipeline_whose_forest_loops() {
+    let out = plan_on_a_looped_pipeline("rf");
     assert!(!out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot decode"), "{stderr}");
@@ -350,8 +357,18 @@ fn plan_refuses_a_pipeline_whose_forest_loops() {
         stderr.contains("tree 0: node 0: child index 0 does not come after its parent"),
         "{stderr}"
     );
+}
 
-    let _ = std::fs::remove_dir_all(dir);
+#[test]
+fn plan_refuses_a_pipeline_whose_xgboost_tree_loops() {
+    let out = plan_on_a_looped_pipeline("xgb");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot decode"), "{stderr}");
+    assert!(
+        stderr.contains("round 0, class 0: node 0: child index 0 does not come after its parent"),
+        "{stderr}"
+    );
 }
 
 #[test]

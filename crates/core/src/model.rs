@@ -106,7 +106,8 @@ impl ModelKind {
     ///
     /// All three families use it: the forest fits its trees on that many
     /// workers, and XGBoost and LightGBM fit each round's per-class trees
-    /// on them.
+    /// on them. `seed` drives the forest's bootstrap and feature sampling;
+    /// the boosted families draw no random numbers.
     ///
     /// # Errors
     ///
@@ -128,7 +129,6 @@ impl ModelKind {
                     },
                     seed,
                     n_threads,
-                    ..Default::default()
                 };
                 RandomForest::fit(data, &config).map(TrainedModel::Forest)
             }
@@ -141,9 +141,7 @@ impl ModelKind {
                     n_rounds,
                     max_depth,
                     learning_rate,
-                    seed,
                     n_threads,
-                    ..Default::default()
                 };
                 Gbdt::fit(data, &config).map(TrainedModel::Xgb)
             }
@@ -156,9 +154,7 @@ impl ModelKind {
                     n_rounds,
                     max_leaves,
                     learning_rate,
-                    seed,
                     n_threads,
-                    ..Default::default()
                 };
                 LightGbm::fit(data, &config).map(TrainedModel::Lgbm)
             }
@@ -216,16 +212,13 @@ impl TrainedModel {
         }
     }
 
-    /// Flattens the model into a branchless SoA inference twin
-    /// ([`FlatEnsemble`]). `None` for random forests (no boosted-ensemble
-    /// flat form) and for GBDTs whose per-feature threshold tables would
-    /// overflow `u16` bin indices; callers keep this pointer model as the
-    /// reference path either way.
+    /// Flattens a LightGBM model into its branchless SoA inference twin
+    /// ([`FlatEnsemble`]). `None` for the other families, which infer
+    /// through this model itself.
     pub fn flatten(&self) -> Option<FlatEnsemble> {
         match self {
-            TrainedModel::Forest(_) => None,
-            TrainedModel::Xgb(m) => FlatEnsemble::from_gbdt(m),
             TrainedModel::Lgbm(m) => Some(FlatEnsemble::from_lightgbm(m)),
+            TrainedModel::Forest(_) | TrainedModel::Xgb(_) => None,
         }
     }
 }

@@ -1,10 +1,8 @@
-//! Flattened, branchless inference twins for the boosted ensembles.
+//! The flattened, branchless inference twin of the LightGBM ensemble.
 //!
-//! [`Gbdt`] and [`LightGbm`] predict by walking heap-allocated node vectors
-//! with an enum `match` per node — a pointer-chasing, branch-mispredicting
-//! hot loop when a monitor replans on every ingested batch. This module
-//! flattens a fitted ensemble into one contiguous structure-of-arrays node
-//! pool:
+//! [`LightGbm`] predicts by walking heap-allocated node vectors with an
+//! enum `match` per node. This module flattens a fitted ensemble into one
+//! contiguous structure-of-arrays node pool:
 //!
 //! ```text
 //! feature:    [u16]   split feature index        (one entry per split node)
@@ -20,68 +18,28 @@
 //! Traversal is predicated rather than branched: each step loads
 //! `(feature, threshold, children)` for the current node and selects the
 //! child with `usize::from(bin > threshold)` — no data-dependent branch
-//! until the leaf test.
+//! until the leaf test. LightGBM trees already split on bins of the
+//! model's own [`BinMapper`], which the twin reuses verbatim, so traversal
+//! compares `u16`s only.
 //!
-//! Raw split thresholds are quantised to bin indices up front, so traversal
-//! compares `u16`s only:
-//!
-//! * LightGBM trees already split on bins of the model's own [`BinMapper`];
-//!   the mapper is reused verbatim.
-//! * GBDT trees split on raw `f64` midpoints. Per feature, the sorted,
-//!   deduplicated set of every threshold used anywhere in the ensemble
-//!   becomes a bin table: `bin(x) = 1 + #{t in table : t < x}` (NaN ↦ bin
-//!   0). A split on threshold `t_i` (the `i`-th table entry) then routes
-//!   left iff `bin(x) <= i + 1`, which is exactly the raw predicate
-//!   `x.is_nan() || x <= t_i` — NaN maps to bin 0 which is `<=` every
-//!   index, and for finite `x`, `bin(x) <= i + 1 ⟺ #{t < x} <= i ⟺
-//!   x <= t_i` because the table is sorted and `t_i` is at index `i`.
-//!
-//! The pointer-based ensembles remain the reference twins; equivalence
-//! tests pin the flat path to them bit-for-bit ([`FlatEnsemble::raw_scores`]
+//! The pointer-based ensemble remains the reference twin; equivalence
+//! tests pin the flat path to it bit-for-bit ([`FlatEnsemble::raw_scores`]
 //! replicates the exact accumulation order of the reference, so scores,
 //! probabilities and argmax classes are identical, NaN handling included).
+//! The XGBoost-style [`Gbdt`](crate::Gbdt) has no flat twin: its
+//! pointer walk over shallow trees was never clearly slower.
 
-use crate::gbdt::{softmax, Gbdt, RegNode, RegTree};
-use crate::hist::{BinMapper, MISSING_BIN};
+use crate::gbdt::softmax;
+use crate::hist::BinMapper;
 use crate::lgbm::{HistNode, HistTree, LightGbm};
 use crate::Classifier;
 
-/// Minimum rows per worker chunk in
-/// [`FlatEnsemble::raw_scores_batch_threaded`]: below twice this the
-/// batch runs sequentially, since spawn overhead dwarfs the work.
-const MIN_CHUNK: usize = 8;
-
-/// How raw feature rows are quantised to `u16` bins before traversal.
-#[derive(Debug, Clone, PartialEq)]
-enum FlatBinner {
-    /// LightGBM: the model's own quantile mapper.
-    Mapper(BinMapper),
-    /// GBDT: per-feature sorted tables of every split threshold in the
-    /// ensemble. `bin(x) = 1 + #{t < x}`, NaN ↦ [`MISSING_BIN`].
-    Thresholds(Vec<Vec<f64>>),
-}
-
-impl FlatBinner {
-    fn bin(&self, feature: usize, value: f64) -> u16 {
-        match self {
-            FlatBinner::Mapper(mapper) => mapper.bin(feature, value),
-            FlatBinner::Thresholds(tables) => {
-                if value.is_nan() {
-                    MISSING_BIN
-                } else {
-                    (tables[feature].partition_point(|&t| t < value) + 1) as u16
-                }
-            }
-        }
-    }
-}
-
-/// A fitted boosted ensemble flattened into contiguous SoA arrays with
+/// A fitted LightGBM ensemble flattened into contiguous SoA arrays with
 /// branchless predicated traversal. See the [module docs](self) for the
-/// data layout and quantisation invariants.
+/// data layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatEnsemble {
-    binner: FlatBinner,
+    mapper: BinMapper,
     /// Split feature per interior node.
     feature: Vec<u16>,
     /// Binned split threshold per interior node (`bin <= threshold` → left).
@@ -110,7 +68,7 @@ impl FlatEnsemble {
     /// already split on `u16` bins of the model's own mapper.
     pub fn from_lightgbm(model: &LightGbm) -> Self {
         let mut flat = FlatEnsemble {
-            binner: FlatBinner::Mapper(model.bin_mapper().clone()),
+            mapper: model.bin_mapper().clone(),
             feature: Vec::new(),
             threshold: Vec::new(),
             children: Vec::new(),
@@ -130,62 +88,6 @@ impl FlatEnsemble {
         }
         flat.pack();
         flat
-    }
-
-    /// Flattens a fitted GBDT (XGBoost-style) model by quantising every
-    /// split threshold to an index into a per-feature sorted threshold
-    /// table.
-    ///
-    /// Returns `None` when any feature uses more distinct thresholds than
-    /// a `u16` bin index can address (callers then keep the pointer-based
-    /// reference path).
-    pub fn from_gbdt(model: &Gbdt) -> Option<Self> {
-        let n_features = model.n_features();
-        let mut tables: Vec<Vec<f64>> = vec![Vec::new(); n_features];
-        for round in model.tree_rounds() {
-            for tree in round {
-                for node in &tree.nodes {
-                    if let RegNode::Split {
-                        feature, threshold, ..
-                    } = node
-                    {
-                        debug_assert!(!threshold.is_nan(), "GBDT split thresholds are finite");
-                        tables[*feature].push(*threshold);
-                    }
-                }
-            }
-        }
-        for table in &mut tables {
-            table.sort_by(f64::total_cmp);
-            table.dedup();
-            // Bins are 1-based with bin 0 reserved for NaN; the largest
-            // addressable table index is therefore u16::MAX - 1.
-            if table.len() >= usize::from(u16::MAX) {
-                return None;
-            }
-        }
-
-        let mut flat = FlatEnsemble {
-            binner: FlatBinner::Thresholds(tables),
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            children: Vec::new(),
-            leaf_weight: Vec::new(),
-            roots: Vec::new(),
-            packed: Vec::new(),
-            n_classes: model.n_classes(),
-            n_features,
-            base_score: model.base_scores().to_vec(),
-            learning_rate: model.shrinkage(),
-        };
-        for round in model.tree_rounds() {
-            for tree in round {
-                let root = flat.append_reg_tree(tree);
-                flat.roots.push(root);
-            }
-        }
-        flat.pack();
-        Some(flat)
     }
 
     /// Appends one histogram tree to the node pool, returning its packed
@@ -216,55 +118,6 @@ impl FlatEnsemble {
             {
                 self.feature.push(*feature as u16);
                 self.threshold.push(*bin_threshold);
-                self.children.push(refs[*left]);
-                self.children.push(refs[*right]);
-            }
-        }
-        refs[0]
-    }
-
-    /// Appends one regression tree to the node pool, quantising each raw
-    /// split threshold to its 1-based index in the feature's bin table.
-    fn append_reg_tree(&mut self, tree: &RegTree) -> i32 {
-        let FlatBinner::Thresholds(tables) = &self.binner else {
-            unreachable!("GBDT trees are flattened with a threshold-table binner");
-        };
-        let base_split = self.feature.len();
-        let mut n_splits = 0usize;
-        let mut refs = Vec::with_capacity(tree.nodes.len());
-        let mut bins = Vec::new();
-        for node in &tree.nodes {
-            match node {
-                RegNode::Split {
-                    feature, threshold, ..
-                } => {
-                    refs.push((base_split + n_splits) as i32);
-                    n_splits += 1;
-                    let idx = tables[*feature].partition_point(|&t| t < *threshold);
-                    debug_assert!(
-                        tables[*feature].get(idx).copied().map(f64::to_bits)
-                            == Some(threshold.to_bits()),
-                        "every split threshold is in its feature's table"
-                    );
-                    bins.push((idx + 1) as u16);
-                }
-                RegNode::Leaf { weight } => {
-                    refs.push(!(self.leaf_weight.len() as i32));
-                    self.leaf_weight.push(*weight);
-                }
-            }
-        }
-        let mut next_bin = bins.into_iter();
-        for node in &tree.nodes {
-            if let RegNode::Split {
-                feature,
-                left,
-                right,
-                ..
-            } = node
-            {
-                self.feature.push(*feature as u16);
-                self.threshold.push(next_bin.next().unwrap_or(MISSING_BIN));
                 self.children.push(refs[*left]);
                 self.children.push(refs[*right]);
             }
@@ -315,7 +168,7 @@ impl FlatEnsemble {
         assert_eq!(row.len(), self.n_features, "feature count mismatch");
         assert_eq!(out.len(), self.n_features, "scratch length mismatch");
         for (f, (&value, bin)) in row.iter().zip(out.iter_mut()).enumerate() {
-            *bin = self.binner.bin(f, value);
+            *bin = self.mapper.bin(f, value);
         }
     }
 
@@ -361,41 +214,11 @@ impl FlatEnsemble {
             .collect()
     }
 
-    /// [`FlatEnsemble::raw_scores_batch`] sharded over up to `n_threads`
-    /// scoped worker threads.
-    ///
-    /// Rows are split into contiguous chunks mapped in input order through
-    /// [`crate::parallel::ordered_map`]; each row's scores are computed by
-    /// the same kernel regardless of which chunk it lands in, so the result
-    /// is bit-identical to the single-threaded (and per-row) paths for
-    /// every thread count.
-    pub fn raw_scores_batch_threaded(&self, rows: &[&[f64]], n_threads: usize) -> Vec<Vec<f64>> {
-        if n_threads <= 1 || rows.len() < 2 * MIN_CHUNK {
-            return self.raw_scores_batch(rows);
-        }
-        let chunk_len = rows.len().div_ceil(n_threads).max(MIN_CHUNK);
-        let chunks: Vec<&[&[f64]]> = rows.chunks(chunk_len).collect();
-        crate::parallel::ordered_map(&chunks, n_threads, |chunk| self.raw_scores_batch(chunk))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
     /// Class probabilities for a batch of rows; bit-identical to calling
     /// [`Classifier::predict_proba`] per row (see
     /// [`FlatEnsemble::raw_scores_batch`]).
     pub fn predict_proba_batch(&self, rows: &[&[f64]]) -> Vec<Vec<f64>> {
         self.raw_scores_batch(rows)
-            .iter()
-            .map(|scores| softmax(scores))
-            .collect()
-    }
-
-    /// [`FlatEnsemble::predict_proba_batch`] sharded over up to `n_threads`
-    /// worker threads (see [`FlatEnsemble::raw_scores_batch_threaded`] for
-    /// the determinism argument).
-    pub fn predict_proba_batch_threaded(&self, rows: &[&[f64]], n_threads: usize) -> Vec<Vec<f64>> {
-        self.raw_scores_batch_threaded(rows, n_threads)
             .iter()
             .map(|scores| softmax(scores))
             .collect()
@@ -435,7 +258,7 @@ impl Classifier for FlatEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dataset, GbdtConfig, LightGbmConfig};
+    use crate::{Dataset, LightGbmConfig};
 
     fn xor_ish_dataset(with_nans: bool) -> Dataset {
         let mut data = Dataset::new(3, 3);
@@ -479,7 +302,7 @@ mod tests {
     fn flat_lightgbm_matches_pointer_twin_bit_for_bit() {
         for with_nans in [false, true] {
             let data = xor_ish_dataset(with_nans);
-            let model = LightGbm::fit(&data, &LightGbmConfig::default().with_seed(5)).unwrap();
+            let model = LightGbm::fit(&data, &LightGbmConfig::default()).unwrap();
             let flat = FlatEnsemble::from_lightgbm(&model);
             assert_eq!(flat.n_classes(), model.n_classes());
             assert!(flat.n_trees() > 0);
@@ -492,23 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_gbdt_matches_pointer_twin_bit_for_bit() {
-        for with_nans in [false, true] {
-            let data = xor_ish_dataset(with_nans);
-            let model = Gbdt::fit(&data, &GbdtConfig::default().with_seed(5)).unwrap();
-            let flat = FlatEnsemble::from_gbdt(&model).expect("bin tables fit u16");
-            for row in probe_rows() {
-                assert_bit_identical(&model.raw_scores(&row), &flat.raw_scores(&row));
-                assert_bit_identical(&model.predict_proba(&row), &flat.predict_proba(&row));
-                assert_eq!(model.predict(&row), flat.predict(&row));
-            }
-        }
-    }
-
-    #[test]
     fn flat_lightgbm_binned_traversal_matches_reference_predict_binned() {
         let data = xor_ish_dataset(true);
-        let model = LightGbm::fit(&data, &LightGbmConfig::default().with_seed(9)).unwrap();
+        let model = LightGbm::fit(&data, &LightGbmConfig::default()).unwrap();
         let flat = FlatEnsemble::from_lightgbm(&model);
         for row in probe_rows() {
             let bin_row = model.bin_mapper().bin_row(&row);
@@ -527,46 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn threshold_quantisation_preserves_raw_split_predicate() {
-        // The invariant behind from_gbdt: for a sorted dedup'd table and a
-        // split on table entry i, `bin(x) <= i + 1  ⟺  x.is_nan() || x <= t_i`.
-        let table = vec![-3.5, -0.25, 0.0, 1.0, 2.5, 1e12];
-        let binner = FlatBinner::Thresholds(vec![table.clone()]);
-        let probes = [
-            f64::NAN,
-            f64::NEG_INFINITY,
-            -1e13,
-            -3.5,
-            -3.4999,
-            -0.0,
-            0.0,
-            0.5,
-            1.0,
-            2.5,
-            2.6,
-            1e12,
-            f64::INFINITY,
-        ];
-        for (i, &t) in table.iter().enumerate() {
-            for &x in &probes {
-                let raw = x.is_nan() || x <= t;
-                let binned = binner.bin(0, x) <= (i + 1) as u16;
-                assert_eq!(raw, binned, "x={x}, t={t}");
-            }
-        }
-    }
-
-    #[test]
     fn single_leaf_trees_round_trip_through_negative_roots() {
-        // A constant-label dataset yields trees that never split.
+        // Features that never vary leave no bin to split on, so every tree
+        // is a single leaf, yet the labels still move the leaf weights.
         let mut data = Dataset::new(2, 2);
-        for i in 0..20 {
-            data.push_row(&[i as f64, 1.0], 0).unwrap();
+        for i in 0..21 {
+            data.push_row(&[3.0, 1.0], usize::from(i % 3 == 0)).unwrap();
         }
-        data.push_row(&[1000.0, -1.0], 1).unwrap();
-        let model = Gbdt::fit(&data, &GbdtConfig::default().with_seed(3)).unwrap();
-        let flat = FlatEnsemble::from_gbdt(&model).unwrap();
-        for row in [[0.5, 1.0], [1000.0, -1.0], [f64::NAN, f64::NAN]] {
+        let model = LightGbm::fit(&data, &LightGbmConfig::default()).unwrap();
+        let flat = FlatEnsemble::from_lightgbm(&model);
+        assert_eq!(flat.n_split_nodes(), 0);
+        assert_eq!(flat.n_leaves(), flat.n_trees());
+        for row in [[3.0, 1.0], [1000.0, -1.0], [f64::NAN, f64::NAN]] {
             assert_bit_identical(&model.predict_proba(&row), &flat.predict_proba(&row));
         }
     }

@@ -19,8 +19,6 @@ pub struct RandomForestConfig {
     /// Per-tree configuration. When `base.max_features` is `None`, the forest
     /// substitutes the usual `sqrt(n_features)` heuristic.
     pub base: TreeConfig,
-    /// Bootstrap sample size as a fraction of the training set.
-    pub sample_fraction: f64,
     /// Master seed; per-tree seeds are derived from it.
     pub seed: u64,
     /// Number of worker threads used while fitting (1 = sequential).
@@ -32,7 +30,6 @@ impl Default for RandomForestConfig {
         Self {
             n_trees: 100,
             base: TreeConfig::default(),
-            sample_fraction: 1.0,
             seed: 0,
             n_threads: 4,
         }
@@ -78,8 +75,7 @@ impl RandomForest {
     /// # Errors
     ///
     /// Returns [`FitError::EmptyDataset`] for an empty training set and
-    /// [`FitError::InvalidConfig`] for a zero tree count or non-positive
-    /// sample fraction.
+    /// [`FitError::InvalidConfig`] for a zero tree count.
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> Result<Self, FitError> {
         if data.is_empty() {
             return Err(FitError::EmptyDataset);
@@ -87,16 +83,11 @@ impl RandomForest {
         if config.n_trees == 0 {
             return Err(FitError::InvalidConfig("n_trees must be >= 1"));
         }
-        if !(config.sample_fraction > 0.0 && config.sample_fraction <= 1.0) {
-            return Err(FitError::InvalidConfig("sample_fraction must be in (0, 1]"));
-        }
 
         let max_features = config
             .base
             .max_features
             .unwrap_or_else(|| sqrt_features(data.n_features()));
-        let sample_size = ((data.n_rows() as f64) * config.sample_fraction).ceil() as usize;
-        let sample_size = sample_size.max(1);
 
         // Pre-derive per-tree seeds so results are independent of thread
         // interleaving.
@@ -108,8 +99,9 @@ impl RandomForest {
         let ranked = RankedColumns::new(data);
         let fit_one = |tree_seed: u64| -> Result<DecisionTree, FitError> {
             cordial_obs::counter!("trees.trees_built").inc();
+            // A bootstrap sample as large as the training set.
             let mut rng = StdRng::seed_from_u64(tree_seed);
-            let indices: Vec<usize> = (0..sample_size)
+            let indices: Vec<usize> = (0..data.n_rows())
                 .map(|_| rng.gen_range(0..data.n_rows()))
                 .collect();
             let tree_config = TreeConfig {
@@ -261,7 +253,7 @@ fn sqrt_features(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::POOL;
+    use crate::tree::{negative_infinity_split, POOL};
     use proptest::prelude::*;
 
     fn blobs() -> Dataset {
@@ -338,16 +330,6 @@ mod tests {
         let data = blobs();
         assert!(matches!(
             RandomForest::fit(&data, &RandomForestConfig::default().with_trees(0)),
-            Err(FitError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            RandomForest::fit(
-                &data,
-                &RandomForestConfig {
-                    sample_fraction: 0.0,
-                    ..RandomForestConfig::default()
-                }
-            ),
             Err(FitError::InvalidConfig(_))
         ));
         assert_eq!(
@@ -485,6 +467,21 @@ mod tests {
         assert_refused(&forest_json(&[]), &["forest has no trees"]);
     }
 
+    #[test]
+    fn a_split_at_negative_infinity_survives_a_json_round_trip() {
+        let config = RandomForestConfig::default().with_trees(10).with_seed(3);
+        let forest = RandomForest::fit(&negative_infinity_split(), &config).unwrap();
+        let json = serde_json::to_string(&forest).unwrap();
+        let reloaded: RandomForest = serde_json::from_str(&json).unwrap();
+        assert_eq!(reloaded, forest);
+        for row in [[f64::NEG_INFINITY], [1.0], [f64::NAN]] {
+            assert_eq!(
+                bits(&reloaded.predict_proba(&row)),
+                bits(&forest.predict_proba(&row))
+            );
+        }
+    }
+
     /// A forest fitted on data drawn from [`POOL`] plus finite values, and a
     /// batch of query rows drawn the same way.
     fn arb_forest_and_queries() -> impl Strategy<Value = (RandomForest, Vec<Vec<f64>>)> {
@@ -536,6 +533,10 @@ mod tests {
             let reloaded: RandomForest = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(serde_json::to_string(&reloaded).unwrap(), json);
             let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(
+                bits(&reloaded.predict_proba_rows(&rows)),
+                bits(&forest.predict_proba_rows(&rows))
+            );
             for forest in [&forest, &reloaded] {
                 let k = forest.n_classes();
                 let batch = forest.predict_proba_rows(&rows);

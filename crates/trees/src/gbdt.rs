@@ -1,30 +1,35 @@
 //! Second-order gradient-boosted decision trees in the XGBoost style.
 //!
 //! Each boosting round fits one regression tree per class to the first- and
-//! second-order derivatives (grad/hess) of the softmax cross-entropy loss.
-//! Split gain and leaf weights follow the XGBoost formulation:
+//! second-order derivatives (grad/hess) of the softmax cross-entropy loss,
+//! on every row and every feature. Split gain and leaf weights follow the
+//! XGBoost formulation with L2 regularisation λ = [`LAMBDA`] and no
+//! minimum split gain:
 //!
 //! ```text
-//! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
+//! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ]
 //! leaf  = −G/(H+λ)
 //! ```
 //!
 //! Splits are exact: every feature is rank-encoded once per fit
 //! (`RankedColumns`), and a node orders its rows by those ranks instead
 //! of sorting values. The per-class trees of one round are fitted on
-//! worker threads; sampling is drawn before the fork and results are
-//! folded back in class order, so every `n_threads` gives the same model.
+//! worker threads and folded back in class order, so every `n_threads`
+//! gives the same model. A fit draws no random numbers.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::error::FitError;
 use crate::parallel::ordered_map_indexed;
 use crate::rank::{nan_first, RankSort, RankedColumns};
 use crate::Classifier;
+
+/// L2 regularisation λ on leaf weights.
+const LAMBDA: f64 = 1.0;
+
+/// Minimum hessian mass each child of a split must keep.
+const MIN_CHILD_WEIGHT: f64 = 1.0;
 
 /// Hyperparameters of a [`Gbdt`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,24 +40,6 @@ pub struct GbdtConfig {
     pub max_depth: usize,
     /// Shrinkage applied to every leaf (the learning rate η).
     pub learning_rate: f64,
-    /// L2 regularisation λ on leaf weights.
-    pub lambda: f64,
-    /// Minimum split gain γ.
-    pub gamma: f64,
-    /// Minimum hessian mass per child (akin to `min_child_weight`).
-    pub min_child_weight: f64,
-    /// Fraction of rows sampled per round (stochastic boosting).
-    pub subsample: f64,
-    /// Fraction of features considered per tree.
-    pub colsample: f64,
-    /// Stop boosting after this many rounds without validation-loss
-    /// improvement; `None` disables early stopping.
-    pub early_stopping_rounds: Option<usize>,
-    /// Fraction of rows held out as the validation set when early stopping
-    /// is enabled.
-    pub validation_fraction: f64,
-    /// RNG seed for row/feature subsampling.
-    pub seed: u64,
     /// Worker threads fitting one round's per-class trees (1 = sequential).
     /// The fitted model is identical for every thread count.
     pub n_threads: usize,
@@ -64,26 +51,12 @@ impl Default for GbdtConfig {
             n_rounds: 60,
             max_depth: 5,
             learning_rate: 0.2,
-            lambda: 1.0,
-            gamma: 0.0,
-            min_child_weight: 1.0,
-            subsample: 1.0,
-            colsample: 1.0,
-            early_stopping_rounds: None,
-            validation_fraction: 0.15,
-            seed: 0,
             n_threads: 4,
         }
     }
 }
 
 impl GbdtConfig {
-    /// Returns the config with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Returns the config with a different round count.
     pub fn with_rounds(mut self, n_rounds: usize) -> Self {
         self.n_rounds = n_rounds;
@@ -92,7 +65,13 @@ impl GbdtConfig {
 }
 
 /// A fitted gradient-boosted ensemble (XGBoost-style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The JSON form is the derived one. Reading it refuses a model a
+/// prediction could not finish on: a child index out of range or not
+/// after its parent, a split feature at or above `n_features`, an empty
+/// tree, a round without one tree per class, or `base_score` or `gains`
+/// of the wrong length. Errors name the round, the class and the node.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Gbdt {
     /// `trees[round][class]`.
     trees: Vec<Vec<RegTree>>,
@@ -116,22 +95,9 @@ impl Gbdt {
         let _span = cordial_obs::span!("xgb_fit");
         let n = data.n_rows();
         let k = data.n_classes();
-        let mut rng = StdRng::seed_from_u64(config.seed);
         let mut gains = vec![0.0f64; data.n_features()];
         let ranked = RankedColumns::new(data);
-
-        // Early-stopping holdout: validation rows never feed tree fitting.
-        let (train_rows, val_rows): (Vec<usize>, Vec<usize>) =
-            if config.early_stopping_rounds.is_some() {
-                let mut all: Vec<usize> = (0..n).collect();
-                all.shuffle(&mut rng);
-                let cut = (((n as f64) * config.validation_fraction).round() as usize)
-                    .clamp(1, n.saturating_sub(1));
-                let (val, train) = all.split_at(cut);
-                (train.to_vec(), val.to_vec())
-            } else {
-                ((0..n).collect(), Vec::new())
-            };
+        let rows: Vec<usize> = (0..n).collect();
 
         // Base score: log prior per class.
         let counts = data.class_counts();
@@ -143,44 +109,11 @@ impl Gbdt {
         // Raw scores per row per class.
         let mut scores: Vec<Vec<f64>> = vec![base_score.clone(); n];
         let mut trees: Vec<Vec<RegTree>> = Vec::with_capacity(config.n_rounds);
-        let mut best_val_loss = f64::INFINITY;
-        let mut best_round = 0usize;
-        let mut rounds_since_best = 0usize;
 
         for _ in 0..config.n_rounds {
             cordial_obs::counter!("trees.boost_rounds").inc();
             // Softmax probabilities.
             let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
-
-            // Row subsample for this round (training rows only).
-            let rows: Vec<usize> = if config.subsample < 1.0 {
-                let target =
-                    (((train_rows.len() as f64) * config.subsample).ceil() as usize).max(1);
-                let mut all = train_rows.clone();
-                all.shuffle(&mut rng);
-                all.truncate(target);
-                all
-            } else {
-                train_rows.clone()
-            };
-
-            // Each class's feature sample, drawn before the fork in class
-            // order: the RNG stream is the sequential one.
-            let class_features: Vec<Vec<usize>> = (0..k)
-                .map(|_| {
-                    if config.colsample < 1.0 {
-                        let target = (((data.n_features() as f64) * config.colsample).ceil()
-                            as usize)
-                            .max(1);
-                        let mut all: Vec<usize> = (0..data.n_features()).collect();
-                        all.shuffle(&mut rng);
-                        all.truncate(target);
-                        all
-                    } else {
-                        (0..data.n_features()).collect()
-                    }
-                })
-                .collect();
 
             let fit_class = |class: usize| -> ClassFit {
                 cordial_obs::counter!("trees.trees_built").inc();
@@ -191,8 +124,7 @@ impl Gbdt {
                         (p - y, (p * (1.0 - p)).max(1e-16))
                     })
                     .collect();
-                let (tree, gains) =
-                    RegTree::fit(&ranked, &rows, &grad_hess, &class_features[class], config);
+                let (tree, gains) = RegTree::fit(&ranked, &rows, &grad_hess, config);
                 let preds = (0..n).map(|i| tree.predict(data.row(i))).collect();
                 ClassFit { tree, gains, preds }
             };
@@ -213,29 +145,6 @@ impl Gbdt {
                 round_trees.push(fit.tree);
             }
             trees.push(round_trees);
-
-            // Early stopping on validation log-loss.
-            if let Some(patience) = config.early_stopping_rounds {
-                let loss: f64 = val_rows
-                    .iter()
-                    .map(|&i| {
-                        let p = softmax(&scores[i])[data.label(i)].max(1e-12);
-                        -p.ln()
-                    })
-                    .sum::<f64>()
-                    / val_rows.len().max(1) as f64;
-                if loss + 1e-9 < best_val_loss {
-                    best_val_loss = loss;
-                    best_round = trees.len();
-                    rounds_since_best = 0;
-                } else {
-                    rounds_since_best += 1;
-                    if rounds_since_best >= patience {
-                        trees.truncate(best_round);
-                        break;
-                    }
-                }
-            }
         }
 
         Ok(Gbdt {
@@ -271,21 +180,6 @@ impl Gbdt {
         scores
     }
 
-    /// Fitted trees in `[round][class]` order (flat-twin construction).
-    pub(crate) fn tree_rounds(&self) -> &[Vec<RegTree>] {
-        &self.trees
-    }
-
-    /// Per-class raw-score priors (flat-twin construction).
-    pub(crate) fn base_scores(&self) -> &[f64] {
-        &self.base_score
-    }
-
-    /// The fitted learning rate (flat-twin construction).
-    pub(crate) fn shrinkage(&self) -> f64 {
-        self.learning_rate
-    }
-
     /// Number of input features the model was trained on.
     pub fn n_features(&self) -> usize {
         self.n_features
@@ -302,6 +196,121 @@ impl Classifier for Gbdt {
     }
 }
 
+impl<'de> Deserialize<'de> for Gbdt {
+    /// Reads the JSON the derived [`Serialize`] writes and refuses a model
+    /// a prediction could not finish on (see [`Gbdt`]).
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let model = Gbdt {
+            trees: serde::de_field(value, "trees")?,
+            n_classes: serde::de_field(value, "n_classes")?,
+            n_features: serde::de_field(value, "n_features")?,
+            base_score: serde::de_field(value, "base_score")?,
+            learning_rate: serde::de_field(value, "learning_rate")?,
+            gains: serde::de_field(value, "gains")?,
+        };
+        check_rounds(
+            &model.trees,
+            model.n_classes,
+            model.n_features,
+            &model.base_score,
+            &model.gains,
+            |tree| {
+                check_nodes(&tree.nodes, model.n_features, |node| match *node {
+                    RegNode::Leaf { .. } => None,
+                    RegNode::Split {
+                        feature,
+                        left,
+                        right,
+                        ..
+                    } => Some((feature, [left, right])),
+                })
+            },
+        )?;
+        Ok(model)
+    }
+}
+
+/// Refuses the `[round][class]` trees of a boosted model a prediction
+/// could not finish on: no classes, a `base_score` without one entry per
+/// class, `gains` without one entry per feature, a round without one tree
+/// per class, or a tree `check_tree` refuses. Errors name the round, the
+/// class and the node.
+pub(crate) fn check_rounds<T>(
+    rounds: &[Vec<T>],
+    n_classes: usize,
+    n_features: usize,
+    base_score: &[f64],
+    gains: &[f64],
+    check_tree: impl Fn(&T) -> Result<(), String>,
+) -> Result<(), serde::Error> {
+    if n_classes == 0 {
+        return Err(serde::Error::custom("model has no classes"));
+    }
+    if base_score.len() != n_classes {
+        return Err(serde::Error::custom(format!(
+            "model has {} base scores for {n_classes} classes",
+            base_score.len()
+        )));
+    }
+    if gains.len() != n_features {
+        return Err(serde::Error::custom(format!(
+            "model has {} gains for {n_features} features",
+            gains.len()
+        )));
+    }
+    for (round, trees) in rounds.iter().enumerate() {
+        if trees.len() != n_classes {
+            return Err(serde::Error::custom(format!(
+                "round {round} has {} trees for {n_classes} classes",
+                trees.len()
+            )));
+        }
+        for (class, tree) in trees.iter().enumerate() {
+            check_tree(tree)
+                .map_err(|e| serde::Error::custom(format!("round {round}, class {class}: {e}")))?;
+        }
+    }
+    Ok(())
+}
+
+/// Refuses a tree a walk could not finish on: no nodes, a child index out
+/// of range or not after its parent (so every walk descends and ends), or
+/// a split feature at or above `n_features`. `split` gives a split node's
+/// feature and children, and `None` for a leaf.
+pub(crate) fn check_nodes<N>(
+    nodes: &[N],
+    n_features: usize,
+    split: impl Fn(&N) -> Option<(usize, [usize; 2])>,
+) -> Result<(), String> {
+    if nodes.is_empty() {
+        return Err("tree has no nodes".to_owned());
+    }
+    for (idx, node) in nodes.iter().enumerate() {
+        let Some((feature, children)) = split(node) else {
+            continue;
+        };
+        if feature >= n_features {
+            return Err(format!(
+                "node {idx}: split feature {feature} is out of range ({n_features} features)"
+            ));
+        }
+        for child in children {
+            if child >= nodes.len() {
+                return Err(format!(
+                    "node {idx}: child index {child} is out of range ({} nodes)",
+                    nodes.len()
+                ));
+            }
+            if child <= idx {
+                return Err(format!(
+                    "node {idx}: child index {child} does not come after its parent"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 fn validate(data: &Dataset, config: &GbdtConfig) -> Result<(), FitError> {
     if data.is_empty() {
         return Err(FitError::EmptyDataset);
@@ -311,20 +320,6 @@ fn validate(data: &Dataset, config: &GbdtConfig) -> Result<(), FitError> {
     }
     if config.learning_rate.is_nan() || config.learning_rate <= 0.0 {
         return Err(FitError::InvalidConfig("learning_rate must be positive"));
-    }
-    if !(config.subsample > 0.0 && config.subsample <= 1.0) {
-        return Err(FitError::InvalidConfig("subsample must be in (0, 1]"));
-    }
-    if !(config.colsample > 0.0 && config.colsample <= 1.0) {
-        return Err(FitError::InvalidConfig("colsample must be in (0, 1]"));
-    }
-    if config.lambda < 0.0 {
-        return Err(FitError::InvalidConfig("lambda must be non-negative"));
-    }
-    if config.early_stopping_rounds.is_some() && data.n_rows() < 2 {
-        return Err(FitError::InvalidConfig(
-            "early stopping needs at least 2 rows",
-        ));
     }
     Ok(())
 }
@@ -354,16 +349,15 @@ pub(crate) fn softmax(scores: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
-/// A regression tree fitted to grad/hess pairs (XGBoost objective).
-///
-/// Crate-visible so [`crate::flat::FlatEnsemble`] can flatten fitted trees.
+/// A regression tree fitted to grad/hess pairs (XGBoost objective), its
+/// nodes in pre-order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct RegTree {
-    pub(crate) nodes: Vec<RegNode>,
+struct RegTree {
+    nodes: Vec<RegNode>,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) enum RegNode {
+enum RegNode {
     Leaf {
         weight: f64,
     },
@@ -382,14 +376,12 @@ impl RegTree {
         ranked: &RankedColumns,
         rows: &[usize],
         grad_hess: &[(f64, f64)],
-        features: &[usize],
         config: &GbdtConfig,
     ) -> (Self, Vec<(usize, f64)>) {
         let mut grow = Grow {
             ranked,
             grad_hess,
-            features,
-            config,
+            max_depth: config.max_depth,
             sort: RankSort::default(),
             nodes: Vec::new(),
             gains: Vec::new(),
@@ -398,7 +390,7 @@ impl RegTree {
         (RegTree { nodes: grow.nodes }, grow.gains)
     }
 
-    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
+    fn predict(&self, row: &[f64]) -> f64 {
         let mut idx = 0;
         loop {
             match &self.nodes[idx] {
@@ -425,8 +417,7 @@ impl RegTree {
 struct Grow<'a> {
     ranked: &'a RankedColumns,
     grad_hess: &'a [(f64, f64)],
-    features: &'a [usize],
-    config: &'a GbdtConfig,
+    max_depth: usize,
     sort: RankSort,
     nodes: Vec<RegNode>,
     gains: Vec<(usize, f64)>,
@@ -439,7 +430,7 @@ impl Grow<'_> {
             (g + grad_hess[i].0, h + grad_hess[i].1)
         });
 
-        if depth < self.config.max_depth && rows.len() >= 2 {
+        if depth < self.max_depth && rows.len() >= 2 {
             if let Some(split) = self.best_split(rows, g_sum, h_sum) {
                 let mid = self.ranked.partition(rows, split.feature, split.threshold);
                 if mid > 0 && mid < rows.len() {
@@ -460,7 +451,7 @@ impl Grow<'_> {
             }
         }
 
-        let weight = -g_sum / (h_sum + self.config.lambda);
+        let weight = -g_sum / (h_sum + LAMBDA);
         let node_idx = self.nodes.len();
         self.nodes.push(RegNode::Leaf { weight });
         node_idx
@@ -469,11 +460,10 @@ impl Grow<'_> {
     /// The exact best split of `rows`: for each feature, prefix sums in
     /// rank order, a candidate between every two distinct keys.
     fn best_split(&mut self, rows: &[usize], g_sum: f64, h_sum: f64) -> Option<RegSplit> {
-        let config = self.config;
-        let parent_score = g_sum * g_sum / (h_sum + config.lambda);
+        let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
         let mut best_gain = 1e-12;
         let mut best = None;
-        for &feature in self.features {
+        for feature in 0..self.ranked.n_features() {
             let sorted = self.sort.sort(self.ranked, feature, rows);
             let column = self.ranked.values(feature);
 
@@ -490,15 +480,14 @@ impl Grow<'_> {
                     continue;
                 }
                 let h_right = h_sum - h_left;
-                if h_left < config.min_child_weight || h_right < config.min_child_weight {
+                if h_left < MIN_CHILD_WEIGHT || h_right < MIN_CHILD_WEIGHT {
                     continue;
                 }
                 let g_right = g_sum - g_left;
                 let gain = 0.5
-                    * (g_left * g_left / (h_left + config.lambda)
-                        + g_right * g_right / (h_right + config.lambda)
-                        - parent_score)
-                    - config.gamma;
+                    * (g_left * g_left / (h_left + LAMBDA)
+                        + g_right * g_right / (h_right + LAMBDA)
+                        - parent_score);
                 if gain > best_gain {
                     best_gain = gain;
                     best = Some(RegSplit {
@@ -526,16 +515,14 @@ fn best_split_by_value(
     data: &Dataset,
     rows: &[usize],
     grad_hess: &[(f64, f64)],
-    features: &[usize],
     g_sum: f64,
     h_sum: f64,
-    config: &GbdtConfig,
 ) -> Option<RegSplit> {
-    let parent_score = g_sum * g_sum / (h_sum + config.lambda);
+    let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
     let mut best_gain = 1e-12;
     let mut best = None;
     let mut sorted: Vec<(f64, f64, f64)> = Vec::with_capacity(rows.len());
-    for &feature in features {
+    for feature in 0..data.n_features() {
         sorted.clear();
         sorted.extend(rows.iter().map(|&i| {
             let v = data.value(i, feature);
@@ -554,15 +541,13 @@ fn best_split_by_value(
                 continue;
             }
             let h_right = h_sum - h_left;
-            if h_left < config.min_child_weight || h_right < config.min_child_weight {
+            if h_left < MIN_CHILD_WEIGHT || h_right < MIN_CHILD_WEIGHT {
                 continue;
             }
             let g_right = g_sum - g_left;
             let gain = 0.5
-                * (g_left * g_left / (h_left + config.lambda)
-                    + g_right * g_right / (h_right + config.lambda)
-                    - parent_score)
-                - config.gamma;
+                * (g_left * g_left / (h_left + LAMBDA) + g_right * g_right / (h_right + LAMBDA)
+                    - parent_score);
             if gain > best_gain {
                 best_gain = gain;
                 best = Some(RegSplit {
@@ -638,39 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed() {
-        let data = blobs();
-        let config = GbdtConfig {
-            subsample: 0.8,
-            colsample: 0.5,
-            ..GbdtConfig::default().with_rounds(5)
-        };
-        let a = Gbdt::fit(&data, &config.with_seed(7)).unwrap();
-        let b = Gbdt::fit(&data, &config.with_seed(7)).unwrap();
-        assert_eq!(a, b);
-        let c = Gbdt::fit(&data, &config.with_seed(8)).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
     fn rejects_invalid_configs() {
         let data = blobs();
         for config in [
             GbdtConfig::default().with_rounds(0),
             GbdtConfig {
                 learning_rate: 0.0,
-                ..GbdtConfig::default()
-            },
-            GbdtConfig {
-                subsample: 0.0,
-                ..GbdtConfig::default()
-            },
-            GbdtConfig {
-                colsample: 1.5,
-                ..GbdtConfig::default()
-            },
-            GbdtConfig {
-                lambda: -1.0,
                 ..GbdtConfig::default()
             },
         ] {
@@ -682,19 +640,6 @@ mod tests {
         assert_eq!(
             Gbdt::fit(&Dataset::new(1, 2), &GbdtConfig::default()),
             Err(FitError::EmptyDataset)
-        );
-        // A one-row dataset leaves no row to hold out for validation.
-        let mut one_row = Dataset::new(1, 2);
-        one_row.push_row(&[1.0], 0).unwrap();
-        let early = GbdtConfig {
-            early_stopping_rounds: Some(3),
-            ..GbdtConfig::default()
-        };
-        assert_eq!(
-            Gbdt::fit(&one_row, &early),
-            Err(FitError::InvalidConfig(
-                "early stopping needs at least 2 rows"
-            ))
         );
     }
 
@@ -711,24 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn gamma_prunes_low_gain_splits() {
-        let data = blobs();
-        let loose = Gbdt::fit(&data, &GbdtConfig::default().with_rounds(3)).unwrap();
-        let strict = Gbdt::fit(
-            &data,
-            &GbdtConfig {
-                gamma: 1e9,
-                ..GbdtConfig::default().with_rounds(3)
-            },
-        )
-        .unwrap();
-        // With an enormous gamma no split clears the bar, so predictions
-        // collapse to the prior; the loose model must differ.
-        let row = &[0.2, 0.2];
-        assert_ne!(loose.predict_proba(row), strict.predict_proba(row));
-    }
-
-    #[test]
     fn raw_scores_have_one_entry_per_class() {
         let model = Gbdt::fit(&blobs(), &GbdtConfig::default().with_rounds(2)).unwrap();
         assert_eq!(model.raw_scores(&[1.0, 1.0]).len(), 3);
@@ -739,11 +666,8 @@ mod tests {
     fn model_is_identical_for_every_thread_count() {
         let data = blobs();
         let base = GbdtConfig {
-            subsample: 0.8,
-            colsample: 0.5,
-            early_stopping_rounds: Some(3),
             n_threads: 1,
-            ..GbdtConfig::default().with_rounds(8).with_seed(3)
+            ..GbdtConfig::default().with_rounds(8)
         };
         let sequential = Gbdt::fit(&data, &base).unwrap();
         for n_threads in [2, 3, 8] {
@@ -768,10 +692,10 @@ mod tests {
         -3.5,
     ];
 
-    type Node = (Dataset, Vec<(f64, f64)>, Vec<usize>, Vec<usize>);
+    type Node = (Dataset, Vec<(f64, f64)>, Vec<usize>);
 
-    /// A dataset, its grad/hess pairs, one node's rows (repeats allowed,
-    /// as in bootstrap samples) and the features it may split on.
+    /// A dataset, its grad/hess pairs and one node's rows (repeats
+    /// allowed).
     fn arb_node() -> impl Strategy<Value = Node> {
         (2usize..200, 1usize..4).prop_flat_map(|(n_rows, n_features)| {
             let value = || {
@@ -783,16 +707,13 @@ mod tests {
             let table = prop::collection::vec(prop::collection::vec(value(), n_features), n_rows);
             let grad_hess = prop::collection::vec((-1.0..1.0f64, 0.001..1.0f64), n_rows);
             let rows = prop::collection::vec(0..n_rows, 2..250);
-            let features = prop::collection::vec(0..n_features, 1..=n_features);
-            (table, grad_hess, rows, features).prop_map(
-                move |(table, grad_hess, rows, features)| {
-                    let mut data = Dataset::new(n_features, 2);
-                    for row in &table {
-                        data.push_row(row, 0).unwrap();
-                    }
-                    (data, grad_hess, rows, features)
-                },
-            )
+            (table, grad_hess, rows).prop_map(move |(table, grad_hess, rows)| {
+                let mut data = Dataset::new(n_features, 2);
+                for row in &table {
+                    data.push_row(row, 0).unwrap();
+                }
+                (data, grad_hess, rows)
+            })
         })
     }
 
@@ -801,10 +722,8 @@ mod tests {
 
         #[test]
         fn ranked_split_search_matches_the_value_sort(
-            (data, grad_hess, rows, features) in arb_node(),
-            min_child_weight in prop_oneof![Just(0.0), Just(1.0)],
+            (data, grad_hess, rows) in arb_node(),
         ) {
-            let config = GbdtConfig { min_child_weight, ..GbdtConfig::default() };
             let ranked = RankedColumns::new(&data);
             let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
                 (g + grad_hess[i].0, h + grad_hess[i].1)
@@ -812,8 +731,7 @@ mod tests {
             let mut grow = Grow {
                 ranked: &ranked,
                 grad_hess: &grad_hess,
-                features: &features,
-                config: &config,
+                max_depth: GbdtConfig::default().max_depth,
                 sort: RankSort::default(),
                 nodes: Vec::new(),
                 gains: Vec::new(),
@@ -823,7 +741,7 @@ mod tests {
             };
             prop_assert_eq!(
                 bits(grow.best_split(&rows, g_sum, h_sum)),
-                bits(best_split_by_value(&data, &rows, &grad_hess, &features, g_sum, h_sum, &config))
+                bits(best_split_by_value(&data, &rows, &grad_hess, g_sum, h_sum))
             );
         }
     }

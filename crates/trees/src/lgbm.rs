@@ -2,18 +2,20 @@
 //!
 //! Differences from the depth-wise [`Gbdt`](crate::Gbdt):
 //!
-//! * feature values are pre-binned into ≤`max_bins` quantile bins
+//! * feature values are pre-binned into ≤[`MAX_BINS`] quantile bins
 //!   ([`BinMapper`]), so split search scans bins instead of sorted values;
 //! * trees grow **leaf-wise**: the leaf with the highest split gain anywhere
 //!   in the tree is split next, until `max_leaves` is reached.
+//!
+//! Every tree sees every row and every feature, with L2 regularisation
+//! λ = [`LAMBDA`] and at least [`MIN_DATA_IN_LEAF`] rows per leaf.
 //!
 //! # Performance architecture
 //!
 //! Training follows the real LightGBM playbook:
 //!
 //! * the dataset is binned **once** into a shared column-major
-//!   [`BinnedDataset`] and reused across every round and class (and across
-//!   fits, via [`LightGbm::fit_prebinned`]);
+//!   [`BinnedDataset`] and reused across every round and class;
 //! * every tree node carries its per-feature histograms; when a node
 //!   splits, only the **smaller** child is rebuilt by scanning rows — the
 //!   larger child is derived in O(bins) with the histogram-subtraction
@@ -21,23 +23,28 @@
 //! * the per-class trees of one boosting round are fitted on worker
 //!   threads, and large histogram builds are split across features.
 //!
-//! Parallelism never changes the result: GOSS/colsample seeds are derived
-//! per `(round, class)` up front and all reductions run in input order, so
-//! any `n_threads` produces a bit-identical model (the same invariant
+//! Parallelism never changes the result: a fit draws no random numbers
+//! and all reductions run in input order, so any `n_threads` produces a
+//! bit-identical model (the same invariant
 //! [`RandomForest`](crate::RandomForest) upholds).
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::error::FitError;
-use crate::gbdt::softmax;
+use crate::gbdt::{check_nodes, check_rounds, softmax};
 use crate::hist::{BinMapper, BinnedDataset, FeatureHistogram};
-use crate::parallel::{ordered_map, ordered_map_indexed};
+use crate::parallel::ordered_map_indexed;
 use crate::Classifier;
+
+/// L2 regularisation λ on leaf weights.
+const LAMBDA: f64 = 1.0;
+
+/// Minimum rows per leaf.
+const MIN_DATA_IN_LEAF: usize = 5;
+
+/// Maximum finite bins per feature.
+const MAX_BINS: usize = 255;
 
 /// Hyperparameters of a [`LightGbm`] model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,22 +55,6 @@ pub struct LightGbmConfig {
     pub max_leaves: usize,
     /// Shrinkage (learning rate).
     pub learning_rate: f64,
-    /// L2 regularisation λ on leaf weights.
-    pub lambda: f64,
-    /// Minimum rows per leaf.
-    pub min_data_in_leaf: usize,
-    /// Maximum finite bins per feature.
-    pub max_bins: usize,
-    /// Fraction of features considered per tree.
-    pub colsample: f64,
-    /// GOSS (gradient-based one-side sampling) top rate `a`: the fraction
-    /// of rows with the largest |gradient| always kept. 0 disables GOSS.
-    pub goss_top_rate: f64,
-    /// GOSS other rate `b`: the fraction of remaining rows sampled, with
-    /// their gradients up-weighted by `(1 - a) / b`.
-    pub goss_other_rate: f64,
-    /// RNG seed for feature subsampling and GOSS.
-    pub seed: u64,
     /// Worker threads used while fitting (1 = sequential). The fitted
     /// model is identical for every thread count.
     pub n_threads: usize,
@@ -75,25 +66,12 @@ impl Default for LightGbmConfig {
             n_rounds: 60,
             max_leaves: 31,
             learning_rate: 0.2,
-            lambda: 1.0,
-            min_data_in_leaf: 5,
-            max_bins: 255,
-            colsample: 1.0,
-            goss_top_rate: 0.0,
-            goss_other_rate: 0.1,
-            seed: 0,
             n_threads: 4,
         }
     }
 }
 
 impl LightGbmConfig {
-    /// Returns the config with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Returns the config with a different round count.
     pub fn with_rounds(mut self, n_rounds: usize) -> Self {
         self.n_rounds = n_rounds;
@@ -108,7 +86,11 @@ impl LightGbmConfig {
 }
 
 /// A fitted LightGBM-style classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The JSON form is the derived one; reading it refuses a model a
+/// prediction could not finish on, as [`Gbdt`](crate::Gbdt)'s reader
+/// does, and a bin mapper that does not cover every feature.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LightGbm {
     mapper: BinMapper,
     /// `trees[round][class]`.
@@ -122,7 +104,7 @@ pub struct LightGbm {
 }
 
 impl LightGbm {
-    /// Fits a model.
+    /// Fits a model, binning the dataset once for every round and class.
     ///
     /// # Errors
     ///
@@ -130,32 +112,7 @@ impl LightGbm {
     /// [`FitError::InvalidConfig`] for invalid hyperparameters.
     pub fn fit(data: &Dataset, config: &LightGbmConfig) -> Result<Self, FitError> {
         validate(data, config)?;
-        let binned = BinnedDataset::fit(data, config.max_bins);
-        Self::fit_prebinned(data, &binned, config)
-    }
-
-    /// Fits a model on a dataset binned up front with [`BinnedDataset::fit`]
-    /// (or [`BinnedDataset::with_mapper`]), skipping the quantile fit and
-    /// the dataset scan — the dominant fixed cost when the same dataset is
-    /// fitted repeatedly (seed sweeps, multi-stage pipelines, benchmarks).
-    ///
-    /// `config.max_bins` is not consulted: the binning of `binned` governs.
-    ///
-    /// # Errors
-    ///
-    /// As [`LightGbm::fit`], plus [`FitError::InvalidConfig`] when the
-    /// shape of `binned` does not match `data`.
-    pub fn fit_prebinned(
-        data: &Dataset,
-        binned: &BinnedDataset,
-        config: &LightGbmConfig,
-    ) -> Result<Self, FitError> {
-        validate(data, config)?;
-        if binned.n_rows() != data.n_rows() || binned.n_features() != data.n_features() {
-            return Err(FitError::InvalidConfig(
-                "pre-binned dataset shape does not match the raw dataset",
-            ));
-        }
+        let binned = BinnedDataset::fit(data, MAX_BINS);
         let _span = cordial_obs::span!("lgbm_fit");
 
         let n = data.n_rows();
@@ -171,34 +128,22 @@ impl LightGbm {
         let mut trees: Vec<Vec<HistTree>> = Vec::with_capacity(config.n_rounds);
         let mut gains = vec![0.0f64; n_features];
 
-        // Derive every (round, class) sampling seed up front: each class
-        // tree then owns an independent RNG, so the trees of one round can
-        // be fitted on worker threads without changing the model.
-        let mut seed_rng = StdRng::seed_from_u64(config.seed);
-        let class_seeds: Vec<Vec<u64>> = (0..config.n_rounds)
-            .map(|_| (0..k).map(|_| seed_rng.gen()).collect())
-            .collect();
-
         let labels: Vec<usize> = (0..n).map(|i| data.label(i)).collect();
 
-        for round_seeds in &class_seeds {
+        for _ in 0..config.n_rounds {
             cordial_obs::counter!("trees.boost_rounds").inc();
             let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
 
             let fit_class = |class: usize| -> ClassFit {
                 cordial_obs::counter!("trees.trees_built").inc();
-                let mut rng = StdRng::seed_from_u64(round_seeds[class]);
-                let mut grad_hess: Vec<(f64, f64)> = (0..n)
+                let grad_hess: Vec<(f64, f64)> = (0..n)
                     .map(|i| {
                         let p = probs[i][class];
                         let y = f64::from(labels[i] == class);
                         (p - y, (p * (1.0 - p)).max(1e-16))
                     })
                     .collect();
-                let tree_rows = goss_rows(&mut grad_hess, config, &mut rng);
-                let features = sampled_features(n_features, config, &mut rng);
-                let (tree, tree_gains) =
-                    HistTree::fit(binned, &grad_hess, &tree_rows, &features, config);
+                let (tree, tree_gains) = HistTree::fit(&binned, &grad_hess, config);
                 let preds: Vec<f64> = (0..n).map(|i| tree.predict_binned(binned.row(i))).collect();
                 ClassFit {
                     tree,
@@ -283,6 +228,48 @@ impl LightGbm {
     }
 }
 
+impl<'de> Deserialize<'de> for LightGbm {
+    /// Reads the JSON the derived [`Serialize`] writes and refuses a model
+    /// a prediction could not finish on (see [`LightGbm`]).
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let model = LightGbm {
+            mapper: serde::de_field(value, "mapper")?,
+            trees: serde::de_field(value, "trees")?,
+            n_classes: serde::de_field(value, "n_classes")?,
+            n_features: serde::de_field(value, "n_features")?,
+            base_score: serde::de_field(value, "base_score")?,
+            learning_rate: serde::de_field(value, "learning_rate")?,
+            gains: serde::de_field(value, "gains")?,
+        };
+        if model.mapper.n_features() != model.n_features {
+            return Err(serde::Error::custom(format!(
+                "bin mapper covers {} features, model has {}",
+                model.mapper.n_features(),
+                model.n_features
+            )));
+        }
+        check_rounds(
+            &model.trees,
+            model.n_classes,
+            model.n_features,
+            &model.base_score,
+            &model.gains,
+            |tree| {
+                check_nodes(&tree.nodes, model.n_features, |node| match *node {
+                    HistNode::Leaf { .. } => None,
+                    HistNode::Split {
+                        feature,
+                        left,
+                        right,
+                        ..
+                    } => Some((feature, [left, right])),
+                })
+            },
+        )?;
+        Ok(model)
+    }
+}
+
 fn validate(data: &Dataset, config: &LightGbmConfig) -> Result<(), FitError> {
     if data.is_empty() {
         return Err(FitError::EmptyDataset);
@@ -296,22 +283,6 @@ fn validate(data: &Dataset, config: &LightGbmConfig) -> Result<(), FitError> {
     if config.learning_rate.is_nan() || config.learning_rate <= 0.0 {
         return Err(FitError::InvalidConfig("learning_rate must be positive"));
     }
-    if config.max_bins < 2 {
-        return Err(FitError::InvalidConfig("max_bins must be >= 2"));
-    }
-    if !(config.colsample > 0.0 && config.colsample <= 1.0) {
-        return Err(FitError::InvalidConfig("colsample must be in (0, 1]"));
-    }
-    if !(0.0..1.0).contains(&config.goss_top_rate) {
-        return Err(FitError::InvalidConfig("goss_top_rate must be in [0, 1)"));
-    }
-    if config.goss_top_rate > 0.0
-        && !(config.goss_other_rate > 0.0 && config.goss_top_rate + config.goss_other_rate <= 1.0)
-    {
-        return Err(FitError::InvalidConfig(
-            "goss_other_rate must be positive with a + b <= 1",
-        ));
-    }
     Ok(())
 }
 
@@ -323,54 +294,6 @@ struct ClassFit {
     gains: Vec<f64>,
     /// This tree's raw prediction for every training row.
     preds: Vec<f64>,
-}
-
-/// GOSS: keep the large-gradient rows, sample and up-weight a fraction of
-/// the rest, and drop the remainder from this tree. Returns the rows the
-/// tree trains on; without GOSS, all rows.
-fn goss_rows(
-    grad_hess: &mut [(f64, f64)],
-    config: &LightGbmConfig,
-    rng: &mut StdRng,
-) -> Vec<usize> {
-    let n = grad_hess.len();
-    if config.goss_top_rate <= 0.0 {
-        return (0..n).collect();
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        grad_hess[b]
-            .0
-            .abs()
-            .partial_cmp(&grad_hess[a].0.abs())
-            .expect("gradients are finite")
-    });
-    let top = (((n as f64) * config.goss_top_rate).ceil() as usize).min(n);
-    let rest = &order[top..];
-    let keep_rest = (((n as f64) * config.goss_other_rate).ceil() as usize).min(rest.len());
-    let mut rest: Vec<usize> = rest.to_vec();
-    rest.shuffle(rng);
-    rest.truncate(keep_rest);
-    let amplify = (1.0 - config.goss_top_rate) / config.goss_other_rate.max(f64::MIN_POSITIVE);
-    for &i in &rest {
-        grad_hess[i].0 *= amplify;
-        grad_hess[i].1 *= amplify;
-    }
-    let mut rows: Vec<usize> = order[..top].to_vec();
-    rows.extend(rest);
-    rows
-}
-
-/// Column subsampling: the feature subset this tree may split on.
-fn sampled_features(n_features: usize, config: &LightGbmConfig, rng: &mut StdRng) -> Vec<usize> {
-    if config.colsample >= 1.0 {
-        return (0..n_features).collect();
-    }
-    let target = (((n_features as f64) * config.colsample).ceil() as usize).max(1);
-    let mut all: Vec<usize> = (0..n_features).collect();
-    all.shuffle(rng);
-    all.truncate(target);
-    all
 }
 
 impl Classifier for LightGbm {
@@ -405,9 +328,9 @@ pub(crate) enum HistNode {
     },
 }
 
-/// A grow-able leaf during leaf-wise construction. Carries its per-feature
-/// histograms (indexed like the tree's `features` subset) so children can
-/// be derived by subtraction instead of rescanned.
+/// A grow-able leaf during leaf-wise construction. Carries one histogram
+/// per feature so children can be derived by subtraction instead of
+/// rescanned.
 struct GrowLeaf {
     node_idx: usize,
     rows: Vec<usize>,
@@ -435,17 +358,17 @@ const PARALLEL_HIST_WORK: usize = 1 << 14;
 fn build_hists(
     binned: &BinnedDataset,
     rows: &[usize],
-    features: &[usize],
     grad_hess: &[(f64, f64)],
     n_threads: usize,
 ) -> Vec<FeatureHistogram> {
-    let threads = if rows.len().saturating_mul(features.len()) >= PARALLEL_HIST_WORK {
+    let n_features = binned.n_features();
+    let threads = if rows.len().saturating_mul(n_features) >= PARALLEL_HIST_WORK {
         n_threads
     } else {
         1
     };
-    cordial_obs::counter!("trees.histogram_builds").add(features.len() as u64);
-    ordered_map(features, threads, |&feature| {
+    cordial_obs::counter!("trees.histogram_builds").add(n_features as u64);
+    ordered_map_indexed(n_features, threads, |feature| {
         let col = binned.column(feature);
         let mut hist = FeatureHistogram::zeros(binned.n_bins(feature));
         for &r in rows {
@@ -462,21 +385,19 @@ impl HistTree {
     fn fit(
         binned: &BinnedDataset,
         grad_hess: &[(f64, f64)],
-        rows: &[usize],
-        features: &[usize],
         config: &LightGbmConfig,
     ) -> (Self, Vec<f64>) {
         let mut tree = HistTree { nodes: Vec::new() };
         let mut gains = vec![0.0f64; binned.n_features()];
-        let rows: Vec<usize> = rows.to_vec();
+        let rows: Vec<usize> = (0..binned.n_rows()).collect();
         let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
             (g + grad_hess[i].0, h + grad_hess[i].1)
         });
         tree.nodes.push(HistNode::Leaf {
-            weight: -g_sum / (h_sum + config.lambda),
+            weight: -g_sum / (h_sum + LAMBDA),
         });
 
-        let root_hists = build_hists(binned, &rows, features, grad_hess, config.n_threads);
+        let root_hists = build_hists(binned, &rows, grad_hess, config.n_threads);
         let mut leaves = vec![GrowLeaf {
             node_idx: 0,
             rows,
@@ -485,7 +406,7 @@ impl HistTree {
             hists: root_hists,
             best: None,
         }];
-        leaves[0].best = best_split(&leaves[0], features, config);
+        leaves[0].best = best_split(&leaves[0]);
 
         let mut n_leaves = 1;
         while n_leaves < config.max_leaves {
@@ -531,7 +452,7 @@ impl HistTree {
             // the larger one from the parent in O(bins).
             let scan_left = left_rows.len() <= right_rows.len();
             let scan_rows = if scan_left { &left_rows } else { &right_rows };
-            let scanned = build_hists(binned, scan_rows, features, grad_hess, config.n_threads);
+            let scanned = build_hists(binned, scan_rows, grad_hess, config.n_threads);
             let derived: Vec<FeatureHistogram> = scanned
                 .iter()
                 .zip(&leaf.hists)
@@ -545,11 +466,11 @@ impl HistTree {
 
             let left_idx = tree.nodes.len();
             tree.nodes.push(HistNode::Leaf {
-                weight: -gl / (hl + config.lambda),
+                weight: -gl / (hl + LAMBDA),
             });
             let right_idx = tree.nodes.len();
             tree.nodes.push(HistNode::Leaf {
-                weight: -gr / (hr + config.lambda),
+                weight: -gr / (hr + LAMBDA),
             });
             tree.nodes[leaf.node_idx] = HistNode::Split {
                 feature: split.feature,
@@ -567,7 +488,7 @@ impl HistTree {
                 hists: left_hists,
                 best: None,
             };
-            left_leaf.best = best_split(&left_leaf, features, config);
+            left_leaf.best = best_split(&left_leaf);
             let mut right_leaf = GrowLeaf {
                 node_idx: right_idx,
                 rows: right_rows,
@@ -576,7 +497,7 @@ impl HistTree {
                 hists: right_hists,
                 best: None,
             };
-            right_leaf.best = best_split(&right_leaf, features, config);
+            right_leaf.best = best_split(&right_leaf);
             leaves.push(left_leaf);
             leaves.push(right_leaf);
         }
@@ -607,18 +528,17 @@ impl HistTree {
 }
 
 /// Scans the leaf's cached histograms for the best split. Features are
-/// visited in subset order and bins in ascending order with a
+/// visited in index order and bins in ascending order with a
 /// strictly-greater comparison, so the selected split does not depend on
 /// how the histograms were produced (direct scan or subtraction sibling,
 /// sequential or parallel build).
-fn best_split(leaf: &GrowLeaf, features: &[usize], config: &LightGbmConfig) -> Option<LeafSplit> {
-    if leaf.rows.len() < 2 * config.min_data_in_leaf {
+fn best_split(leaf: &GrowLeaf) -> Option<LeafSplit> {
+    if leaf.rows.len() < 2 * MIN_DATA_IN_LEAF {
         return None;
     }
-    let parent_score = leaf.g_sum * leaf.g_sum / (leaf.h_sum + config.lambda);
+    let parent_score = leaf.g_sum * leaf.g_sum / (leaf.h_sum + LAMBDA);
     let mut best: Option<LeafSplit> = None;
-    for (slot, &feature) in features.iter().enumerate() {
-        let hist = &leaf.hists[slot];
+    for (feature, hist) in leaf.hists.iter().enumerate() {
         let n_bins = hist.grad.len();
         let mut g_left = 0.0;
         let mut h_left = 0.0;
@@ -631,16 +551,14 @@ fn best_split(leaf: &GrowLeaf, features: &[usize], config: &LightGbmConfig) -> O
                 continue;
             }
             let count_right = leaf.rows.len() as u32 - count_left;
-            if (count_left as usize) < config.min_data_in_leaf
-                || (count_right as usize) < config.min_data_in_leaf
+            if (count_left as usize) < MIN_DATA_IN_LEAF || (count_right as usize) < MIN_DATA_IN_LEAF
             {
                 continue;
             }
             let g_right = leaf.g_sum - g_left;
             let h_right = leaf.h_sum - h_left;
             let gain = 0.5
-                * (g_left * g_left / (h_left + config.lambda)
-                    + g_right * g_right / (h_right + config.lambda)
+                * (g_left * g_left / (h_left + LAMBDA) + g_right * g_right / (h_right + LAMBDA)
                     - parent_score);
             if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
                 best = Some(LeafSplit {
@@ -699,7 +617,6 @@ mod tests {
     fn max_leaves_bounds_tree_size() {
         let config = LightGbmConfig {
             max_leaves: 2,
-            min_data_in_leaf: 1,
             ..LightGbmConfig::default().with_rounds(1)
         };
         let model = LightGbm::fit(&blobs(), &config).unwrap();
@@ -708,58 +625,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed() {
-        let data = blobs();
-        let config = LightGbmConfig {
-            colsample: 0.5,
-            ..LightGbmConfig::default().with_rounds(4)
-        };
-        let a = LightGbm::fit(&data, &config.with_seed(3)).unwrap();
-        let b = LightGbm::fit(&data, &config.with_seed(3)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn thread_count_does_not_change_the_model() {
-        // The tentpole invariant: with sampling (GOSS + colsample) active,
-        // the parallel fit must still be bit-identical to the sequential
-        // one, because seeds are pre-derived and reductions run in order.
+        // The parallel fit must be bit-identical to the sequential one,
+        // because reductions run in input order.
         let data = blobs();
-        let base = LightGbmConfig {
-            colsample: 0.5,
-            goss_top_rate: 0.2,
-            goss_other_rate: 0.2,
-            min_data_in_leaf: 2,
-            ..LightGbmConfig::default().with_rounds(6).with_seed(9)
-        };
+        let base = LightGbmConfig::default().with_rounds(6);
         let sequential = LightGbm::fit(&data, &base.with_threads(1)).unwrap();
         for n_threads in [2, 4, 8] {
             let parallel = LightGbm::fit(&data, &base.with_threads(n_threads)).unwrap();
             assert_eq!(sequential, parallel, "n_threads={n_threads}");
         }
-    }
-
-    #[test]
-    fn prebinned_fit_matches_plain_fit() {
-        let data = blobs();
-        let config = LightGbmConfig::default().with_rounds(8).with_seed(5);
-        let plain = LightGbm::fit(&data, &config).unwrap();
-        let binned = BinnedDataset::fit(&data, config.max_bins);
-        let prebinned = LightGbm::fit_prebinned(&data, &binned, &config).unwrap();
-        assert_eq!(plain, prebinned);
-    }
-
-    #[test]
-    fn prebinned_shape_mismatch_is_rejected() {
-        let data = blobs();
-        let mut other = Dataset::new(1, 2);
-        other.push_row(&[1.0], 0).unwrap();
-        other.push_row(&[2.0], 1).unwrap();
-        let binned = BinnedDataset::fit(&other, 16);
-        assert!(matches!(
-            LightGbm::fit_prebinned(&data, &binned, &LightGbmConfig::default()),
-            Err(FitError::InvalidConfig(_))
-        ));
     }
 
     #[test]
@@ -785,14 +660,6 @@ mod tests {
             },
             LightGbmConfig {
                 learning_rate: -1.0,
-                ..LightGbmConfig::default()
-            },
-            LightGbmConfig {
-                max_bins: 1,
-                ..LightGbmConfig::default()
-            },
-            LightGbmConfig {
-                colsample: 0.0,
                 ..LightGbmConfig::default()
             },
         ] {

@@ -6,15 +6,20 @@
 //! implementations are Python/C++ libraries; this crate re-implements the
 //! three model families from scratch in pure Rust:
 //!
-//! * [`DecisionTree`] — CART classification trees (gini or entropy, exact
+//! * [`DecisionTree`] — CART classification trees (Gini impurity, exact
 //!   splits, per-node feature subsampling),
 //! * [`RandomForest`] — bootstrap-aggregated trees with probability
 //!   averaging and parallel fitting,
 //! * [`Gbdt`] — second-order gradient boosting in the XGBoost style
-//!   (grad/hess Taylor objective, logistic and softmax losses, L2
-//!   regularisation, min-gain pruning, depth-wise growth),
+//!   (grad/hess Taylor objective, softmax loss, L2 regularisation,
+//!   depth-wise growth),
 //! * [`LightGbm`] — histogram-binned, leaf-wise (best-first) boosting in the
-//!   LightGBM style.
+//!   LightGBM style, with a flattened inference twin ([`FlatEnsemble`]).
+//!
+//! The pipeline sets only each family's size, depth and learning rate, so
+//! those (and the worker-thread count) are the only knobs; every other
+//! training setting is one named constant of its module, and the boosted
+//! fits draw no random numbers.
 //!
 //! Supporting modules provide the dense [`Dataset`] container with stratified
 //! splitting, classification [`metrics`] (confusion matrix, per-class and
@@ -64,7 +69,7 @@ pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{Gbdt, GbdtConfig};
 pub use hist::{BinMapper, BinnedDataset, FeatureHistogram};
 pub use lgbm::{LightGbm, LightGbmConfig};
-pub use tree::{DecisionTree, ImpurityKind, TreeConfig};
+pub use tree::{DecisionTree, TreeConfig};
 
 /// Common interface of every classifier in this crate.
 ///

@@ -93,6 +93,11 @@ impl RankedColumns {
         }
     }
 
+    /// Number of encoded features.
+    pub(crate) fn n_features(&self) -> usize {
+        self.rank_bits.len()
+    }
+
     /// Raw values of one feature, indexed by row id.
     pub(crate) fn values(&self, feature: usize) -> &[f64] {
         &self.values[feature * self.n_rows..(feature + 1) * self.n_rows]

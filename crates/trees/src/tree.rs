@@ -1,7 +1,8 @@
-//! CART decision trees: exact-split classification trees with optional
-//! per-split feature subsampling (the building block of [`RandomForest`]).
-//! Split search orders each node's rows by feature ranks encoded once per
-//! fit (`RankedColumns`), not by sorting values at every node.
+//! CART decision trees: exact-split Gini classification trees with
+//! optional per-split feature subsampling (the building block of
+//! [`RandomForest`]). Split search orders each node's rows by feature ranks
+//! encoded once per fit (`RankedColumns`), not by sorting values at every
+//! node.
 //!
 //! [`RandomForest`]: crate::RandomForest
 
@@ -17,41 +18,18 @@ use crate::rank::nan_first;
 use crate::rank::{RankSort, RankedColumns};
 use crate::Classifier;
 
-/// Split-impurity criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ImpurityKind {
-    /// Gini impurity `1 - Σ p²` (CART default).
-    #[default]
-    Gini,
-    /// Shannon entropy `-Σ p·log₂ p`.
-    Entropy,
-}
-
-impl ImpurityKind {
-    fn impurity(self, counts: &[f64], total: f64) -> f64 {
-        if total <= 0.0 {
-            return 0.0;
-        }
-        match self {
-            ImpurityKind::Gini => {
-                1.0 - counts
-                    .iter()
-                    .map(|&c| {
-                        let p = c / total;
-                        p * p
-                    })
-                    .sum::<f64>()
-            }
-            ImpurityKind::Entropy => counts
-                .iter()
-                .filter(|&&c| c > 0.0)
-                .map(|&c| {
-                    let p = c / total;
-                    -p * p.log2()
-                })
-                .sum(),
-        }
+/// Gini impurity `1 - Σ p²` of a node with `counts` per class.
+fn gini(counts: &[f64], total: f64) -> f64 {
+    if total <= 0.0 {
+        return 0.0;
     }
+    1.0 - counts
+        .iter()
+        .map(|&c| {
+            let p = c / total;
+            p * p
+        })
+        .sum::<f64>()
 }
 
 /// Hyperparameters of a [`DecisionTree`].
@@ -59,14 +37,10 @@ impl ImpurityKind {
 pub struct TreeConfig {
     /// Maximum tree depth (root at depth 0).
     pub max_depth: usize,
-    /// Minimum rows a node needs to be considered for splitting.
-    pub min_samples_split: usize,
     /// Minimum rows each child must keep after a split.
     pub min_samples_leaf: usize,
     /// Number of features sampled per split; `None` uses every feature.
     pub max_features: Option<usize>,
-    /// Impurity criterion.
-    pub impurity: ImpurityKind,
     /// RNG seed (relevant only when `max_features` subsamples).
     pub seed: u64,
 }
@@ -75,10 +49,8 @@ impl Default for TreeConfig {
     fn default() -> Self {
         Self {
             max_depth: 16,
-            min_samples_split: 2,
             min_samples_leaf: 1,
             max_features: None,
-            impurity: ImpurityKind::Gini,
             seed: 0,
         }
     }
@@ -430,7 +402,13 @@ impl DecisionTree {
             }
             "Split" => {
                 let feature: usize = serde::de_field(payload, "feature").map_err(field_err)?;
-                let threshold: f64 = serde::de_field(payload, "threshold").map_err(field_err)?;
+                // JSON has no −∞, so the writer prints a split between −∞
+                // and the next value as `null`. `midpoint` never returns
+                // NaN, and a +∞ split leaves its right child empty.
+                let threshold = match payload.get("threshold") {
+                    Some(Value::Null) => f64::NEG_INFINITY,
+                    _ => serde::de_field(payload, "threshold").map_err(field_err)?,
+                };
                 let left: usize = serde::de_field(payload, "left").map_err(field_err)?;
                 let right: usize = serde::de_field(payload, "right").map_err(field_err)?;
                 if feature >= self.n_features {
@@ -480,12 +458,11 @@ impl Grow<'_> {
         let config = self.config;
         let counts = class_counts(self.data, indices, self.data.n_classes());
         let total = indices.len() as f64;
-        let node_impurity = config.impurity.impurity(&counts, total);
+        let node_impurity = gini(&counts, total);
 
-        let stop = depth >= config.max_depth
-            || indices.len() < config.min_samples_split
-            || node_impurity == 0.0;
-        if !stop {
+        // A node of one row is pure, so purity also stops every node too
+        // small to split.
+        if depth < config.max_depth && node_impurity != 0.0 {
             if let Some(split) = self.best_split(indices, &counts, node_impurity) {
                 // Partition in place: left = value <= threshold or NaN.
                 let mid = self
@@ -556,7 +533,6 @@ impl Grow<'_> {
         parent_counts: &[f64],
         parent_impurity: f64,
     ) -> Option<SplitCandidate> {
-        let config = self.config;
         let total = indices.len() as f64;
         let mut best: Option<SplitCandidate> = None;
         let mut left_counts = vec![0.0f64; parent_counts.len()];
@@ -580,9 +556,8 @@ impl Grow<'_> {
                 {
                     *right = parent - left;
                 }
-                let weighted = (left_total / total)
-                    * config.impurity.impurity(&left_counts, left_total)
-                    + (right_total / total) * config.impurity.impurity(&right_counts, right_total);
+                let weighted = (left_total / total) * gini(&left_counts, left_total)
+                    + (right_total / total) * gini(&right_counts, right_total);
                 let gain = parent_impurity - weighted;
                 if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
                     let threshold = midpoint(value, next_value);
@@ -607,7 +582,6 @@ fn best_split_by_value(
     indices: &[usize],
     parent_counts: &[f64],
     parent_impurity: f64,
-    config: &TreeConfig,
 ) -> Option<SplitCandidate> {
     let total = indices.len() as f64;
     let mut best: Option<SplitCandidate> = None;
@@ -641,9 +615,8 @@ fn best_split_by_value(
                 .zip(&left_counts)
                 .map(|(p, l)| p - l)
                 .collect();
-            let weighted = (left_total / total)
-                * config.impurity.impurity(&left_counts, left_total)
-                + (right_total / total) * config.impurity.impurity(&right_counts, right_total);
+            let weighted = (left_total / total) * gini(&left_counts, left_total)
+                + (right_total / total) * gini(&right_counts, right_total);
             let gain = parent_impurity - weighted;
             if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
                 let threshold = midpoint(value, next_value);
@@ -684,6 +657,18 @@ pub(crate) const POOL: [f64; 8] = [
     2.0,
     -3.5,
 ];
+
+/// Five rows at −∞ of class 0 and five at 1.0 of class 1: the only split
+/// is at −∞.
+#[cfg(test)]
+pub(crate) fn negative_infinity_split() -> Dataset {
+    let mut data = Dataset::new(1, 2);
+    for _ in 0..5 {
+        data.push_row(&[f64::NEG_INFINITY], 0).unwrap();
+        data.push_row(&[1.0], 1).unwrap();
+    }
+    data
+}
 
 /// A node, leaf-pool or feature index as stored in a [`Node`].
 fn to_u32(idx: usize) -> u32 {
@@ -819,13 +804,16 @@ mod tests {
     }
 
     #[test]
-    fn entropy_criterion_also_fits() {
-        let config = TreeConfig {
-            impurity: ImpurityKind::Entropy,
-            ..TreeConfig::default()
-        };
-        let tree = DecisionTree::fit(&xor_dataset(), &config).unwrap();
-        assert_eq!(tree.predict(&[0.0, 1.0]), 1);
+    fn a_split_at_negative_infinity_survives_a_json_round_trip() {
+        let tree = DecisionTree::fit(&negative_infinity_split(), &TreeConfig::default()).unwrap();
+        assert_eq!(tree.predict_proba(&[f64::NEG_INFINITY]), vec![1.0, 0.0]);
+        let json = serde_json::to_string(&tree).unwrap();
+        assert!(json.contains(r#""threshold":null"#), "{json}");
+        let reloaded: DecisionTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(reloaded, tree);
+        for row in [[f64::NEG_INFINITY], [1.0], [f64::NAN]] {
+            assert_eq!(reloaded.predict_proba(&row), tree.predict_proba(&row));
+        }
     }
 
     #[test]
@@ -903,21 +891,17 @@ mod tests {
         #[test]
         fn ranked_split_search_matches_the_value_sort(
             (data, indices, pool) in arb_node(),
-            entropy in prop_oneof![Just(false), Just(true)],
         ) {
-            let config = TreeConfig {
-                impurity: if entropy { ImpurityKind::Entropy } else { ImpurityKind::Gini },
-                ..TreeConfig::default()
-            };
+            let config = TreeConfig::default();
             let ranked = RankedColumns::new(&data);
             let counts = class_counts(&data, &indices, data.n_classes());
-            let impurity = config.impurity.impurity(&counts, indices.len() as f64);
+            let impurity = gini(&counts, indices.len() as f64);
             let mut grow = Grow {
                 data: &data,
                 ranked: &ranked,
                 config: &config,
                 rng: StdRng::seed_from_u64(0),
-                    sort: RankSort::default(),
+                sort: RankSort::default(),
                 tree: DecisionTree::unfitted(&data),
             };
             let bits = |split: Option<SplitCandidate>| {
@@ -925,16 +909,15 @@ mod tests {
             };
             prop_assert_eq!(
                 bits(grow.best_split_among(&pool, &indices, &counts, impurity)),
-                bits(best_split_by_value(&data, &pool, &indices, &counts, impurity, &config))
+                bits(best_split_by_value(&data, &pool, &indices, &counts, impurity))
             );
         }
     }
 
     #[test]
     fn impurity_values_are_sane() {
-        assert_eq!(ImpurityKind::Gini.impurity(&[5.0, 0.0], 5.0), 0.0);
-        assert!((ImpurityKind::Gini.impurity(&[5.0, 5.0], 10.0) - 0.5).abs() < 1e-12);
-        assert!((ImpurityKind::Entropy.impurity(&[5.0, 5.0], 10.0) - 1.0).abs() < 1e-12);
-        assert_eq!(ImpurityKind::Entropy.impurity(&[], 0.0), 0.0);
+        assert_eq!(gini(&[5.0, 0.0], 5.0), 0.0);
+        assert!((gini(&[5.0, 5.0], 10.0) - 0.5).abs() < 1e-12);
+        assert_eq!(gini(&[], 0.0), 0.0);
     }
 }

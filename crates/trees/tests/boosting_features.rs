@@ -1,7 +1,6 @@
-//! Tests for the boosting extras: early stopping, GOSS sampling, and
-//! gain-based feature importance.
+//! Gain-based feature importance of the boosted families.
 
-use cordial_trees::{Classifier, Dataset, FitError, Gbdt, GbdtConfig, LightGbm, LightGbmConfig};
+use cordial_trees::{Dataset, Gbdt, GbdtConfig, LightGbm, LightGbmConfig};
 
 /// Two informative features (0, 1) and two pure-noise features (2, 3).
 fn noisy_blobs(n_per_class: usize) -> Dataset {
@@ -46,93 +45,4 @@ fn lightgbm_importance_prefers_informative_features() {
         importance[0] + importance[1] > 0.9,
         "informative features should dominate: {importance:?}"
     );
-}
-
-#[test]
-fn early_stopping_halts_before_the_round_budget() {
-    // An easy problem converges almost immediately; with patience 3 the
-    // ensemble must stop far short of 200 rounds.
-    let data = noisy_blobs(100);
-    let config = GbdtConfig {
-        early_stopping_rounds: Some(3),
-        ..GbdtConfig::default().with_rounds(200)
-    };
-    let model = Gbdt::fit(&data, &config).unwrap();
-    assert!(
-        model.n_rounds() < 100,
-        "expected early stop, got {} rounds",
-        model.n_rounds()
-    );
-    // Still a good classifier.
-    assert_eq!(model.predict(&[0.5, -0.5, 5.0, 5.0]), 0);
-    assert_eq!(model.predict(&[8.5, 7.5, 5.0, 5.0]), 1);
-}
-
-#[test]
-fn early_stopping_is_deterministic() {
-    let data = noisy_blobs(60);
-    let config = GbdtConfig {
-        early_stopping_rounds: Some(5),
-        ..GbdtConfig::default().with_rounds(80).with_seed(3)
-    };
-    let a = Gbdt::fit(&data, &config).unwrap();
-    let b = Gbdt::fit(&data, &config).unwrap();
-    assert_eq!(a, b);
-}
-
-#[test]
-fn goss_trains_a_usable_model() {
-    let data = noisy_blobs(100);
-    let config = LightGbmConfig {
-        goss_top_rate: 0.2,
-        goss_other_rate: 0.2,
-        ..LightGbmConfig::default().with_rounds(20)
-    };
-    let model = LightGbm::fit(&data, &config).unwrap();
-    assert_eq!(model.predict(&[0.5, -0.5, 5.0, 5.0]), 0);
-    assert_eq!(model.predict(&[8.5, 7.5, 5.0, 5.0]), 1);
-
-    // Accuracy close to the full-data model on the training set.
-    let full = LightGbm::fit(&data, &LightGbmConfig::default().with_rounds(20)).unwrap();
-    let accuracy = |m: &LightGbm| {
-        (0..data.n_rows())
-            .filter(|&i| m.predict(data.row(i)) == data.label(i))
-            .count() as f64
-            / data.n_rows() as f64
-    };
-    assert!(accuracy(&model) > accuracy(&full) - 0.05);
-}
-
-#[test]
-fn goss_rejects_invalid_rates() {
-    let data = noisy_blobs(10);
-    for (a, b) in [(-0.1, 0.1), (1.0, 0.1), (0.5, 0.0), (0.7, 0.4)] {
-        let config = LightGbmConfig {
-            goss_top_rate: a,
-            goss_other_rate: b,
-            ..LightGbmConfig::default()
-        };
-        assert!(
-            matches!(
-                LightGbm::fit(&data, &config),
-                Err(FitError::InvalidConfig(_))
-            ),
-            "a={a} b={b} should be rejected"
-        );
-    }
-}
-
-#[test]
-fn validation_rows_are_excluded_from_training() {
-    // With early stopping on, a model trained on n rows behaves like one
-    // trained on ~85% of them — easiest to check via determinism under the
-    // same seed and difference under different seeds (the holdout shuffles).
-    let data = noisy_blobs(60);
-    let base = GbdtConfig {
-        early_stopping_rounds: Some(10),
-        ..GbdtConfig::default().with_rounds(30)
-    };
-    let a = Gbdt::fit(&data, &base.with_seed(1)).unwrap();
-    let b = Gbdt::fit(&data, &base.with_seed(2)).unwrap();
-    assert_ne!(a, b, "different holdouts must produce different models");
 }

@@ -1,13 +1,11 @@
-//! Equivalence pin of the flat SoA inference twins: for every fitted
-//! boosted ensemble, [`FlatEnsemble`] must reproduce the pointer model's
-//! raw scores and probabilities **bit-for-bit** — including on NaN-laced
+//! Equivalence pin of the flat SoA inference twin: for a fitted LightGBM
+//! ensemble, [`FlatEnsemble`] must reproduce the pointer model's raw
+//! scores and probabilities **bit-for-bit** — including on NaN-laced
 //! probe rows — and the flattening must be invariant under the fit-time
 //! worker-thread count (fits are thread-invariant, so their flat forms
 //! must be too).
 
-use cordial_trees::{
-    Classifier, Dataset, FlatEnsemble, Gbdt, GbdtConfig, LightGbm, LightGbmConfig,
-};
+use cordial_trees::{Classifier, Dataset, FlatEnsemble, LightGbm, LightGbmConfig};
 
 /// Four features, three classes, with NaN holes so missing-value routing
 /// is part of what the equivalence pins.
@@ -82,7 +80,6 @@ fn flat_lightgbm_matches_pointer_across_fit_thread_counts() {
     for n_threads in [1, 2, 4, 8] {
         let config = LightGbmConfig::default()
             .with_rounds(12)
-            .with_seed(7)
             .with_threads(n_threads);
         let model = LightGbm::fit(&data, &config).unwrap();
         let flat = FlatEnsemble::from_lightgbm(&model);
@@ -102,58 +99,28 @@ fn flat_lightgbm_matches_pointer_across_fit_thread_counts() {
     }
 }
 
+/// The batch kernel (shared binning buffer, packed-record traversal) must
+/// be bit-identical to the per-row path for every batch size.
 #[test]
-fn flat_gbdt_matches_pointer_bit_for_bit() {
+fn flat_batch_kernel_matches_per_row() {
     let data = dataset_with_nans();
-    let config = GbdtConfig::default().with_rounds(12).with_seed(7);
-    let model = Gbdt::fit(&data, &config).unwrap();
-    let flat = FlatEnsemble::from_gbdt(&model).expect("bin tables fit u16");
-    assert_flat_matches_pointer(&model, &flat, "gbdt");
-    for (r, row) in probe_rows().iter().enumerate() {
-        assert_bitwise_equal(
-            &model.raw_scores(row),
-            &flat.raw_scores(row),
-            &format!("gbdt probe {r} raw"),
-        );
-    }
-}
-
-/// The batch kernels (shared binning buffer, packed-record traversal) and
-/// their threaded wrappers must be bit-identical to the per-row path for
-/// every batch size and worker count — including batches smaller than a
-/// chunk and counts exceeding the (single) host core.
-#[test]
-fn flat_batch_kernels_match_per_row_across_thread_counts() {
-    let data = dataset_with_nans();
-    let lgbm = LightGbm::fit(
-        &data,
-        &LightGbmConfig::default().with_rounds(12).with_seed(7),
-    )
-    .unwrap();
-    let lgbm_flat = FlatEnsemble::from_lightgbm(&lgbm);
-    let gbdt = Gbdt::fit(&data, &GbdtConfig::default().with_rounds(12).with_seed(7)).unwrap();
-    let gbdt_flat = FlatEnsemble::from_gbdt(&gbdt).expect("bin tables fit u16");
+    let model = LightGbm::fit(&data, &LightGbmConfig::default().with_rounds(12)).unwrap();
+    let flat = FlatEnsemble::from_lightgbm(&model);
 
     let probes = probe_rows();
-    for (label, flat) in [("lgbm", &lgbm_flat), ("gbdt", &gbdt_flat)] {
-        for batch in [1usize, 7, 9, 67] {
-            // Cycle the probe rows (NaN placements included) out to `batch`.
-            let rows: Vec<&[f64]> = (0..batch)
-                .map(|i| probes[i % probes.len()].as_slice())
-                .collect();
-            let per_row: Vec<Vec<f64>> = rows.iter().map(|row| flat.predict_proba(row)).collect();
-            let batched = flat.predict_proba_batch(&rows);
-            assert_eq!(batched.len(), rows.len());
-            for (i, (reference, got)) in per_row.iter().zip(&batched).enumerate() {
-                assert_bitwise_equal(reference, got, &format!("{label} batch {batch} row {i}"));
-            }
-            for n_threads in [1, 2, 4, 8] {
-                let threaded = flat.predict_proba_batch_threaded(&rows, n_threads);
-                assert_eq!(
-                    threaded, batched,
-                    "{label} batch {batch}: t{n_threads} differs from sequential"
-                );
-            }
+    for batch in [1usize, 7, 9, 67] {
+        // Cycle the probe rows (NaN placements included) out to `batch`.
+        let rows: Vec<&[f64]> = (0..batch)
+            .map(|i| probes[i % probes.len()].as_slice())
+            .collect();
+        let batched = flat.predict_proba_batch(&rows);
+        assert_eq!(batched.len(), rows.len());
+        for (i, (row, got)) in rows.iter().zip(&batched).enumerate() {
+            assert_bitwise_equal(
+                &flat.predict_proba(row),
+                got,
+                &format!("batch {batch} row {i}"),
+            );
         }
     }
 }
@@ -163,11 +130,7 @@ fn flat_form_survives_pointer_model_serde_round_trip() {
     // Loading a pipeline flattens the deserialised pointer model; the
     // result must equal the flat form of the original.
     let data = dataset_with_nans();
-    let model = LightGbm::fit(
-        &data,
-        &LightGbmConfig::default().with_rounds(8).with_seed(3),
-    )
-    .unwrap();
+    let model = LightGbm::fit(&data, &LightGbmConfig::default().with_rounds(8)).unwrap();
     let json = serde_json::to_string(&model).unwrap();
     let restored: LightGbm = serde_json::from_str(&json).unwrap();
     assert_eq!(
@@ -179,11 +142,7 @@ fn flat_form_survives_pointer_model_serde_round_trip() {
 #[test]
 fn flat_layout_is_contiguous_and_complete() {
     let data = dataset_with_nans();
-    let model = LightGbm::fit(
-        &data,
-        &LightGbmConfig::default().with_rounds(10).with_seed(5),
-    )
-    .unwrap();
+    let model = LightGbm::fit(&data, &LightGbmConfig::default().with_rounds(10)).unwrap();
     let flat = FlatEnsemble::from_lightgbm(&model);
     assert_eq!(flat.n_trees(), 10 * 3, "one tree per (round, class)");
     assert_eq!(flat.n_features(), 4);

@@ -63,28 +63,6 @@ fn dataset() -> Dataset {
 }
 
 #[test]
-fn boosted_model_keeps_its_bits_for_every_thread_count() {
-    let data = dataset();
-    for n_threads in [1, 4] {
-        let config = GbdtConfig {
-            n_rounds: 30,
-            subsample: 0.8,
-            colsample: 0.5,
-            early_stopping_rounds: Some(3),
-            seed: 11,
-            n_threads,
-            ..GbdtConfig::default()
-        };
-        let model = Gbdt::fit(&data, &config).unwrap();
-        assert_eq!(
-            model_hash(&model),
-            0x17de_6038_ee72_6021,
-            "n_threads={n_threads}"
-        );
-    }
-}
-
-#[test]
 fn xgboost_keeps_its_bits_at_default_settings() {
     let data = dataset();
     for n_threads in [1, 4] {
