@@ -122,11 +122,8 @@ impl ModelKind {
             ModelKind::RandomForest { n_trees, max_depth } => {
                 let config = RandomForestConfig {
                     n_trees,
-                    base: cordial_trees::TreeConfig {
-                        max_depth,
-                        min_samples_leaf: 2,
-                        ..Default::default()
-                    },
+                    max_depth,
+                    min_samples_leaf: 2,
                     seed,
                     n_threads,
                 };

@@ -23,7 +23,7 @@ use cordial::pipeline::{Cordial, MitigationPlan};
 use cordial_faultsim::SparingBudget;
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::lock;
-use cordial_store::Store;
+use cordial_store::{CheckpointRecord, DeviceKey, Store};
 use cordial_topology::BankAddress;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -326,21 +326,43 @@ impl DeviceHost {
         let Some(store) = &self.ctx.store else {
             return Ok(BTreeMap::new());
         };
-        let failed = |why: String| {
+        let checkpoints = lock(store).latest_checkpoints().map_err(|e| {
             cordial_obs::counter!("host.store.restore_errors").inc();
-            why
-        };
-        let checkpoints = lock(store)
-            .latest_checkpoints()
-            .map_err(|e| failed(e.to_string()))?;
+            e.to_string()
+        })?;
+        self.restore_checkpoints(
+            checkpoints
+                .into_iter()
+                .filter(|(key, _)| owns(DeviceId::from_store_key(*key))),
+        )
+    }
+
+    /// Restores each device from its given newest store checkpoint (as
+    /// [`Store::latest_checkpoints`] reads them), skipping devices that
+    /// have already served traffic: [`DeviceHost::restore_from_store`]
+    /// for a caller that has read the checkpoint index itself, such as a
+    /// daemon handing each shard host its own devices. Returns each
+    /// restored device's journal floor.
+    ///
+    /// # Errors
+    ///
+    /// An undecodable checkpoint payload (counted in
+    /// `host.store.restore_errors`; devices restored before it keep their
+    /// state).
+    pub fn restore_checkpoints(
+        &mut self,
+        checkpoints: impl IntoIterator<Item = (DeviceKey, CheckpointRecord)>,
+    ) -> Result<BTreeMap<DeviceId, u64>, String> {
         let mut floors = BTreeMap::new();
         for (key, record) in checkpoints {
             let id = DeviceId::from_store_key(key);
-            if !owns(id) || self.devices.get(&id).is_some_and(|slot| slot.routed > 0) {
+            if self.devices.get(&id).is_some_and(|slot| slot.routed > 0) {
                 continue;
             }
-            let state: MonitorCheckpoint = serde_json::from_str(&record.payload)
-                .map_err(|e| failed(format!("checkpoint for {id}: {e}")))?;
+            let state: MonitorCheckpoint = serde_json::from_str(&record.payload).map_err(|e| {
+                cordial_obs::counter!("host.store.restore_errors").inc();
+                format!("checkpoint for {id}: {e}")
+            })?;
             let monitor = CordialMonitor::restore(self.ctx.pipeline.clone(), state);
             self.install(id, monitor);
             cordial_obs::counter!("host.store.restores").inc();

@@ -10,9 +10,12 @@
 //! 1. a **metrics registry** ([`MetricsRegistry`]) of counters, gauges and
 //!    fixed-bucket histograms. Hot-path updates are plain relaxed atomics on
 //!    handles cached per call site (the [`counter!`]/[`gauge!`]/
-//!    [`histogram!`] macros), so recording never takes the registry lock;
+//!    [`histogram!`] macros), so recording never takes the registry lock,
+//!    and counters and histograms record into a per-thread stripe, so
+//!    threads recording at once do not share a cache line;
 //! 2. a **span facility** ([`span!`]) — RAII guards that record hierarchical
-//!    wall-clock timings into per-path duration histograms;
+//!    wall-clock timings into per-path duration histograms, found through a
+//!    per-thread cache;
 //! 3. **exporters** ([`export`]) — Prometheus text exposition and JSON, both
 //!    derived from one deterministic [`Snapshot`];
 //! 4. a **flight recorder** ([`recorder`]) — per-thread fixed-capacity ring

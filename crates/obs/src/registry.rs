@@ -6,17 +6,50 @@
 //! `counter!`/`gauge!`/`histogram!` macros cache handles in statics).
 //! Recording itself is relaxed atomics on `Arc`-shared cells, safe to call
 //! from the suite's fork-join worker threads.
+//!
+//! Counters and histograms are **striped**: each holds eight copies
+//! of its cells, each copy on cache lines of its own, and a thread records
+//! into the one copy it took at its first recording (threads take stripes
+//! round-robin). Threads that record the same metric at the same moment,
+//! such as the daemon's shard workers all counting `monitor.events`,
+//! therefore do not bounce one cache line between cores. Reads sum the
+//! stripes: counter values and bucket counts are exact integer sums, and
+//! a histogram's `sum` stays the diagnostic `f64` it always was. Gauges
+//! are last-value-wins, so they stay one shared cell.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use serde::{Deserialize, Serialize};
 
+/// Copies of every counter and histogram cell; each thread records into
+/// one of them.
+const STRIPES: usize = 8;
+
+/// Atomic cells per cache line.
+const LINE_CELLS: usize = 8;
+
+/// One cache line of atomic cells, aligned so no two lines share one.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Line([AtomicU64; LINE_CELLS]);
+
+/// The stripe the calling thread records into, taken round-robin at the
+/// thread's first recording.
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.try_with(|stripe| *stripe).unwrap_or(0)
+}
+
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    /// One line per stripe; only each line's first cell is used.
+    stripes: Arc<[Line; STRIPES]>,
 }
 
 impl Counter {
@@ -30,13 +63,22 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if crate::enabled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
+            self.stripes[stripe()].0[0].fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Current value.
+    /// Current value: the sum over every stripe.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|line| line.0[0].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn reset(&self) {
+        for line in self.stripes.iter() {
+            line.0[0].store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -61,6 +103,13 @@ impl Gauge {
     }
 }
 
+/// Cell of a histogram stripe holding its observation count.
+const COUNT: usize = 0;
+/// Cell of a histogram stripe holding its sum's `f64` bits.
+const SUM: usize = 1;
+/// First bucket cell of a histogram stripe.
+const BUCKETS: usize = 2;
+
 #[derive(Debug)]
 struct HistogramCell {
     /// Finite bucket upper bounds, ascending.
@@ -76,9 +125,44 @@ struct HistogramCell {
     /// (exclusive-upper) implementation would silently disagree with every
     /// Prometheus quantile computed from the exposition.
     bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    sum_bits: AtomicU64,
-    count: AtomicU64,
+    /// `STRIPES` runs of `lines_per_stripe` lines. Each run holds one
+    /// stripe's count, sum bits and buckets, in that order.
+    lines: Box<[Line]>,
+    lines_per_stripe: usize,
+}
+
+impl HistogramCell {
+    fn new(bounds: &[f64]) -> Self {
+        let lines_per_stripe = (BUCKETS + bounds.len() + 1).div_ceil(LINE_CELLS);
+        let lines = (0..STRIPES * lines_per_stripe)
+            .map(|_| Line::default())
+            .collect();
+        Self {
+            bounds: bounds.to_vec(),
+            lines,
+            lines_per_stripe,
+        }
+    }
+
+    /// Cell `k` of stripe `stripe`.
+    fn cell(&self, stripe: usize, k: usize) -> &AtomicU64 {
+        &self.lines[stripe * self.lines_per_stripe + k / LINE_CELLS].0[k % LINE_CELLS]
+    }
+
+    /// Cell `k` summed over every stripe.
+    fn total(&self, k: usize) -> u64 {
+        (0..STRIPES)
+            .map(|s| self.cell(s, k).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn reset(&self) {
+        for line in self.lines.iter() {
+            for cell in &line.0 {
+                cell.store(0, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// A fixed-bucket histogram.
@@ -94,24 +178,23 @@ impl Histogram {
             return;
         }
         let cell = &*self.cell;
+        let stripe = stripe();
         let idx = cell
             .bounds
             .iter()
             .position(|&bound| value <= bound)
             .unwrap_or(cell.bounds.len());
-        cell.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        // f64 add via CAS loop; the sum is a diagnostic aggregate, relaxed
-        // ordering and non-associative accumulation order are acceptable.
-        let mut current = cell.sum_bits.load(Ordering::Relaxed);
+        cell.cell(stripe, BUCKETS + idx)
+            .fetch_add(1, Ordering::Relaxed);
+        cell.cell(stripe, COUNT).fetch_add(1, Ordering::Relaxed);
+        // f64 add via CAS loop (a stripe can be shared by two threads);
+        // the sum is a diagnostic aggregate, relaxed ordering and
+        // non-associative accumulation order are acceptable.
+        let sum = cell.cell(stripe, SUM);
+        let mut current = sum.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(current) + value).to_bits();
-            match cell.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match sum.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => break,
                 Err(seen) => current = seen,
             }
@@ -120,20 +203,20 @@ impl Histogram {
 
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
-        self.cell.count.load(Ordering::Relaxed)
+        self.cell.total(COUNT)
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let cell = &*self.cell;
         HistogramSnapshot {
-            bounds: self.cell.bounds.clone(),
-            buckets: self
-                .cell
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
+            bounds: cell.bounds.clone(),
+            buckets: (0..=cell.bounds.len())
+                .map(|i| cell.total(BUCKETS + i))
                 .collect(),
-            sum: f64::from_bits(self.cell.sum_bits.load(Ordering::Relaxed)),
-            count: self.cell.count.load(Ordering::Relaxed),
+            sum: (0..STRIPES)
+                .map(|s| f64::from_bits(cell.cell(s, SUM).load(Ordering::Relaxed)))
+                .sum(),
+            count: cell.total(COUNT),
         }
     }
 }
@@ -185,7 +268,7 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_insert_with(|| {
                 Metric::Counter(Counter {
-                    cell: Arc::new(AtomicU64::new(0)),
+                    stripes: Arc::default(),
                 })
             })
             .clone()
@@ -257,12 +340,7 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_insert_with(|| {
                 Metric::Histogram(Histogram {
-                    cell: Arc::new(HistogramCell {
-                        bounds: bounds.to_vec(),
-                        buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                        sum_bits: AtomicU64::new(0f64.to_bits()),
-                        count: AtomicU64::new(0),
-                    }),
+                    cell: Arc::new(HistogramCell::new(bounds)),
                 })
             })
             .clone()
@@ -300,15 +378,9 @@ impl MetricsRegistry {
         let metrics = self.metrics.read().unwrap_or_else(PoisonError::into_inner);
         for metric in metrics.values() {
             match metric {
-                Metric::Counter(c) => c.cell.store(0, Ordering::Relaxed),
+                Metric::Counter(c) => c.reset(),
                 Metric::Gauge(g) => g.bits.store(0f64.to_bits(), Ordering::Relaxed),
-                Metric::Histogram(h) => {
-                    for bucket in &h.cell.buckets {
-                        bucket.store(0, Ordering::Relaxed);
-                    }
-                    h.cell.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-                    h.cell.count.store(0, Ordering::Relaxed);
-                }
+                Metric::Histogram(h) => h.cell.reset(),
             }
         }
     }
@@ -497,6 +569,82 @@ mod tests {
         // The pre-reset handle still records into the registry.
         counter.inc();
         assert_eq!(registry.snapshot().counters["t.reset"], 1);
+    }
+
+    #[test]
+    fn concurrent_recording_sums_exactly_over_the_stripes() {
+        crate::set_enabled(true);
+        let registry = MetricsRegistry::new();
+        let counter = registry.counter("t.striped");
+        let hist = registry.histogram("t.striped.h", &[1.0, 10.0]);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for i in 0..100_000u32 {
+                        if i % 2 == 0 {
+                            counter.inc();
+                        } else {
+                            counter.add(3);
+                        }
+                        hist.observe([0.5, 5.0, 50.0][i as usize % 3]);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.get(), 4 * (50_000 + 3 * 50_000));
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["t.striped"], 800_000);
+        let h = &snap.histograms["t.striped.h"];
+        assert_eq!(h.buckets, vec![4 * 33_334, 4 * 33_333, 4 * 33_333]);
+        assert_eq!(h.count, 400_000);
+        assert_eq!(hist.count(), 400_000);
+        // Halves and small integers add exactly in any order.
+        assert_eq!(
+            h.sum,
+            4.0 * (33_334.0 * 0.5 + 33_333.0 * 5.0 + 33_333.0 * 50.0)
+        );
+    }
+
+    #[test]
+    fn reset_zeroes_every_stripe() {
+        crate::set_enabled(true);
+        let registry = MetricsRegistry::new();
+        let counter = registry.counter("t.reset.striped");
+        let hist = registry.histogram("t.reset.striped.h", &[1.0]);
+        // Sixteen threads take sixteen distinct stripe tickets, so they
+        // record into more than one stripe.
+        std::thread::scope(|scope| {
+            for _ in 0..2 * STRIPES {
+                scope.spawn(|| {
+                    counter.inc();
+                    hist.observe(0.5);
+                });
+            }
+        });
+        let used = |line: &Line| line.0[0].load(Ordering::Relaxed) > 0;
+        assert!(counter.stripes.iter().filter(|line| used(line)).count() > 1);
+        assert_eq!(counter.get(), 2 * STRIPES as u64);
+        registry.reset();
+        let zero = |line: &Line| line.0.iter().all(|c| c.load(Ordering::Relaxed) == 0);
+        assert!(counter.stripes.iter().all(zero));
+        assert!(hist.cell.lines.iter().all(zero));
+        // Handles resolved before the reset still record into the registry.
+        counter.inc();
+        hist.observe(2.0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["t.reset.striped"], 1);
+        assert_eq!(snap.histograms["t.reset.striped.h"].buckets, vec![0, 1]);
+        assert_eq!(snap.histograms["t.reset.striped.h"].sum, 2.0);
+    }
+
+    #[test]
+    fn stripes_sit_on_cache_lines_of_their_own() {
+        assert_eq!(std::mem::align_of::<Line>(), 64);
+        assert_eq!(std::mem::size_of::<Line>(), 64);
+        let cell = HistogramCell::new(crate::DURATION_BOUNDS);
+        // Count, sum and 14 buckets: two lines per stripe.
+        assert_eq!(cell.lines_per_stripe, 2);
+        assert_eq!(cell.lines.len(), 2 * STRIPES);
     }
 
     #[test]

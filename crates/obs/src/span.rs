@@ -12,6 +12,12 @@
 //! fork-join worker records under its own name, independent of whatever the
 //! coordinating thread has open — exactly what per-stage attribution wants.
 //!
+//! Each thread caches the histogram handle of every path it has closed a
+//! span on, keyed by the open span names themselves. A drop on a path the
+//! thread has seen before is one hash lookup: no allocation, no name
+//! formatting and no registry lock. Only a path's first drop on a thread
+//! builds its name and resolves it in the registry.
+//!
 //! When the [flight recorder](crate::recorder) is enabled, each span
 //! additionally leaves `Begin`/`End` events on the timeline carrying a
 //! process-unique causal id and the id of the enclosing span at entry, so
@@ -20,18 +26,48 @@
 //! skip the recorder, trace-only runs skip the clock-to-histogram path.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::time::Instant;
 
+use crate::Histogram;
+
+/// The spans open on one thread and the histograms its spans closed on.
+#[derive(Default)]
+struct SpanStack {
+    /// Names of the open spans, outermost first.
+    names: Vec<&'static str>,
+    /// Their recorder causal ids (0 while the recorder was disabled).
+    ids: Vec<u64>,
+    /// Histogram of every span path closed on this thread, by path.
+    histograms: HashMap<Vec<&'static str>, Histogram>,
+}
+
+impl SpanStack {
+    /// Records `elapsed` seconds under the span path `path`.
+    fn observe(
+        histograms: &mut HashMap<Vec<&'static str>, Histogram>,
+        path: &[&'static str],
+        elapsed: f64,
+    ) {
+        if let Some(histogram) = histograms.get(path) {
+            histogram.observe(elapsed);
+            return;
+        }
+        let name = format!("span.{}.seconds", path.join("."));
+        let histogram = crate::global().histogram(&name, crate::DURATION_BOUNDS);
+        histogram.observe(elapsed);
+        histograms.insert(path.to_vec(), histogram);
+    }
+}
+
 thread_local! {
-    /// Spans currently open on this thread, outermost first: the name and
-    /// the recorder causal id (0 while the recorder is disabled).
-    static SPAN_STACK: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<SpanStack> = RefCell::new(SpanStack::default());
 }
 
 /// The recorder causal id of the innermost open span on this thread
 /// (0 when none is open or the recorder was off when it opened).
 fn current_parent() -> u64 {
-    SPAN_STACK.with(|stack| stack.borrow().last().map_or(0, |&(_, id)| id))
+    SPAN_STACK.with(|stack| stack.borrow().ids.last().copied().unwrap_or(0))
 }
 
 /// An open timing span; records on drop. Construct via
@@ -76,7 +112,11 @@ impl Span {
         } else {
             0
         };
-        SPAN_STACK.with(|stack| stack.borrow_mut().push((name, id)));
+        SPAN_STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            stack.names.push(name);
+            stack.ids.push(id);
+        });
         Self {
             start: metrics.then(Instant::now),
             root: false,
@@ -121,28 +161,28 @@ impl Drop for Span {
             return;
         }
         let elapsed = self.start.map(|start| start.elapsed().as_secs_f64());
-        let path = if self.root {
-            elapsed.map(|_| self.name.to_string())
-        } else if self.pushed {
+        if self.pushed || elapsed.is_some() {
             SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                let path = elapsed.map(|_| {
-                    stack
-                        .iter()
-                        .map(|&(name, _)| name)
-                        .collect::<Vec<_>>()
-                        .join(".")
-                });
-                stack.pop();
-                path
-            })
-        } else {
-            None
-        };
-        if let (Some(elapsed), Some(path)) = (elapsed, path) {
-            crate::global()
-                .histogram(&format!("span.{path}.seconds"), crate::DURATION_BOUNDS)
-                .observe(elapsed);
+                let SpanStack {
+                    names,
+                    ids,
+                    histograms,
+                } = &mut *stack.borrow_mut();
+                if let Some(elapsed) = elapsed {
+                    // A root span's path is its own name; any other span's
+                    // is every span open on this thread.
+                    let path = if self.root {
+                        std::slice::from_ref(&self.name)
+                    } else {
+                        names.as_slice()
+                    };
+                    SpanStack::observe(histograms, path, elapsed);
+                }
+                if self.pushed {
+                    names.pop();
+                    ids.pop();
+                }
+            });
         }
         if self.id != 0 {
             crate::recorder::span_end(self.name, self.id);
@@ -195,6 +235,50 @@ mod tests {
         }
         let after = crate::snapshot().histograms["span.sibling_test.seconds"].count;
         assert_eq!(after - before, 3);
+    }
+
+    fn count(name: &str) -> Option<u64> {
+        crate::snapshot().histograms.get(name).map(|h| h.count)
+    }
+
+    #[test]
+    fn one_name_under_two_parents_records_two_families() {
+        crate::set_enabled(true);
+        for _ in 0..3 {
+            {
+                let _parent = Span::enter("family_parent_a");
+                let _child = Span::enter("family_child");
+            }
+            let _parent = Span::enter("family_parent_b");
+            let _child = Span::enter("family_child");
+        }
+        // Every drop after a path's first is a cache hit, and still counts.
+        assert_eq!(count("span.family_parent_a.family_child.seconds"), Some(3));
+        assert_eq!(count("span.family_parent_b.family_child.seconds"), Some(3));
+        assert_eq!(count("span.family_parent_a.seconds"), Some(3));
+        assert_eq!(count("span.family_child.seconds"), None);
+    }
+
+    #[test]
+    fn worker_spans_record_their_own_path_and_root_spans_record_flat() {
+        crate::set_enabled(true);
+        {
+            let _outer = Span::enter("worker_outer");
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _inner = Span::enter("worker_inner");
+                    let _leaf = Span::enter_root("worker_leaf");
+                });
+            });
+            let _leaf = Span::enter_root("worker_leaf");
+        }
+        assert_eq!(count("span.worker_inner.seconds"), Some(1));
+        assert_eq!(count("span.worker_outer.worker_inner.seconds"), None);
+        // The worker's root span and the coordinator's share one family.
+        assert_eq!(count("span.worker_leaf.seconds"), Some(2));
+        assert_eq!(count("span.worker_inner.worker_leaf.seconds"), None);
+        assert_eq!(count("span.worker_outer.worker_leaf.seconds"), None);
+        assert_eq!(count("span.worker_outer.seconds"), Some(1));
     }
 
     #[test]

@@ -48,7 +48,9 @@
 //! restart restores those checkpoints and replays only the journal tail
 //! beyond each floor. After an *abrupt* death (no checkpoints) the whole
 //! journal replays, so acked batches are never lost — the property the
-//! kill-mid-load end-to-end test pins.
+//! kill-mid-load end-to-end test pins. The replay is one streaming pass
+//! over the journal that feeds every shard's worker at once, in journal
+//! order per device (see `restore_from_store`).
 //!
 //! Under `Always` the fsync is a **group commit**. A connection thread
 //! appends its batch to the journal and pushes it onto its shard queues
@@ -64,13 +66,13 @@
 //! of the queues and refuses each with [`Frame::Error`]. `batch:N` and
 //! `never` let the store apply the policy inside the append.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -79,7 +81,10 @@ use cordial::prelude::{Cordial, MonitorStats, SparingBudget};
 use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceHost, DeviceId, HostConfig, SharedStore};
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::lock;
-use cordial_store::{FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
+use cordial_store::{
+    CheckpointRecord, DeviceKey, FsyncPolicy, JournalReader, Record, ReplayFilter, Store,
+    StoreConfig,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{decode_frame, encode_frame, Decoded, Frame};
@@ -259,6 +264,75 @@ enum EnqueueRefusal {
 }
 
 impl Shared {
+    /// Opens the store (when configured) and builds one device host per
+    /// shard; nothing is restored yet.
+    fn open(pipeline: Cordial, config: ServeConfig) -> io::Result<Shared> {
+        let shards = config.shards.max(1);
+        let store = match config.store_dir.as_deref() {
+            Some(dir) => {
+                // Under `always` the connection threads group-commit the
+                // journal themselves (see `Shared::await_commit`).
+                let fsync = match config.fsync {
+                    FsyncPolicy::Always => FsyncPolicy::Never,
+                    policy => policy,
+                };
+                let store = Store::open(
+                    dir,
+                    StoreConfig {
+                        fsync,
+                        ..StoreConfig::default()
+                    },
+                )
+                .map_err(io::Error::other)?;
+                if let Some(what) = &store.recovery().corruption {
+                    cordial_obs::counter!("served.journal.recoveries").inc();
+                    cordial_obs::warn!("served: journal recovered from crash damage: {what}");
+                }
+                Some(Arc::new(Mutex::new(store)))
+            }
+            None => None,
+        };
+        // A batch is planned in one `ingest_all` call, so the hosts keep no
+        // in-memory checkpoints: a tripped device restores from the store.
+        let host_config = HostConfig {
+            budget: config.budget,
+            ..HostConfig::default()
+        };
+        let shards = (0..shards)
+            .map(|_| {
+                let mut host = DeviceHost::new(host_config, pipeline.clone());
+                if let Some(store) = &store {
+                    host.attach_store(Arc::clone(store));
+                }
+                Mutex::new(host)
+            })
+            .collect::<Vec<_>>();
+        // Everything already in the journal is as durable as recovery
+        // found it; group commit covers what is appended from here on.
+        let durable_below = match &store {
+            Some(store) if config.fsync == FsyncPolicy::Always => lock(store).next_seq(),
+            _ => u64::MAX,
+        };
+        Ok(Shared {
+            queues: Mutex::new(Queues {
+                shards: (0..shards.len()).map(|_| VecDeque::new()).collect(),
+                durable_below,
+                syncing: false,
+                refused: HashMap::new(),
+            }),
+            room: shards.iter().map(|_| Condvar::new()).collect(),
+            committed: Condvar::new(),
+            shards,
+            plans: Mutex::new(Vec::new()),
+            store,
+            shutdown: AtomicBool::new(false),
+            accepted_batches: AtomicU64::new(0),
+            rejected_batches: AtomicU64::new(0),
+            connection_seq: AtomicU64::new(0),
+            config,
+        })
+    }
+
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -650,70 +724,7 @@ impl Server {
             .map(TcpListener::local_addr)
             .transpose()?;
 
-        let shards = config.shards.max(1);
-        let store = match config.store_dir.as_deref() {
-            Some(dir) => {
-                // Under `always` the connection threads group-commit the
-                // journal themselves (see `Shared::await_commit`).
-                let fsync = match config.fsync {
-                    FsyncPolicy::Always => FsyncPolicy::Never,
-                    policy => policy,
-                };
-                let store = Store::open(
-                    dir,
-                    StoreConfig {
-                        fsync,
-                        ..StoreConfig::default()
-                    },
-                )
-                .map_err(io::Error::other)?;
-                if let Some(what) = &store.recovery().corruption {
-                    cordial_obs::counter!("served.journal.recoveries").inc();
-                    cordial_obs::warn!("served: journal recovered from crash damage: {what}");
-                }
-                Some(Arc::new(Mutex::new(store)))
-            }
-            None => None,
-        };
-        // A batch is planned in one `ingest_all` call, so the hosts keep no
-        // in-memory checkpoints: a tripped device restores from the store.
-        let host_config = HostConfig {
-            budget: config.budget,
-            ..HostConfig::default()
-        };
-        let shards = (0..shards)
-            .map(|_| {
-                let mut host = DeviceHost::new(host_config, pipeline.clone());
-                if let Some(store) = &store {
-                    host.attach_store(Arc::clone(store));
-                }
-                Mutex::new(host)
-            })
-            .collect::<Vec<_>>();
-        // Everything already in the journal is as durable as recovery
-        // found it; group commit covers what is appended from here on.
-        let durable_below = match &store {
-            Some(store) if config.fsync == FsyncPolicy::Always => lock(store).next_seq(),
-            _ => u64::MAX,
-        };
-        let shared = Arc::new(Shared {
-            queues: Mutex::new(Queues {
-                shards: (0..shards.len()).map(|_| VecDeque::new()).collect(),
-                durable_below,
-                syncing: false,
-                refused: HashMap::new(),
-            }),
-            room: shards.iter().map(|_| Condvar::new()).collect(),
-            committed: Condvar::new(),
-            shards,
-            plans: Mutex::new(Vec::new()),
-            store,
-            shutdown: AtomicBool::new(false),
-            accepted_batches: AtomicU64::new(0),
-            rejected_batches: AtomicU64::new(0),
-            connection_seq: AtomicU64::new(0),
-            config,
-        });
+        let shared = Arc::new(Shared::open(pipeline, config)?);
         restore_from_store(&shared)?;
 
         let workers = (0..shared.shards.len())
@@ -861,50 +872,114 @@ fn refuse_pending(queues: &mut Queues, through: u64, why: &str) {
     }
 }
 
-/// Rebuilds the fleet from the durable store: each shard host restores its
-/// devices' latest checkpoints, then the journal tail beyond each
-/// checkpoint's floor replays through the live processing path. Devices
-/// that never reached a checkpoint replay from the beginning of the
-/// journal, so an abrupt death loses no acked batch.
+/// Events the journal restore hands a shard worker at a time.
+const RESTORE_PART_EVENTS: usize = 8192;
+
+/// Parts queued per shard worker during the journal restore: with the part
+/// each worker is ingesting and the one being filled, at most four parts
+/// per shard are in memory.
+const RESTORE_QUEUE_PARTS: usize = 2;
+
+/// Rebuilds the fleet from the durable store. The checkpoint index is read
+/// once and each shard host restores its own devices' latest checkpoints.
+/// Then one streaming pass over the journal feeds every event beyond its
+/// device's checkpoint floor to its shard, through the same
+/// [`Shared::process`] path live batches take, on one scoped worker thread
+/// per shard. Devices that never reached a checkpoint replay from the
+/// beginning of the journal, so an abrupt death loses no acked batch.
+///
+/// Each device's events reach its one shard in journal order, so every
+/// monitor, plan and stat is the one a daemon that saw the stream live
+/// would hold. The store lock is held only to read the checkpoint index
+/// and to create the journal reader, never across a blocking send: a
+/// device whose ingest panics mid-replay restores from the store, which
+/// takes that lock.
 fn restore_from_store(shared: &Shared) -> io::Result<()> {
     let Some(store) = &shared.store else {
         return Ok(());
     };
+    let checkpoints = lock(store).latest_checkpoints().map_err(io::Error::other)?;
+    let mut owned: Vec<Vec<(DeviceKey, CheckpointRecord)>> =
+        shared.shards.iter().map(|_| Vec::new()).collect();
+    for (key, record) in checkpoints {
+        owned[shared.shard_of(DeviceId::from_store_key(key))].push((key, record));
+    }
     let mut floors: HashMap<DeviceId, u64> = HashMap::new();
-    for (idx, host) in shared.shards.iter().enumerate() {
+    for (host, owned) in shared.shards.iter().zip(owned) {
         let restored = lock(host)
-            .restore_from_store(|device| shared.shard_of(device) == idx)
+            .restore_checkpoints(owned)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         floors.extend(restored);
     }
-    let events = lock(store)
-        .replay(&ReplayFilter {
-            events_only: true,
-            ..ReplayFilter::default()
-        })
-        .map_err(io::Error::other)?;
-    // Group the tail per device (monitors are independent; per-device
-    // order is the order that matters) and run it through the same
-    // ingestion path live batches take, plans included.
-    let mut by_device: BTreeMap<DeviceId, Vec<ErrorEvent>> = BTreeMap::new();
-    for record in events {
-        let Record::Event { seq, event } = record else {
+    let reader = lock(store).reader(&ReplayFilter {
+        events_only: true,
+        ..ReplayFilter::default()
+    });
+    let replayed = thread::scope(|scope| {
+        let (senders, workers): (Vec<_>, Vec<_>) = (0..shared.shards.len())
+            .map(|shard| {
+                let (send, parts) = mpsc::sync_channel::<Vec<ErrorEvent>>(RESTORE_QUEUE_PARTS);
+                let worker = scope.spawn(move || {
+                    for part in parts {
+                        shared.process(shard, part);
+                    }
+                });
+                (send, worker)
+            })
+            .unzip();
+        let fed = feed_journal(shared, reader, &floors, &senders);
+        drop(senders);
+        let mut panicked = false;
+        for worker in workers {
+            panicked |= worker.join().is_err();
+        }
+        if panicked {
+            return Err(io::Error::other("a journal restore worker panicked"));
+        }
+        fed
+    })?;
+    cordial_obs::gauge!("served.checkpoints.restored").set(floors.len() as f64);
+    cordial_obs::counter!("served.journal.replayed").add(replayed);
+    Ok(())
+}
+
+/// Splits the journal `reader` streams into per-shard parts of
+/// [`RESTORE_PART_EVENTS`] events, skipping events at or below their
+/// device's checkpoint floor, and sends each part to its shard's worker.
+/// Returns how many events were sent.
+fn feed_journal(
+    shared: &Shared,
+    reader: JournalReader,
+    floors: &HashMap<DeviceId, u64>,
+    senders: &[SyncSender<Vec<ErrorEvent>>],
+) -> io::Result<u64> {
+    let gone = |_| io::Error::other("a journal restore worker stopped early");
+    let mut parts: Vec<Vec<ErrorEvent>> = senders.iter().map(|_| Vec::new()).collect();
+    let mut fed = 0u64;
+    for record in reader {
+        let Record::Event { seq, event } = record.map_err(io::Error::other)? else {
             continue;
         };
         let device = DeviceId::of(&event.addr.bank);
         if floors.get(&device).is_some_and(|floor| seq <= *floor) {
             continue;
         }
-        by_device.entry(device).or_default().push(event);
+        let shard = shared.shard_of(device);
+        let part = &mut parts[shard];
+        part.push(event);
+        if part.len() == RESTORE_PART_EVENTS {
+            fed += RESTORE_PART_EVENTS as u64;
+            let full = std::mem::replace(part, Vec::with_capacity(RESTORE_PART_EVENTS));
+            senders[shard].send(full).map_err(gone)?;
+        }
     }
-    let mut replayed = 0u64;
-    for (device, events) in by_device {
-        replayed += events.len() as u64;
-        shared.process(shared.shard_of(device), events);
+    for (part, sender) in parts.into_iter().zip(senders) {
+        if !part.is_empty() {
+            fed += part.len() as u64;
+            sender.send(part).map_err(gone)?;
+        }
     }
-    cordial_obs::gauge!("served.checkpoints.restored").set(floors.len() as f64);
-    cordial_obs::counter!("served.journal.replayed").add(replayed);
-    Ok(())
+    Ok(fed)
 }
 
 /// Checkpoints every serving device monitor into the durable store, one
@@ -974,6 +1049,10 @@ fn serve_metrics(mut stream: TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cordial::prelude::{
+        generate_fleet_dataset, split_banks, CordialConfig, FleetDatasetConfig,
+    };
+    use cordial_mcelog::Timestamp;
 
     fn part(seq: u64) -> Part {
         Part {
@@ -1024,5 +1103,75 @@ mod tests {
         refuse_pending(&mut q, u64::MAX, "no handle");
         assert_eq!(q.shards[0].iter().map(|p| p.seq).collect::<Vec<_>>(), [9]);
         assert_eq!(q.refused.len(), 3);
+    }
+
+    /// A device whose ingest panics mid-replay restores from the store,
+    /// which takes the store lock, while the journal reader may be blocked
+    /// on that device's full shard queue. The journal here is longer than
+    /// one shard keeps in flight, so a reader holding the lock across its
+    /// sends would deadlock; the restore must finish, with the device
+    /// riding its breaker and every other device fully replayed.
+    #[test]
+    fn a_device_panicking_mid_replay_rides_its_breaker_and_the_restore_finishes() {
+        let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 73);
+        let split = split_banks(&dataset, 0.7, 73);
+        let pipeline = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+        let events = dataset.log.events();
+        let span_ms = events.iter().map(|e| e.time.as_millis()).max().unwrap_or(0) + 1;
+        let journal: Vec<ErrorEvent> = (0..12u64)
+            .flat_map(|pass| {
+                events.iter().map(move |event| {
+                    let mut event = *event;
+                    event.time = Timestamp::from_millis(event.time.as_millis() + pass * span_ms);
+                    event
+                })
+            })
+            .collect();
+        assert!(journal.len() > (RESTORE_QUEUE_PARTS + 2) * RESTORE_PART_EVENTS);
+
+        let dir = std::env::temp_dir().join(format!("cordial-served-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        for batch in journal.chunks(1024) {
+            store.append_events(batch).unwrap();
+        }
+        drop(store);
+
+        let config = ServeConfig {
+            shards: 1,
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::open(pipeline, config).unwrap());
+        let bad = DeviceId::of(&journal[0].addr.bank);
+        lock(&shared.shards[0]).inject_panic_after(bad, 1);
+        let (done, finished) = mpsc::channel();
+        let restoring = Arc::clone(&shared);
+        let restorer = thread::spawn(move || {
+            let _ = done.send(restore_from_store(&restoring).map_err(|e| e.to_string()));
+        });
+        // A deadlocked restore never sends: give up on it instead of
+        // joining it.
+        let restored = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the journal restore must not deadlock");
+        restorer.join().unwrap();
+        assert_eq!(restored, Ok(()));
+
+        let host = lock(&shared.shards[0]);
+        let status = host.status(bad).unwrap();
+        assert!(status.panics >= 1 && status.trips >= 1, "{status:?}");
+        let others = journal
+            .iter()
+            .filter(|e| DeviceId::of(&e.addr.bank) != bad)
+            .count();
+        let replayed: usize = host
+            .monitors()
+            .filter(|(id, _)| *id != bad)
+            .map(|(_, monitor)| monitor.stats().events)
+            .sum();
+        assert_eq!(replayed, others, "every other device replays in full");
+        drop(host);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use cordial::pipeline::Cordial;
 use cordial::prelude::*;
 use cordial_mcelog::ErrorEvent;
-use cordial_served::{Client, ServeConfig, ServedStats, Server};
+use cordial_served::{run_load, Client, ServeConfig, ServedStats, Server};
 use cordial_store::FsyncPolicy;
 
 /// Connections feeding the daemon at once.
@@ -101,5 +101,51 @@ fn concurrent_clients_are_processed_in_journal_order() {
     let restarted_plans = Client::connect(&restarted_addr).unwrap().plans().unwrap();
     assert_eq!(restarted_plans, live_plans, "replayed plans must match");
     restarted.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One kill -9 journal restores to the live daemon's stats and plans on
+/// 1, 2 and 4 shards: the restore streams the journal once, each device's
+/// events reach its one shard in journal order, and how many shards share
+/// the pass changes nothing observable. Six re-timed passes make the
+/// journal longer than one restore part per shard.
+#[test]
+fn one_journal_restores_identically_on_one_two_and_four_shards() {
+    let (dataset, pipeline) = trained_pipeline(71);
+    let dir = std::env::temp_dir().join(format!("cordial-served-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = |shards| ServeConfig {
+        shards,
+        store_dir: Some(dir.clone()),
+        fsync: FsyncPolicy::Always,
+        ..ServeConfig::default()
+    };
+
+    let live = Server::bind(pipeline.clone(), config(2), "127.0.0.1:0", None).unwrap();
+    let addr = live.addr().to_string();
+    let load = run_load(&addr, dataset.log.events(), BATCH, 6).unwrap();
+    let mut control = Client::connect(&addr).unwrap();
+    let live_stats = wait_for_events(&mut control, load.events as usize);
+    let live_plans = control.plans().unwrap();
+    assert!(
+        live_stats.banks_planned > 0,
+        "the stream must trigger plans"
+    );
+    assert!(
+        live_stats.uers_absorbed > 0,
+        "later passes must reach isolations"
+    );
+    live.kill();
+
+    for shards in [1, 2, 4] {
+        let restored = Server::bind(pipeline.clone(), config(shards), "127.0.0.1:0", None).unwrap();
+        assert_eq!(restored.stats(), live_stats, "{shards} shards: stats");
+        let plans = Client::connect(&restored.addr().to_string())
+            .unwrap()
+            .plans()
+            .unwrap();
+        assert_eq!(plans, live_plans, "{shards} shards: plans");
+        restored.kill();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,9 +24,11 @@
 //!    the first torn or corrupt frame truncated (a torn batch goes
 //!    whole), later segments dropped, and appending resumes; damage is a
 //!    [`RecoveryReport`], not an error.
-//! 4. **Sparse replay index** ([`Store::replay`]) — per-segment time
-//!    bounds plus in-segment seek points make `(device, time-range)`
-//!    replay skip what it can prove irrelevant.
+//! 4. **Streaming replay with a sparse index** ([`Store::reader`],
+//!    [`Store::replay`]) — one reader streams the journal a frame at a
+//!    time without holding the store; per-segment time bounds plus
+//!    in-segment seek points make `(device, time-range)` replay skip what
+//!    it can prove irrelevant.
 //! 5. **Compaction** ([`Store::compact`]) — events covered by their
 //!    device's newest checkpoint and superseded checkpoints are
 //!    rewritten away behind an atomic manifest swap.
@@ -57,12 +59,14 @@
 
 pub mod crc;
 pub mod error;
+pub mod reader;
 pub mod record;
 pub(crate) mod segment;
 pub mod store;
 
 pub use crc::crc32;
 pub use error::StoreError;
+pub use reader::JournalReader;
 pub use record::{
     decode_event_record, encode_event_record, DeviceKey, Record, RecordError, EVENT_WIRE_LEN,
 };

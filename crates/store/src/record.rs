@@ -355,38 +355,42 @@ impl Body<'_> {
         }
     }
 
-    /// Appends the body's per-event (or checkpoint) records to `out`.
-    pub(crate) fn push_records(&self, out: &mut Vec<Record>) {
-        match *self {
-            Body::Events { first_seq, records } => {
-                // `decode_body` validated every record, so none is dropped.
-                out.extend(
-                    records
-                        .chunks_exact(EVENT_WIRE_LEN)
-                        .zip(first_seq..)
-                        .filter_map(|(record, seq)| {
-                            let event = decode_event_record(record).ok()?;
-                            Some(Record::Event { seq, event })
-                        }),
-                );
-            }
+    /// The body's per-event (or checkpoint) records.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        let (events, checkpoint) = match *self {
+            Body::Events { first_seq, records } => (
+                Some(records.chunks_exact(EVENT_WIRE_LEN).zip(first_seq..)),
+                None,
+            ),
             Body::Checkpoint {
                 seq,
                 device,
                 journal_seq,
                 payload,
-            } => out.push(Record::Checkpoint {
-                seq,
-                device,
-                journal_seq,
-                payload: payload.to_owned(),
-            }),
-        }
+            } => (
+                None,
+                Some(Record::Checkpoint {
+                    seq,
+                    device,
+                    journal_seq,
+                    payload: payload.to_owned(),
+                }),
+            ),
+        };
+        // `decode_body` validated every record, so none is dropped.
+        events
+            .into_iter()
+            .flatten()
+            .filter_map(|(record, seq)| {
+                let event = decode_event_record(record).ok()?;
+                Some(Record::Event { seq, event })
+            })
+            .chain(checkpoint)
     }
 }
 
 /// Parses a record body of any kind, validating every event record it
-/// holds so that [`Body::push_records`] cannot fail later.
+/// holds so that [`Body::records`] drops none later.
 pub(crate) fn decode_body(bytes: &[u8]) -> Result<Body<'_>, RecordError> {
     if bytes.len() < BODY_PREFIX_LEN {
         return Err(RecordError::Truncated);
@@ -462,9 +466,7 @@ mod tests {
     }
 
     fn records_of(body: &[u8]) -> Vec<Record> {
-        let mut out = Vec::new();
-        decode_body(body).unwrap().push_records(&mut out);
-        out
+        decode_body(body).unwrap().records().collect()
     }
 
     #[test]

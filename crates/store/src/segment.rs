@@ -23,9 +23,9 @@
 //! larger event slice over several frames, because the scanner reads a
 //! longer length word as corruption.
 //!
-//! [`scan_frames`] is the single reader both recovery and replay go
-//! through: it walks frames from the header onward and stops at the
-//! **first** violation — short frame header, impossible length, CRC
+//! [`read_frame`] is the single frame decoder recovery, checkpoint scans
+//! and the journal reader go through; [`scan_frames`] walks frames with it
+//! from the header onward and stops at the **first** violation — short frame header, impossible length, CRC
 //! mismatch, malformed body, or non-increasing sequence number — reporting
 //! the clean prefix length so the caller can truncate there. Sequence
 //! numbers must be strictly increasing but need *not* be contiguous:
@@ -128,6 +128,64 @@ pub(crate) struct Scan<'a> {
     pub corruption: Option<String>,
 }
 
+/// Decodes the frame starting at byte `offset` of a segment file: `Ok(None)`
+/// exactly at the end of `bytes`, `Err` describing the first violation
+/// otherwise. `last_seq` is the highest sequence number before the frame;
+/// the frame must start above it.
+pub(crate) fn read_frame(
+    bytes: &[u8],
+    offset: usize,
+    last_seq: Option<u64>,
+) -> Result<Option<ScannedFrame<'_>>, String> {
+    if offset == bytes.len() {
+        return Ok(None);
+    }
+    if offset + FRAME_OVERHEAD > bytes.len() {
+        return Err(format!("torn frame header at offset {offset}"));
+    }
+    let len = u32::from_le_bytes([
+        bytes[offset],
+        bytes[offset + 1],
+        bytes[offset + 2],
+        bytes[offset + 3],
+    ]);
+    if len > MAX_BODY {
+        return Err(format!("impossible body length {len} at offset {offset}"));
+    }
+    let declared_crc = u32::from_le_bytes([
+        bytes[offset + 4],
+        bytes[offset + 5],
+        bytes[offset + 6],
+        bytes[offset + 7],
+    ]);
+    let body_start = offset + FRAME_OVERHEAD;
+    let Some(body_end) = body_start.checked_add(len as usize) else {
+        return Err(format!("body length overflow at offset {offset}"));
+    };
+    if body_end > bytes.len() {
+        return Err(format!("torn record body at offset {offset}"));
+    }
+    let body = &bytes[body_start..body_end];
+    if crc32(body) != declared_crc {
+        return Err(format!("crc mismatch at offset {offset}"));
+    }
+    let body =
+        decode_body(body).map_err(|err| format!("malformed body at offset {offset}: {err}"))?;
+    if let Some(last) = last_seq {
+        if body.first_seq() <= last {
+            return Err(format!(
+                "sequence went backwards at offset {offset}: {} after {last}",
+                body.first_seq()
+            ));
+        }
+    }
+    Ok(Some(ScannedFrame {
+        offset: offset as u64,
+        end: body_end as u64,
+        body,
+    }))
+}
+
 /// Walks the record frames of a segment file (header already validated)
 /// starting at byte `start` (a frame boundary — the header end, or a
 /// sparse-index seek point), stopping at the first torn or corrupt frame.
@@ -137,57 +195,15 @@ pub(crate) fn scan_frames(bytes: &[u8], start: usize, mut last_seq: Option<u64>)
     let mut frames = Vec::new();
     let mut offset = start;
     let corruption = loop {
-        if offset == bytes.len() {
-            break None;
-        }
-        if offset + FRAME_OVERHEAD > bytes.len() {
-            break Some(format!("torn frame header at offset {offset}"));
-        }
-        let len = u32::from_le_bytes([
-            bytes[offset],
-            bytes[offset + 1],
-            bytes[offset + 2],
-            bytes[offset + 3],
-        ]);
-        if len > MAX_BODY {
-            break Some(format!("impossible body length {len} at offset {offset}"));
-        }
-        let declared_crc = u32::from_le_bytes([
-            bytes[offset + 4],
-            bytes[offset + 5],
-            bytes[offset + 6],
-            bytes[offset + 7],
-        ]);
-        let body_start = offset + FRAME_OVERHEAD;
-        let Some(body_end) = body_start.checked_add(len as usize) else {
-            break Some(format!("body length overflow at offset {offset}"));
-        };
-        if body_end > bytes.len() {
-            break Some(format!("torn record body at offset {offset}"));
-        }
-        let body = &bytes[body_start..body_end];
-        if crc32(body) != declared_crc {
-            break Some(format!("crc mismatch at offset {offset}"));
-        }
-        let body = match decode_body(body) {
-            Ok(body) => body,
-            Err(err) => break Some(format!("malformed body at offset {offset}: {err}")),
-        };
-        if let Some(last) = last_seq {
-            if body.first_seq() <= last {
-                break Some(format!(
-                    "sequence went backwards at offset {offset}: {} after {last}",
-                    body.first_seq()
-                ));
+        match read_frame(bytes, offset, last_seq) {
+            Ok(None) => break None,
+            Ok(Some(frame)) => {
+                last_seq = Some(frame.body.last_seq());
+                offset = frame.end as usize;
+                frames.push(frame);
             }
+            Err(what) => break Some(what),
         }
-        last_seq = Some(body.last_seq());
-        frames.push(ScannedFrame {
-            offset: offset as u64,
-            end: body_end as u64,
-            body,
-        });
-        offset = body_end;
     };
     Scan {
         frames,
@@ -252,11 +268,7 @@ mod tests {
     }
 
     fn records(scan: &Scan<'_>) -> Vec<Record> {
-        let mut out = Vec::new();
-        for frame in &scan.frames {
-            frame.body.push_records(&mut out);
-        }
-        out
+        scan.frames.iter().flat_map(|f| f.body.records()).collect()
     }
 
     #[test]

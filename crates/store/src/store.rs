@@ -40,9 +40,11 @@
 //! segments by their time bounds and seek within a segment to the last
 //! index entry provably before the requested range — without assuming
 //! event timestamps are globally sorted. Replay then yields per-event
-//! records, trimming a batch that straddles the requested range.
+//! records, trimming a batch that straddles the requested range. Every
+//! replay streams through one [`JournalReader`] ([`Store::reader`]);
+//! [`Store::replay`] collects it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
@@ -56,6 +58,7 @@ use cordial_obs::fsio;
 use serde::Value;
 
 use crate::error::StoreError;
+use crate::reader::{Frames, JournalReader, SegmentSpan};
 use crate::record::{
     decode_event_record, encode_checkpoint, encode_event_batch, Body, DeviceKey, Record,
     BODY_PREFIX_LEN, CHECKPOINT_OVERHEAD, EVENT_WIRE_LEN,
@@ -222,7 +225,8 @@ pub struct CheckpointRecord {
     pub payload: String,
 }
 
-/// What [`Store::replay`] should yield. Default: every record.
+/// What [`Store::reader`] and [`Store::replay`] should yield. Default:
+/// every record.
 ///
 /// Setting `since_ms`/`until_ms` restricts to **event** records inside
 /// the (inclusive) time range — checkpoints carry no wall-clock time and
@@ -239,6 +243,57 @@ pub struct ReplayFilter {
     pub min_seq: Option<u64>,
     /// Drop checkpoint records.
     pub events_only: bool,
+}
+
+impl ReplayFilter {
+    fn time_filtered(&self) -> bool {
+        self.since_ms.is_some() || self.until_ms.is_some()
+    }
+
+    /// The inclusive event-time range the filter keeps.
+    fn time_range(&self) -> (u64, u64) {
+        (
+            self.since_ms.unwrap_or(0),
+            self.until_ms.unwrap_or(u64::MAX),
+        )
+    }
+
+    /// Whether `meta`'s segment may hold a record the filter keeps.
+    fn may_keep(&self, meta: &SegmentMeta) -> bool {
+        if self
+            .min_seq
+            .is_some_and(|m| meta.last_seq.is_none_or(|l| l < m))
+        {
+            return false;
+        }
+        if !self.time_filtered() {
+            return true;
+        }
+        let (lo, hi) = self.time_range();
+        match (meta.min_time, meta.max_time) {
+            // No events at all — and time filters exclude checkpoints
+            // anyway.
+            (None, None) => false,
+            (Some(min), Some(max)) => max >= lo && min <= hi,
+            _ => true,
+        }
+    }
+
+    /// Appends the records of one frame that the filter keeps to `out`.
+    pub(crate) fn keep_from(&self, body: &Body<'_>, out: &mut VecDeque<Record>) {
+        let time_filtered = self.time_filtered();
+        if matches!(body, Body::Checkpoint { .. }) && (self.events_only || time_filtered)
+            || self.min_seq.is_some_and(|m| body.last_seq() < m)
+        {
+            return;
+        }
+        let (lo, hi) = self.time_range();
+        out.extend(body.records().filter(|record| {
+            self.min_seq.is_none_or(|m| record.seq() >= m)
+                && self.device.is_none_or(|d| record.device() == d)
+                && (!time_filtered || record.time_ms().is_some_and(|t| t >= lo && t <= hi))
+        }));
+    }
 }
 
 /// What compaction achieved.
@@ -353,6 +408,15 @@ impl SegmentMeta {
             }
         }
         best
+    }
+
+    /// What a reader needs of this segment to read it under `filter`.
+    fn span(&self, filter: &ReplayFilter) -> SegmentSpan {
+        SegmentSpan {
+            path: self.path.clone(),
+            len: self.len,
+            start: self.start_offset_for(filter),
+        }
     }
 
     fn report(&self) -> SegmentReport {
@@ -801,84 +865,43 @@ impl Store {
         Ok(())
     }
 
-    /// Calls `visit` on every frame of one live segment (clean prefix
-    /// only), from the deepest seek point `filter` allows.
-    fn for_each_frame(
-        &self,
-        meta: &SegmentMeta,
-        filter: &ReplayFilter,
-        mut visit: impl FnMut(&Body<'_>) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
-        let bytes = fs::read(&meta.path).map_err(|e| StoreError::io("read", &meta.path, e))?;
-        let valid = &bytes[..meta.len.min(bytes.len() as u64) as usize];
-        let start = meta.start_offset_for(filter);
-        if start >= valid.len() {
-            return Ok(());
-        }
-        let scan = segment::scan_frames(valid, start, None);
-        if let Some(what) = scan.corruption {
-            // Open-time recovery validated this data; damage appearing
-            // afterwards means the files were modified underneath us.
-            return Err(StoreError::Corrupt {
-                path: meta.path.clone(),
-                what,
-            });
-        }
-        scan.frames.iter().try_for_each(|frame| visit(&frame.body))
+    /// The frames of every live segment `pick` accepts, each from its
+    /// header on.
+    fn frames(&self, pick: impl Fn(&SegmentMeta) -> bool) -> Frames {
+        let everything = ReplayFilter::default();
+        Frames::new(
+            self.segments
+                .iter()
+                .filter(|meta| pick(meta))
+                .map(|meta| meta.span(&everything))
+                .collect(),
+        )
+    }
+
+    /// A streaming pass over the stored records matching `filter`, in
+    /// append (sequence) order, one [`Record`] per event whatever its
+    /// framing. The reader borrows nothing from the store: create it under
+    /// the store's lock, then read with the lock released (see
+    /// [`JournalReader`]).
+    pub fn reader(&self, filter: &ReplayFilter) -> JournalReader {
+        let segments = self
+            .segments
+            .iter()
+            .filter(|meta| filter.may_keep(meta))
+            .map(|meta| meta.span(filter))
+            .collect();
+        JournalReader::new(filter.clone(), segments)
     }
 
     /// Replays stored records matching `filter`, in append (sequence)
-    /// order, one [`Record`] per event whatever its framing.
+    /// order: [`Store::reader`]'s records, collected.
     ///
     /// # Errors
     ///
     /// I/O failures, or corruption appearing in data that recovery had
     /// validated (the files were modified underneath the store).
     pub fn replay(&self, filter: &ReplayFilter) -> Result<Vec<Record>, StoreError> {
-        let time_filtered = filter.since_ms.is_some() || filter.until_ms.is_some();
-        let lo = filter.since_ms.unwrap_or(0);
-        let hi = filter.until_ms.unwrap_or(u64::MAX);
-        let per_record = time_filtered || filter.device.is_some() || filter.min_seq.is_some();
-        let keep = |record: &Record| {
-            filter.min_seq.is_none_or(|m| record.seq() >= m)
-                && filter.device.is_none_or(|d| record.device() == d)
-                && (!time_filtered || record.time_ms().is_some_and(|t| t >= lo && t <= hi))
-        };
-        let mut out = Vec::new();
-        let mut batch = Vec::new();
-        for meta in &self.segments {
-            if filter
-                .min_seq
-                .is_some_and(|m| meta.last_seq.is_none_or(|l| l < m))
-            {
-                continue;
-            }
-            if time_filtered {
-                match (meta.min_time, meta.max_time) {
-                    // No events at all — and time filters exclude
-                    // checkpoints anyway.
-                    (None, None) => continue,
-                    (Some(min), Some(max)) if max < lo || min > hi => continue,
-                    _ => {}
-                }
-            }
-            self.for_each_frame(meta, filter, |body| {
-                let skip_checkpoint = filter.events_only || time_filtered;
-                if matches!(body, Body::Checkpoint { .. }) && skip_checkpoint
-                    || filter.min_seq.is_some_and(|m| body.last_seq() < m)
-                {
-                    return Ok(());
-                }
-                if per_record {
-                    body.push_records(&mut batch);
-                    out.extend(batch.drain(..).filter(keep));
-                } else {
-                    body.push_records(&mut out);
-                }
-                Ok(())
-            })?;
-        }
-        Ok(out)
+        self.reader(filter).collect()
     }
 
     /// The journal tail: every event with sequence number strictly
@@ -912,27 +935,24 @@ impl Store {
     /// Same as [`Store::replay`].
     pub fn latest_checkpoints(&self) -> Result<BTreeMap<DeviceKey, CheckpointRecord>, StoreError> {
         let mut latest: BTreeMap<DeviceKey, CheckpointRecord> = BTreeMap::new();
-        let filter = ReplayFilter::default();
-        for meta in self.segments.iter().filter(|meta| meta.checkpoints > 0) {
-            self.for_each_frame(meta, &filter, |body| {
-                if let Body::Checkpoint {
+        let mut frames = self.frames(|meta| meta.checkpoints > 0);
+        while let Some(body) = frames.next()? {
+            if let Body::Checkpoint {
+                seq,
+                device,
+                journal_seq,
+                payload,
+            } = body
+            {
+                // Later segments and offsets carry higher seqs, so a plain
+                // overwrite keeps the newest.
+                let record = CheckpointRecord {
                     seq,
-                    device,
                     journal_seq,
-                    payload,
-                } = *body
-                {
-                    // Later segments and offsets carry higher seqs, so a
-                    // plain overwrite keeps the newest.
-                    let record = CheckpointRecord {
-                        seq,
-                        journal_seq,
-                        payload: payload.to_owned(),
-                    };
-                    latest.insert(device, record);
-                }
-                Ok(())
-            })?;
+                    payload: payload.to_owned(),
+                };
+                latest.insert(device, record);
+            }
         }
         Ok(latest)
     }
@@ -964,21 +984,18 @@ impl Store {
     /// names the old segments).
     pub fn compact(&mut self) -> Result<CompactReport, StoreError> {
         self.sync()?;
-        let everything = ReplayFilter::default();
         let mut latest: BTreeMap<DeviceKey, (u64, u64)> = BTreeMap::new();
-        for meta in self.segments.iter().filter(|meta| meta.checkpoints > 0) {
-            self.for_each_frame(meta, &everything, |body| {
-                if let Body::Checkpoint {
-                    seq,
-                    device,
-                    journal_seq,
-                    ..
-                } = *body
-                {
-                    latest.insert(device, (seq, journal_seq));
-                }
-                Ok(())
-            })?;
+        let mut frames = self.frames(|meta| meta.checkpoints > 0);
+        while let Some(body) = frames.next()? {
+            if let Body::Checkpoint {
+                seq,
+                device,
+                journal_seq,
+                ..
+            } = body
+            {
+                latest.insert(device, (seq, journal_seq));
+            }
         }
         let covered = |seq: u64, record: &[u8]| {
             decode_event_record(record).is_ok_and(|event| {
@@ -1002,17 +1019,17 @@ impl Store {
             sealed: Vec::new(),
             current: None,
         };
-        for meta in &self.segments {
-            self.for_each_frame(meta, &everything, |body| match *body {
+        let mut frames = self.frames(|_| true);
+        while let Some(body) = frames.next()? {
+            match body {
                 Body::Checkpoint { seq, device, .. } => {
                     if latest
                         .get(&device)
                         .is_some_and(|&(newest, _)| newest == seq)
                     {
-                        out.push(body)
+                        out.push(&body)?;
                     } else {
                         report.dropped_checkpoints += 1;
-                        Ok(())
                     }
                 }
                 Body::Events { first_seq, records } => {
@@ -1036,9 +1053,8 @@ impl Store {
                         report.dropped_events += u64::from(dropped);
                         start = i + 1;
                     }
-                    Ok(())
                 }
-            })?;
+            }
         }
         out.seal()?;
         let gen = out.gen;
@@ -1662,6 +1678,127 @@ mod tests {
             tail.iter().map(|(seq, _)| *seq).collect::<Vec<u64>>(),
             vec![18, 19]
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_reader_yields_exactly_the_records_each_filter_keeps() {
+        let dir = scratch("reader");
+        // Small segments and a dense index, so filters skip segments and
+        // seek inside them.
+        let config = StoreConfig {
+            segment_max_bytes: 512,
+            index_every: 2,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, config).unwrap();
+        let mut all = Vec::new();
+        for i in 0..60u64 {
+            if i % 7 == 3 {
+                let node = (i % 3) as u32;
+                let seq = store.append_checkpoint(device(node), i, "{}").unwrap();
+                all.push(Record::Checkpoint {
+                    seq,
+                    device: device(node),
+                    journal_seq: i,
+                    payload: "{}".to_string(),
+                });
+                continue;
+            }
+            // Batches of one to three events; times rise overall but not
+            // within every batch.
+            let events: Vec<ErrorEvent> = (0..=i % 3)
+                .map(|j| event(((i + j) % 3) as u32, 1000 + i * 10 - j * 15))
+                .collect();
+            let (first, _) = store.append_events(&events).unwrap().unwrap();
+            all.extend(
+                (first..)
+                    .zip(&events)
+                    .map(|(seq, event)| Record::Event { seq, event: *event }),
+            );
+        }
+        assert!(store.inspect().segments.len() > 3, "must have rolled");
+        let keeps = |f: &ReplayFilter, record: &Record| {
+            let timed = f.since_ms.is_some() || f.until_ms.is_some();
+            let (lo, hi) = (f.since_ms.unwrap_or(0), f.until_ms.unwrap_or(u64::MAX));
+            !(matches!(record, Record::Checkpoint { .. }) && (f.events_only || timed))
+                && f.min_seq.is_none_or(|m| record.seq() >= m)
+                && f.device.is_none_or(|d| record.device() == d)
+                && (!timed || record.time_ms().is_some_and(|t| t >= lo && t <= hi))
+        };
+        let shapes = [
+            ReplayFilter::default(),
+            ReplayFilter {
+                events_only: true,
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                device: Some(device(0)),
+                events_only: true,
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                device: Some(device(2)),
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                since_ms: Some(1250),
+                until_ms: Some(1400),
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                since_ms: Some(1300),
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                until_ms: Some(1100),
+                device: Some(device(1)),
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                min_seq: Some(40),
+                ..ReplayFilter::default()
+            },
+            ReplayFilter {
+                min_seq: Some(41),
+                events_only: true,
+                device: Some(device(1)),
+                ..ReplayFilter::default()
+            },
+        ];
+        for filter in &shapes {
+            let want: Vec<Record> = all.iter().filter(|r| keeps(filter, r)).cloned().collect();
+            assert!(!want.is_empty(), "{filter:?} keeps something");
+            let reader = store.reader(filter);
+            let got: Vec<Record> = reader.collect::<Result<_, _>>().unwrap();
+            assert_eq!(got, want, "{filter:?}");
+            assert_eq!(store.replay(filter).unwrap(), want, "{filter:?}");
+        }
+        // The reader borrows nothing: it outlives the store it came from.
+        let reader = store.reader(&ReplayFilter::default());
+        drop(store);
+        assert_eq!(reader.collect::<Result<Vec<_>, _>>().unwrap(), all);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_reader_reports_corruption_once_and_stops() {
+        let dir = scratch("reader-corrupt");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        for i in 0..4u64 {
+            store.append_events(&[event(0, i), event(1, i)]).unwrap();
+        }
+        let reader = store.reader(&ReplayFilter::default());
+        // Flip a byte inside the last frame after recovery validated it.
+        let path = store.segments[0].path.clone();
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 3;
+        bytes[last] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+        let items: Vec<Result<Record, StoreError>> = reader.collect();
+        assert_eq!(items.len(), 7, "three whole frames, then one error");
+        assert!(items[..6].iter().all(Result::is_ok));
+        assert!(matches!(items[6], Err(StoreError::Corrupt { .. })));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -16,10 +16,12 @@ use crate::Classifier;
 pub struct RandomForestConfig {
     /// Number of trees.
     pub n_trees: usize,
-    /// Per-tree configuration. When `base.max_features` is `None`, the forest
-    /// substitutes the usual `sqrt(n_features)` heuristic.
-    pub base: TreeConfig,
-    /// Master seed; per-tree seeds are derived from it.
+    /// Maximum depth of every tree (root at depth 0).
+    pub max_depth: usize,
+    /// Minimum rows each child must keep after a split.
+    pub min_samples_leaf: usize,
+    /// Master seed; per-tree seeds are derived from it. Each split samples
+    /// `sqrt(n_features)` features.
     pub seed: u64,
     /// Number of worker threads used while fitting (1 = sequential).
     pub n_threads: usize,
@@ -27,9 +29,11 @@ pub struct RandomForestConfig {
 
 impl Default for RandomForestConfig {
     fn default() -> Self {
+        let tree = TreeConfig::default();
         Self {
             n_trees: 100,
-            base: TreeConfig::default(),
+            max_depth: tree.max_depth,
+            min_samples_leaf: tree.min_samples_leaf,
             seed: 0,
             n_threads: 4,
         }
@@ -84,10 +88,7 @@ impl RandomForest {
             return Err(FitError::InvalidConfig("n_trees must be >= 1"));
         }
 
-        let max_features = config
-            .base
-            .max_features
-            .unwrap_or_else(|| sqrt_features(data.n_features()));
+        let max_features = sqrt_features(data.n_features());
 
         // Pre-derive per-tree seeds so results are independent of thread
         // interleaving.
@@ -105,9 +106,10 @@ impl RandomForest {
                 .map(|_| rng.gen_range(0..data.n_rows()))
                 .collect();
             let tree_config = TreeConfig {
+                max_depth: config.max_depth,
+                min_samples_leaf: config.min_samples_leaf,
                 max_features: Some(max_features),
                 seed: tree_seed,
-                ..config.base
             };
             DecisionTree::fit_ranked(data, &ranked, &indices, &tree_config)
         };

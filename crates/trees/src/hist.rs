@@ -85,17 +85,6 @@ impl BinMapper {
         (pos + 1) as u16
     }
 
-    /// Bins every value of the dataset (row-major, same layout as the data).
-    pub fn bin_dataset(&self, data: &Dataset) -> Vec<u16> {
-        let mut out = Vec::with_capacity(data.n_rows() * data.n_features());
-        for i in 0..data.n_rows() {
-            for f in 0..data.n_features() {
-                out.push(self.bin(f, data.value(i, f)));
-            }
-        }
-        out
-    }
-
     /// Bins one raw feature row.
     pub fn bin_row(&self, row: &[f64]) -> Vec<u16> {
         assert_eq!(row.len(), self.n_features(), "feature count mismatch");
@@ -134,26 +123,15 @@ impl BinnedDataset {
     ///
     /// Panics if `max_bins < 2` (see [`BinMapper::fit`]).
     pub fn fit(data: &Dataset, max_bins: usize) -> Self {
-        Self::with_mapper(BinMapper::fit(data, max_bins), data)
-    }
-
-    /// Bins `data` with an existing mapper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mapper's feature count differs from the dataset's.
-    pub fn with_mapper(mapper: BinMapper, data: &Dataset) -> Self {
-        assert_eq!(
-            mapper.n_features(),
-            data.n_features(),
-            "mapper feature count mismatch"
-        );
+        let mapper = BinMapper::fit(data, max_bins);
         let (n_rows, n_features) = (data.n_rows(), data.n_features());
-        let rows = mapper.bin_dataset(data);
+        let mut rows = Vec::with_capacity(n_rows * n_features);
         let mut cols = vec![0u16; n_rows * n_features];
         for i in 0..n_rows {
             for f in 0..n_features {
-                cols[f * n_rows + i] = rows[i * n_features + f];
+                let bin = mapper.bin(f, data.value(i, f));
+                rows.push(bin);
+                cols[f * n_rows + i] = bin;
             }
         }
         Self {
@@ -315,17 +293,6 @@ mod tests {
         assert!(mapper.n_bins(0) <= 17); // 15 edges + missing + 1
         let max_bin = values.iter().map(|&v| mapper.bin(0, v)).max().unwrap();
         assert!(max_bin as usize <= mapper.n_bins(0));
-    }
-
-    #[test]
-    fn bin_dataset_matches_bin_row() {
-        let mut data = Dataset::new(2, 2);
-        data.push_row(&[1.0, f64::NAN], 0).unwrap();
-        data.push_row(&[3.0, 2.0], 1).unwrap();
-        let mapper = BinMapper::fit(&data, 8);
-        let all = mapper.bin_dataset(&data);
-        assert_eq!(&all[0..2], mapper.bin_row(data.row(0)).as_slice());
-        assert_eq!(&all[2..4], mapper.bin_row(data.row(1)).as_slice());
     }
 
     #[test]

@@ -180,10 +180,7 @@ mod tests {
                 train,
                 &RandomForestConfig {
                     n_trees: 5,
-                    base: TreeConfig {
-                        max_depth: depths[candidate],
-                        ..TreeConfig::default()
-                    },
+                    max_depth: depths[candidate],
                     ..RandomForestConfig::default()
                 },
             )

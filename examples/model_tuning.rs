@@ -8,7 +8,7 @@
 use cordial::features::bank_features;
 use cordial_suite::prelude::*;
 use cordial_suite::trees::model_selection::grid_search;
-use cordial_suite::trees::{Dataset, RandomForest, RandomForestConfig, TreeConfig};
+use cordial_suite::trees::{Dataset, RandomForest, RandomForestConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build the classification dataset exactly as the pipeline does.
@@ -37,11 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             train,
             &RandomForestConfig {
                 n_trees,
-                base: TreeConfig {
-                    max_depth,
-                    min_samples_leaf: 2,
-                    ..TreeConfig::default()
-                },
+                max_depth,
+                min_samples_leaf: 2,
                 ..RandomForestConfig::default()
             },
         )
