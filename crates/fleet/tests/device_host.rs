@@ -167,3 +167,20 @@ fn a_panicking_batch_rolls_its_device_back_to_the_store_checkpoint() {
     assert_eq!(stats(&host), expected, "other devices are untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The monitor checkpoint's JSON is what the store journals and every
+/// restart reads back, so its bytes are pinned: any change to how bank
+/// windows are held in memory must leave the serialised form untouched.
+#[test]
+fn the_monitor_checkpoint_format_is_pinned() {
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 17);
+    let split = split_banks(&dataset, 0.7, 17);
+    let pipeline = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+    let mut monitor = CordialMonitor::new(pipeline, SparingBudget::typical());
+    let events = dataset.log.events();
+    monitor.ingest_all(events[..events.len() / 2].iter().copied());
+
+    let json = serde_json::to_string(&monitor.checkpoint()).unwrap();
+    assert_eq!(json.len(), 294_922);
+    assert_eq!(cordial_store::crc32(json.as_bytes()), 0x2c43_9ecd);
+}
