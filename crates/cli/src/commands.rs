@@ -129,13 +129,16 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot create dump dir {}: {e}", dir.display()))?;
         cordial_obs::blackbox::set_dump_dir(Some(dir));
     }
+    // `run` and `monitor` hand back their monitor, kept alive until the
+    // metrics are exported: the `monitor.*` gauges sum over live monitors.
+    let mut finished = None;
     let result = match args.command.as_str() {
         "simulate" => simulate(&args),
         "train" => train(&args),
         "plan" => plan(&args),
         "eval" => eval(&args),
-        "run" => run(&args),
-        "monitor" => monitor(&args),
+        "run" => run(&args).map(|monitor| finished = Some(monitor)),
+        "monitor" => monitor(&args).map(|monitor| finished = Some(monitor)),
         "chaos" => chaos(&args),
         "fleet" => fleet(&args),
         "serve" => serve(&args),
@@ -344,7 +347,7 @@ fn write_checkpoint(
 /// `--resume FILE` restores a previous checkpoint (the fleet is
 /// regenerated from the same `--scale`/`--seed`, so only the events not
 /// yet offered are replayed).
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: &Args) -> Result<CordialMonitor, String> {
     let config = scale_config(args.flags.get("scale").map_or("small", String::as_str))?;
     let seed = args.seed()?;
     let model = model_kind(args.flags.get("model").map_or("rf", String::as_str))?;
@@ -382,7 +385,7 @@ fn run(args: &Args) -> Result<(), String> {
         write_checkpoint(Path::new(path), &monitor, &cordial)?;
         println!("checkpoint written to {path}");
     }
-    Ok(())
+    Ok(monitor)
 }
 
 /// Replays an on-disk MCE log through the degraded-stream monitor, with
@@ -398,7 +401,7 @@ fn run(args: &Args) -> Result<(), String> {
 /// skipped) and ingested through the guard, so duplicated, reordered and
 /// late records are handled rather than corrupting state. `--abort-after N`
 /// stops after offering N events (for crash-recovery drills).
-fn monitor(args: &Args) -> Result<(), String> {
+fn monitor(args: &Args) -> Result<CordialMonitor, String> {
     let (log, warnings) = io::read_log_lossy(&args.path("log")?)?;
     for warning in &warnings {
         cordial_obs::warn!("skipped malformed line: {warning}");
@@ -466,7 +469,7 @@ fn monitor(args: &Args) -> Result<(), String> {
             "aborted after {} events (resume with --resume)",
             mon.events_offered()
         );
-        return Ok(());
+        return Ok(mon);
     }
     mon.flush_guarded();
     if let Some(path) = &checkpoint_path {
@@ -475,7 +478,7 @@ fn monitor(args: &Args) -> Result<(), String> {
     }
     let stats = mon.stats();
     print_monitor_summary(&stats, mon.tracked_banks(), "");
-    Ok(())
+    Ok(mon)
 }
 
 /// Runs the chaos harness: the full simulate → train → monitor pipeline

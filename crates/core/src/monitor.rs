@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use cordial_faultsim::{CoarsePattern, IsolationEngine, IsolationSnapshot, SparingBudget};
 use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, Timestamp};
 use cordial_obs::{BurnConfig, BurnRate, DriftConfig, MixDriftDetector};
-use cordial_topology::{BankAddress, CellAddress, RowId};
+use cordial_topology::{BankAddress, CellAddress, ColId, RowId};
 
 use crate::checkpoint::check_schema_version;
 use crate::isolation::apply_plan;
@@ -265,6 +265,54 @@ pub struct CordialMonitor {
     guard: StreamGuard,
     /// Rolling health watchdogs; derived state, never checkpointed.
     health: MonitorHealth,
+    /// This monitor's part of the process-wide `monitor.*` gauges.
+    gauges: GaugeShare,
+}
+
+/// One monitor's part of the gauges `monitor.banks_tracked`,
+/// `monitor.spare_rows_remaining` and `monitor.spare_banks_remaining`,
+/// which sum over the process's live monitors: publishing adds the change
+/// in this part, and dropping the monitor withdraws it. A clone starts
+/// with no part of its own.
+#[derive(Debug, Default)]
+struct GaugeShare {
+    /// The values last added, in the order of [`GaugeShare::gauges`];
+    /// `None` until the first publication.
+    added: Option<[f64; 3]>,
+}
+
+impl GaugeShare {
+    fn gauges() -> [&'static cordial_obs::Gauge; 3] {
+        [
+            cordial_obs::gauge!("monitor.banks_tracked"),
+            cordial_obs::gauge!("monitor.spare_rows_remaining"),
+            cordial_obs::gauge!("monitor.spare_banks_remaining"),
+        ]
+    }
+
+    fn publish(&mut self, values: [f64; 3]) {
+        let added = self.added.unwrap_or_default();
+        for ((gauge, new), old) in Self::gauges().into_iter().zip(values).zip(added) {
+            if new != old {
+                gauge.add(new - old);
+            }
+        }
+        self.added = Some(values);
+    }
+}
+
+impl Clone for GaugeShare {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl Drop for GaugeShare {
+    fn drop(&mut self) {
+        if self.added.is_some() {
+            self.publish([0.0; 3]);
+        }
+    }
 }
 
 /// Configuration for the monitor's telemetry health watchdogs
@@ -378,9 +426,45 @@ impl MonitorHealth {
     }
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// One event of a bank's observation window: an [`ErrorEvent`] without
+/// the bank address that the window's map key already holds. 16 bytes
+/// against the event's 32, and the windows of never-planned banks hold
+/// most of a long-running monitor's memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WindowEvent {
+    time: Timestamp,
+    row: RowId,
+    col: ColId,
+    error_type: ErrorType,
+}
+
+const _: () = assert!(std::mem::size_of::<WindowEvent>() == 16);
+
+impl WindowEvent {
+    fn of(event: &ErrorEvent) -> Self {
+        Self {
+            time: event.time,
+            row: event.addr.row,
+            col: event.addr.col,
+            error_type: event.error_type,
+        }
+    }
+
+    fn event(self, bank: BankAddress) -> ErrorEvent {
+        ErrorEvent::new(
+            CellAddress::new(bank, self.row, self.col),
+            self.time,
+            self.error_type,
+        )
+    }
+}
+
+/// One tracked bank, in the monitor and in its checkpoints alike.
+#[derive(Debug, Clone, Default)]
 struct BankState {
-    events: Vec<ErrorEvent>,
+    /// The observation window in arrival order; closed (no longer fed)
+    /// once the bank is planned.
+    events: Vec<WindowEvent>,
     distinct_uer_rows: Vec<RowId>,
     planned: bool,
     /// Simulated time the bank's plan was applied; anchors the lead-time
@@ -389,6 +473,59 @@ struct BankState {
     planned_at: Option<Timestamp>,
     /// Whether the bank's plan has absorbed at least one UER (feeds
     /// [`MonitorStats::plans_absorbing`] exactly once per bank).
+    absorbed_once: bool,
+}
+
+impl BankState {
+    /// The window as the events it was recorded from.
+    fn window(&self, bank: BankAddress) -> Vec<ErrorEvent> {
+        self.events.iter().map(|event| event.event(bank)).collect()
+    }
+
+    fn saved(&self, bank: BankAddress) -> SavedBankState {
+        SavedBankState {
+            events: self.window(bank),
+            distinct_uer_rows: self.distinct_uer_rows.clone(),
+            planned: self.planned,
+            planned_at: self.planned_at,
+            absorbed_once: self.absorbed_once,
+        }
+    }
+
+    fn from_saved(bank: BankAddress, saved: SavedBankState) -> Result<Self, serde::Error> {
+        let events = saved
+            .events
+            .iter()
+            .map(|event| {
+                if event.addr.bank == bank {
+                    Ok(WindowEvent::of(event))
+                } else {
+                    Err(serde::Error::custom(format!(
+                        "an event of {} is in the window of {bank}",
+                        event.addr.bank
+                    )))
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            events,
+            distinct_uer_rows: saved.distinct_uer_rows,
+            planned: saved.planned,
+            planned_at: saved.planned_at,
+            absorbed_once: saved.absorbed_once,
+        })
+    }
+}
+
+/// A [`BankState`] as checkpoints store it: the window as whole
+/// [`ErrorEvent`]s, so the JSON keeps the layout it had before windows
+/// dropped the bank address.
+#[derive(Serialize, Deserialize)]
+struct SavedBankState {
+    events: Vec<ErrorEvent>,
+    distinct_uer_rows: Vec<RowId>,
+    planned: bool,
+    planned_at: Option<Timestamp>,
     absorbed_once: bool,
 }
 
@@ -429,7 +566,15 @@ impl Serialize for MonitorCheckpoint {
                 CHECKPOINT_SCHEMA_VERSION.to_value(),
             ),
             (String::from("engine"), self.engine.to_value()),
-            (String::from("banks"), self.banks.to_value()),
+            (
+                String::from("banks"),
+                serde::Value::Seq(
+                    self.banks
+                        .iter()
+                        .map(|(bank, state)| (*bank, state.saved(*bank)).to_value())
+                        .collect(),
+                ),
+            ),
             (String::from("stats"), self.stats.to_value()),
             (String::from("guard"), self.guard.to_value()),
         ])
@@ -441,9 +586,15 @@ impl<'de> Deserialize<'de> for MonitorCheckpoint {
         check_schema_version(value)?;
         // Older checkpoints also carry a `feature_caps` entry (per-bank
         // feature-state bounds the monitor no longer has); it is ignored.
+        let banks: Vec<(BankAddress, SavedBankState)> = serde::de_field(value, "banks")?;
+        let banks = banks
+            .into_iter()
+            .map(|(bank, saved)| Ok((bank, BankState::from_saved(bank, saved)?)))
+            .collect::<Result<_, serde::Error>>()
+            .map_err(|e| serde::Error::custom(format!("field `banks`: {e}")))?;
         Ok(Self {
             engine: serde::de_field(value, "engine")?,
-            banks: serde::de_field(value, "banks")?,
+            banks,
             stats: serde::de_field(value, "stats")?,
             guard: serde::de_field(value, "guard")?,
         })
@@ -461,6 +612,7 @@ impl CordialMonitor {
             stats: MonitorStats::default(),
             guard: StreamGuard::new(GuardConfig::default()),
             health: MonitorHealth::new(HealthConfig::default()),
+            gauges: GaugeShare::default(),
         }
     }
 
@@ -493,15 +645,20 @@ impl CordialMonitor {
     /// Events are expected in roughly time order (the per-bank history is
     /// re-sorted at planning time, so modest reordering is harmless).
     pub fn ingest(&mut self, event: ErrorEvent) -> IngestOutcome {
+        self.publishing(|monitor| monitor.record(event))
+    }
+
+    /// [`CordialMonitor::ingest`]'s work on one event, without publishing
+    /// the per-event counters and gauges: the public calls publish once
+    /// for all the events they record.
+    fn record(&mut self, event: ErrorEvent) -> IngestOutcome {
         self.stats.events += 1;
-        cordial_obs::counter!("monitor.events").inc();
         let bank = event.addr.bank;
 
         // An access into an isolated region is absorbed by the spare.
         if event.is_uer() {
             if self.engine.is_isolated(&bank, event.addr.row) {
                 self.stats.uers_absorbed += 1;
-                cordial_obs::counter!("monitor.outcome.absorbed").inc();
                 // Lead time from the plan to this absorbed UER, in
                 // simulated stream time (deterministic across runs).
                 if let Some(state) = self.banks.get_mut(&bank) {
@@ -550,7 +707,7 @@ impl CordialMonitor {
         // further would grow per-bank state (and per-event cost) without
         // bound on a long-running stream.
         if !state.planned {
-            state.events.push(event);
+            state.events.push(WindowEvent::of(&event));
             if event.is_uer() && !state.distinct_uer_rows.contains(&event.addr.row) {
                 state.distinct_uer_rows.push(event.addr.row);
             }
@@ -565,7 +722,7 @@ impl CordialMonitor {
             let started = cordial_obs::enabled().then(std::time::Instant::now);
             // One §IV-B feature fold over the window, inside the plan.
             cordial_obs::counter!("monitor.features.reference_scan").inc();
-            let history = BankErrorHistory::new(bank, state.events.clone());
+            let history = BankErrorHistory::new(bank, state.window(bank));
             let plan = self.pipeline.plan(&history);
             if let Some(started) = started {
                 let slow = started.elapsed().as_secs_f64() > self.health.config.plan_latency_slo;
@@ -576,7 +733,6 @@ impl CordialMonitor {
                 // allow a later event to retrigger.
                 state.planned = false;
                 self.stats.outcomes_recorded += 1;
-                cordial_obs::counter!("monitor.outcome.recorded").inc();
                 return IngestOutcome::Recorded;
             }
             state.planned_at = Some(event.time);
@@ -625,44 +781,83 @@ impl CordialMonitor {
                 };
                 cordial_obs::recorder::instant("plan", name, detail);
             }
-            self.update_gauges();
             return IngestOutcome::Planned { plan, applied };
         }
         self.stats.outcomes_recorded += 1;
-        cordial_obs::counter!("monitor.outcome.recorded").inc();
         IngestOutcome::Recorded
     }
 
-    /// Refreshes the registry gauges that mirror monitor state.
-    fn update_gauges(&self) {
+    /// Runs `ingest` (one or more [`CordialMonitor::record`] calls), then
+    /// publishes what it changed: one add per per-event counter, and this
+    /// monitor's share of the `monitor.*` gauges. The spare budgets move
+    /// only when a plan lands and the tracked count only when a bank
+    /// appears, so the share is recomputed only then (or when none was
+    /// published yet).
+    fn publishing<T>(&mut self, ingest: impl FnOnce(&mut Self) -> T) -> T {
+        let before = self.stats;
+        let tracked = self.banks.len();
+        let result = ingest(self);
         if !cordial_obs::enabled() {
-            return;
+            return result;
         }
-        cordial_obs::gauge!("monitor.banks_tracked").set(self.banks.len() as f64);
-        cordial_obs::gauge!("monitor.spare_rows_remaining")
-            .set(self.engine.spare_rows_remaining() as f64);
-        cordial_obs::gauge!("monitor.spare_banks_remaining")
-            .set(self.engine.spare_banks_remaining() as f64);
+        for (counter, now, then) in [
+            (
+                cordial_obs::counter!("monitor.events"),
+                self.stats.events,
+                before.events,
+            ),
+            (
+                cordial_obs::counter!("monitor.outcome.absorbed"),
+                self.stats.uers_absorbed,
+                before.uers_absorbed,
+            ),
+            (
+                cordial_obs::counter!("monitor.outcome.recorded"),
+                self.stats.outcomes_recorded,
+                before.outcomes_recorded,
+            ),
+        ] {
+            if now > then {
+                counter.add((now - then) as u64);
+            }
+        }
+        if self.stats.banks_planned != before.banks_planned
+            || self.banks.len() != tracked
+            || self.gauges.added.is_none()
+        {
+            self.publish_share();
+        }
+        result
+    }
+
+    /// Publishes this monitor's current share of the `monitor.*` gauges.
+    fn publish_share(&mut self) {
+        self.gauges.publish([
+            self.banks.len() as f64,
+            self.engine.spare_rows_remaining() as f64,
+            self.engine.spare_banks_remaining() as f64,
+        ]);
     }
 
     /// Ingests a batch in arrival order, returning the plans it
     /// triggered: [`CordialMonitor::ingest`] per event, keeping the
     /// [`IngestOutcome::Planned`] outcomes. Batch and per-event ingestion
     /// share the one trigger rule, so they agree for any chunking of a
-    /// stream.
+    /// stream; the batch publishes its counters and gauges once.
     pub fn ingest_all(
         &mut self,
         events: impl IntoIterator<Item = ErrorEvent>,
     ) -> Vec<(BankAddress, MitigationPlan)> {
         let _span = cordial_obs::span!("ingest_all");
-        let mut plans = Vec::new();
-        for event in events {
-            if let IngestOutcome::Planned { plan, .. } = self.ingest(event) {
-                plans.push((event.addr.bank, plan));
+        self.publishing(|monitor| {
+            let mut plans = Vec::new();
+            for event in events {
+                if let IngestOutcome::Planned { plan, .. } = monitor.record(event) {
+                    plans.push((event.addr.bank, plan));
+                }
             }
-        }
-        self.update_gauges();
-        plans
+            plans
+        })
     }
 
     /// Admits one event into the guard, or rejects it outright.
@@ -761,25 +956,26 @@ impl CordialMonitor {
         if let Some(outcome) = self.guard_admit(event) {
             return vec![(event, outcome)];
         }
-        self.guard_due(false)
-            .into_iter()
-            .map(|released| {
-                let outcome = self.ingest(released);
-                (released, outcome)
-            })
-            .collect()
+        let released = self.guard_due(false);
+        self.ingest_released(released)
     }
 
     /// Drains the guard's reorder buffer through regular ingestion: the end
     /// of a guarded stream (or a checkpoint-before-shutdown).
     pub fn flush_guarded(&mut self) -> Vec<(ErrorEvent, IngestOutcome)> {
-        self.guard_due(true)
-            .into_iter()
-            .map(|released| {
-                let outcome = self.ingest(released);
-                (released, outcome)
-            })
-            .collect()
+        let released = self.guard_due(true);
+        self.ingest_released(released)
+    }
+
+    /// Ingests events the guard released, each with its outcome,
+    /// publishing once for all of them.
+    fn ingest_released(&mut self, released: Vec<ErrorEvent>) -> Vec<(ErrorEvent, IngestOutcome)> {
+        self.publishing(|monitor| {
+            released
+                .into_iter()
+                .map(|event| (event, monitor.record(event)))
+                .collect()
+        })
     }
 
     /// Guarded batch ingestion: admits the whole batch through the guard
@@ -849,7 +1045,7 @@ impl CordialMonitor {
     /// always in the current layout, because deserializing one passes the
     /// schema-version gate first.
     pub fn restore(pipeline: Cordial, checkpoint: MonitorCheckpoint) -> Self {
-        Self {
+        let mut monitor = Self {
             pipeline,
             engine: IsolationEngine::from_snapshot(checkpoint.engine),
             banks: checkpoint.banks.into_iter().collect(),
@@ -859,7 +1055,13 @@ impl CordialMonitor {
             // restart empty rather than being persisted (see
             // [`MonitorHealth`]).
             health: MonitorHealth::new(HealthConfig::default()),
+            gauges: GaugeShare::default(),
+        };
+        // The restored banks count in the gauges before any new event.
+        if cordial_obs::enabled() {
+            monitor.publish_share();
         }
+        monitor
     }
 
     /// Session totals so far, including the engine-derived sparing-budget

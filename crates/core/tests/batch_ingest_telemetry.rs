@@ -82,3 +82,49 @@ fn guarded_batch_ingestion_records_the_ingest_span_unnested() {
     }
     assert!(!histograms.contains_key("span.ingest_all_guarded.ingest_all.seconds"));
 }
+
+/// The `monitor.*` gauges sum over the process's live monitors: each
+/// monitor publishes its own share, and a dropped monitor withdraws it.
+#[test]
+fn monitor_gauges_sum_over_live_monitors() {
+    let _guard = obs_guard();
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 17);
+    let split = split_banks(&dataset, 0.7, 17);
+    let cordial = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+    let events = dataset.log.events();
+    let half = events.len() / 2;
+    let gauges = || cordial_obs::snapshot().gauges;
+
+    cordial_obs::set_enabled(true);
+    cordial_obs::reset();
+    let mut first = CordialMonitor::new(cordial.clone(), SparingBudget::typical());
+    let mut second = CordialMonitor::new(cordial, SparingBudget::typical());
+    first.ingest_all(events[..half].iter().copied());
+    second.ingest_all(events[half..].iter().copied());
+    let (a, b) = (first.stats(), second.stats());
+    let exported = gauges();
+    assert_eq!(
+        exported["monitor.banks_tracked"],
+        (first.tracked_banks() + second.tracked_banks()) as f64
+    );
+    assert_eq!(
+        exported["monitor.spare_rows_remaining"],
+        (a.spare_rows_remaining + b.spare_rows_remaining) as f64
+    );
+    assert_eq!(
+        exported["monitor.spare_banks_remaining"],
+        (a.spare_banks_remaining + b.spare_banks_remaining) as f64
+    );
+
+    let second_banks = second.tracked_banks();
+    drop(first);
+    let exported = gauges();
+    assert_eq!(exported["monitor.banks_tracked"], second_banks as f64);
+    assert_eq!(
+        exported["monitor.spare_rows_remaining"],
+        b.spare_rows_remaining as f64
+    );
+    drop(second);
+    assert_eq!(gauges()["monitor.banks_tracked"], 0.0);
+    cordial_obs::set_enabled(false);
+}

@@ -117,7 +117,9 @@ pub fn snapshot() -> Snapshot {
 ///
 /// Handles cached by the macros stay valid — resetting never unregisters a
 /// metric, it only clears its value, so tests can isolate measurements
-/// without invalidating call sites.
+/// without invalidating call sites. A gauge summed from shares
+/// ([`Gauge::add`]) is zeroed too, but its owners' shares are not cleared:
+/// each owner still withdraws its whole share when it goes away.
 pub fn reset() {
     REGISTRY.reset();
 }

@@ -15,7 +15,7 @@
 //! therefore do not bounce one cache line between cores. Reads sum the
 //! stripes: counter values and bucket counts are exact integer sums, and
 //! a histogram's `sum` stays the diagnostic `f64` it always was. Gauges
-//! are last-value-wins, so they stay one shared cell.
+//! stay one shared cell, set last-value-wins or summed from shares.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,7 +82,8 @@ impl Counter {
     }
 }
 
-/// A last-value-wins gauge (stored as `f64`).
+/// A gauge (stored as `f64`): last-value-wins through [`Gauge::set`], or
+/// a sum of shares through [`Gauge::add`].
 #[derive(Debug, Clone)]
 pub struct Gauge {
     bits: Arc<AtomicU64>,
@@ -95,6 +96,24 @@ impl Gauge {
         if crate::enabled() {
             self.bits.store(value.to_bits(), Ordering::Relaxed);
         }
+    }
+
+    /// Adds `delta` (negative to subtract) in one atomic step.
+    ///
+    /// This is how a gauge sums shares: each owner adds the change in its
+    /// own share when it publishes, and subtracts its whole share when it
+    /// goes away. Owners decide when to publish; the add itself applies
+    /// while recording is disabled too, so an owner can always withdraw
+    /// what it added. [`crate::reset`] zeroes the gauge but does not clear
+    /// the owners' shares: an owner that outlives a reset later withdraws
+    /// a share the gauge no longer holds, and the gauge reads low (below
+    /// zero, if nothing was added since).
+    pub fn add(&self, delta: f64) {
+        let _ = self
+            .bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
     }
 
     /// Current value.
@@ -603,6 +622,26 @@ mod tests {
             h.sum,
             4.0 * (33_334.0 * 0.5 + 33_333.0 * 5.0 + 33_333.0 * 50.0)
         );
+    }
+
+    #[test]
+    fn gauge_adds_from_many_threads_sum_exactly() {
+        crate::set_enabled(true);
+        let registry = MetricsRegistry::new();
+        let gauge = registry.gauge("t.shares");
+        std::thread::scope(|scope| {
+            for owner in 0..4u32 {
+                let gauge = &gauge;
+                scope.spawn(move || {
+                    for _ in 0..10_000 {
+                        gauge.add(f64::from(owner + 1));
+                    }
+                    gauge.add(-f64::from(owner + 1) * 9_999.0);
+                });
+            }
+        });
+        assert_eq!(gauge.get(), 1.0 + 2.0 + 3.0 + 4.0);
+        assert_eq!(registry.snapshot().gauges["t.shares"], 10.0);
     }
 
     #[test]

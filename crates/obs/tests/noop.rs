@@ -22,6 +22,12 @@ fn disabled_subscriber_records_nothing() {
     // A disabled span never registers its histogram at all.
     assert!(!snapshot.histograms.contains_key("span.noop.seconds"));
 
+    // Adding to a summed gauge is share bookkeeping, not recording: it
+    // applies while off, so an owner can always withdraw what it added
+    // while recording was on.
+    obs::gauge!("noop.shares").add(2.0);
+    assert_eq!(obs::snapshot().gauges["noop.shares"], 2.0);
+
     // Flipping the switch on makes the very same cached handles live.
     obs::set_enabled(true);
     obs::counter!("noop.counter").inc();

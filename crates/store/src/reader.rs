@@ -10,8 +10,7 @@
 //! the store meanwhile. A reader sees the segments as they were when it
 //! was created: records appended later are not in its pass.
 //! [`Store::replay`](crate::Store::replay) is a collect over this reader,
-//! and the checkpoint index and compaction read the same frame pass
-//! underneath it.
+//! and compaction reads the same frame pass underneath it.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -44,8 +43,8 @@ struct OpenSegment {
 }
 
 /// The frames of a run of segments, in order, one segment file in memory
-/// at a time: what the journal reader, the checkpoint index and
-/// compaction all read the store through.
+/// at a time: what the journal reader and compaction read the store
+/// through.
 pub(crate) struct Frames {
     segments: std::vec::IntoIter<SegmentSpan>,
     current: Option<OpenSegment>,

@@ -47,7 +47,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,7 +63,9 @@ use crate::record::{
     decode_event_record, encode_checkpoint, encode_event_batch, Body, DeviceKey, Record,
     BODY_PREFIX_LEN, CHECKPOINT_OVERHEAD, EVENT_WIRE_LEN,
 };
-use crate::segment::{self, FRAME_OVERHEAD, MAX_BATCH_EVENTS, MAX_BODY, SEGMENT_HEADER_LEN};
+use crate::segment::{
+    self, ScannedFrame, FRAME_OVERHEAD, MAX_BATCH_EVENTS, MAX_BODY, SEGMENT_HEADER_LEN,
+};
 
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
@@ -326,6 +328,87 @@ struct IndexEntry {
     max_time_before: u64,
 }
 
+/// Where one device's newest checkpoint frame sits.
+#[derive(Debug, Clone)]
+struct CheckpointLoc {
+    /// The segment file holding the frame.
+    path: PathBuf,
+    /// File offset of the frame.
+    offset: u64,
+    /// Offset just past the frame's body.
+    end: u64,
+    /// Sequence number of the checkpoint record.
+    seq: u64,
+    /// Journal position the checkpoint covers.
+    journal_seq: u64,
+}
+
+impl CheckpointLoc {
+    /// Reads `device`'s checkpoint back from its one frame.
+    fn read(&self, device: DeviceKey) -> Result<CheckpointRecord, StoreError> {
+        let mut file =
+            File::open(&self.path).map_err(|e| StoreError::io("open segment", &self.path, e))?;
+        let mut bytes = vec![0u8; (self.end - self.offset) as usize];
+        file.seek(SeekFrom::Start(self.offset))
+            .and_then(|_| file.read_exact(&mut bytes))
+            .map_err(|e| StoreError::io("read checkpoint", &self.path, e))?;
+        let corrupt = |what: String| StoreError::Corrupt {
+            path: self.path.clone(),
+            what: format!("checkpoint frame at offset {}: {what}", self.offset),
+        };
+        match segment::read_frame(&bytes, 0, None).map_err(corrupt)? {
+            Some(ScannedFrame {
+                body:
+                    Body::Checkpoint {
+                        seq,
+                        device: found,
+                        journal_seq,
+                        payload,
+                    },
+                ..
+            }) if seq == self.seq && found == device => Ok(CheckpointRecord {
+                seq,
+                journal_seq,
+                payload: payload.to_owned(),
+            }),
+            _ => Err(corrupt(format!(
+                "not checkpoint {} of device {device}",
+                self.seq
+            ))),
+        }
+    }
+}
+
+/// Each device's newest checkpoint location, kept by the open scan, by
+/// checkpoint appends and by compaction, so reading a device's newest
+/// checkpoint reads one frame.
+#[derive(Debug, Clone, Default)]
+struct CheckpointIndex(BTreeMap<DeviceKey, CheckpointLoc>);
+
+impl CheckpointIndex {
+    /// Notes the frame at `offset..end` of `path` when it holds a
+    /// checkpoint. Frames arrive in sequence order, so the last one noted
+    /// for a device is its newest.
+    fn note(&mut self, path: &Path, offset: u64, end: u64, body: &Body<'_>) {
+        if let Body::Checkpoint {
+            seq,
+            device,
+            journal_seq,
+            ..
+        } = *body
+        {
+            let loc = CheckpointLoc {
+                path: path.to_path_buf(),
+                offset,
+                end,
+                seq,
+                journal_seq,
+            };
+            self.0.insert(device, loc);
+        }
+    }
+}
+
 /// In-memory metadata of one live segment.
 #[derive(Debug, Clone)]
 struct SegmentMeta {
@@ -468,6 +551,7 @@ pub struct Store {
     /// sync and handle until it is reopened.
     poisoned: Arc<AtomicBool>,
     recovery: RecoveryReport,
+    checkpoints: CheckpointIndex,
 }
 
 impl fmt::Debug for Store {
@@ -521,6 +605,7 @@ impl Store {
         }
 
         let mut segments: Vec<SegmentMeta> = Vec::new();
+        let mut checkpoints = CheckpointIndex::default();
         let mut last_seq: Option<u64> = None;
         let mut gen = 0u32;
         let mut cut = false;
@@ -569,6 +654,7 @@ impl Store {
             let mut meta = SegmentMeta::new(name.clone(), path.clone(), base);
             for frame in &scan.frames {
                 meta.note_frame(frame.offset, frame.end, &frame.body, config.index_every);
+                checkpoints.note(&path, frame.offset, frame.end, &frame.body);
             }
             if let Some(corruption) = scan.corruption {
                 let file = OpenOptions::new()
@@ -624,6 +710,7 @@ impl Store {
             dirty: false,
             poisoned: Arc::default(),
             recovery: report,
+            checkpoints,
         };
         // Commit the recovered view (drops swept/cut names, adds a
         // freshly created active segment).
@@ -735,8 +822,11 @@ impl Store {
             payload,
         };
         let index_every = self.config.index_every;
-        self.active_meta()
-            .note_frame(base, base + buf.len() as u64, &body, index_every);
+        let end = base + buf.len() as u64;
+        let meta = self.active_meta();
+        meta.note_frame(base, end, &body, index_every);
+        let path = meta.path.clone();
+        self.checkpoints.note(&path, base, end, &body);
         self.next_seq = seq + 1;
         self.apply_fsync_policy(1)?;
         cordial_obs::counter!("store.append.checkpoints").inc();
@@ -865,14 +955,12 @@ impl Store {
         Ok(())
     }
 
-    /// The frames of every live segment `pick` accepts, each from its
-    /// header on.
-    fn frames(&self, pick: impl Fn(&SegmentMeta) -> bool) -> Frames {
+    /// The frames of every live segment, each from its header on.
+    fn frames(&self) -> Frames {
         let everything = ReplayFilter::default();
         Frames::new(
             self.segments
                 .iter()
-                .filter(|meta| pick(meta))
                 .map(|meta| meta.span(&everything))
                 .collect(),
         )
@@ -928,36 +1016,21 @@ impl Store {
             .collect())
     }
 
-    /// The newest checkpoint of every device that has one.
+    /// The newest checkpoint of every device that has one: one frame read
+    /// per device.
     ///
     /// # Errors
     ///
     /// Same as [`Store::replay`].
     pub fn latest_checkpoints(&self) -> Result<BTreeMap<DeviceKey, CheckpointRecord>, StoreError> {
-        let mut latest: BTreeMap<DeviceKey, CheckpointRecord> = BTreeMap::new();
-        let mut frames = self.frames(|meta| meta.checkpoints > 0);
-        while let Some(body) = frames.next()? {
-            if let Body::Checkpoint {
-                seq,
-                device,
-                journal_seq,
-                payload,
-            } = body
-            {
-                // Later segments and offsets carry higher seqs, so a plain
-                // overwrite keeps the newest.
-                let record = CheckpointRecord {
-                    seq,
-                    journal_seq,
-                    payload: payload.to_owned(),
-                };
-                latest.insert(device, record);
-            }
-        }
-        Ok(latest)
+        self.checkpoints
+            .0
+            .iter()
+            .map(|(device, loc)| Ok((*device, loc.read(*device)?)))
+            .collect()
     }
 
-    /// The newest checkpoint of one device, if any.
+    /// The newest checkpoint of one device, if any: one frame read.
     ///
     /// # Errors
     ///
@@ -966,7 +1039,11 @@ impl Store {
         &self,
         device: DeviceKey,
     ) -> Result<Option<CheckpointRecord>, StoreError> {
-        Ok(self.latest_checkpoints()?.remove(&device))
+        self.checkpoints
+            .0
+            .get(&device)
+            .map(|loc| loc.read(device))
+            .transpose()
     }
 
     /// Drops records that no recovery could ever need — events already
@@ -984,24 +1061,12 @@ impl Store {
     /// names the old segments).
     pub fn compact(&mut self) -> Result<CompactReport, StoreError> {
         self.sync()?;
-        let mut latest: BTreeMap<DeviceKey, (u64, u64)> = BTreeMap::new();
-        let mut frames = self.frames(|meta| meta.checkpoints > 0);
-        while let Some(body) = frames.next()? {
-            if let Body::Checkpoint {
-                seq,
-                device,
-                journal_seq,
-                ..
-            } = body
-            {
-                latest.insert(device, (seq, journal_seq));
-            }
-        }
+        let latest = &self.checkpoints.0;
         let covered = |seq: u64, record: &[u8]| {
             decode_event_record(record).is_ok_and(|event| {
                 latest
                     .get(&DeviceKey::of_event(&event))
-                    .is_some_and(|&(_, journal_seq)| journal_seq >= seq)
+                    .is_some_and(|loc| loc.journal_seq >= seq)
             })
         };
         let mut report = CompactReport {
@@ -1018,15 +1083,13 @@ impl Store {
             index_every: self.config.index_every,
             sealed: Vec::new(),
             current: None,
+            checkpoints: CheckpointIndex::default(),
         };
-        let mut frames = self.frames(|_| true);
+        let mut frames = self.frames();
         while let Some(body) = frames.next()? {
             match body {
                 Body::Checkpoint { seq, device, .. } => {
-                    if latest
-                        .get(&device)
-                        .is_some_and(|&(newest, _)| newest == seq)
-                    {
+                    if latest.get(&device).is_some_and(|loc| loc.seq == seq) {
                         out.push(&body)?;
                     } else {
                         report.dropped_checkpoints += 1;
@@ -1058,6 +1121,7 @@ impl Store {
         }
         out.seal()?;
         let gen = out.gen;
+        let checkpoints = out.checkpoints;
         let mut new_metas = out.sealed;
 
         // Always finish with a fresh empty active segment.
@@ -1067,6 +1131,7 @@ impl Store {
         let old_paths: Vec<PathBuf> = self.segments.iter().map(|m| m.path.clone()).collect();
         self.gen = gen;
         self.segments = new_metas;
+        self.checkpoints = checkpoints;
         self.active = active_file;
         self.unsynced = 0;
         self.dirty = false;
@@ -1252,6 +1317,8 @@ struct Rewriter<'a> {
     index_every: u32,
     sealed: Vec<SegmentMeta>,
     current: Option<(SegmentMeta, File, Vec<u8>)>,
+    /// Where the surviving checkpoints land.
+    checkpoints: CheckpointIndex,
 }
 
 impl Rewriter<'_> {
@@ -1272,6 +1339,7 @@ impl Rewriter<'_> {
             segment::encode_frame(buf, |out| body.encode(out));
             let end = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
             meta.note_frame(start, end, body, self.index_every);
+            self.checkpoints.note(&meta.path, start, end, body);
         }
         Ok(())
     }
@@ -1834,6 +1902,123 @@ mod tests {
         assert_eq!(latest[&device(0)].journal_seq, 5);
         assert_eq!(latest[&device(1)].payload, "old1");
         assert_eq!(store.latest_checkpoint(device(2)).unwrap(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every device's newest checkpoint by brute force: the last
+    /// checkpoint record of each device in a full replay.
+    fn newest_by_replay(store: &Store) -> BTreeMap<DeviceKey, CheckpointRecord> {
+        let mut newest = BTreeMap::new();
+        for record in store.replay(&ReplayFilter::default()).unwrap() {
+            if let Record::Checkpoint {
+                seq,
+                device,
+                journal_seq,
+                payload,
+            } = record
+            {
+                let record = CheckpointRecord {
+                    seq,
+                    journal_seq,
+                    payload,
+                };
+                newest.insert(device, record);
+            }
+        }
+        newest
+    }
+
+    fn assert_checkpoint_reads_agree(store: &Store, stage: &str) {
+        let want = newest_by_replay(store);
+        assert_eq!(store.latest_checkpoints().unwrap(), want, "{stage}");
+        for node in 0..5 {
+            assert_eq!(
+                store.latest_checkpoint(device(node)).unwrap().as_ref(),
+                want.get(&device(node)),
+                "{stage}: device {node}"
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_reads_agree_with_a_replay_across_reopen_tear_and_compaction() {
+        let dir = scratch("ckpt-index");
+        let config = StoreConfig {
+            segment_max_bytes: 512,
+            ..StoreConfig::default()
+        };
+        let mut store = Store::open(&dir, config.clone()).unwrap();
+        // Devices 0-3 checkpoint in turn over several segments; device 3
+        // journals no events and device 4 never checkpoints.
+        for round in 0..12u64 {
+            store
+                .append_events(&[event(0, round), event(1, round), event(2, round)])
+                .unwrap();
+            let node = (round % 4) as u32;
+            let floor = store.last_seq().unwrap();
+            store
+                .append_checkpoint(device(node), floor, &format!("round {round}"))
+                .unwrap();
+            assert_checkpoint_reads_agree(&store, &format!("append {round}"));
+        }
+        assert!(store.inspect().segments.len() > 2, "must have rolled");
+        drop(store);
+        let mut store = Store::open(&dir, config.clone()).unwrap();
+        assert_checkpoint_reads_agree(&store, "reopen");
+
+        // A checkpoint torn off the tail is cut at open, and the device's
+        // previous checkpoint is its newest again.
+        let floor = store.last_seq().unwrap();
+        store.append_checkpoint(device(1), floor, "torn").unwrap();
+        let path = store.segments.last().unwrap().path.clone();
+        drop(store);
+        let len = fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 5)
+            .unwrap();
+        let mut store = Store::open(&dir, config.clone()).unwrap();
+        assert!(store.recovery().corruption.is_some());
+        assert_checkpoint_reads_agree(&store, "torn tail");
+        assert_eq!(
+            store.latest_checkpoint(device(1)).unwrap().unwrap().payload,
+            "round 9"
+        );
+
+        store.compact().unwrap();
+        assert_checkpoint_reads_agree(&store, "compaction");
+        let floor = store.last_seq().unwrap();
+        store
+            .append_checkpoint(device(2), floor, "after compaction")
+            .unwrap();
+        assert_checkpoint_reads_agree(&store, "append after compaction");
+        drop(store);
+        let store = Store::open(&dir, config).unwrap();
+        assert_checkpoint_reads_agree(&store, "reopen after compaction");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_frame_changed_under_the_store_reads_as_corrupt() {
+        let dir = scratch("ckpt-corrupt");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        store.append_events(&[event(0, 1)]).unwrap();
+        store.append_checkpoint(device(0), 0, "state").unwrap();
+        let path = store.segments[0].path.clone();
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            store.latest_checkpoint(device(0)),
+            Err(StoreError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            store.latest_checkpoints(),
+            Err(StoreError::Corrupt { .. })
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
