@@ -1,7 +1,9 @@
 //! Performance-layer benchmarks: the speedups claimed by the suite-wide
-//! parallel training paths, measured against their sequential twins.
-//! Every compared pair produces bit-identical models (enforced by the
-//! determinism tests), so these benches measure *only* time.
+//! parallel training paths, measured against their sequential twins, and
+//! the serving hot path's kernels against their reference twins. Every
+//! compared pair produces bit-identical results (enforced by the
+//! determinism tests and pinned again before each hot-path timing), so
+//! these benches measure *only* time.
 //!
 //! Run with `cargo bench -p cordial-bench --bench perf`.
 
@@ -15,6 +17,8 @@ use cordial::pipeline::Cordial;
 use cordial::prelude::{BankAddress, BlockSpec, HbmGeometry};
 use cordial::{CordialConfig, ModelKind, TrainedModel};
 use cordial_bench::{bench_dataset, bench_split, BENCH_SEED};
+use cordial_faultsim::FleetDataset;
+use cordial_store::{crc32, crc32_portable};
 use cordial_trees::{Classifier, Dataset, FlatEnsemble, LightGbm, LightGbmConfig};
 
 /// A synthetic multi-class matrix big enough for the parallel paths to
@@ -358,9 +362,8 @@ fn hotpath_lgbm(data: &Dataset, sample_size: usize) -> HotpathPair {
 /// test bank's 16 block rows scored by 16 per-row `predict_proba` calls
 /// vs one tree-major `predict_proba_rows` call. Bit-identical
 /// probabilities — pinned in setup — so the pair measures only time.
-fn hotpath_forest(sample_size: usize) -> HotpathPair {
-    let dataset = bench_dataset();
-    let split = bench_split(&dataset);
+fn hotpath_forest(dataset: &FleetDataset, sample_size: usize) -> HotpathPair {
+    let split = bench_split(dataset);
     let by_bank = dataset.log.by_bank();
     let k_uers = CordialConfig::default().k_uers;
     let (spec, geom) = (BlockSpec::paper(), HbmGeometry::hbm2e_8hi());
@@ -420,6 +423,42 @@ fn hotpath_forest(sample_size: usize) -> HotpathPair {
     }
 }
 
+/// Events in the checksummed batch: 1,025 26-byte records, a
+/// 26,650-byte `IngestBatch` payload.
+const CRC_BATCH: usize = 1_025;
+
+/// The CRC-32 over one `IngestBatch` payload of the bench fleet's events,
+/// the checksum the wire frame, the daemon's decode and the journal frame
+/// each compute: the portable slicing-by-8 loop vs the dispatched
+/// `crc32`, which runs the carry-less-multiply kernel where the CPU has
+/// one. Equal checksums — pinned in setup — so the pair measures only
+/// time, and a ratio near 1 means dispatch fell back to the portable
+/// loop.
+fn hotpath_crc32(dataset: &FleetDataset, sample_size: usize) -> HotpathPair {
+    let events = &dataset.log.events()[..CRC_BATCH];
+    let frame = cordial_served::codec::encode_ingest_batch(events);
+    let payload = &frame[cordial_served::codec::HEADER_LEN..];
+    assert_eq!(payload.len(), CRC_BATCH * cordial_store::EVENT_WIRE_LEN);
+    assert_eq!(
+        crc32(payload),
+        crc32_portable(payload),
+        "both kernels must agree before timing"
+    );
+    let reference_ns = measure_median_ns(sample_size, || {
+        black_box(crc32_portable(black_box(payload)));
+    });
+    let candidate_ns = measure_median_ns(sample_size, || {
+        black_box(crc32(black_box(payload)));
+    });
+    HotpathPair {
+        name: "crc32",
+        reference: "slicing_by_8",
+        candidate: "dispatched",
+        reference_ns,
+        candidate_ns,
+    }
+}
+
 /// The hot-path suite: measured outside `Bencher::iter` because the JSON
 /// artefact needs the raw medians, but honouring the harness's filter and
 /// `--sample-size` configuration. The artefact is only (re)written when
@@ -430,9 +469,11 @@ fn bench_hotpath(c: &mut Criterion) {
     }
     let sample_size = c.sample_size();
     let data = synthetic_dataset(2000, 27, 3);
+    let fleet = bench_dataset();
     let pairs = [
         hotpath_lgbm(&data, sample_size),
-        hotpath_forest(sample_size),
+        hotpath_forest(&fleet, sample_size),
+        hotpath_crc32(&fleet, sample_size),
     ];
 
     for pair in &pairs {

@@ -19,11 +19,15 @@ use serde_json::Value;
 /// near-optimal, see DESIGN.md §12) and only pins a sanity bound
 /// (≥ 0.1x). The random forest's tree-major batch call over a plan's 16
 /// block rows may never be slower than 16 per-row calls: its trees grow
-/// to depth 12, where the lockstep walk pays. The flight recorder may
-/// cost at most 5% of the full monitor-replay hot path.
+/// to depth 12, where the lockstep walk pays. The dispatched CRC-32 must
+/// run at least 4x the portable slicing-by-8 loop on a 26,650-byte batch
+/// payload, so a dispatch that silently falls back to the portable loop
+/// (ratio ~1) fails. The flight recorder may cost at most 5% of the full
+/// monitor-replay hot path.
 const MAX_RATIOS: &[(&str, &str, f64)] = &[
     ("BENCH_hotpath.json", "lgbm_inference", 10.0),
     ("BENCH_hotpath.json", "forest_inference", 1.0),
+    ("BENCH_hotpath.json", "crc32", 0.25),
     ("BENCH_obs.json", "recorder_replay", 1.05),
 ];
 

@@ -193,7 +193,12 @@ fn check(checks: &mut Vec<InvariantCheck>, name: &str, passed: bool, detail: Str
 /// degrade the event stream, train, monitor — and checks the robustness
 /// invariants. Panics in any stage are caught and reported, never
 /// propagated.
-pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
+///
+/// Also hands back the monitor that ingested the degraded stream (`None`
+/// when no pipeline was trained or the monitor stage panicked), so a
+/// caller can export the `monitor.*` gauges, which sum over live
+/// monitors, before dropping it.
+pub fn run_harness(config: &HarnessConfig) -> (HarnessReport, Option<CordialMonitor>) {
     let injector = FaultInjector::new(config.chaos);
     // The first stage a contained panic originated from, if any.
     let mut panicked_stage: Option<PanicStage> = None;
@@ -213,7 +218,7 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
             false,
             "panicked=simulate".to_string(),
         );
-        return HarnessReport {
+        let report = HarnessReport {
             panicked: true,
             panicked_stage,
             wire: WireSummary::default(),
@@ -223,6 +228,7 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
             stats: MonitorStats::default(),
             checks,
         };
+        return (report, None);
     };
     let (degraded_text, wire) = injector.inject_wire(&text);
 
@@ -260,26 +266,23 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
     };
 
     // ...and monitor the degraded stream through the guard.
-    let stats = match cordial {
-        Some(cordial) => {
-            let monitor_result = catch_unwind(AssertUnwindSafe(|| {
-                let mut monitor = CordialMonitor::new(cordial, SparingBudget::typical())
-                    .with_guard_config(GuardConfig {
-                        reorder_bound_ms: config.chaos.reorder_bound_ms,
-                    });
-                monitor.ingest_all_guarded(delivered.iter().copied());
-                monitor.stats()
-            }));
-            match monitor_result {
-                Ok(stats) => stats,
-                Err(_) => {
-                    panicked_stage.get_or_insert(PanicStage::Monitor);
-                    MonitorStats::default()
-                }
-            }
+    let monitor = cordial.and_then(|cordial| {
+        let monitor_result = catch_unwind(AssertUnwindSafe(|| {
+            let mut monitor = CordialMonitor::new(cordial, SparingBudget::typical())
+                .with_guard_config(GuardConfig {
+                    reorder_bound_ms: config.chaos.reorder_bound_ms,
+                });
+            monitor.ingest_all_guarded(delivered.iter().copied());
+            monitor
+        }));
+        if monitor_result.is_err() {
+            panicked_stage.get_or_insert(PanicStage::Monitor);
         }
-        None => MonitorStats::default(),
-    };
+        monitor_result.ok()
+    });
+    let stats = monitor
+        .as_ref()
+        .map_or_else(MonitorStats::default, CordialMonitor::stats);
 
     let panicked = panicked_stage.is_some();
     let mut checks = Vec::new();
@@ -341,7 +344,7 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
         format!("absorption={:.4}", stats.absorption_rate()),
     );
 
-    HarnessReport {
+    let report = HarnessReport {
         panicked,
         panicked_stage,
         wire,
@@ -350,7 +353,8 @@ pub fn run_harness(config: &HarnessConfig) -> HarnessReport {
         injection,
         stats,
         checks,
-    }
+    };
+    (report, monitor)
 }
 
 /// Runs the harness at each drop rate (all other faults held fixed) and
@@ -363,7 +367,7 @@ pub fn degradation_sweep(base: &HarnessConfig, drop_rates: &[f64]) -> Vec<SweepP
         .map(|&drop_rate| {
             let mut config = base.clone();
             config.chaos.drop_rate = drop_rate;
-            let report = run_harness(&config);
+            let (report, _) = run_harness(&config);
             SweepPoint {
                 drop_rate,
                 uers_delivered: report.stats.uers_absorbed + report.stats.uers_missed,

@@ -27,7 +27,7 @@ fn reference_fault_rates_hold_every_invariant() {
     assert_eq!(config.chaos.reorder_rate, 0.05);
     assert_eq!(config.chaos.drop_rate, 0.01);
 
-    let report = run_harness(&config);
+    let (report, _) = run_harness(&config);
     let rendered = report.render();
     assert!(report.all_passed(), "harness failed:\n{rendered}");
     assert!(!report.panicked);
@@ -64,7 +64,7 @@ fn chaos_telemetry_digest_is_thread_invariant() {
         };
         cordial_obs::reset();
         cordial_obs::recorder::clear();
-        let report = run_harness(&config);
+        let (report, _) = run_harness(&config);
         assert!(report.all_passed(), "{}", report.render());
         digests.push(cordial_obs::snapshot().digest());
     }
@@ -131,7 +131,7 @@ fn mid_stream_truncation_is_survivable() {
         },
         ..HarnessConfig::default()
     };
-    let report = run_harness(&config);
+    let (report, _) = run_harness(&config);
     assert!(report.all_passed(), "{}", report.render());
     assert!(report.wire.truncated_bytes > 0);
     assert!(report.parse_recovered_events < report.wire.input_lines);
@@ -142,7 +142,7 @@ fn mid_stream_truncation_is_survivable() {
 #[test]
 fn contained_panics_are_attributed_to_their_stage() {
     let _guard = obs_guard();
-    let mut report = run_harness(&HarnessConfig::default());
+    let (mut report, _) = run_harness(&HarnessConfig::default());
     report.panicked = true;
     report.panicked_stage = Some(PanicStage::Monitor);
     let rendered = report.render();

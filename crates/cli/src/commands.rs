@@ -10,7 +10,9 @@ use cordial::split::split_banks;
 use cordial::{CordialConfig, ModelKind};
 use cordial_chaos::{run_harness, ChaosConfig, HarnessConfig};
 use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig, SparingBudget};
-use cordial_fleet::{run_fleet_harness, BreakerConfig, FleetHarnessConfig, GateConfig};
+use cordial_fleet::{
+    run_fleet_harness, BreakerConfig, FleetHarnessConfig, FleetSupervisor, GateConfig,
+};
 use cordial_served::{run_load, signal, Client, ServeConfig, Server};
 use cordial_store::{DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
 use cordial_topology::BankAddress;
@@ -129,18 +131,19 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot create dump dir {}: {e}", dir.display()))?;
         cordial_obs::blackbox::set_dump_dir(Some(dir));
     }
-    // `run` and `monitor` hand back their monitor, kept alive until the
-    // metrics are exported: the `monitor.*` gauges sum over live monitors.
-    let mut finished = None;
+    // `run`, `monitor`, `chaos` and `fleet` hand back what owns their
+    // monitors, kept alive until the metrics are exported: the `monitor.*`
+    // gauges sum over live monitors.
+    let mut live: Option<Box<dyn std::any::Any>> = None;
     let result = match args.command.as_str() {
         "simulate" => simulate(&args),
         "train" => train(&args),
         "plan" => plan(&args),
         "eval" => eval(&args),
-        "run" => run(&args).map(|monitor| finished = Some(monitor)),
-        "monitor" => monitor(&args).map(|monitor| finished = Some(monitor)),
-        "chaos" => chaos(&args),
-        "fleet" => fleet(&args),
+        "run" => run(&args).map(|monitor| live = Some(Box::new(monitor))),
+        "monitor" => monitor(&args).map(|monitor| live = Some(Box::new(monitor))),
+        "chaos" => chaos(&args).map(|monitor| live = Some(Box::new(monitor))),
+        "fleet" => fleet(&args).map(|supervisor| live = Some(Box::new(supervisor))),
         "serve" => serve(&args),
         "load" => load(&args),
         "stats" => stats(&args),
@@ -484,7 +487,7 @@ fn monitor(args: &Args) -> Result<CordialMonitor, String> {
 /// Runs the chaos harness: the full simulate → train → monitor pipeline
 /// under seeded fault injection, printing greppable invariant verdicts and
 /// failing the exit code if any invariant breaks.
-fn chaos(args: &Args) -> Result<(), String> {
+fn chaos(args: &Args) -> Result<Option<CordialMonitor>, String> {
     let dataset = scale_config(args.flags.get("scale").map_or("small", String::as_str))?;
     let defaults = HarnessConfig::default();
     let config = HarnessConfig {
@@ -504,10 +507,10 @@ fn chaos(args: &Args) -> Result<(), String> {
             },
         },
     };
-    let report = run_harness(&config);
+    let (report, monitor) = run_harness(&config);
     print!("{}", report.render());
     if report.all_passed() {
-        Ok(())
+        Ok(monitor)
     } else {
         Err("chaos harness invariants failed (see verdicts above)".into())
     }
@@ -518,7 +521,7 @@ fn chaos(args: &Args) -> Result<(), String> {
 /// corrupted, printing greppable invariant verdicts and failing the exit
 /// code if any invariant (quarantine exactness, the availability floor,
 /// healthy-device cleanliness) breaks.
-fn fleet(args: &Args) -> Result<(), String> {
+fn fleet(args: &Args) -> Result<FleetSupervisor, String> {
     let dataset = scale_config(args.flags.get("scale").map_or("small", String::as_str))?;
     let defaults = FleetHarnessConfig::default();
     let mut config = FleetHarnessConfig {
@@ -560,10 +563,11 @@ fn fleet(args: &Args) -> Result<(), String> {
         ..config.supervisor.gate
     };
 
-    let report = run_fleet_harness(&config).map_err(|e| format!("fleet harness failed: {e}"))?;
+    let (report, supervisor) =
+        run_fleet_harness(&config).map_err(|e| format!("fleet harness failed: {e}"))?;
     print!("{}", report.render());
     if report.all_passed() {
-        Ok(())
+        Ok(supervisor)
     } else {
         Err("fleet harness invariants failed (see verdicts above)".into())
     }

@@ -201,8 +201,20 @@ fn monitor_survives_a_corrupted_log() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The `cordial_monitor_banks_tracked` value a `--metrics-out` file holds.
+fn banks_tracked(metrics: &std::path::Path) -> f64 {
+    let body = std::fs::read_to_string(metrics).expect("metrics file written");
+    body.lines()
+        .find_map(|line| line.strip_prefix("cordial_monitor_banks_tracked "))
+        .unwrap_or_else(|| panic!("no banks_tracked gauge in:\n{body}"))
+        .parse()
+        .unwrap()
+}
+
 #[test]
 fn chaos_subcommand_passes_at_reference_fault_rates() {
+    let dir = workdir("chaos");
+    let metrics = dir.join("metrics.prom");
     let out = bin()
         .args([
             "chaos",
@@ -213,6 +225,7 @@ fn chaos_subcommand_passes_at_reference_fault_rates() {
             "--chaos-seed",
             "0",
         ])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -223,6 +236,29 @@ fn chaos_subcommand_passes_at_reference_fault_rates() {
         "{stdout}"
     );
     assert!(stdout.contains("chaos verdict: PASS"), "{stdout}");
+    // The monitor outlives the export, so its banks are still counted.
+    assert!(banks_tracked(&metrics) > 0.0);
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn fleet_subcommand_exports_the_live_monitors_gauges() {
+    let dir = workdir("fleet");
+    let metrics = dir.join("metrics.prom");
+    let out = bin()
+        .args(["fleet", "--scale", "small", "--seed", "7"])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("fleet verdict: PASS"), "{stdout}");
+    // The supervisor, and with it every device's monitor, outlives the
+    // export, so the fleet's banks are still counted.
+    assert!(banks_tracked(&metrics) > 0.0);
+
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

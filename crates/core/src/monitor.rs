@@ -270,27 +270,28 @@ pub struct CordialMonitor {
 }
 
 /// One monitor's part of the gauges `monitor.banks_tracked`,
-/// `monitor.spare_rows_remaining` and `monitor.spare_banks_remaining`,
-/// which sum over the process's live monitors: publishing adds the change
-/// in this part, and dropping the monitor withdraws it. A clone starts
-/// with no part of its own.
+/// `monitor.spare_rows_remaining`, `monitor.spare_banks_remaining` and
+/// `monitor.guard.pending`, which sum over the process's live monitors:
+/// publishing adds the change in this part, and dropping the monitor
+/// withdraws it. A clone starts with no part of its own.
 #[derive(Debug, Default)]
 struct GaugeShare {
     /// The values last added, in the order of [`GaugeShare::gauges`];
     /// `None` until the first publication.
-    added: Option<[f64; 3]>,
+    added: Option<[f64; 4]>,
 }
 
 impl GaugeShare {
-    fn gauges() -> [&'static cordial_obs::Gauge; 3] {
+    fn gauges() -> [&'static cordial_obs::Gauge; 4] {
         [
             cordial_obs::gauge!("monitor.banks_tracked"),
             cordial_obs::gauge!("monitor.spare_rows_remaining"),
             cordial_obs::gauge!("monitor.spare_banks_remaining"),
+            cordial_obs::gauge!("monitor.guard.pending"),
         ]
     }
 
-    fn publish(&mut self, values: [f64; 3]) {
+    fn publish(&mut self, values: [f64; 4]) {
         let added = self.added.unwrap_or_default();
         for ((gauge, new), old) in Self::gauges().into_iter().zip(values).zip(added) {
             if new != old {
@@ -310,7 +311,7 @@ impl Clone for GaugeShare {
 impl Drop for GaugeShare {
     fn drop(&mut self) {
         if self.added.is_some() {
-            self.publish([0.0; 3]);
+            self.publish([0.0; 4]);
         }
     }
 }
@@ -790,9 +791,10 @@ impl CordialMonitor {
     /// Runs `ingest` (one or more [`CordialMonitor::record`] calls), then
     /// publishes what it changed: one add per per-event counter, and this
     /// monitor's share of the `monitor.*` gauges. The spare budgets move
-    /// only when a plan lands and the tracked count only when a bank
-    /// appears, so the share is recomputed only then (or when none was
-    /// published yet).
+    /// only when a plan lands, the tracked count only when a bank appears
+    /// and the guard's pending count only on the guarded paths (which
+    /// admit and release before they record), so the share is recomputed
+    /// only then (or when none was published yet).
     fn publishing<T>(&mut self, ingest: impl FnOnce(&mut Self) -> T) -> T {
         let before = self.stats;
         let tracked = self.banks.len();
@@ -821,9 +823,13 @@ impl CordialMonitor {
                 counter.add((now - then) as u64);
             }
         }
+        let pending = self.guard.pending.len() as f64;
         if self.stats.banks_planned != before.banks_planned
             || self.banks.len() != tracked
-            || self.gauges.added.is_none()
+            || self
+                .gauges
+                .added
+                .is_none_or(|[.., published]| published != pending)
         {
             self.publish_share();
         }
@@ -836,6 +842,7 @@ impl CordialMonitor {
             self.banks.len() as f64,
             self.engine.spare_rows_remaining() as f64,
             self.engine.spare_banks_remaining() as f64,
+            self.guard.pending.len() as f64,
         ]);
     }
 
@@ -916,10 +923,6 @@ impl CordialMonitor {
                 self.guard.pending.insert(pos, event);
                 self.guard.started = true;
                 self.guard.watermark = self.guard.watermark.max(event.time);
-                if cordial_obs::enabled() {
-                    cordial_obs::gauge!("monitor.guard.pending")
-                        .set(self.guard.pending.len() as f64);
-                }
                 None
             }
         }

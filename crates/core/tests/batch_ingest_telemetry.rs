@@ -83,14 +83,20 @@ fn guarded_batch_ingestion_records_the_ingest_span_unnested() {
     assert!(!histograms.contains_key("span.ingest_all_guarded.ingest_all.seconds"));
 }
 
+/// The small fleet at seed 17 and a pipeline fitted on 70% of its banks.
+fn fitted() -> (FleetDataset, Cordial) {
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 17);
+    let split = split_banks(&dataset, 0.7, 17);
+    let cordial = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+    (dataset, cordial)
+}
+
 /// The `monitor.*` gauges sum over the process's live monitors: each
 /// monitor publishes its own share, and a dropped monitor withdraws it.
 #[test]
 fn monitor_gauges_sum_over_live_monitors() {
     let _guard = obs_guard();
-    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 17);
-    let split = split_banks(&dataset, 0.7, 17);
-    let cordial = Cordial::fit(&dataset, &split.train, &CordialConfig::default()).unwrap();
+    let (dataset, cordial) = fitted();
     let events = dataset.log.events();
     let half = events.len() / 2;
     let gauges = || cordial_obs::snapshot().gauges;
@@ -126,5 +132,40 @@ fn monitor_gauges_sum_over_live_monitors() {
     );
     drop(second);
     assert_eq!(gauges()["monitor.banks_tracked"], 0.0);
+    cordial_obs::set_enabled(false);
+}
+
+/// `monitor.guard.pending` sums the guards' reorder buffers over the live
+/// monitors, like the other `monitor.*` gauges, instead of holding the
+/// last admitting monitor's count.
+#[test]
+fn guard_pending_gauge_sums_over_live_monitors() {
+    let _guard = obs_guard();
+    let (dataset, cordial) = fitted();
+    let events = dataset.log.events();
+    let half = events.len() / 2;
+    let pending = || cordial_obs::snapshot().gauges["monitor.guard.pending"];
+
+    cordial_obs::set_enabled(true);
+    cordial_obs::reset();
+    let mut first = CordialMonitor::new(cordial.clone(), SparingBudget::typical());
+    let mut second = CordialMonitor::new(cordial, SparingBudget::typical());
+    for event in &events[..half] {
+        first.ingest_guarded(*event);
+    }
+    for event in &events[half..] {
+        second.ingest_guarded(*event);
+    }
+    let (a, b) = (first.guard_pending(), second.guard_pending());
+    assert!(a > 0 && b > 0, "both guards must hold events: {a}, {b}");
+    assert_eq!(pending(), (a + b) as f64);
+
+    // Draining one guard withdraws its part at once.
+    first.flush_guarded();
+    assert_eq!(pending(), b as f64);
+    drop(second);
+    assert_eq!(pending(), 0.0);
+    drop(first);
+    assert_eq!(pending(), 0.0);
     cordial_obs::set_enabled(false);
 }

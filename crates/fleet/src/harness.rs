@@ -233,11 +233,17 @@ fn merge_streams(streams: &BTreeMap<DeviceId, Vec<ErrorEvent>>) -> Vec<ErrorEven
 
 /// Runs the fleet chaos scenario end to end.
 ///
+/// Also hands back the supervisor, which still owns every device's
+/// monitor, so a caller can export the `monitor.*` gauges, which sum over
+/// live monitors, before dropping it.
+///
 /// # Errors
 ///
 /// Propagates training errors; everything downstream degrades instead of
 /// failing.
-pub fn run_fleet_harness(config: &FleetHarnessConfig) -> Result<FleetReport, CordialError> {
+pub fn run_fleet_harness(
+    config: &FleetHarnessConfig,
+) -> Result<(FleetReport, FleetSupervisor), CordialError> {
     let _span = cordial_obs::span!("fleet_harness");
     let dataset = generate_fleet_dataset(&config.dataset, config.dataset_seed);
     let split = split_banks(&dataset, 0.7, config.dataset_seed);
@@ -368,7 +374,7 @@ pub fn run_fleet_harness(config: &FleetHarnessConfig) -> Result<FleetReport, Cor
         format!("healthy banks planned={healthy_planned}"),
     );
 
-    Ok(FleetReport {
+    let report = FleetReport {
         devices: device_ids.len(),
         killed,
         corrupted,
@@ -380,5 +386,6 @@ pub fn run_fleet_harness(config: &FleetHarnessConfig) -> Result<FleetReport, Cor
         statuses,
         relearn: supervisor.relearn_outcomes(),
         checks,
-    })
+    };
+    Ok((report, supervisor))
 }

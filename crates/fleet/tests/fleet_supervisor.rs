@@ -40,7 +40,7 @@ fn fitted(dataset: &FleetDataset, seed: u64, model: ModelKind) -> Cordial {
 fn fleet_harness_quarantines_exactly_the_offenders() {
     let _guard = obs_guard();
     let config = FleetHarnessConfig::default();
-    let report = run_fleet_harness(&config).unwrap();
+    let report = run_fleet_harness(&config).unwrap().0;
     let rendered = report.render();
 
     assert!(
@@ -68,13 +68,14 @@ fn fleet_harness_quarantines_exactly_the_offenders() {
 #[test]
 fn healthy_devices_are_byte_identical_to_an_uninjected_run() {
     let _guard = obs_guard();
-    let injected = run_fleet_harness(&FleetHarnessConfig::default()).unwrap();
+    let injected = run_fleet_harness(&FleetHarnessConfig::default()).unwrap().0;
     let clean = run_fleet_harness(&FleetHarnessConfig {
         kill_fraction: 0.0,
         corrupt_fraction: 0.0,
         ..FleetHarnessConfig::default()
     })
-    .unwrap();
+    .unwrap()
+    .0;
 
     assert!(clean.tripped.is_empty(), "{}", clean.render());
     assert_eq!(clean.availability, 1.0);
@@ -98,13 +99,14 @@ fn healthy_devices_are_byte_identical_to_an_uninjected_run() {
 fn fleet_harness_is_deterministic_and_thread_invariant() {
     let _guard = obs_guard();
     let base = FleetHarnessConfig::default();
-    let a = run_fleet_harness(&base).unwrap();
-    let b = run_fleet_harness(&base).unwrap();
+    let a = run_fleet_harness(&base).unwrap().0;
+    let b = run_fleet_harness(&base).unwrap().0;
     let threaded = run_fleet_harness(&FleetHarnessConfig {
         n_threads: 4,
         ..base.clone()
     })
-    .unwrap();
+    .unwrap()
+    .0;
 
     for other in [&b, &threaded] {
         assert_eq!(a.tripped, other.tripped);
@@ -134,7 +136,7 @@ fn fleet_telemetry_digest_is_thread_invariant() {
             ..FleetHarnessConfig::default()
         };
         cordial_obs::reset();
-        let report = run_fleet_harness(&config).unwrap();
+        let report = run_fleet_harness(&config).unwrap().0;
         assert!(report.all_passed(), "{}", report.render());
         let relearn = report.relearn.expect("the harness runs the relearn loop");
         assert_eq!(
@@ -306,7 +308,7 @@ fn chaos_run_exports_chrome_trace_and_blackbox_dump() {
     cordial_obs::reset();
     cordial_obs::recorder::clear();
 
-    let report = run_fleet_harness(&FleetHarnessConfig::default()).unwrap();
+    let report = run_fleet_harness(&FleetHarnessConfig::default()).unwrap().0;
     let events = cordial_obs::recorder::drain();
 
     cordial_obs::blackbox::set_dump_dir(None);

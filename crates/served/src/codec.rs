@@ -35,7 +35,8 @@ use cordial_mcelog::ErrorEvent;
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
 /// Re-exported from `cordial-store`: the wire protocol and the durable
-/// journal share one slicing-by-8 checksum, so a journaled record is
+/// journal share one checksum (carry-less multiply where the CPU has it,
+/// slicing-by-8 elsewhere, with one output), so a journaled record is
 /// protected by exactly the arithmetic that protected it on the wire.
 pub use cordial_store::crc32;
 
