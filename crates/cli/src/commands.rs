@@ -14,7 +14,9 @@ use cordial_fleet::{
     run_fleet_harness, BreakerConfig, FleetHarnessConfig, FleetSupervisor, GateConfig,
 };
 use cordial_served::{run_load, signal, Client, ServeConfig, Server};
-use cordial_store::{DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig};
+use cordial_store::{
+    DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME,
+};
 use cordial_topology::BankAddress;
 
 use crate::io;
@@ -560,7 +562,6 @@ fn fleet(args: &Args) -> Result<FleetSupervisor, String> {
     };
     config.supervisor.gate = GateConfig {
         f1_margin: args.rate_flag("promotion-margin", config.supervisor.gate.f1_margin)?,
-        ..config.supervisor.gate
     };
 
     let (report, supervisor) =
@@ -718,11 +719,24 @@ fn parse_device_key(text: &str) -> Result<DeviceKey, String> {
 /// ```
 ///
 /// Every action runs crash recovery first and reports what it cut, so
-/// `inspect` doubles as a post-crash health check.
+/// `inspect` doubles as a post-crash health check. Recovery writes to the
+/// directory, so nothing is opened until the action word is known and the
+/// directory holds a manifest or a segment file.
 fn store(args: &Args, action: &str) -> Result<(), String> {
+    if !matches!(action, "inspect" | "replay" | "compact") {
+        return Err(format!(
+            "unknown store action `{action}` (inspect | replay | compact)"
+        ));
+    }
     let dir = args.path("dir")?;
     if !dir.is_dir() {
         return Err(format!("store directory {} does not exist", dir.display()));
+    }
+    if !holds_a_store(&dir)? {
+        return Err(format!(
+            "{} holds no store (no {MANIFEST_NAME} and no seg-*.cst file)",
+            dir.display()
+        ));
     }
     let mut store = Store::open(&dir, StoreConfig::default())
         .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
@@ -836,10 +850,19 @@ fn store(args: &Args, action: &str) -> Result<(), String> {
             );
             Ok(())
         }
-        other => Err(format!(
-            "unknown store action `{other}` (inspect | replay | compact)"
-        )),
+        _ => unreachable!("the action word was checked before opening"),
     }
+}
+
+/// Whether `dir` holds a store's manifest or one of its segment files.
+fn holds_a_store(dir: &Path) -> Result<bool, String> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read store directory {}: {e}", dir.display()))?;
+    Ok(entries.flatten().any(|entry| {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        name == MANIFEST_NAME || name.starts_with("seg-") && name.ends_with(".cst")
+    }))
 }
 
 /// Renders a metrics file written by `--metrics-out` as a readable table.
@@ -965,14 +988,53 @@ mod tests {
         assert!(err.contains("inspect | replay | compact"), "got: {err}");
         let flags_only = vec!["store".to_string(), "--dir".to_string(), "x".to_string()];
         assert!(dispatch(&flags_only).is_err());
+        // The action word is checked before the directory is looked at.
         let unknown = vec![
             "store".to_string(),
             "defragment".to_string(),
             "--dir".to_string(),
-            std::env::temp_dir().display().to_string(),
+            "/nonexistent/cordial-store".to_string(),
         ];
         let err = dispatch(&unknown).unwrap_err();
         assert!(err.contains("unknown store action"), "got: {err}");
+    }
+
+    /// Opening a store runs recovery, which writes a manifest and a
+    /// segment and sweeps `*.tmp` files: a directory that holds no store
+    /// must be refused before any of that.
+    #[test]
+    fn store_leaves_a_directory_that_is_not_a_store_as_it_was() {
+        let dir =
+            std::env::temp_dir().join(format!("cordial-cli-not-a-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("keep.tmp"), b"keep").unwrap();
+        let listing = || {
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&path).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing();
+        for (action, want) in [
+            ("defragment", "unknown store action"),
+            ("inspect", "holds no store"),
+        ] {
+            let owned: Vec<String> = ["store", action, "--dir", dir.to_str().unwrap()]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = dispatch(&owned).unwrap_err();
+            assert!(err.contains(want), "{action}: got {err}");
+            assert_eq!(listing(), before, "{action} changed the directory");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -571,6 +571,35 @@ fn store_subcommand_inspects_replays_and_compacts() {
         "{stdout}"
     );
 
+    // A time range keeps the events inside it, bounds included, and no
+    // checkpoint.
+    let replay = bin()
+        .args(["store", "replay", "--dir", store_dir.to_str().unwrap()])
+        .args(["--since", "2000", "--until", "3000"])
+        .output()
+        .unwrap();
+    assert!(replay.status.success(), "{replay:?}");
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(stdout.contains("(2 records matched)"), "{stdout}");
+    assert!(
+        stdout.contains("seq=1 event") && stdout.contains("seq=2 event"),
+        "{stdout}"
+    );
+
+    // A sequence floor keeps the last event and the checkpoint after it.
+    let replay = bin()
+        .args(["store", "replay", "--dir", store_dir.to_str().unwrap()])
+        .args(["--min-seq", "3"])
+        .output()
+        .unwrap();
+    assert!(replay.status.success(), "{replay:?}");
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(stdout.contains("(2 records matched)"), "{stdout}");
+    assert!(
+        stdout.contains("seq=3 event") && stdout.contains("seq=4 checkpoint"),
+        "{stdout}"
+    );
+
     // Compaction drops node0's checkpoint-covered events and keeps the rest.
     let compact = bin()
         .args(["store", "compact", "--dir", store_dir.to_str().unwrap()])

@@ -1054,9 +1054,7 @@ pub fn run_drift(ctx: &Context) -> Result<(), String> {
         // the window and every refit trains and calibrates on the drifted
         // distribution alone.
         window_span_ms,
-        max_window_events: 1 << 18,
         seed,
-        ..RelearnConfig::default()
     };
     let mut adaptive = FleetSupervisor::new(
         SupervisorConfig {

@@ -42,11 +42,9 @@ pub struct FleetHarnessConfig {
     /// Fraction of devices whose monitors are killed (sticky panic
     /// injection) halfway through their streams.
     pub kill_fraction: f64,
-    /// Fraction of devices whose streams are corrupted.
+    /// Fraction of devices whose streams are corrupted: heavy
+    /// duplication and reordering plus some drops, seeded per device.
     pub corrupt_fraction: f64,
-    /// Corruption profile applied (with a device-salted seed) to each
-    /// corrupted device's stream.
-    pub corruption: ChaosConfig,
     /// The supervisor under test.
     pub supervisor: SupervisorConfig,
     /// Verdict floor for fleet availability.
@@ -54,10 +52,26 @@ pub struct FleetHarnessConfig {
     /// Cap on the number of devices (smallest addresses first); `None`
     /// serves every device the dataset produced.
     pub max_devices: Option<usize>,
-    /// Only devices with at least this many events are eligible as kill/
-    /// corrupt targets: a breaker can only judge a device that produces
-    /// enough traffic to fill its decision window.
-    pub min_target_stream: usize,
+}
+
+/// Only devices with at least this many events are eligible as kill/
+/// corrupt targets: a breaker can only judge a device that produces
+/// enough traffic to fill its decision window.
+const MIN_TARGET_STREAM: usize = 32;
+
+/// The corruption applied to a corrupted device's stream, seeded by the
+/// device's address: heavy duplication and reordering plus some drops.
+fn corruption_for(id: DeviceId) -> ChaosConfig {
+    ChaosConfig {
+        seed: id.salt(),
+        duplication_rate: 0.8,
+        reorder_rate: 0.5,
+        // Far beyond the guard's reorder bound, so displaced events
+        // arrive as late rejections.
+        reorder_bound_ms: 3_600_000,
+        drop_rate: 0.05,
+        ..ChaosConfig::default()
+    }
 }
 
 impl Default for FleetHarnessConfig {
@@ -71,16 +85,6 @@ impl Default for FleetHarnessConfig {
             seed: 0,
             kill_fraction: 0.10,
             corrupt_fraction: 0.05,
-            corruption: ChaosConfig {
-                seed: 0,
-                duplication_rate: 0.8,
-                reorder_rate: 0.5,
-                // Far beyond the guard's reorder bound, so displaced events
-                // arrive as late rejections.
-                reorder_bound_ms: 3_600_000,
-                drop_rate: 0.05,
-                ..ChaosConfig::default()
-            },
             supervisor: SupervisorConfig {
                 // Corrupted streams reject ~45% of events; trip well below
                 // that but far above a healthy stream's zero.
@@ -102,7 +106,6 @@ impl Default for FleetHarnessConfig {
             },
             min_availability: 0.70,
             max_devices: None,
-            min_target_stream: 32,
         }
     }
 }
@@ -273,7 +276,7 @@ pub fn run_fleet_harness(
     // device.
     let mut order: Vec<DeviceId> = streams
         .iter()
-        .filter(|(_, events)| events.len() >= config.min_target_stream)
+        .filter(|(_, events)| events.len() >= MIN_TARGET_STREAM)
         .map(|(id, _)| *id)
         .collect();
     order.shuffle(&mut StdRng::seed_from_u64(config.seed ^ 0x000F_1EE7));
@@ -294,10 +297,7 @@ pub fn run_fleet_harness(
     // Corrupt the targeted substreams with device-salted injector seeds.
     for id in &corrupted {
         if let Some(events) = streams.get(id) {
-            let injector = FaultInjector::new(ChaosConfig {
-                seed: config.corruption.seed ^ id.salt(),
-                ..config.corruption
-            });
+            let injector = FaultInjector::new(corruption_for(*id));
             let (degraded, _) = injector.inject_events(events);
             streams.insert(*id, degraded);
         }

@@ -16,9 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use cordial::monitor::{
-    CordialMonitor, GuardConfig, IngestOutcome, MonitorCheckpoint, MonitorStats,
-};
+use cordial::monitor::{CordialMonitor, IngestOutcome, MonitorCheckpoint, MonitorStats};
 use cordial::pipeline::{Cordial, MitigationPlan};
 use cordial_faultsim::SparingBudget;
 use cordial_mcelog::ErrorEvent;
@@ -33,17 +31,15 @@ use crate::device::DeviceId;
 /// serving daemon's shards and connection threads journal into one store).
 pub type SharedStore = Arc<Mutex<Store>>;
 
-/// Tuning of one device host.
+/// Tuning of one device host. Each monitor runs the default
+/// degraded-stream guard, and each breaker's jitter stream is seeded by
+/// its device address alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
-    /// Seed for every per-device breaker's jitter stream.
-    pub seed: u64,
     /// Per-device circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Spare capacity granted to each device's isolation engine.
     pub budget: SparingBudget,
-    /// Degraded-stream guard in front of each monitor.
-    pub guard: GuardConfig,
     /// Events between in-memory checkpoint refreshes; each refresh is also
     /// persisted to the attached store. A tripped device restores from its
     /// in-memory checkpoint. `0` keeps none, so a trip restores from the
@@ -54,10 +50,8 @@ pub struct HostConfig {
 impl Default for HostConfig {
     fn default() -> Self {
         Self {
-            seed: 0,
             breaker: BreakerConfig::default(),
             budget: SparingBudget::typical(),
-            guard: GuardConfig::default(),
             checkpoint_every: 0,
         }
     }
@@ -122,7 +116,6 @@ struct HostContext {
 impl HostContext {
     fn new_monitor(&self) -> CordialMonitor {
         CordialMonitor::new(self.pipeline.clone(), self.config.budget)
-            .with_guard_config(self.config.guard)
     }
 
     fn new_slot(&self, id: DeviceId, monitor: CordialMonitor) -> DeviceSlot {
@@ -131,7 +124,7 @@ impl HostContext {
             monitor,
             breaker: CircuitBreaker::new(
                 self.config.breaker,
-                self.config.seed ^ id.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                id.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
             checkpoint,
             since_checkpoint: 0,

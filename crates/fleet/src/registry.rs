@@ -13,7 +13,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use cordial::monitor::{CordialMonitor, GuardConfig};
+use cordial::monitor::CordialMonitor;
 use cordial::pipeline::Cordial;
 use cordial::prelude::evaluate_pipeline;
 use cordial_faultsim::{FleetDataset, SparingBudget};
@@ -43,23 +43,22 @@ impl fmt::Display for ShadowScore {
     }
 }
 
-/// Margins a candidate must clear to displace the incumbent.
+/// Tolerated *relative* lead-time regression: a candidate's mean lead
+/// time must stay above `(1 - LEAD_TIME_TOLERANCE) ×` the incumbent's.
+const LEAD_TIME_TOLERANCE: f64 = 0.25;
+
+/// Margins a candidate must clear to displace the incumbent. Besides the
+/// F1 margin, its mean lead time may regress by at most 25%.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GateConfig {
     /// Candidate F1 must exceed incumbent F1 by at least this much (a
     /// strictly positive margin also rejects re-promoting the incumbent).
     pub f1_margin: f64,
-    /// Tolerated *relative* lead-time regression: the candidate's mean lead
-    /// time must stay above `(1 - tolerance) ×` the incumbent's.
-    pub lead_time_tolerance: f64,
 }
 
 impl Default for GateConfig {
     fn default() -> Self {
-        Self {
-            f1_margin: 0.01,
-            lead_time_tolerance: 0.25,
-        }
+        Self { f1_margin: 0.01 }
     }
 }
 
@@ -93,17 +92,17 @@ impl PromotionDecision {
 
 /// Shadow-scores a pipeline on the calibration banks: held-out F1/ICR from
 /// the batch evaluator plus lead time and precision from a full monitor
-/// replay of the calibration banks' event stream.
+/// replay, through the default stream guard, of the calibration banks'
+/// event stream.
 pub fn shadow_score(
     pipeline: &Cordial,
     dataset: &FleetDataset,
     calibration: &[BankAddress],
     budget: SparingBudget,
-    guard: GuardConfig,
 ) -> ShadowScore {
     let eval = evaluate_pipeline(pipeline, dataset, calibration);
     let banks: BTreeSet<BankAddress> = calibration.iter().copied().collect();
-    let mut monitor = CordialMonitor::new(pipeline.clone(), budget).with_guard_config(guard);
+    let mut monitor = CordialMonitor::new(pipeline.clone(), budget);
     monitor.ingest_all_guarded(
         dataset
             .log
@@ -133,14 +132,14 @@ pub fn clears_gate(
             candidate.f1, incumbent.f1, config.f1_margin
         ));
     }
-    let lead_floor = incumbent.mean_lead_time_ms * (1.0 - config.lead_time_tolerance);
+    let lead_floor = incumbent.mean_lead_time_ms * (1.0 - LEAD_TIME_TOLERANCE);
     if candidate.mean_lead_time_ms < lead_floor {
         return Err(format!(
             "mean lead time {:.0}ms regresses past {:.0}ms (incumbent {:.0}ms, tolerance {:.0}%)",
             candidate.mean_lead_time_ms,
             lead_floor,
             incumbent.mean_lead_time_ms,
-            config.lead_time_tolerance * 100.0
+            LEAD_TIME_TOLERANCE * 100.0
         ));
     }
     Ok(())

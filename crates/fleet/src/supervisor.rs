@@ -37,7 +37,7 @@ const SWEEP_EVERY: u64 = 256;
 /// Supervisor tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
-    /// The device host: breakers, budgets, guard and the in-memory
+    /// The device host: breakers, budgets and the in-memory
     /// checkpoint cadence (the restart token).
     pub host: HostConfig,
     /// Promotion-gate margins.
@@ -120,7 +120,7 @@ struct RelearnState {
 impl RelearnState {
     fn new(config: RelearnConfig) -> Self {
         Self {
-            window: TrainingWindow::new(config.window_span_ms, config.max_window_events),
+            window: TrainingWindow::new(config.window_span_ms),
             scheduler: RefitScheduler::new(&config),
             outcomes: RelearnOutcomes::default(),
             last_drift_alerts: 0,
@@ -211,11 +211,7 @@ impl FleetSupervisor {
             // restarted supervisor resumes retraining where the killed one
             // left off; the refit cadence resumes at the journal's depth
             // instead of restarting from zero.
-            match TrainingWindow::rebuild_from_store(
-                &lock(&store),
-                state.config.window_span_ms,
-                state.config.max_window_events,
-            ) {
+            match TrainingWindow::rebuild_from_store(&lock(&store), state.config.window_span_ms) {
                 Ok(window) => {
                     state.scheduler.resume_at(window.len() as u64);
                     state.window = window;
@@ -463,15 +459,8 @@ impl FleetSupervisor {
         calibration: &[BankAddress],
     ) -> PromotionDecision {
         let budget = self.config.host.budget;
-        let guard = self.config.host.guard;
-        let candidate_score = shadow_score(&candidate, dataset, calibration, budget, guard);
-        let incumbent_score = shadow_score(
-            self.registry.incumbent(),
-            dataset,
-            calibration,
-            budget,
-            guard,
-        );
+        let candidate_score = shadow_score(&candidate, dataset, calibration, budget);
+        let incumbent_score = shadow_score(self.registry.incumbent(), dataset, calibration, budget);
         match clears_gate(&candidate_score, &incumbent_score, &self.config.gate) {
             Ok(()) => {
                 cordial_obs::counter!("fleet.model.promotions").inc();

@@ -14,15 +14,8 @@ pub struct RelearnConfig {
     /// refit is attempted.
     pub min_window_banks: usize,
     /// Stream-time span of the training window in milliseconds
-    /// (`0` = bounded by count only).
+    /// (`0` = bounded by its 2^18-event cap only).
     pub window_span_ms: u64,
-    /// Hard cap on window events (oldest evicted first).
-    pub max_window_events: usize,
-    /// Distinct UER rows a bank needs before it is hindsight-labelled.
-    pub min_uer_rows: usize,
-    /// Fraction of labelled window banks held out for shadow-scoring the
-    /// candidate against the incumbent (the promotion gate's evidence).
-    pub calibration_fraction: f64,
     /// Seed for backoff jitter.
     pub seed: u64,
 }
@@ -34,9 +27,6 @@ impl Default for RelearnConfig {
             min_window_events: 256,
             min_window_banks: 8,
             window_span_ms: 0,
-            max_window_events: 1 << 18,
-            min_uer_rows: 4,
-            calibration_fraction: 0.3,
             seed: 0,
         }
     }

@@ -6,12 +6,15 @@ use std::collections::VecDeque;
 use cordial_mcelog::ErrorEvent;
 use cordial_store::{Record, ReplayFilter, Store, StoreError};
 
+/// Hard cap on a window's events (oldest evicted first).
+const MAX_EVENTS: usize = 1 << 18;
+
 /// Recent accepted events, in arrival order.
 ///
 /// The window advances on *stream time* (event timestamps), never the
 /// wall clock: `push` raises the watermark to the event's timestamp and
 /// evicts front events older than `span_ms` behind it, plus anything
-/// beyond the `max_events` cap. Because eviction only inspects the
+/// beyond a cap of 2^18 events. Because eviction only inspects the
 /// front, an out-of-order stale event deeper in the queue is evicted on
 /// a later push — bounded staleness, deterministic for a given arrival
 /// order.
@@ -20,19 +23,15 @@ pub struct TrainingWindow {
     /// Stream-time span kept, in milliseconds. `0` keeps every event
     /// until the count cap evicts it.
     span_ms: u64,
-    /// Hard cap on retained events (oldest evicted first). `0` means
-    /// a cap of one — an empty window cannot train anything anyway.
-    max_events: usize,
     events: VecDeque<ErrorEvent>,
     watermark_ms: u64,
 }
 
 impl TrainingWindow {
-    /// An empty window with the given bounds.
-    pub fn new(span_ms: u64, max_events: usize) -> Self {
+    /// An empty window keeping `span_ms` of stream time.
+    pub fn new(span_ms: u64) -> Self {
         Self {
             span_ms,
-            max_events: max_events.max(1),
             events: VecDeque::new(),
             watermark_ms: 0,
         }
@@ -46,7 +45,7 @@ impl TrainingWindow {
     }
 
     fn evict(&mut self) {
-        while self.events.len() > self.max_events {
+        while self.events.len() > MAX_EVENTS {
             self.events.pop_front();
         }
         if self.span_ms == 0 {
@@ -70,12 +69,8 @@ impl TrainingWindow {
     /// # Errors
     ///
     /// Propagates the store's replay error.
-    pub fn rebuild_from_store(
-        store: &Store,
-        span_ms: u64,
-        max_events: usize,
-    ) -> Result<Self, StoreError> {
-        let mut window = Self::new(span_ms, max_events);
+    pub fn rebuild_from_store(store: &Store, span_ms: u64) -> Result<Self, StoreError> {
+        let mut window = Self::new(span_ms);
         let filter = ReplayFilter {
             events_only: true,
             ..ReplayFilter::default()
@@ -125,7 +120,7 @@ mod tests {
 
     #[test]
     fn span_evicts_old_events() {
-        let mut w = TrainingWindow::new(100, 1000);
+        let mut w = TrainingWindow::new(100);
         w.push(event(0, 1));
         w.push(event(50, 2));
         w.push(event(140, 3));
@@ -136,17 +131,17 @@ mod tests {
 
     #[test]
     fn count_cap_evicts_oldest() {
-        let mut w = TrainingWindow::new(0, 3);
-        for t in 0..5 {
+        let mut w = TrainingWindow::new(0);
+        for t in 0..MAX_EVENTS as u64 + 2 {
             w.push(event(t, t as u32));
         }
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.len(), MAX_EVENTS);
         assert_eq!(w.snapshot()[0].time.as_millis(), 2);
     }
 
     #[test]
     fn out_of_order_events_are_kept_within_span() {
-        let mut w = TrainingWindow::new(100, 1000);
+        let mut w = TrainingWindow::new(100);
         w.push(event(200, 1));
         w.push(event(150, 2)); // late but inside the span
         assert_eq!(w.len(), 2);
@@ -167,11 +162,12 @@ mod tests {
         store.append_events(&events).unwrap();
         store.sync().unwrap();
 
-        let mut direct = TrainingWindow::new(0, 8);
+        let mut direct = TrainingWindow::new(50);
         for e in &events {
             direct.push(*e);
         }
-        let rebuilt = TrainingWindow::rebuild_from_store(&store, 0, 8).unwrap();
+        let rebuilt = TrainingWindow::rebuild_from_store(&store, 50).unwrap();
+        assert_eq!(direct.len(), 6, "the span evicts the first four events");
         assert_eq!(rebuilt.snapshot(), direct.snapshot());
         assert_eq!(rebuilt.watermark_ms(), direct.watermark_ms());
         drop(store);

@@ -40,6 +40,13 @@ pub enum RefitCompletion {
     Panicked,
 }
 
+/// Distinct UER rows a bank needs before it is hindsight-labelled.
+const MIN_UER_ROWS: usize = 4;
+
+/// Fraction of labelled window banks held out for shadow-scoring the
+/// candidate against the incumbent (the promotion gate's evidence).
+const CALIBRATION_FRACTION: f64 = 0.3;
+
 /// SplitMix64 finalizer: the per-bank lane hash behind the stable
 /// train/calibration assignment.
 fn mix64(mut z: u64) -> u64 {
@@ -58,7 +65,7 @@ fn mix64(mut z: u64) -> u64 {
 /// each address independently pins every bank to one side for the
 /// supervisor's lifetime: no model ever trains on a bank that any later
 /// gate scores it on.
-fn is_calibration_bank(bank: &BankAddress, fraction: f64, seed: u64) -> bool {
+fn is_calibration_bank(bank: &BankAddress, seed: u64) -> bool {
     let lo = (u64::from(bank.node.0) << 32)
         | (u64::from(bank.npu.0) << 24)
         | (u64::from(bank.hbm.0) << 16)
@@ -70,7 +77,7 @@ fn is_calibration_bank(bank: &BankAddress, fraction: f64, seed: u64) -> bool {
     let lane = mix64(seed ^ mix64(lo) ^ hi.rotate_left(40));
     // Map the lane to [0, 1): top 53 bits give an exact double.
     let unit = (lane >> 11) as f64 / (1u64 << 53) as f64;
-    unit < fraction
+    unit < CALIBRATION_FRACTION
 }
 
 /// Builds a [`RefitJob`] from the current window, or `None` when the
@@ -84,14 +91,13 @@ pub fn build_job(
     if window.len() < config.min_window_events.max(1) {
         return None;
     }
-    let dataset = window_dataset(window.snapshot(), config.min_uer_rows.max(1));
+    let dataset = window_dataset(window.snapshot(), MIN_UER_ROWS);
     if dataset.truth.len() < config.min_window_banks.max(2) {
         return None;
     }
-    let fraction = config.calibration_fraction.clamp(0.05, 0.9);
     let (mut train, mut calibration) = (Vec::new(), Vec::new());
     for bank in dataset.truth.keys() {
-        if is_calibration_bank(bank, fraction, config.seed) {
+        if is_calibration_bank(bank, config.seed) {
             calibration.push(*bank);
         } else {
             train.push(*bank);
@@ -137,7 +143,7 @@ mod tests {
     }
 
     fn job_from(dataset: &FleetDataset, config: &CordialConfig) -> RefitJob {
-        let mut window = TrainingWindow::new(0, usize::MAX >> 1);
+        let mut window = TrainingWindow::new(0);
         for event in dataset.log.events() {
             window.push(*event);
         }
@@ -170,7 +176,7 @@ mod tests {
 
     #[test]
     fn thin_window_builds_no_job() {
-        let window = TrainingWindow::new(0, 1024);
+        let window = TrainingWindow::new(0);
         let config = CordialConfig::default();
         assert!(build_job(&window, &RelearnConfig::default(), &config).is_none());
     }

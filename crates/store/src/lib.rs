@@ -24,11 +24,10 @@
 //!    the first torn or corrupt frame truncated (a torn batch goes
 //!    whole), later segments dropped, and appending resumes; damage is a
 //!    [`RecoveryReport`], not an error.
-//! 4. **Streaming replay with a sparse index** ([`Store::reader`],
-//!    [`Store::replay`]) — one reader streams the journal a frame at a
-//!    time without holding the store; per-segment time bounds plus
-//!    in-segment seek points make `(device, time-range)` replay skip what
-//!    it can prove irrelevant.
+//! 4. **Streaming replay** ([`Store::reader`], [`Store::replay`]) — one
+//!    reader streams the journal a frame at a time, front to back, without
+//!    holding the store, and yields the per-event records a
+//!    [`ReplayFilter`] keeps.
 //! 5. **Compaction** ([`Store::compact`]) — events covered by their
 //!    device's newest checkpoint and superseded checkpoints are
 //!    rewritten away behind an atomic manifest swap.

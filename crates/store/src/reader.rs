@@ -3,14 +3,14 @@
 //! one segment file and one frame's records in memory at a time.
 //!
 //! [`Store::reader`](crate::Store::reader) copies out what the pass needs
-//! (each segment's path, its clean length and the deepest seek point the
-//! filter allows), so the reader borrows nothing from the store. A caller
-//! that shares the store behind a mutex holds the lock only to create the
-//! reader and reads the files unlocked; threads fed by the pass may lock
-//! the store meanwhile. A reader sees the segments as they were when it
-//! was created: records appended later are not in its pass.
-//! [`Store::replay`](crate::Store::replay) is a collect over this reader,
-//! and compaction reads the same frame pass underneath it.
+//! (each segment's path and clean length), so the reader borrows nothing
+//! from the store. A caller that shares the store behind a mutex holds
+//! the lock only to create the reader and reads the files unlocked;
+//! threads fed by the pass may lock the store meanwhile. A reader sees
+//! the segments as they were when it was created: records appended later
+//! are not in its pass. [`Store::replay`](crate::Store::replay) is a
+//! collect over this reader, and compaction reads the same frame pass
+//! underneath it.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -28,8 +28,6 @@ pub(crate) struct SegmentSpan {
     pub path: PathBuf,
     /// Its clean length when the reader was created.
     pub len: u64,
-    /// The frame offset to start at.
-    pub start: usize,
 }
 
 /// The segment a [`Frames`] pass is in.
@@ -81,7 +79,7 @@ impl Frames {
             self.current = Some(OpenSegment {
                 path: span.path,
                 bytes,
-                offset: span.start,
+                offset: segment::SEGMENT_HEADER_LEN,
                 last_seq: None,
             });
         }

@@ -322,21 +322,6 @@ impl Body<'_> {
         }
     }
 
-    /// Timestamps (ms) of the body's events, read straight from their
-    /// records; empty for a checkpoint.
-    pub(crate) fn event_times(&self) -> impl Iterator<Item = u64> + '_ {
-        let records: &[u8] = match self {
-            Body::Events { records, .. } => records,
-            Body::Checkpoint { .. } => &[],
-        };
-        records.chunks_exact(EVENT_WIRE_LEN).map(|record| {
-            u64::from_le_bytes([
-                record[17], record[18], record[19], record[20], record[21], record[22], record[23],
-                record[24],
-            ])
-        })
-    }
-
     /// Appends the body re-encoded for writing: events always as one
     /// event batch, whichever kind they were read from.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -481,9 +466,6 @@ mod tests {
             assert_eq!(body.len(), BODY_PREFIX_LEN + n * EVENT_WIRE_LEN);
             let decoded = decode_body(&body).unwrap();
             assert_eq!((decoded.first_seq(), decoded.last_seq()), (7, 6 + n as u64));
-            let times: Vec<u64> = decoded.event_times().collect();
-            let want: Vec<u64> = events[..n].iter().map(|e| e.time.as_millis()).collect();
-            assert_eq!(times, want);
             let records: Vec<Record> = (7..)
                 .zip(&events[..n])
                 .map(|(seq, event)| Record::Event { seq, event: *event })

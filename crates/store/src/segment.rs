@@ -187,13 +187,12 @@ pub(crate) fn read_frame(
 }
 
 /// Walks the record frames of a segment file (header already validated)
-/// starting at byte `start` (a frame boundary — the header end, or a
-/// sparse-index seek point), stopping at the first torn or corrupt frame.
+/// from the header's end, stopping at the first torn or corrupt frame.
 /// `last_seq` is the highest sequence number seen in earlier segments,
 /// enforcing store-wide strict monotonicity across segment boundaries.
-pub(crate) fn scan_frames(bytes: &[u8], start: usize, mut last_seq: Option<u64>) -> Scan<'_> {
+pub(crate) fn scan_frames(bytes: &[u8], mut last_seq: Option<u64>) -> Scan<'_> {
     let mut frames = Vec::new();
-    let mut offset = start;
+    let mut offset = SEGMENT_HEADER_LEN;
     let corruption = loop {
         match read_frame(bytes, offset, last_seq) {
             Ok(None) => break None,
@@ -288,7 +287,7 @@ mod tests {
         // Batches of 1 (seq 0) and 3 (seq 2, 3, 4) events between
         // checkpoints.
         let bytes = sample_segment(&[0, 1, 2, 5, 9]);
-        let scan = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
+        let scan = scan_frames(&bytes, None);
         assert_eq!(scan.corruption, None);
         assert_eq!(scan.valid_len, bytes.len() as u64);
         let firsts: Vec<u64> = scan.frames.iter().map(|f| f.body.first_seq()).collect();
@@ -303,7 +302,7 @@ mod tests {
     #[test]
     fn every_truncation_point_yields_a_clean_prefix() {
         let bytes = sample_segment(&[0, 1, 2, 5]);
-        let full = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
+        let full = scan_frames(&bytes, None);
         // A cut exactly on a frame boundary leaves a clean (shorter) file;
         // anywhere else must report a tear and keep only whole frames.
         let boundaries: Vec<usize> = full
@@ -313,7 +312,7 @@ mod tests {
             .chain([bytes.len()])
             .collect();
         for cut in SEGMENT_HEADER_LEN..bytes.len() {
-            let scan = scan_frames(&bytes[..cut], SEGMENT_HEADER_LEN, None);
+            let scan = scan_frames(&bytes[..cut], None);
             assert!(scan.valid_len as usize <= cut);
             let whole = full.frames.iter().filter(|f| f.end as usize <= cut).count();
             assert_eq!(scan.frames.len(), whole, "cut at {cut}");
@@ -332,11 +331,11 @@ mod tests {
     #[test]
     fn corrupted_bytes_stop_the_scan_at_the_previous_frame() {
         let bytes = sample_segment(&[0, 1, 2]);
-        let full = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
+        let full = scan_frames(&bytes, None);
         let second_frame_offset = full.frames[1].offset as usize;
         let mut corrupted = bytes.clone();
         corrupted[second_frame_offset + FRAME_OVERHEAD + 3] ^= 0xFF;
-        let scan = scan_frames(&corrupted, SEGMENT_HEADER_LEN, None);
+        let scan = scan_frames(&corrupted, None);
         assert_eq!(scan.frames.len(), 1);
         assert_eq!(scan.valid_len, full.frames[1].offset);
         assert!(scan.corruption.is_some());
@@ -348,12 +347,12 @@ mod tests {
         let mut bytes = sample_segment(&[2]);
         // A frame starting inside the previous batch must stop the scan.
         push_frame(4, &mut bytes);
-        let scan = scan_frames(&bytes, SEGMENT_HEADER_LEN, None);
+        let scan = scan_frames(&bytes, None);
         assert_eq!(scan.frames.len(), 1);
         assert!(scan.corruption.is_some());
         // And a lower bound from an earlier segment is enforced too.
         let bytes = sample_segment(&[6]);
-        let scan = scan_frames(&bytes, SEGMENT_HEADER_LEN, Some(7));
+        let scan = scan_frames(&bytes, Some(7));
         assert_eq!(scan.frames.len(), 0);
         assert!(scan.corruption.is_some());
     }

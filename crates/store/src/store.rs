@@ -1,5 +1,5 @@
 //! The store itself: a directory of segment files behind a manifest,
-//! with WAL-style appends, crash recovery, indexed replay and
+//! with WAL-style appends, crash recovery, streaming replay and
 //! compaction.
 //!
 //! # Layout and crash safety
@@ -31,18 +31,16 @@
 //! reopened. Bytes a failed fsync covered may or may not reach the disk,
 //! so a later fsync must not be allowed to turn refused batches durable.
 //!
-//! # Replay index
+//! # Replay
 //!
-//! Each segment keeps an in-memory sparse index (one entry every
-//! [`StoreConfig::index_every`] frames) carrying the first sequence
-//! number of the entry's frame and the maximum event timestamp seen
-//! *before* it. A `(device, time-range)` replay can therefore skip whole
-//! segments by their time bounds and seek within a segment to the last
-//! index entry provably before the requested range — without assuming
-//! event timestamps are globally sorted. Replay then yields per-event
-//! records, trimming a batch that straddles the requested range. Every
-//! replay streams through one [`JournalReader`] ([`Store::reader`]);
-//! [`Store::replay`] collects it.
+//! Every replay streams through one [`JournalReader`]
+//! ([`Store::reader`]); [`Store::replay`] collects it. The reader reads
+//! each segment front to back and yields the per-event records its
+//! [`ReplayFilter`] keeps, trimming a batch that straddles a `min_seq` or
+//! time bound. The only segments it skips are those whose last record
+//! comes before the filter's `min_seq`: the store keeps per-segment
+//! record counts and sequence bounds in memory, and nothing else about a
+//! segment's contents.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -135,10 +133,6 @@ pub struct StoreConfig {
     /// Soft cap on one segment file; appends roll to a new segment once
     /// the active one reaches it (default 8 MiB).
     pub segment_max_bytes: u64,
-    /// Sparse-index granularity: one index entry per this many frames
-    /// (default 64). A frame holds one append call's events or one
-    /// checkpoint.
-    pub index_every: u32,
 }
 
 impl Default for StoreConfig {
@@ -146,7 +140,6 @@ impl Default for StoreConfig {
         Self {
             fsync: FsyncPolicy::Always,
             segment_max_bytes: 8 * 1024 * 1024,
-            index_every: 64,
         }
     }
 }
@@ -174,8 +167,6 @@ pub struct RecoveryReport {
 pub struct SegmentReport {
     /// Segment file name.
     pub name: String,
-    /// Sequence number the segment was created at.
-    pub base_seq: u64,
     /// File size in bytes (header included).
     pub bytes: u64,
     /// Records in the segment.
@@ -188,10 +179,6 @@ pub struct SegmentReport {
     pub first_seq: Option<u64>,
     /// Last record sequence number.
     pub last_seq: Option<u64>,
-    /// Earliest event timestamp (ms) in the segment.
-    pub min_time_ms: Option<u64>,
-    /// Latest event timestamp (ms) in the segment.
-    pub max_time_ms: Option<u64>,
 }
 
 /// Whole-store summary for the `store inspect` CLI.
@@ -260,25 +247,11 @@ impl ReplayFilter {
         )
     }
 
-    /// Whether `meta`'s segment may hold a record the filter keeps.
+    /// Whether `meta`'s segment may hold a record the filter keeps: one
+    /// whose records all come before `min_seq` holds none.
     fn may_keep(&self, meta: &SegmentMeta) -> bool {
-        if self
-            .min_seq
-            .is_some_and(|m| meta.last_seq.is_none_or(|l| l < m))
-        {
-            return false;
-        }
-        if !self.time_filtered() {
-            return true;
-        }
-        let (lo, hi) = self.time_range();
-        match (meta.min_time, meta.max_time) {
-            // No events at all — and time filters exclude checkpoints
-            // anyway.
-            (None, None) => false,
-            (Some(min), Some(max)) => max >= lo && min <= hi,
-            _ => true,
-        }
+        self.min_seq
+            .is_none_or(|m| meta.last_seq.is_some_and(|l| l >= m))
     }
 
     /// Appends the records of one frame that the filter keeps to `out`.
@@ -313,19 +286,6 @@ pub struct CompactReport {
     pub dropped_events: u64,
     /// Checkpoint records dropped (superseded by a newer one).
     pub dropped_checkpoints: u64,
-}
-
-/// One sparse-index entry: a safe in-segment seek point.
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    /// File offset of the frame.
-    offset: u64,
-    /// Sequence number of the frame's first record.
-    seq: u64,
-    /// Maximum event timestamp of all records *before* `offset` (0 when
-    /// none): if a replay's lower time bound exceeds this, everything
-    /// before the entry is provably out of range.
-    max_time_before: u64,
 }
 
 /// Where one device's newest checkpoint frame sits.
@@ -414,106 +374,58 @@ impl CheckpointIndex {
 struct SegmentMeta {
     name: String,
     path: PathBuf,
-    base_seq: u64,
     len: u64,
-    frames: u64,
     records: u64,
     events: u64,
     checkpoints: u64,
     first_seq: Option<u64>,
     last_seq: Option<u64>,
-    min_time: Option<u64>,
-    max_time: Option<u64>,
-    sparse: Vec<IndexEntry>,
-    running_max_time: u64,
 }
 
 impl SegmentMeta {
-    fn new(name: String, path: PathBuf, base_seq: u64) -> Self {
+    fn new(name: String, path: PathBuf) -> Self {
         Self {
             name,
             path,
-            base_seq,
             len: SEGMENT_HEADER_LEN as u64,
-            frames: 0,
             records: 0,
             events: 0,
             checkpoints: 0,
             first_seq: None,
             last_seq: None,
-            min_time: None,
-            max_time: None,
-            sparse: Vec::new(),
-            running_max_time: 0,
         }
     }
 
-    /// Accounts one frame occupying `offset..end`.
-    fn note_frame(&mut self, offset: u64, end: u64, body: &Body<'_>, index_every: u32) {
-        if self.frames.is_multiple_of(u64::from(index_every.max(1))) {
-            self.sparse.push(IndexEntry {
-                offset,
-                seq: body.first_seq(),
-                max_time_before: self.running_max_time,
-            });
-        }
-        self.frames += 1;
+    /// Accounts one frame ending at `end`.
+    fn note_frame(&mut self, end: u64, body: &Body<'_>) {
         let records = body.last_seq() - body.first_seq() + 1;
         self.records += records;
         self.first_seq.get_or_insert(body.first_seq());
         self.last_seq = Some(body.last_seq());
         match body {
-            Body::Events { .. } => {
-                self.events += records;
-                for t in body.event_times() {
-                    self.min_time = Some(self.min_time.map_or(t, |m| m.min(t)));
-                    self.max_time = Some(self.max_time.map_or(t, |m| m.max(t)));
-                    self.running_max_time = self.running_max_time.max(t);
-                }
-            }
+            Body::Events { .. } => self.events += records,
             Body::Checkpoint { .. } => self.checkpoints += 1,
         }
         self.len = end;
     }
 
-    /// The deepest safe starting offset for a filtered scan: skipping to
-    /// it can only skip records every active filter criterion excludes.
-    fn start_offset_for(&self, filter: &ReplayFilter) -> usize {
-        if filter.min_seq.is_none() && filter.since_ms.is_none() {
-            return SEGMENT_HEADER_LEN;
-        }
-        let mut best = SEGMENT_HEADER_LEN;
-        for entry in &self.sparse {
-            let seq_ok = filter.min_seq.is_none_or(|m| entry.seq <= m);
-            let time_ok = filter.since_ms.is_none_or(|lo| entry.max_time_before < lo);
-            if seq_ok && time_ok && entry.offset as usize > best {
-                best = entry.offset as usize;
-            }
-        }
-        best
-    }
-
-    /// What a reader needs of this segment to read it under `filter`.
-    fn span(&self, filter: &ReplayFilter) -> SegmentSpan {
+    /// What a reader needs of this segment.
+    fn span(&self) -> SegmentSpan {
         SegmentSpan {
             path: self.path.clone(),
             len: self.len,
-            start: self.start_offset_for(filter),
         }
     }
 
     fn report(&self) -> SegmentReport {
         SegmentReport {
             name: self.name.clone(),
-            base_seq: self.base_seq,
             bytes: self.len,
             records: self.records,
             events: self.events,
             checkpoints: self.checkpoints,
             first_seq: self.first_seq,
             last_seq: self.last_seq,
-            min_time_ms: self.min_time,
-            max_time_ms: self.max_time,
         }
     }
 }
@@ -650,10 +562,10 @@ impl Store {
                 let _ = fs::remove_file(&path);
                 continue;
             }
-            let scan = segment::scan_frames(&bytes, SEGMENT_HEADER_LEN, last_seq);
-            let mut meta = SegmentMeta::new(name.clone(), path.clone(), base);
+            let scan = segment::scan_frames(&bytes, last_seq);
+            let mut meta = SegmentMeta::new(name.clone(), path.clone());
             for frame in &scan.frames {
-                meta.note_frame(frame.offset, frame.end, &frame.body, config.index_every);
+                meta.note_frame(frame.end, &frame.body);
                 checkpoints.note(&path, frame.offset, frame.end, &frame.body);
             }
             if let Some(corruption) = scan.corruption {
@@ -771,14 +683,13 @@ impl Store {
             seq += chunk.len() as u64;
         }
         let base = self.write_active(&buf)?;
-        let index_every = self.config.index_every;
         let meta = self.active_meta();
         for &(start, end, first_seq) in &frames {
             let body = Body::Events {
                 first_seq,
                 records: &buf[start + FRAME_OVERHEAD + BODY_PREFIX_LEN..end],
             };
-            meta.note_frame(base + start as u64, base + end as u64, &body, index_every);
+            meta.note_frame(base + end as u64, &body);
         }
         self.next_seq = seq;
         self.apply_fsync_policy(events.len())?;
@@ -821,10 +732,9 @@ impl Store {
             journal_seq,
             payload,
         };
-        let index_every = self.config.index_every;
         let end = base + buf.len() as u64;
         let meta = self.active_meta();
-        meta.note_frame(base, end, &body, index_every);
+        meta.note_frame(end, &body);
         let path = meta.path.clone();
         self.checkpoints.note(&path, base, end, &body);
         self.next_seq = seq + 1;
@@ -955,15 +865,9 @@ impl Store {
         Ok(())
     }
 
-    /// The frames of every live segment, each from its header on.
+    /// The frames of every live segment.
     fn frames(&self) -> Frames {
-        let everything = ReplayFilter::default();
-        Frames::new(
-            self.segments
-                .iter()
-                .map(|meta| meta.span(&everything))
-                .collect(),
-        )
+        Frames::new(self.segments.iter().map(SegmentMeta::span).collect())
     }
 
     /// A streaming pass over the stored records matching `filter`, in
@@ -976,7 +880,7 @@ impl Store {
             .segments
             .iter()
             .filter(|meta| filter.may_keep(meta))
-            .map(|meta| meta.span(filter))
+            .map(SegmentMeta::span)
             .collect();
         JournalReader::new(filter.clone(), segments)
     }
@@ -990,30 +894,6 @@ impl Store {
     /// validated (the files were modified underneath the store).
     pub fn replay(&self, filter: &ReplayFilter) -> Result<Vec<Record>, StoreError> {
         self.reader(filter).collect()
-    }
-
-    /// The journal tail: every event with sequence number strictly
-    /// greater than `journal_seq`, in append order — what a recovering
-    /// consumer replays on top of a checkpoint taken at `journal_seq`.
-    /// A `journal_seq` inside a batch splits it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Store::replay`].
-    pub fn events_after(&self, journal_seq: u64) -> Result<Vec<(u64, ErrorEvent)>, StoreError> {
-        let filter = ReplayFilter {
-            min_seq: Some(journal_seq.saturating_add(1)),
-            events_only: true,
-            ..ReplayFilter::default()
-        };
-        Ok(self
-            .replay(&filter)?
-            .into_iter()
-            .filter_map(|record| match record {
-                Record::Event { seq, event } => Some((seq, event)),
-                Record::Checkpoint { .. } => None,
-            })
-            .collect())
     }
 
     /// The newest checkpoint of every device that has one: one frame read
@@ -1080,7 +960,6 @@ impl Store {
             dir: &self.dir,
             gen: self.gen + 1,
             segment_max_bytes: self.config.segment_max_bytes,
-            index_every: self.config.index_every,
             sealed: Vec::new(),
             current: None,
             checkpoints: CheckpointIndex::default(),
@@ -1305,7 +1184,7 @@ fn create_segment(dir: &Path, gen: u32, base_seq: u64) -> Result<(SegmentMeta, F
     file.sync_all()
         .map_err(|e| StoreError::io("sync segment", &path, e))?;
     fsio::sync_parent_dir(&path).map_err(|e| StoreError::io("sync dir", dir, e))?;
-    Ok((SegmentMeta::new(name, path, base_seq), file))
+    Ok((SegmentMeta::new(name, path), file))
 }
 
 /// Compaction output: surviving frames re-encoded into a fresh
@@ -1314,7 +1193,6 @@ struct Rewriter<'a> {
     dir: &'a Path,
     gen: u32,
     segment_max_bytes: u64,
-    index_every: u32,
     sealed: Vec<SegmentMeta>,
     current: Option<(SegmentMeta, File, Vec<u8>)>,
     /// Where the surviving checkpoints land.
@@ -1338,7 +1216,7 @@ impl Rewriter<'_> {
             let start = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
             segment::encode_frame(buf, |out| body.encode(out));
             let end = SEGMENT_HEADER_LEN as u64 + buf.len() as u64;
-            meta.note_frame(start, end, body, self.index_every);
+            meta.note_frame(end, body);
             self.checkpoints.note(&meta.path, start, end, body);
         }
         Ok(())
@@ -1396,6 +1274,25 @@ mod tests {
             npu: 0,
             hbm: 0,
         }
+    }
+
+    /// The journal tail a recovering consumer replays on top of a
+    /// checkpoint taken at `journal_seq`: every event after it.
+    fn events_after(store: &Store, journal_seq: u64) -> Vec<(u64, ErrorEvent)> {
+        let filter = ReplayFilter {
+            min_seq: Some(journal_seq + 1),
+            events_only: true,
+            ..ReplayFilter::default()
+        };
+        store
+            .replay(&filter)
+            .unwrap()
+            .into_iter()
+            .map(|record| match record {
+                Record::Event { seq, event } => (seq, event),
+                Record::Checkpoint { .. } => panic!("events_only kept a checkpoint"),
+            })
+            .collect()
     }
 
     #[test]
@@ -1462,27 +1359,21 @@ mod tests {
     }
 
     #[test]
-    fn events_after_splits_a_batch_at_the_requested_seq() {
+    fn a_min_seq_replay_splits_a_batch_at_the_requested_seq() {
         let dir = scratch("after");
-        // Small index steps so the seek lands on a frame that starts
-        // before the requested seq.
-        let config = StoreConfig {
-            index_every: 1,
-            ..StoreConfig::default()
-        };
-        let mut store = Store::open(&dir, config).unwrap();
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
         let events: Vec<ErrorEvent> = (0..30).map(|i| event(i % 2, 100 + u64::from(i))).collect();
         for batch in [&events[0..1], &events[1..4], &events[4..21], &events[21..]] {
             store.append_events(batch).unwrap();
         }
         store.append_checkpoint(device(0), 29, "{}").unwrap();
         for k in [0u64, 2, 3, 4, 10, 20, 25, 28] {
-            let tail = store.events_after(k).unwrap();
+            let tail = events_after(&store, k);
             let want: Vec<(u64, ErrorEvent)> =
                 (k + 1..30).map(|s| (s, events[s as usize])).collect();
             assert_eq!(tail, want, "events after {k}");
         }
-        assert!(store.events_after(29).unwrap().is_empty());
+        assert!(events_after(&store, 29).is_empty());
         // A seq filter combined with a device filter trims the same way.
         let dev1 = store
             .replay(&ReplayFilter {
@@ -1536,7 +1427,7 @@ mod tests {
         assert!(store.recovery().corruption.is_none());
         assert_eq!(store.inspect().records, 6);
         assert_eq!(store.replay(&ReplayFilter::default()).unwrap(), want);
-        assert_eq!(store.events_after(2).unwrap().len(), 2);
+        assert_eq!(events_after(&store, 2).len(), 2);
 
         // New batches land behind the old frames, and compaction
         // rewrites the survivors as batches.
@@ -1688,7 +1579,6 @@ mod tests {
         let config = StoreConfig {
             fsync: FsyncPolicy::Never,
             segment_max_bytes: 200,
-            ..StoreConfig::default()
         };
         let mut store = Store::open(&dir, config.clone()).unwrap();
         assert_eq!(store.sync_handle().unwrap().covers(), None);
@@ -1741,7 +1631,7 @@ mod tests {
         let times: Vec<u64> = windowed.iter().filter_map(Record::time_ms).collect();
         assert_eq!(times, vec![1050, 1060, 1070, 1080, 1090, 1100]);
 
-        let tail = store.events_after(17).unwrap();
+        let tail = events_after(&store, 17);
         assert_eq!(
             tail.iter().map(|(seq, _)| *seq).collect::<Vec<u64>>(),
             vec![18, 19]
@@ -1752,11 +1642,9 @@ mod tests {
     #[test]
     fn the_reader_yields_exactly_the_records_each_filter_keeps() {
         let dir = scratch("reader");
-        // Small segments and a dense index, so filters skip segments and
-        // seek inside them.
+        // Small segments, so `min_seq` filters skip whole segments.
         let config = StoreConfig {
             segment_max_bytes: 512,
-            index_every: 2,
             ..StoreConfig::default()
         };
         let mut store = Store::open(&dir, config).unwrap();
