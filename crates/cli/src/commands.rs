@@ -10,9 +10,7 @@ use cordial::split::split_banks;
 use cordial::{CordialConfig, ModelKind};
 use cordial_chaos::{run_harness, ChaosConfig, HarnessConfig};
 use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig, SparingBudget};
-use cordial_fleet::{
-    run_fleet_harness, BreakerConfig, FleetHarnessConfig, FleetSupervisor, GateConfig,
-};
+use cordial_fleet::{run_fleet_harness, FleetHarnessConfig, FleetSupervisor};
 use cordial_served::{run_load, signal, Client, ServeConfig, Server};
 use cordial_store::{
     DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME,
@@ -495,7 +493,6 @@ fn chaos(args: &Args) -> Result<Option<CordialMonitor>, String> {
     let config = HarnessConfig {
         dataset,
         dataset_seed: args.seed()?,
-        n_threads: args.usize_flag("threads", defaults.n_threads)?,
         chaos: ChaosConfig {
             seed: args.u64_flag("chaos-seed", defaults.chaos.seed)?,
             corruption_rate: args.rate_flag("corruption", defaults.chaos.corruption_rate)?,
@@ -508,6 +505,7 @@ fn chaos(args: &Args) -> Result<Option<CordialMonitor>, String> {
                 Some(_) => Some(args.rate_flag("truncate", 1.0)?),
             },
         },
+        ..defaults
     };
     let (report, monitor) = run_harness(&config);
     print!("{}", report.render());
@@ -526,42 +524,13 @@ fn chaos(args: &Args) -> Result<Option<CordialMonitor>, String> {
 fn fleet(args: &Args) -> Result<FleetSupervisor, String> {
     let dataset = scale_config(args.flags.get("scale").map_or("small", String::as_str))?;
     let defaults = FleetHarnessConfig::default();
-    let mut config = FleetHarnessConfig {
+    let config = FleetHarnessConfig {
         dataset,
         dataset_seed: args.seed()?,
-        n_threads: args.usize_flag("threads", defaults.n_threads)?,
-        seed: args.u64_flag("fleet-seed", defaults.seed)?,
         kill_fraction: args.rate_flag("kill", defaults.kill_fraction)?,
         corrupt_fraction: args.rate_flag("corrupt", defaults.corrupt_fraction)?,
         min_availability: args.rate_flag("min-availability", defaults.min_availability)?,
-        max_devices: match args.usize_flag("devices", 0)? {
-            0 => None,
-            n => Some(n),
-        },
         ..defaults
-    };
-    config.supervisor.host.breaker = BreakerConfig {
-        window: args.usize_flag("breaker-window", config.supervisor.host.breaker.window)?,
-        trip_error_rate: args.rate_flag(
-            "breaker-trip-rate",
-            config.supervisor.host.breaker.trip_error_rate,
-        )?,
-        min_events: args.usize_flag(
-            "breaker-min-events",
-            config.supervisor.host.breaker.min_events,
-        )?,
-        backoff_base_ms: args.u64_flag(
-            "breaker-backoff-ms",
-            config.supervisor.host.breaker.backoff_base_ms,
-        )?,
-        max_retries: args.u64_flag(
-            "breaker-max-retries",
-            config.supervisor.host.breaker.max_retries as u64,
-        )? as u32,
-        ..config.supervisor.host.breaker
-    };
-    config.supervisor.gate = GateConfig {
-        f1_margin: args.rate_flag("promotion-margin", config.supervisor.gate.f1_margin)?,
     };
 
     let (report, supervisor) =
@@ -607,7 +576,6 @@ fn serve(args: &Args) -> Result<(), String> {
                 .parse::<FsyncPolicy>()
                 .map_err(|e| format!("--fsync: {e}"))?,
         },
-        ..defaults
     };
     if let Some(dir) = &config.store_dir {
         println!("journaling to {} (fsync {})", dir.display(), config.fsync);
@@ -892,29 +860,24 @@ fn stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the watchdog-health section of `stats`: active alert counters
-/// and the current shift/burn gauges, or nothing when the snapshot
-/// carries no `obs.watchdog.*` telemetry.
+/// Renders the watchdog-health section of `stats`: the drift detectors'
+/// alert counters, or nothing when the snapshot carries none. A JSON file
+/// names them `obs.watchdog.alerts*` and a Prometheus file
+/// `cordial_obs_watchdog_alerts*`.
 fn render_health(snapshot: &cordial_obs::Snapshot) -> String {
+    const ALERTS: &str = "obs.watchdog.alerts";
+    let prometheus = cordial_obs::export::prometheus_name(ALERTS);
     let alerts: Vec<(&String, &u64)> = snapshot
         .counters
         .iter()
-        .filter(|(name, _)| name.starts_with("obs.watchdog.alerts"))
+        .filter(|(name, _)| name.starts_with(ALERTS) || name.starts_with(&prometheus))
         .collect();
-    let gauges: Vec<(&String, &f64)> = snapshot
-        .gauges
-        .iter()
-        .filter(|(name, _)| name.starts_with("obs.watchdog."))
-        .collect();
-    if alerts.is_empty() && gauges.is_empty() {
+    if alerts.is_empty() {
         return String::new();
     }
     let mut out = String::from("\nhealth watchdogs\n");
     for (name, value) in alerts {
         out.push_str(&format!("  {name:<40} {value}\n"));
-    }
-    for (name, value) in gauges {
-        out.push_str(&format!("  {name:<40} {value:.4}\n"));
     }
     out
 }

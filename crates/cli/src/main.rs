@@ -25,9 +25,10 @@
 //!   until SIGTERM/SIGINT or a `shutdown` RPC, draining and checkpointing
 //!   on the way out; `load` drives a running daemon with the load
 //!   generator and prints the throughput report as JSON;
-//! * `stats` pretty-prints a metrics file written with `--metrics-out`;
-//!   `--watch N` re-renders it N times like `watch(1)` and appends the
-//!   health-watchdog section when `obs.watchdog.*` telemetry is present;
+//! * `stats` pretty-prints a metrics file written with `--metrics-out`
+//!   (JSON or Prometheus text) and appends the health-watchdog section
+//!   when the drift detectors' alert counters are present; `--watch N`
+//!   re-renders it N times like `watch(1)`;
 //! * `store` inspects, replays or compacts a durable store directory
 //!   written by `serve --store-dir` (crash recovery runs on every open
 //!   and whatever it cut is reported first).
@@ -64,8 +65,8 @@ fn main() -> ExitCode {
                 "  cordial-cli run      [--scale S] [--seed N] [--model M] [--checkpoint FILE] [--resume FILE] [--metrics-out FILE]"
             );
             cordial_obs::error!("  cordial-cli monitor  --log FILE (--pipeline FILE | --resume CKPT) [--checkpoint CKPT] [--checkpoint-every N] [--abort-after N] [--reorder-bound-ms MS]");
-            cordial_obs::error!("  cordial-cli chaos    [--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F] [--threads N]");
-            cordial_obs::error!("  cordial-cli fleet    [--scale S] [--seed N] [--devices N] [--kill R] [--corrupt R] [--min-availability R] [--breaker-window N] [--breaker-trip-rate R] [--breaker-min-events N] [--breaker-backoff-ms MS] [--breaker-max-retries N] [--promotion-margin R] [--metrics-out FILE]");
+            cordial_obs::error!("  cordial-cli chaos    [--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F]");
+            cordial_obs::error!("  cordial-cli fleet    [--scale S] [--seed N] [--kill R] [--corrupt R] [--min-availability R] [--metrics-out FILE]");
             cordial_obs::error!("  cordial-cli serve    [--scale S] [--seed N] [--port P] [--metrics-port P] [--shards N] [--queue-cap N] [--retry-after-ms MS] [--store-dir DIR] [--fsync always|never|batch:N] [--port-file FILE] [--metrics-port-file FILE]");
             cordial_obs::error!("  cordial-cli load     --addr HOST:PORT [--scale S] [--seed N] [--batch N] [--repeats N] [--shutdown true] [--out FILE]");
             cordial_obs::error!(

@@ -459,13 +459,15 @@ fn run_with_trace_out_and_dump_dir_exports_observability_artifacts() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `stats --watch` re-renders a Prometheus metrics file, health section
+/// included: a `run` at the default seed raises 4 lead-time drift alerts.
 #[test]
 fn stats_watch_renders_bounded_refreshes() {
     let dir = workdir("watch");
     let metrics = dir.join("metrics.prom");
 
     let out = bin()
-        .args(["run", "--scale", "small", "--seed", "7"])
+        .args(["run", "--scale", "small"])
         .args(["--metrics-out", metrics.to_str().unwrap()])
         .output()
         .unwrap();
@@ -483,6 +485,16 @@ fn stats_watch_renders_bounded_refreshes() {
         "--watch 2 must render exactly two refreshes:\n{stdout}"
     );
     assert!(stdout.contains("cordial_monitor_events"), "{stdout}");
+    for refresh in stdout.split("refresh ").skip(1) {
+        assert!(refresh.contains("\nhealth watchdogs\n"), "{refresh}");
+        assert!(
+            refresh.lines().any(|line| {
+                line.split_whitespace().collect::<Vec<_>>()
+                    == ["cordial_obs_watchdog_alerts_lead_time", "4"]
+            }),
+            "each refresh must show the 4 lead-time alerts:\n{refresh}"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use cordial_faultsim::{CoarsePattern, IsolationEngine, IsolationSnapshot, SparingBudget};
 use cordial_mcelog::{BankErrorHistory, ErrorEvent, ErrorType, Timestamp};
-use cordial_obs::{BurnConfig, BurnRate, DriftConfig, MixDriftDetector};
+use cordial_obs::{DriftConfig, MixDriftDetector};
 use cordial_topology::{BankAddress, CellAddress, ColId, RowId};
 
 use crate::checkpoint::check_schema_version;
@@ -326,15 +326,6 @@ pub struct HealthConfig {
     /// Drift detector over lead-time histogram bucket occupancy
     /// (plan → first absorbed UER, simulated stream time).
     pub lead_time: DriftConfig,
-    /// SLO burn gauge over guard rejections (rejected / offered events).
-    pub rejected: BurnConfig,
-    /// SLO burn gauge over inline planning latency. Wall clock by nature,
-    /// so it is routed through the obs layer's `wallclock` metric families
-    /// and excluded from deterministic telemetry digests.
-    pub plan_latency: BurnConfig,
-    /// Inline planning latency budget in seconds; a plan slower than this
-    /// burns one slot of the `plan_latency` window.
-    pub plan_latency_slo: f64,
 }
 
 impl Default for HealthConfig {
@@ -348,41 +339,27 @@ impl Default for HealthConfig {
                 window: 64,
                 threshold: 0.35,
             },
-            rejected: BurnConfig {
-                window: 256,
-                budget: 0.05,
-            },
-            plan_latency: BurnConfig {
-                window: 64,
-                budget: 0.25,
-            },
-            plan_latency_slo: 0.25,
         }
     }
 }
 
 /// Rolling telemetry health watchdogs fed by the ingest stream.
 ///
-/// Every detector except `plan_latency` is a pure function of the event
-/// stream (simulated time and arrival order), so alert counts and shift
-/// gauges are identical across thread counts and ingestion paths.
-/// Watchdog state is derived, in-memory state: it is intentionally *not*
-/// checkpointed — a restored monitor restarts with empty windows and the
-/// default [`HealthConfig`] (re-apply
+/// Both detectors are pure functions of the event stream (simulated time
+/// and arrival order), so their alerts are identical across thread counts
+/// and ingestion paths. Watchdog state is derived, in-memory state: it is
+/// intentionally *not* checkpointed — a restored monitor restarts with
+/// empty windows and the default [`HealthConfig`] (re-apply
 /// [`CordialMonitor::with_health_config`] after restore if customised).
 #[derive(Debug, Clone)]
 pub struct MonitorHealth {
-    config: HealthConfig,
     pattern_mix: MixDriftDetector,
     lead_time: MixDriftDetector,
-    rejected: BurnRate,
-    plan_latency: BurnRate,
 }
 
 impl MonitorHealth {
     fn new(config: HealthConfig) -> Self {
         Self {
-            config,
             pattern_mix: MixDriftDetector::new(
                 "pattern_mix",
                 CoarsePattern::ALL.len(),
@@ -393,8 +370,6 @@ impl MonitorHealth {
                 cordial_obs::LEAD_TIME_BOUNDS.len() + 1,
                 config.lead_time,
             ),
-            rejected: BurnRate::new("rejected", config.rejected),
-            plan_latency: BurnRate::new_wallclock("plan_latency.wallclock", config.plan_latency),
         }
     }
 
@@ -408,22 +383,9 @@ impl MonitorHealth {
         &self.lead_time
     }
 
-    /// Burn-rate gauge over guard rejections.
-    pub fn rejected(&self) -> &BurnRate {
-        &self.rejected
-    }
-
-    /// Wall-clock burn-rate gauge over inline planning latency.
-    pub fn plan_latency(&self) -> &BurnRate {
-        &self.plan_latency
-    }
-
-    /// Total alerts raised across the stream-deterministic watchdogs
-    /// (pattern mix, lead time, rejections). The wall-clock
-    /// `plan_latency` alerts are deliberately excluded so the total is
-    /// reproducible across machines.
+    /// Total alerts raised by both drift detectors.
     pub fn alerts(&self) -> u64 {
-        self.pattern_mix.alerts() + self.lead_time.alerts() + self.rejected.alerts()
+        self.pattern_mix.alerts() + self.lead_time.alerts()
     }
 }
 
@@ -717,18 +679,10 @@ impl CordialMonitor {
         // Plan exactly once, the moment the observation window completes.
         if !state.planned && state.distinct_uer_rows.len() >= k_uers {
             state.planned = true;
-            // Wall-clock planning latency feeds the `wallclock` SLO burn
-            // gauge only (kept out of deterministic digests); timing is
-            // skipped entirely when metrics are off.
-            let started = cordial_obs::enabled().then(std::time::Instant::now);
             // One §IV-B feature fold over the window, inside the plan.
             cordial_obs::counter!("monitor.features.reference_scan").inc();
             let history = BankErrorHistory::new(bank, state.window(bank));
             let plan = self.pipeline.plan(&history);
-            if let Some(started) = started {
-                let slow = started.elapsed().as_secs_f64() > self.health.config.plan_latency_slo;
-                self.health.plan_latency.observe(slow);
-            }
             if plan == MitigationPlan::InsufficientData {
                 // Extremely rare (duplicate timestamps can reorder the cut);
                 // allow a later event to retrigger.
@@ -880,7 +834,6 @@ impl CordialMonitor {
             self.stats.events += 1;
             self.stats.rejected_late += 1;
             cordial_obs::counter!("monitor.outcome.rejected.late").inc();
-            self.health.rejected.observe(true);
             if cordial_obs::recorder::enabled() {
                 cordial_obs::recorder::instant(
                     "ingest",
@@ -902,7 +855,6 @@ impl CordialMonitor {
                 self.stats.events += 1;
                 self.stats.rejected_duplicates += 1;
                 cordial_obs::counter!("monitor.outcome.rejected.duplicate").inc();
-                self.health.rejected.observe(true);
                 if cordial_obs::recorder::enabled() {
                     cordial_obs::recorder::instant(
                         "ingest",
@@ -915,7 +867,6 @@ impl CordialMonitor {
                 })
             }
             Err(pos) => {
-                self.health.rejected.observe(false);
                 if self.guard.started && event.time < self.guard.watermark {
                     self.stats.recovered_reordered += 1;
                     cordial_obs::counter!("monitor.guard.reordered").inc();

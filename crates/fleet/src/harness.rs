@@ -37,8 +37,6 @@ pub struct FleetHarnessConfig {
     pub dataset_seed: u64,
     /// Worker threads for training (the serving path is single-threaded).
     pub n_threads: usize,
-    /// Seed for device targeting, per-device corruption and merge order.
-    pub seed: u64,
     /// Fraction of devices whose monitors are killed (sticky panic
     /// injection) halfway through their streams.
     pub kill_fraction: f64,
@@ -49,9 +47,6 @@ pub struct FleetHarnessConfig {
     pub supervisor: SupervisorConfig,
     /// Verdict floor for fleet availability.
     pub min_availability: f64,
-    /// Cap on the number of devices (smallest addresses first); `None`
-    /// serves every device the dataset produced.
-    pub max_devices: Option<usize>,
 }
 
 /// Only devices with at least this many events are eligible as kill/
@@ -82,7 +77,6 @@ impl Default for FleetHarnessConfig {
             dataset: FleetDatasetConfig::small(),
             dataset_seed: 7,
             n_threads: 1,
-            seed: 0,
             kill_fraction: 0.10,
             corrupt_fraction: 0.05,
             supervisor: SupervisorConfig {
@@ -105,7 +99,6 @@ impl Default for FleetHarnessConfig {
                 ..SupervisorConfig::default()
             },
             min_availability: 0.70,
-            max_devices: None,
         }
     }
 }
@@ -263,11 +256,6 @@ pub fn run_fleet_harness(
             .or_default()
             .push(*event);
     }
-    if let Some(cap) = config.max_devices {
-        while streams.len() > cap.max(1) {
-            let _ = streams.pop_last();
-        }
-    }
     let device_ids: Vec<DeviceId> = streams.keys().copied().collect();
 
     // Seeded targeting: a shuffled prefix of the *eligible* devices (busy
@@ -279,7 +267,7 @@ pub fn run_fleet_harness(
         .filter(|(_, events)| events.len() >= MIN_TARGET_STREAM)
         .map(|(id, _)| *id)
         .collect();
-    order.shuffle(&mut StdRng::seed_from_u64(config.seed ^ 0x000F_1EE7));
+    order.shuffle(&mut StdRng::seed_from_u64(0x000F_1EE7));
     let frac = |rate: f64| {
         if rate <= 0.0 {
             0

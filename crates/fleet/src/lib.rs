@@ -21,7 +21,7 @@
 //! * **model level**: [`ModelRegistry`] keeps the incumbent and
 //!   last-known-good models, a shadow-scoring promotion gate
 //!   ([`shadow_score`]/[`clears_gate`]) admits candidates only when they
-//!   clear the incumbent by configured margins, and live precision
+//!   clear the incumbent by fixed margins, and live precision
 //!   (from [`MonitorStats`](cordial::monitor::MonitorStats)) below the
 //!   floor triggers automatic rollback.
 //!
@@ -49,7 +49,5 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, MAX_BACKOFF_DOUBL
 pub use device::DeviceId;
 pub use harness::{run_fleet_harness, FleetHarnessConfig, FleetReport};
 pub use host::{DeviceHost, DeviceStatus, HostConfig, RouteOutcome, SharedStore};
-pub use registry::{
-    clears_gate, shadow_score, GateConfig, ModelRegistry, PromotionDecision, ShadowScore,
-};
+pub use registry::{clears_gate, shadow_score, ModelRegistry, PromotionDecision, ShadowScore};
 pub use supervisor::{FleetSupervisor, RelearnOutcomes, SupervisorConfig, AVAILABILITY_BOUNDS};

@@ -4,7 +4,7 @@
 //! A candidate model is never swapped into the serving fleet on faith: it
 //! is *shadow-scored* on a held-out calibration stream (block-prediction F1
 //! plus replayed mean lead time) and promoted only if it clears the
-//! incumbent by a configured margin. The previous incumbent is retained as
+//! incumbent by a fixed margin. The previous incumbent is retained as
 //! last-known-good so the supervisor can roll back the moment live
 //! precision degrades past its floor.
 
@@ -43,24 +43,13 @@ impl fmt::Display for ShadowScore {
     }
 }
 
+/// Candidate F1 must exceed incumbent F1 by at least this much (a
+/// strictly positive margin also rejects re-promoting the incumbent).
+const F1_MARGIN: f64 = 0.01;
+
 /// Tolerated *relative* lead-time regression: a candidate's mean lead
 /// time must stay above `(1 - LEAD_TIME_TOLERANCE) ×` the incumbent's.
 const LEAD_TIME_TOLERANCE: f64 = 0.25;
-
-/// Margins a candidate must clear to displace the incumbent. Besides the
-/// F1 margin, its mean lead time may regress by at most 25%.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GateConfig {
-    /// Candidate F1 must exceed incumbent F1 by at least this much (a
-    /// strictly positive margin also rejects re-promoting the incumbent).
-    pub f1_margin: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self { f1_margin: 0.01 }
-    }
-}
 
 /// Outcome of asking the gate about one candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,16 +109,14 @@ pub fn shadow_score(
     }
 }
 
-/// Applies the gate margins; `Err` carries the failure reason.
-pub fn clears_gate(
-    candidate: &ShadowScore,
-    incumbent: &ShadowScore,
-    config: &GateConfig,
-) -> Result<(), String> {
-    if candidate.f1 < incumbent.f1 + config.f1_margin {
+/// Applies the gate margins: the candidate's F1 must clear the
+/// incumbent's by 0.01, and its mean lead time may regress by at most 25%.
+/// `Err` carries the failure reason.
+pub fn clears_gate(candidate: &ShadowScore, incumbent: &ShadowScore) -> Result<(), String> {
+    if candidate.f1 < incumbent.f1 + F1_MARGIN {
         return Err(format!(
-            "f1 {:.4} does not clear incumbent {:.4} by margin {:.4}",
-            candidate.f1, incumbent.f1, config.f1_margin
+            "f1 {:.4} does not clear incumbent {:.4} by margin {F1_MARGIN:.4}",
+            candidate.f1, incumbent.f1
         ));
     }
     let lead_floor = incumbent.mean_lead_time_ms * (1.0 - LEAD_TIME_TOLERANCE);
@@ -228,22 +215,20 @@ mod tests {
 
     #[test]
     fn gate_requires_a_strict_f1_improvement() {
-        let gate = GateConfig::default();
         let incumbent = score(0.80, 1_000.0);
-        assert!(clears_gate(&score(0.82, 1_000.0), &incumbent, &gate).is_ok());
+        assert!(clears_gate(&score(0.82, 1_000.0), &incumbent).is_ok());
         // Equal F1 fails a positive margin: re-promoting the incumbent is
         // pointless churn.
-        let err = clears_gate(&score(0.80, 1_000.0), &incumbent, &gate).unwrap_err();
+        let err = clears_gate(&score(0.80, 1_000.0), &incumbent).unwrap_err();
         assert!(err.contains("f1"), "{err}");
     }
 
     #[test]
     fn gate_rejects_a_lead_time_collapse_even_with_better_f1() {
-        let gate = GateConfig::default();
         let incumbent = score(0.80, 10_000.0);
-        let err = clears_gate(&score(0.95, 1_000.0), &incumbent, &gate).unwrap_err();
+        let err = clears_gate(&score(0.95, 1_000.0), &incumbent).unwrap_err();
         assert!(err.contains("lead time"), "{err}");
         // Within tolerance is fine.
-        assert!(clears_gate(&score(0.95, 8_000.0), &incumbent, &gate).is_ok());
+        assert!(clears_gate(&score(0.95, 8_000.0), &incumbent).is_ok());
     }
 }

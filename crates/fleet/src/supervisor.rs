@@ -25,7 +25,7 @@ use cordial_relearn::{
 use crate::breaker::BreakerState;
 use crate::device::DeviceId;
 use crate::host::{DeviceHost, DeviceStatus, HostConfig, RouteOutcome};
-use crate::registry::{clears_gate, shadow_score, GateConfig, ModelRegistry, PromotionDecision};
+use crate::registry::{clears_gate, shadow_score, ModelRegistry, PromotionDecision};
 
 /// Bucket bounds for the per-device availability histogram.
 pub const AVAILABILITY_BOUNDS: &[f64] = &[0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0];
@@ -40,8 +40,6 @@ pub struct SupervisorConfig {
     /// The device host: breakers, budgets and the in-memory
     /// checkpoint cadence (the restart token).
     pub host: HostConfig,
-    /// Promotion-gate margins.
-    pub gate: GateConfig,
     /// Live-precision floor: once a promoted model's precision (measured
     /// since promotion) drops below this with enough samples, the
     /// supervisor rolls back to last-known-good.
@@ -67,7 +65,6 @@ impl Default for SupervisorConfig {
                 checkpoint_every: 64,
                 ..HostConfig::default()
             },
-            gate: GateConfig::default(),
             precision_floor: 0.05,
             min_planned: 8,
             watchdog_deadline_ms: 0,
@@ -327,10 +324,7 @@ impl FleetSupervisor {
     fn total_drift_alerts(&self) -> u64 {
         self.host
             .monitors()
-            .map(|(_, monitor)| {
-                let health = monitor.health();
-                health.pattern_mix().alerts() + health.lead_time().alerts()
-            })
+            .map(|(_, monitor)| monitor.health().alerts())
             .sum()
     }
 
@@ -461,7 +455,7 @@ impl FleetSupervisor {
         let budget = self.config.host.budget;
         let candidate_score = shadow_score(&candidate, dataset, calibration, budget);
         let incumbent_score = shadow_score(self.registry.incumbent(), dataset, calibration, budget);
-        match clears_gate(&candidate_score, &incumbent_score, &self.config.gate) {
+        match clears_gate(&candidate_score, &incumbent_score) {
             Ok(()) => {
                 cordial_obs::counter!("fleet.model.promotions").inc();
                 if cordial_obs::recorder::enabled() {

@@ -3,8 +3,9 @@
 //! rebuilds its training window from the durable journal with zero acked
 //! events lost, and ends with monitor state identical to an uninterrupted
 //! twin; refit candidates route through the promotion gate; injected
-//! refit panics are contained and counted; every started refit settles
-//! as exactly one of promoted, rejected or failed.
+//! refit panics are contained and counted; drift alerts from the
+//! monitors' detectors escalate a refit; every started refit settles as
+//! exactly one of promoted, rejected or failed.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -15,7 +16,7 @@ use cordial::split::split_banks;
 use cordial::CordialConfig;
 use cordial_faultsim::{generate_fleet_dataset, FleetDataset, FleetDatasetConfig};
 use cordial_fleet::{DeviceId, FleetSupervisor, HostConfig, RouteOutcome, SupervisorConfig};
-use cordial_mcelog::ErrorEvent;
+use cordial_mcelog::{ErrorEvent, Timestamp};
 use cordial_relearn::RelearnConfig;
 use cordial_store::{Record, ReplayFilter, Store, StoreConfig};
 
@@ -261,4 +262,42 @@ fn refit_panic_is_contained_and_counted() {
     supervisor.finish();
     assert_outcomes_settled(&supervisor);
     assert!(supervisor.availability() > 0.0);
+}
+
+/// With the refit cadence off, only the drift detectors can start a
+/// refit: one pass over the small fleet at seed 21 starts none, and a
+/// second pass, re-timed past the first's last event, stretches the lead
+/// times of the banks planned in the first until the lead-time detectors
+/// alert and the supervisor escalates to a refit that settles.
+#[test]
+fn drift_alerts_escalate_a_refit_with_the_cadence_off() {
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 21);
+    let pipeline = fitted(&dataset, 21);
+    let config = SupervisorConfig {
+        relearn: Some(RelearnConfig {
+            refit_every_events: 0,
+            ..RelearnConfig::default()
+        }),
+        ..SupervisorConfig::default()
+    };
+    let mut supervisor = FleetSupervisor::new(config, pipeline, []);
+    let events = dataset.log.events();
+    for event in events {
+        supervisor.route(*event);
+    }
+    let outcomes = supervisor.relearn_outcomes().unwrap();
+    assert_eq!(outcomes.started, 0, "one pass must not escalate");
+
+    let span_ms = events.iter().map(|e| e.time.as_millis()).max().unwrap() + 1;
+    for event in events {
+        let mut event = *event;
+        event.time = Timestamp::from_millis(event.time.as_millis() + span_ms);
+        supervisor.route(event);
+    }
+    let outcomes = supervisor.relearn_outcomes().unwrap();
+    assert!(
+        outcomes.started >= 1,
+        "the second pass must escalate to a refit: {outcomes:?}"
+    );
+    assert_outcomes_settled(&supervisor);
 }

@@ -114,10 +114,6 @@ pub fn describe_defaults() {
             "obs.watchdog.alerts",
             "Watchdog alerts across all deterministic detectors",
         ),
-        (
-            "obs.watchdog.burn.rejected",
-            "Rejected-event SLO burn (multiples of budget)",
-        ),
     ] {
         describe(name, help);
     }

@@ -27,8 +27,8 @@
 //!    combining the recorder tail with a metrics snapshot, written on
 //!    panic containment and breaker trips;
 //! 6. **health watchdogs** ([`watchdog`]) — rolling-window drift detectors
-//!    and SLO burn-rate trackers over the telemetry itself, raising
-//!    greppable alerts into both the registry and the recorder.
+//!    over the telemetry itself, raising greppable alerts into both the
+//!    registry and the recorder.
 //!
 //! Recording is **disabled by default**: every instrumentation site costs a
 //! single relaxed atomic load until [`set_enabled`]`(true)` turns the
@@ -74,7 +74,7 @@ pub use log::Level;
 pub use recorder::{TraceEvent, TracePhase};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot};
 pub use span::Span;
-pub use watchdog::{BurnConfig, BurnRate, DriftAlert, DriftConfig, MixDriftDetector, SloAlert};
+pub use watchdog::{DriftAlert, DriftConfig, MixDriftDetector};
 
 /// Whether metric/span recording is on. Logging is independent of this flag.
 static ENABLED: AtomicBool = AtomicBool::new(false);

@@ -25,8 +25,6 @@
 //!
 //! - `obs.recorder.instants` — instants from deterministic stream-ordered
 //!   code; part of the thread-invariant digest.
-//! - `obs.recorder.instants.wallclock` — instants caused by wall-clock
-//!   observations (SLO latency alerts); excluded from the digest.
 //! - `obs.recorder.span_events.parallel` — span begin/end events; excluded
 //!   from the digest because fork-join workers add per-thread spans.
 //! - `obs.recorder.dropped.parallel` — ring-capacity overwrites; excluded
@@ -201,35 +199,12 @@ fn push(
 /// No-op while the recorder is disabled. The companion counter
 /// `obs.recorder.instants` is part of the thread-invariant digest, so only
 /// call this from code whose execution count does not depend on wall-clock
-/// time or the thread count; wall-clock-driven sites use
-/// [`instant_wallclock`].
+/// time or the thread count.
 pub fn instant(category: &'static str, name: impl Into<String>, detail: impl Into<String>) {
     if !enabled() {
         return;
     }
     crate::counter!("obs.recorder.instants").inc();
-    push(
-        TracePhase::Instant,
-        category,
-        name.into(),
-        detail.into(),
-        0,
-        0,
-    );
-}
-
-/// Records a point-in-time event whose occurrence depends on wall-clock
-/// measurements (latency SLO alerts). Counted under
-/// `obs.recorder.instants.wallclock`, which the digest excludes.
-pub fn instant_wallclock(
-    category: &'static str,
-    name: impl Into<String>,
-    detail: impl Into<String>,
-) {
-    if !enabled() {
-        return;
-    }
-    crate::counter!("obs.recorder.instants.wallclock").inc();
     push(
         TracePhase::Instant,
         category,

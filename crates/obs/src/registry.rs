@@ -444,16 +444,9 @@ impl Snapshot {
     ///
     /// Metrics with a `parallel` path segment are excluded: per-worker task
     /// metrics are the one family that genuinely depends on the thread
-    /// count (four chunk timings at `n_threads = 4`, one at 1). Metrics
-    /// with a `wallclock` path segment are excluded too: they carry values
-    /// *derived from* wall-clock measurements (latency SLO burn gauges and
-    /// their alert counters), which legitimately differ between otherwise
-    /// identical runs.
+    /// count (four chunk timings at `n_threads = 4`, one at 1).
     pub fn digest(&self) -> BTreeMap<String, u64> {
-        let thread_dependent = |name: &str| {
-            name.split('.')
-                .any(|segment| segment == "parallel" || segment == "wallclock")
-        };
+        let thread_dependent = |name: &str| name.split('.').any(|segment| segment == "parallel");
         let mut digest = BTreeMap::new();
         for (name, value) in &self.counters {
             if !thread_dependent(name) {
@@ -711,23 +704,12 @@ mod tests {
             .histogram("span.t.parallel.chunk.seconds", &[1.0])
             .observe(0.1);
         registry.histogram("t.h", &[1.0]).observe(0.2);
+        registry.gauge("t.g").set(0.5);
         let digest = registry.snapshot().digest();
         assert_eq!(digest["t.kept"], 3);
         assert_eq!(digest["t.h.count"], 1);
+        assert_eq!(digest["t.g.bits"], 0.5f64.to_bits());
         assert!(!digest.contains_key("t.parallel.tasks"));
         assert!(!digest.contains_key("span.t.parallel.chunk.seconds.count"));
-    }
-
-    #[test]
-    fn digest_drops_wallclock_metrics() {
-        crate::set_enabled(true);
-        let registry = MetricsRegistry::new();
-        registry.counter("t.alerts.latency.wallclock").add(2);
-        registry.gauge("t.burn.latency.wallclock").set(1.5);
-        registry.gauge("t.burn.rejected").set(0.5);
-        let digest = registry.snapshot().digest();
-        assert!(!digest.contains_key("t.alerts.latency.wallclock"));
-        assert!(!digest.contains_key("t.burn.latency.wallclock.bits"));
-        assert_eq!(digest["t.burn.rejected.bits"], 0.5f64.to_bits());
     }
 }

@@ -1,28 +1,23 @@
 //! Health watchdogs over the telemetry itself: rolling-window drift
-//! detectors and SLO burn-rate trackers.
+//! detectors.
 //!
 //! A deployed predictor's telemetry has long-horizon properties — the mix
-//! of failure patterns it plans for, the shape of its lead-time histogram,
-//! the rate at which the stream guard rejects events — whose *changes*
-//! matter more than their instantaneous values. The watchdogs watch those
-//! properties in fixed-size adjacent windows and raise greppable alerts
-//! that land in **both** the metrics registry (`obs.watchdog.*` counters
-//! and gauges) and the flight recorder (`watchdog`-category instants), so
-//! a drift shows up in `stats --watch`, in Prometheus scrapes, and on the
-//! post-mortem timeline alike.
+//! of failure patterns it plans for, the shape of its lead-time histogram —
+//! whose *changes* matter more than their instantaneous values. A
+//! [`MixDriftDetector`] watches one such property in fixed-size adjacent
+//! windows and raises greppable alerts that land in **both** the metrics
+//! registry (the `obs.watchdog.alerts*` counters, which sum over every
+//! detector in the process) and the flight recorder (`watchdog`-category
+//! instants), so a drift shows up in `stats`, in Prometheus scrapes, and
+//! on the post-mortem timeline alike. The fleet supervisor's relearn loop
+//! reads the alert counts of its monitors' detectors to escalate a refit.
 //!
 //! # Determinism contract
 //!
-//! [`MixDriftDetector`] and [`BurnRate`] are pure functions of the
-//! observation stream: same observations in, same alerts and gauge values
-//! out, regardless of thread count or wall-clock time. They are therefore
-//! safe to include in the thread-invariant telemetry digest. The one
-//! exception is a burn-rate tracker constructed with
-//! [`BurnRate::new_wallclock`], whose *observations* are wall-clock
-//! measurements (e.g. plan latency): its metric families carry a
-//! `wallclock` path segment and its recorder instants are counted under
-//! `obs.recorder.instants.wallclock`, both of which
-//! [`Snapshot::digest`](crate::Snapshot::digest) excludes.
+//! [`MixDriftDetector`] is a pure function of the observation stream: same
+//! observations in, same alerts and shifts out, regardless of thread count
+//! or wall-clock time. Its alerts are therefore part of the
+//! thread-invariant telemetry digest.
 //!
 //! Watchdog state is derived, in-memory state: it is intentionally *not*
 //! checkpointed. After a restore the windows refill from the live stream,
@@ -61,8 +56,8 @@ pub struct DriftAlert {
 /// Feed it one class index per observation ([`observe`](Self::observe)).
 /// Every `window` observations it compares the completed window's class
 /// distribution against the previous window's (total-variation distance,
-/// `0.5 * Σ |p_i - q_i|`), publishes the distance on the gauge
-/// `obs.watchdog.<kind>.shift`, and — when the distance exceeds the
+/// `0.5 * Σ |p_i - q_i|`), keeps the distance as
+/// [`last_shift`](Self::last_shift), and — when the distance exceeds the
 /// threshold — raises an alert on the counters `obs.watchdog.alerts` and
 /// `obs.watchdog.alerts.<kind>`, the recorder, and the warn log. The
 /// completed window then becomes the new reference, so a persistent shift
@@ -117,9 +112,6 @@ impl MixDriftDetector {
             Some(reference) => {
                 let shift = total_variation(reference, &completed, self.config.window);
                 self.last_shift = shift;
-                crate::global()
-                    .gauge(&format!("obs.watchdog.{}.shift", self.kind))
-                    .set(shift);
                 (shift > self.config.threshold).then(|| {
                     self.alerts += 1;
                     raise(
@@ -128,7 +120,6 @@ impl MixDriftDetector {
                             "{} distribution shifted by {shift:.3} (threshold {:.3})",
                             self.kind, self.config.threshold
                         ),
-                        false,
                     );
                     DriftAlert {
                         kind: self.kind,
@@ -146,7 +137,7 @@ impl MixDriftDetector {
         self.alerts
     }
 
-    /// The most recently published window-to-window shift.
+    /// The most recent window-to-window shift.
     pub fn last_shift(&self) -> f64 {
         self.last_shift
     }
@@ -162,148 +153,13 @@ fn total_variation(reference: &[u64], current: &[u64], window: usize) -> f64 {
         .sum::<f64>()
 }
 
-/// Configuration of a [`BurnRate`] tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnConfig {
-    /// Observations per evaluation window.
-    pub window: usize,
-    /// Error budget: the tolerated bad-observation fraction per window.
-    pub budget: f64,
-}
-
-impl Default for BurnConfig {
-    fn default() -> Self {
-        Self {
-            window: 256,
-            budget: 0.05,
-        }
-    }
-}
-
-/// An alert raised by a [`BurnRate`] tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloAlert {
-    /// Tracker kind (`rejected`, `plan_latency.wallclock`, …).
-    pub kind: &'static str,
-    /// Budget multiple burned in the completed window (1.0 = exactly on
-    /// budget).
-    pub burn: f64,
-}
-
-/// SLO burn-rate tracker: the fraction of "bad" observations per window,
-/// normalised by the error budget.
-///
-/// Each completed window publishes `(bad / window) / budget` on the gauge
-/// `obs.watchdog.burn.<kind>` and alerts when the burn exceeds 1.0 — the
-/// window consumed more than its entire budget.
-#[derive(Debug, Clone)]
-pub struct BurnRate {
-    kind: &'static str,
-    config: BurnConfig,
-    wallclock: bool,
-    bad: u64,
-    total: u64,
-    alerts: u64,
-    last_burn: f64,
-}
-
-impl BurnRate {
-    /// A tracker named `kind` fed by deterministic stream-ordered
-    /// observations (part of the thread-invariant digest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.window` is 0 or `config.budget` is not positive.
-    pub fn new(kind: &'static str, config: BurnConfig) -> Self {
-        assert!(config.window > 0, "burn window must be positive");
-        assert!(config.budget > 0.0, "burn budget must be positive");
-        Self {
-            kind,
-            config,
-            wallclock: false,
-            bad: 0,
-            total: 0,
-            alerts: 0,
-            last_burn: 0.0,
-        }
-    }
-
-    /// A tracker fed by wall-clock measurements. `kind` **must** contain a
-    /// `wallclock` path segment so its families stay out of the digest.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid configs as [`BurnRate::new`], and if
-    /// `kind` lacks a `wallclock` segment.
-    pub fn new_wallclock(kind: &'static str, config: BurnConfig) -> Self {
-        assert!(
-            kind.split('.').any(|segment| segment == "wallclock"),
-            "wall-clock burn tracker `{kind}` needs a `wallclock` path segment"
-        );
-        Self {
-            wallclock: true,
-            ..Self::new(kind, config)
-        }
-    }
-
-    /// Records one observation. Returns the alert if this observation
-    /// completed an over-budget window.
-    pub fn observe(&mut self, bad: bool) -> Option<SloAlert> {
-        self.bad += u64::from(bad);
-        self.total += 1;
-        if self.total < self.config.window as u64 {
-            return None;
-        }
-        let burn = (self.bad as f64 / self.config.window as f64) / self.config.budget;
-        self.last_burn = burn;
-        self.bad = 0;
-        self.total = 0;
-        crate::global()
-            .gauge(&format!("obs.watchdog.burn.{}", self.kind))
-            .set(burn);
-        (burn > 1.0).then(|| {
-            self.alerts += 1;
-            raise(
-                self.kind,
-                &format!(
-                    "SLO burn {burn:.2}x budget over the last {} observations",
-                    self.config.window
-                ),
-                self.wallclock,
-            );
-            SloAlert {
-                kind: self.kind,
-                burn,
-            }
-        })
-    }
-
-    /// Alerts raised so far.
-    pub fn alerts(&self) -> u64 {
-        self.alerts
-    }
-
-    /// The most recently published burn multiple.
-    pub fn last_burn(&self) -> f64 {
-        self.last_burn
-    }
-}
-
 /// Raises one watchdog alert on every surface: counters, recorder, log.
-fn raise(kind: &'static str, detail: &str, wallclock: bool) {
-    if wallclock {
-        // Wall-clock-driven: digest-excluded counter and instant families.
-        crate::global()
-            .counter(&format!("obs.watchdog.alerts.{kind}"))
-            .inc();
-        crate::recorder::instant_wallclock("watchdog", kind, detail.to_string());
-    } else {
-        crate::counter!("obs.watchdog.alerts").inc();
-        crate::global()
-            .counter(&format!("obs.watchdog.alerts.{kind}"))
-            .inc();
-        crate::recorder::instant("watchdog", kind, detail.to_string());
-    }
+fn raise(kind: &'static str, detail: &str) {
+    crate::counter!("obs.watchdog.alerts").inc();
+    crate::global()
+        .counter(&format!("obs.watchdog.alerts.{kind}"))
+        .inc();
+    crate::recorder::instant("watchdog", kind, detail.to_string());
     crate::warn!("watchdog alert [{kind}]: {detail}");
 }
 
@@ -343,7 +199,7 @@ mod tests {
         assert_eq!(detector.alerts(), 1);
         let snap = crate::snapshot();
         assert!(snap.counters["obs.watchdog.alerts.unit_mix"] >= 1);
-        assert_eq!(snap.gauges["obs.watchdog.unit_mix.shift"], 0.0);
+        assert_eq!(detector.last_shift(), 0.0);
     }
 
     #[test]
@@ -360,54 +216,5 @@ mod tests {
             (alerts, detector.last_shift(), detector.alerts())
         };
         assert_eq!(run(&stream), run(&stream));
-    }
-
-    #[test]
-    fn burn_rate_alerts_when_over_budget() {
-        crate::set_enabled(true);
-        let config = BurnConfig {
-            window: 10,
-            budget: 0.2,
-        };
-        let mut burn = BurnRate::new("unit_rejects", config);
-        // 1 bad in 10 = 0.5x budget: gauge moves, no alert.
-        for i in 0..10 {
-            assert!(burn.observe(i == 0).is_none());
-        }
-        assert!((burn.last_burn() - 0.5).abs() < 1e-12);
-        // 5 bad in 10 = 2.5x budget: alert.
-        let mut fired = Vec::new();
-        for i in 0..10 {
-            if let Some(alert) = burn.observe(i % 2 == 0) {
-                fired.push(alert);
-            }
-        }
-        assert_eq!(fired.len(), 1);
-        assert!((fired[0].burn - 2.5).abs() < 1e-12);
-        assert_eq!(burn.alerts(), 1);
-        let snap = crate::snapshot();
-        assert!((snap.gauges["obs.watchdog.burn.unit_rejects"] - 2.5).abs() < 1e-12);
-        assert!(snap.counters["obs.watchdog.alerts.unit_rejects"] >= 1);
-    }
-
-    #[test]
-    fn wallclock_trackers_stay_out_of_the_digest() {
-        crate::set_enabled(true);
-        let config = BurnConfig {
-            window: 2,
-            budget: 0.1,
-        };
-        let mut burn = BurnRate::new_wallclock("unit_latency.wallclock", config);
-        assert!(burn.observe(true).is_none());
-        assert!(burn.observe(true).is_some());
-        let digest = crate::snapshot().digest();
-        assert!(!digest.contains_key("obs.watchdog.burn.unit_latency.wallclock.bits"));
-        assert!(!digest.contains_key("obs.watchdog.alerts.unit_latency.wallclock"));
-    }
-
-    #[test]
-    #[should_panic(expected = "wallclock")]
-    fn wallclock_trackers_must_be_named_wallclock() {
-        let _ = BurnRate::new_wallclock("unit_latency", BurnConfig::default());
     }
 }

@@ -167,12 +167,7 @@ impl Client {
                         "daemon is shutting down",
                     ));
                 }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected ingest reply {:#04x}", other.kind()),
-                    ));
-                }
+                other => return Err(unexpected(&other)),
             }
         }
     }
@@ -241,11 +236,17 @@ impl Client {
     }
 }
 
+/// The error for a reply the call did not ask for. A [`Frame::Error`]
+/// carries the daemon's own reason (a failed journal append, a poisoned
+/// store), which the caller must see.
 fn unexpected(frame: &Frame) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("unexpected reply kind {:#04x}", frame.kind()),
-    )
+    match frame {
+        Frame::Error(text) => io::Error::other(format!("daemon error: {text}")),
+        other => io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected reply kind {:#04x}", other.kind()),
+        ),
+    }
 }
 
 /// What one load-generator run measured; `cordial-cli load` prints it

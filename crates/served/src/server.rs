@@ -77,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use cordial::prelude::{Cordial, MonitorStats, SparingBudget};
+use cordial::prelude::{Cordial, MonitorStats};
 use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceHost, DeviceId, HostConfig, SharedStore};
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::lock;
@@ -113,8 +113,6 @@ pub struct ServeConfig {
     /// [`ServeConfig::store_dir`]; the default [`FsyncPolicy::Always`]
     /// makes every ack imply durability.
     pub fsync: FsyncPolicy,
-    /// Sparing budget given to each device's isolation engine.
-    pub budget: SparingBudget,
 }
 
 impl Default for ServeConfig {
@@ -125,7 +123,6 @@ impl Default for ServeConfig {
             retry_after_ms: 50,
             store_dir: None,
             fsync: FsyncPolicy::Always,
-            budget: SparingBudget::typical(),
         }
     }
 }
@@ -294,13 +291,9 @@ impl Shared {
         };
         // A batch is planned in one `ingest_all` call, so the hosts keep no
         // in-memory checkpoints: a tripped device restores from the store.
-        let host_config = HostConfig {
-            budget: config.budget,
-            ..HostConfig::default()
-        };
         let shards = (0..shards)
             .map(|_| {
-                let mut host = DeviceHost::new(host_config, pipeline.clone());
+                let mut host = DeviceHost::new(HostConfig::default(), pipeline.clone());
                 if let Some(store) = &store {
                     host.attach_store(Arc::clone(store));
                 }

@@ -2,10 +2,11 @@
 //! frames from `cordial_chaos::inject_frames` must degrade the connection
 //! they arrive on — Error replies, breaker-closed sockets — and a
 //! panicking device monitor must degrade only its device, while the
-//! daemon itself keeps serving clean traffic.
+//! daemon itself keeps serving clean traffic. The client hands an Error
+//! reply's reason to its caller.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use cordial::pipeline::Cordial;
@@ -284,6 +285,48 @@ fn a_panicking_monitor_is_contained_while_its_shard_keeps_acking() {
         }
     );
     let _ = std::fs::remove_dir_all(&dump_dir);
+}
+
+/// A daemon that refuses a request with [`Frame::Error`] says why, and
+/// the client returns that reason on the ingest and the query paths alike.
+#[test]
+fn the_client_reports_the_daemons_error_text() {
+    const WHY: &str = "journal write failed: store poisoned";
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // A fake daemon that answers each of two requests with an Error frame.
+    let daemon = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut answered = 0;
+        while answered < 2 {
+            match decode_frame(&buf) {
+                Decoded::Frame(_, consumed) => {
+                    buf.drain(..consumed);
+                    let reply = encode_frame(&Frame::Error(WHY.to_string()));
+                    stream.write_all(&reply).unwrap();
+                    answered += 1;
+                }
+                Decoded::Incomplete => {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "the client hung up early");
+                    buf.extend_from_slice(&chunk[..n]);
+                }
+                other => panic!("the client sent a bad frame: {other:?}"),
+            }
+        }
+    });
+
+    let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 7);
+    let mut client = Client::connect(&addr).unwrap();
+    let ingest = client
+        .ingest_retrying(&dataset.log.events()[..4])
+        .unwrap_err();
+    assert!(ingest.to_string().contains(WHY), "ingest: {ingest}");
+    let query = client.stats().unwrap_err();
+    assert!(query.to_string().contains(WHY), "stats: {query}");
+    daemon.join().unwrap();
 }
 
 fn counter(name: &str) -> u64 {
