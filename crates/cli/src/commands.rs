@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use cordial::eval::{evaluate_cordial, evaluate_neighbor_rows};
+use cordial::eval::{evaluate_neighbor_rows, evaluate_pipeline};
 use cordial::monitor::{CordialMonitor, GuardConfig, MonitorStats};
 use cordial::pipeline::{Cordial, MitigationPlan};
 use cordial::split::split_banks;
@@ -265,33 +265,33 @@ fn plan(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Scores a stored pipeline and the neighbor-rows baseline, under the
+/// pipeline's config, on every bank of `--log`. `train` fits on every
+/// bank of its own log, so evaluate on a log simulated apart from it.
 fn eval(args: &Args) -> Result<(), String> {
     let log = io::read_log(&args.path("log")?)?;
     let truth: io::TruthFile = io::read_json(&args.path("truth")?)?;
+    let cordial = io::read_pipeline(&args.path("pipeline")?)?;
     let dataset = io::assemble_dataset(log, truth);
-    let seed = args.seed()?;
-    let config = CordialConfig::default().with_seed(seed);
-    let split = split_banks(&dataset, 0.7, seed);
+    let banks: Vec<BankAddress> = dataset.truth.keys().copied().collect();
 
-    let (_, cordial_eval) = evaluate_cordial(&dataset, &split.train, &split.test, &config)
-        .map_err(|e| format!("training failed: {e}"))?;
-    let baseline = evaluate_neighbor_rows(&dataset, &split.test, &config);
+    let cordial_eval = evaluate_pipeline(&cordial, &dataset, &banks);
+    let baseline = evaluate_neighbor_rows(&dataset, &banks, cordial.config());
+    let name = format!(
+        "cordial-{}",
+        cordial.config().model.short_name().to_lowercase()
+    );
 
     println!("method         P      R      F1     ICR");
-    println!(
-        "neighbor-rows  {:.3}  {:.3}  {:.3}  {:.2}%",
-        baseline.block_scores.precision,
-        baseline.block_scores.recall,
-        baseline.block_scores.f1,
-        baseline.icr * 100.0
-    );
-    println!(
-        "cordial-rf     {:.3}  {:.3}  {:.3}  {:.2}%",
-        cordial_eval.block_scores.precision,
-        cordial_eval.block_scores.recall,
-        cordial_eval.block_scores.f1,
-        cordial_eval.icr * 100.0
-    );
+    for (method, result) in [("neighbor-rows", &baseline), (name.as_str(), &cordial_eval)] {
+        println!(
+            "{method:<15}{:.3}  {:.3}  {:.3}  {:.2}%",
+            result.block_scores.precision,
+            result.block_scores.recall,
+            result.block_scores.f1,
+            result.icr * 100.0
+        );
+    }
     Ok(())
 }
 

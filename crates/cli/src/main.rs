@@ -4,7 +4,8 @@
 //! cordial-cli simulate --scale small --seed 7 --log fleet.mce --truth truth.json
 //! cordial-cli train    --log fleet.mce --truth truth.json --model rf --out cordial.model.json
 //! cordial-cli plan     --log fleet.mce --pipeline cordial.model.json [--bank ADDR]
-//! cordial-cli eval     --log fleet.mce --truth truth.json --pipeline cordial.model.json
+//! cordial-cli simulate --scale small --seed 8 --log held-out.mce --truth held-out.json
+//! cordial-cli eval     --log held-out.mce --truth held-out.json --pipeline cordial.model.json
 //! ```
 //!
 //! * `simulate` writes a synthetic fleet as a textual MCE log plus a JSON
@@ -12,7 +13,9 @@
 //! * `train` fits the full pipeline on the log and persists it as JSON;
 //! * `plan` loads a trained pipeline and prints mitigation plans for the
 //!   banks of a (possibly live) log;
-//! * `eval` reproduces the Table IV metrics for a stored pipeline;
+//! * `eval` scores a stored pipeline and the neighbor-rows baseline with
+//!   the Table IV metrics on every bank of a log (`train` fits on every
+//!   bank of its own log, so evaluate on another);
 //! * `run` executes the whole simulate→train→monitor loop in one go,
 //!   optionally writing/resuming an atomic `--checkpoint`;
 //! * `monitor` replays an on-disk log through the degraded-stream monitor
@@ -58,14 +61,12 @@ fn main() -> ExitCode {
             cordial_obs::error!("  cordial-cli simulate --scale <small|medium|paper> [--seed N] --log FILE --truth FILE");
             cordial_obs::error!("  cordial-cli train    --log FILE --truth FILE [--model rf|xgb|lgbm] [--seed N] --out FILE");
             cordial_obs::error!("  cordial-cli plan     --log FILE --pipeline FILE [--bank ADDR]");
-            cordial_obs::error!(
-                "  cordial-cli eval     --log FILE --truth FILE --pipeline FILE [--seed N]"
-            );
+            cordial_obs::error!("  cordial-cli eval     --log FILE --truth FILE --pipeline FILE");
             cordial_obs::error!(
                 "  cordial-cli run      [--scale S] [--seed N] [--model M] [--checkpoint FILE] [--resume FILE] [--metrics-out FILE]"
             );
             cordial_obs::error!("  cordial-cli monitor  --log FILE (--pipeline FILE | --resume CKPT) [--checkpoint CKPT] [--checkpoint-every N] [--abort-after N] [--reorder-bound-ms MS]");
-            cordial_obs::error!("  cordial-cli chaos    [--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F]");
+            cordial_obs::error!("  cordial-cli chaos    [--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F] [--reorder-bound-ms MS]");
             cordial_obs::error!("  cordial-cli fleet    [--scale S] [--seed N] [--kill R] [--corrupt R] [--min-availability R] [--metrics-out FILE]");
             cordial_obs::error!("  cordial-cli serve    [--scale S] [--seed N] [--port P] [--metrics-port P] [--shards N] [--queue-cap N] [--retry-after-ms MS] [--store-dir DIR] [--fsync always|never|batch:N] [--port-file FILE] [--metrics-port-file FILE]");
             cordial_obs::error!("  cordial-cli load     --addr HOST:PORT [--scale S] [--seed N] [--batch N] [--repeats N] [--shutdown true] [--out FILE]");

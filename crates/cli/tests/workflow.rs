@@ -55,7 +55,7 @@ fn full_workflow_succeeds() {
     assert!(stdout.contains("banks received a plan"));
 
     let eval = bin()
-        .args(["eval", "--seed", "7"])
+        .args(["eval"])
         .args(["--log", log.to_str().unwrap()])
         .args(["--truth", truth.to_str().unwrap()])
         .args(["--pipeline", model.to_str().unwrap()])
@@ -65,6 +65,71 @@ fn full_workflow_succeeds() {
     let stdout = String::from_utf8_lossy(&eval.stdout);
     assert!(stdout.contains("cordial-rf"));
     assert!(stdout.contains("neighbor-rows"));
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Simulates a small fleet at `seed` into `dir`, returning its log and
+/// truth paths.
+fn simulate_small(dir: &std::path::Path, seed: &str) -> (PathBuf, PathBuf) {
+    let log = dir.join(format!("fleet-{seed}.mce"));
+    let truth = dir.join(format!("truth-{seed}.json"));
+    let out = bin()
+        .args(["simulate", "--scale", "small", "--seed", seed])
+        .args(["--log", log.to_str().unwrap()])
+        .args(["--truth", truth.to_str().unwrap()])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success(), "{out:?}");
+    (log, truth)
+}
+
+#[test]
+fn eval_scores_the_stored_pipeline_on_a_held_out_log() {
+    let dir = workdir("eval-xgb");
+    let (log, truth) = simulate_small(&dir, "5");
+    let (held_log, held_truth) = simulate_small(&dir, "6");
+    let model = dir.join("model.json");
+    let out = bin()
+        .args(["train", "--model", "xgb", "--seed", "5"])
+        .args(["--log", log.to_str().unwrap()])
+        .args(["--truth", truth.to_str().unwrap()])
+        .args(["--out", model.to_str().unwrap()])
+        .output()
+        .expect("run train");
+    assert!(out.status.success(), "{out:?}");
+
+    let out = bin()
+        .args(["eval"])
+        .args(["--log", held_log.to_str().unwrap()])
+        .args(["--truth", held_truth.to_str().unwrap()])
+        .args(["--pipeline", model.to_str().unwrap()])
+        .output()
+        .expect("run eval");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("cordial-xgb"), "{stdout}");
+    assert!(!stdout.contains("cordial-rf"), "{stdout}");
+    assert!(stdout.contains("neighbor-rows"), "{stdout}");
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn eval_refuses_a_missing_pipeline() {
+    let dir = workdir("eval-missing");
+    let (log, truth) = simulate_small(&dir, "5");
+    let missing = dir.join("no-such-model.json");
+    let out = bin()
+        .args(["eval"])
+        .args(["--log", log.to_str().unwrap()])
+        .args(["--truth", truth.to_str().unwrap()])
+        .args(["--pipeline", missing.to_str().unwrap()])
+        .output()
+        .expect("run eval");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no-such-model.json"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -12,17 +12,21 @@
 //! ```
 //!
 //! Splits are exact: every feature is rank-encoded once per fit
-//! (`RankedColumns`), and a node orders its rows by those ranks instead
-//! of sorting values. The per-class trees of one round are fitted on
-//! worker threads and folded back in class order, so every `n_threads`
-//! gives the same model. A fit draws no random numbers.
+//! (`RankedColumns`), and a node scans its rows in rank order instead of
+//! sorting values. Every tree's root holds every row, so the root's
+//! order is sorted once per fit and shared by every round and class. A
+//! split keeps its left rows in their relative order, so a left child's
+//! order is its parent's, filtered; a right child sorts its own. The
+//! per-class trees of one round are fitted on worker threads and folded
+//! back in class order, so every `n_threads` gives the same model. A fit
+//! draws no random numbers.
 
 use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::error::FitError;
 use crate::parallel::ordered_map_indexed;
-use crate::rank::{nan_first, RankSort, RankedColumns};
+use crate::rank::{position_of, rank_of, RankSort, RankedColumns};
 use crate::Classifier;
 
 /// L2 regularisation λ on leaf weights.
@@ -98,6 +102,8 @@ impl Gbdt {
         let mut gains = vec![0.0f64; data.n_features()];
         let ranked = RankedColumns::new(data);
         let rows: Vec<usize> = (0..n).collect();
+        let mut root_keys = Vec::new();
+        sort_node(&ranked, &rows, &mut RankSort::default(), &mut root_keys);
 
         // Base score: log prior per class.
         let counts = data.class_counts();
@@ -106,26 +112,26 @@ impl Gbdt {
             .map(|&c| (((c as f64) + 1.0) / ((n + k) as f64)).ln())
             .collect();
 
-        // Raw scores per row per class.
-        let mut scores: Vec<Vec<f64>> = vec![base_score.clone(); n];
+        // Raw scores and softmax probabilities, `k` per row.
+        let mut scores = base_score.repeat(n);
+        let mut probs = vec![0.0; n * k];
         let mut trees: Vec<Vec<RegTree>> = Vec::with_capacity(config.n_rounds);
 
         for _ in 0..config.n_rounds {
             cordial_obs::counter!("trees.boost_rounds").inc();
-            // Softmax probabilities.
-            let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
+            softmax_rows(&scores, &mut probs, k);
+            let probs = &probs;
 
             let fit_class = |class: usize| -> ClassFit {
                 cordial_obs::counter!("trees.trees_built").inc();
                 let grad_hess: Vec<(f64, f64)> = (0..n)
                     .map(|i| {
-                        let p = probs[i][class];
+                        let p = probs[i * k + class];
                         let y = f64::from(data.label(i) == class);
                         (p - y, (p * (1.0 - p)).max(1e-16))
                     })
                     .collect();
-                let (tree, gains) = RegTree::fit(&ranked, &rows, &grad_hess, config);
-                let preds = (0..n).map(|i| tree.predict(data.row(i))).collect();
+                let (tree, gains, preds) = RegTree::fit(&ranked, &root_keys, &grad_hess, config);
                 ClassFit { tree, gains, preds }
             };
 
@@ -136,7 +142,7 @@ impl Gbdt {
                 .into_iter()
                 .enumerate()
             {
-                for (score_row, pred) in scores.iter_mut().zip(&fit.preds) {
+                for (score_row, pred) in scores.chunks_exact_mut(k).zip(&fit.preds) {
                     score_row[class] += config.learning_rate * pred;
                 }
                 for (feature, gain) in fit.gains {
@@ -329,7 +335,8 @@ struct ClassFit {
     tree: RegTree,
     /// `(feature, gain)` per split, in build order.
     gains: Vec<(usize, f64)>,
-    /// The tree's output for every row of the dataset.
+    /// The tree's output for every row of the dataset, as its leaves wrote
+    /// it: the weight [`RegTree::predict`] gives that row.
     preds: Vec<f64>,
 }
 
@@ -343,10 +350,28 @@ pub(crate) fn normalise_gains(gains: &[f64]) -> Vec<f64> {
 }
 
 pub(crate) fn softmax(scores: &[f64]) -> Vec<f64> {
+    let mut probs = vec![0.0; scores.len()];
+    softmax_into(scores, &mut probs);
+    probs
+}
+
+fn softmax_into(scores: &[f64], probs: &mut [f64]) {
     let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|&s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for (p, &s) in probs.iter_mut().zip(scores) {
+        *p = (s - max).exp();
+    }
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
+}
+
+/// [`softmax`] of every row of a row-major `k`-wide score matrix, into
+/// `probs`: one round's probabilities in one buffer.
+pub(crate) fn softmax_rows(scores: &[f64], probs: &mut [f64], k: usize) {
+    for (s, p) in scores.chunks_exact(k).zip(probs.chunks_exact_mut(k)) {
+        softmax_into(s, p);
+    }
 }
 
 /// A regression tree fitted to grad/hess pairs (XGBoost objective), its
@@ -370,24 +395,19 @@ enum RegNode {
 }
 
 impl RegTree {
-    /// Fits one tree to `rows`. Returns it with its `(feature, gain)`
-    /// contributions, one per split in build (depth-first) order.
+    /// Fits one tree to every row, starting from the root's position keys
+    /// ([`sort_node`] of rows `0..n`). Returns it with its `(feature, gain)`
+    /// contributions, one per split in build (depth-first) order, and its
+    /// output for every row.
     fn fit(
         ranked: &RankedColumns,
-        rows: &[usize],
+        root_keys: &[u64],
         grad_hess: &[(f64, f64)],
         config: &GbdtConfig,
-    ) -> (Self, Vec<(usize, f64)>) {
-        let mut grow = Grow {
-            ranked,
-            grad_hess,
-            max_depth: config.max_depth,
-            sort: RankSort::default(),
-            nodes: Vec::new(),
-            gains: Vec::new(),
-        };
-        grow.build(&mut rows.to_vec(), 0);
-        (RegTree { nodes: grow.nodes }, grow.gains)
+    ) -> (Self, Vec<(usize, f64)>, Vec<f64>) {
+        let mut grow = Grow::new(ranked, root_keys, grad_hess, config.max_depth);
+        grow.build(&mut (0..grad_hess.len()).collect::<Vec<_>>(), 0);
+        (RegTree { nodes: grow.nodes }, grow.gains, grow.outputs)
     }
 
     fn predict(&self, row: &[f64]) -> f64 {
@@ -413,32 +433,98 @@ impl RegTree {
     }
 }
 
-/// One tree's growth: its inputs, sort buffers, nodes and split gains.
+/// Replaces `keys` with every feature's position keys for a node's `rows`,
+/// feature-major: `rows.len()` keys per feature, each stably sorted by
+/// rank.
+fn sort_node(ranked: &RankedColumns, rows: &[usize], sort: &mut RankSort, keys: &mut Vec<u64>) {
+    keys.clear();
+    for feature in 0..ranked.n_features() {
+        keys.extend_from_slice(sort.keys(ranked, feature, rows));
+    }
+}
+
+/// One tree's growth: its inputs, buffers, nodes, split gains and per-row
+/// outputs.
 struct Grow<'a> {
     ranked: &'a RankedColumns,
+    /// The root's position keys ([`sort_node`] of rows `0..n`), shared by
+    /// every tree of a fit.
+    root_keys: &'a [u64],
     grad_hess: &'a [(f64, f64)],
     max_depth: usize,
     sort: RankSort,
+    /// The current node's grad/hess pairs, by position.
+    node_grad_hess: Vec<(f64, f64)>,
+    /// `left_before[pos]`: how many of the split node's rows before `pos`
+    /// go left, with the total at the end.
+    left_before: Vec<u32>,
+    /// The position keys of the node being grown below the root. A node's
+    /// keys are dead once its left child's are filtered from them, since
+    /// the right child sorts its own, so one buffer serves the whole tree.
+    keys: Vec<u64>,
     nodes: Vec<RegNode>,
     gains: Vec<(usize, f64)>,
+    /// Each row's leaf weight, written as its leaf is made.
+    outputs: Vec<f64>,
 }
 
-impl Grow<'_> {
+impl<'a> Grow<'a> {
+    fn new(
+        ranked: &'a RankedColumns,
+        root_keys: &'a [u64],
+        grad_hess: &'a [(f64, f64)],
+        max_depth: usize,
+    ) -> Self {
+        Grow {
+            ranked,
+            root_keys,
+            grad_hess,
+            max_depth,
+            sort: RankSort::default(),
+            node_grad_hess: Vec::new(),
+            left_before: Vec::new(),
+            keys: Vec::new(),
+            nodes: Vec::new(),
+            gains: Vec::new(),
+            outputs: vec![0.0; grad_hess.len()],
+        }
+    }
+
+    /// Grows the subtree of `rows` at `depth`, returning its root. When
+    /// the node may split, its position keys are the root's at depth 0
+    /// and `keys` below it.
     fn build(&mut self, rows: &mut [usize], depth: usize) -> usize {
         let grad_hess = self.grad_hess;
-        let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
-            (g + grad_hess[i].0, h + grad_hess[i].1)
-        });
+        self.node_grad_hess.clear();
+        self.node_grad_hess
+            .extend(rows.iter().map(|&row| grad_hess[row]));
+        let (g_sum, h_sum) = self
+            .node_grad_hess
+            .iter()
+            .fold((0.0, 0.0), |(g, h), &(gi, hi)| (g + gi, h + hi));
 
-        if depth < self.max_depth && rows.len() >= 2 {
-            if let Some(split) = self.best_split(rows, g_sum, h_sum) {
-                let mid = self.ranked.partition(rows, split.feature, split.threshold);
+        if self.may_split(rows.len(), depth) {
+            let keys = if depth == 0 {
+                self.root_keys
+            } else {
+                &self.keys
+            };
+            if let Some(split) = self.best_split(rows, keys, g_sum, h_sum) {
+                let mid = self.mark_left(rows, &split);
                 if mid > 0 && mid < rows.len() {
                     self.gains.push((split.feature, split.gain.max(0.0)));
                     let node_idx = self.nodes.len();
                     self.nodes.push(RegNode::Leaf { weight: 0.0 });
+                    if self.may_split(mid, depth + 1) {
+                        self.filter_left(depth, rows.len(), mid);
+                    }
+                    self.ranked.partition(rows, split.feature, split.threshold);
                     let (left_rows, right_rows) = rows.split_at_mut(mid);
                     let left = self.build(left_rows, depth + 1);
+                    // Partition reordered the right rows: sort them afresh.
+                    if self.may_split(right_rows.len(), depth + 1) {
+                        sort_node(self.ranked, right_rows, &mut self.sort, &mut self.keys);
+                    }
                     let right = self.build(right_rows, depth + 1);
                     self.nodes[node_idx] = RegNode::Split {
                         feature: split.feature,
@@ -452,31 +538,90 @@ impl Grow<'_> {
         }
 
         let weight = -g_sum / (h_sum + LAMBDA);
+        for &row in rows.iter() {
+            self.outputs[row] = weight;
+        }
         let node_idx = self.nodes.len();
         self.nodes.push(RegNode::Leaf { weight });
         node_idx
     }
 
+    /// Replaces `keys` with the left child's position keys: the split
+    /// node's keys (`len` per feature, the root's at depth 0 and `keys`
+    /// itself below it) filtered to its `n_left` left rows, each position
+    /// remapped to its rank among them. Partition keeps the left rows in
+    /// their relative order, so this is the left child's stable rank
+    /// order. Branch-free: every key is written, and the cursor advances
+    /// only on a left one. In place, a write never passes the read.
+    fn filter_left(&mut self, depth: usize, len: usize, n_left: usize) {
+        let n_features = self.ranked.n_features();
+        let root = (depth == 0).then_some(self.root_keys);
+        if root.is_some() {
+            self.keys.clear();
+        }
+        // The slot past a feature's keys takes its trailing right keys
+        // until the next feature overwrites it.
+        self.keys
+            .resize(self.keys.len().max(n_features * n_left + 1), 0);
+        for feature in 0..n_features {
+            let mut at = feature * n_left;
+            for i in feature * len..(feature + 1) * len {
+                let key = match root {
+                    Some(root) => root[i],
+                    None => self.keys[i],
+                };
+                let pos = position_of(key);
+                let (before, after) = (self.left_before[pos], self.left_before[pos + 1]);
+                self.keys[at] = (rank_of(key) << 32) | u64::from(before);
+                at += (after - before) as usize;
+            }
+        }
+        self.keys.truncate(n_features * n_left);
+    }
+
+    /// Whether a node of `len` rows at `depth` searches for a split.
+    fn may_split(&self, len: usize, depth: usize) -> bool {
+        depth < self.max_depth && len >= 2
+    }
+
+    /// Fills `left_before` for `split` and returns how many rows go left:
+    /// the rows [`RankedColumns::partition`] moves to the front.
+    fn mark_left(&mut self, rows: &[usize], split: &RegSplit) -> usize {
+        let column = self.ranked.values(split.feature);
+        self.left_before.clear();
+        let mut left = 0u32;
+        for &row in rows {
+            self.left_before.push(left);
+            let v = column[row];
+            left += u32::from(v.is_nan() || v <= split.threshold);
+        }
+        self.left_before.push(left);
+        left as usize
+    }
+
     /// The exact best split of `rows`: for each feature, prefix sums in
     /// rank order, a candidate between every two distinct keys.
-    fn best_split(&mut self, rows: &[usize], g_sum: f64, h_sum: f64) -> Option<RegSplit> {
+    fn best_split(&self, rows: &[usize], keys: &[u64], g_sum: f64, h_sum: f64) -> Option<RegSplit> {
         let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
         let mut best_gain = 1e-12;
         let mut best = None;
-        for feature in 0..self.ranked.n_features() {
-            let sorted = self.sort.sort(self.ranked, feature, rows);
-            let column = self.ranked.values(feature);
+        let grad_hess = &self.node_grad_hess;
+        for (feature, keys) in keys.chunks_exact(rows.len()).enumerate() {
+            // No candidate where every row shares one rank.
+            if rank_of(keys[0]) == rank_of(keys[keys.len() - 1]) {
+                continue;
+            }
+            // Rank 0 is then NaN or −∞, which no threshold can split off.
+            let bottom_is_neg_inf = self.ranked.bottom_is_neg_inf(feature);
 
             let mut g_left = 0.0;
             let mut h_left = 0.0;
-            for pos in 0..sorted.len() - 1 {
-                g_left += self.grad_hess[sorted[pos]].0;
-                h_left += self.grad_hess[sorted[pos]].1;
-                let (value, next_value) = (
-                    nan_first(column[sorted[pos]]),
-                    nan_first(column[sorted[pos + 1]]),
-                );
-                if value == next_value || value == f64::NEG_INFINITY {
+            for pair in keys.windows(2) {
+                let (g, h) = grad_hess[position_of(pair[0])];
+                g_left += g;
+                h_left += h;
+                let rank = rank_of(pair[0]);
+                if rank == rank_of(pair[1]) || (rank == 0 && bottom_is_neg_inf) {
                     continue;
                 }
                 let h_right = h_sum - h_left;
@@ -490,6 +635,10 @@ impl Grow<'_> {
                         - parent_score);
                 if gain > best_gain {
                     best_gain = gain;
+                    // Neither value is NaN: NaN holds rank 0, skipped above.
+                    let column = self.ranked.values(feature);
+                    let value = column[rows[position_of(pair[0])]];
+                    let next_value = column[rows[position_of(pair[1])]];
                     best = Some(RegSplit {
                         feature,
                         threshold: value + (next_value - value) / 2.0,
@@ -717,6 +866,69 @@ mod tests {
         })
     }
 
+    /// A tree grown as [`Grow::build`] grows one, with the value-sort
+    /// oracle picking every split: its nodes, gains and per-row outputs.
+    #[derive(Default)]
+    struct ByValue {
+        nodes: Vec<RegNode>,
+        gains: Vec<(usize, f64)>,
+        outputs: Vec<f64>,
+    }
+
+    impl ByValue {
+        fn build(
+            &mut self,
+            (data, ranked, grad_hess): (&Dataset, &RankedColumns, &[(f64, f64)]),
+            max_depth: usize,
+            rows: &mut [usize],
+            depth: usize,
+        ) -> usize {
+            let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
+                (g + grad_hess[i].0, h + grad_hess[i].1)
+            });
+            if depth < max_depth && rows.len() >= 2 {
+                if let Some(split) = best_split_by_value(data, rows, grad_hess, g_sum, h_sum) {
+                    let mid = ranked.partition(rows, split.feature, split.threshold);
+                    if mid > 0 && mid < rows.len() {
+                        self.gains.push((split.feature, split.gain.max(0.0)));
+                        let node_idx = self.nodes.len();
+                        self.nodes.push(RegNode::Leaf { weight: 0.0 });
+                        let inputs = (data, ranked, grad_hess);
+                        let (left_rows, right_rows) = rows.split_at_mut(mid);
+                        let left = self.build(inputs, max_depth, left_rows, depth + 1);
+                        let right = self.build(inputs, max_depth, right_rows, depth + 1);
+                        self.nodes[node_idx] = RegNode::Split {
+                            feature: split.feature,
+                            threshold: split.threshold,
+                            left,
+                            right,
+                        };
+                        return node_idx;
+                    }
+                }
+            }
+            let weight = -g_sum / (h_sum + LAMBDA);
+            for &row in rows.iter() {
+                self.outputs[row] = weight;
+            }
+            self.nodes.push(RegNode::Leaf { weight });
+            self.nodes.len() - 1
+        }
+    }
+
+    /// Every field of a node, floats as bits.
+    fn node_bits(node: &RegNode) -> (usize, u64, usize, usize) {
+        match *node {
+            RegNode::Leaf { weight } => (usize::MAX, weight.to_bits(), 0, 0),
+            RegNode::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => (feature, threshold.to_bits(), left, right),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -728,21 +940,50 @@ mod tests {
             let (g_sum, h_sum) = rows.iter().fold((0.0, 0.0), |(g, h), &i| {
                 (g + grad_hess[i].0, h + grad_hess[i].1)
             });
-            let mut grow = Grow {
-                ranked: &ranked,
-                grad_hess: &grad_hess,
-                max_depth: GbdtConfig::default().max_depth,
-                sort: RankSort::default(),
-                nodes: Vec::new(),
-                gains: Vec::new(),
-            };
+            let mut keys = Vec::new();
+            sort_node(&ranked, &rows, &mut RankSort::default(), &mut keys);
+            let mut grow = Grow::new(&ranked, &keys, &grad_hess, GbdtConfig::default().max_depth);
+            grow.node_grad_hess = rows.iter().map(|&i| grad_hess[i]).collect();
             let bits = |split: Option<RegSplit>| {
                 split.map(|s| (s.feature, s.threshold.to_bits(), s.gain.to_bits()))
             };
             prop_assert_eq!(
-                bits(grow.best_split(&rows, g_sum, h_sum)),
+                bits(grow.best_split(&rows, &keys, g_sum, h_sum)),
                 bits(best_split_by_value(&data, &rows, &grad_hess, g_sum, h_sum))
             );
+        }
+
+        #[test]
+        fn ranked_trees_match_the_value_sort(
+            (data, grad_hess, _rows) in arb_node(),
+            max_depth in 1usize..=6,
+        ) {
+            let ranked = RankedColumns::new(&data);
+            let n = data.n_rows();
+            let config = GbdtConfig { max_depth, ..GbdtConfig::default() };
+            let mut root_keys = Vec::new();
+            let all_rows: Vec<usize> = (0..n).collect();
+            sort_node(&ranked, &all_rows, &mut RankSort::default(), &mut root_keys);
+            let (tree, gains, outputs) = RegTree::fit(&ranked, &root_keys, &grad_hess, &config);
+
+            let mut oracle = ByValue { outputs: vec![0.0; n], ..ByValue::default() };
+            let inputs = (&data, &ranked, &grad_hess[..]);
+            oracle.build(inputs, max_depth, &mut (0..n).collect::<Vec<_>>(), 0);
+
+            let gain_bits = |gains: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                gains.iter().map(|&(f, g)| (f, g.to_bits())).collect()
+            };
+            let output_bits = |outputs: &[f64]| -> Vec<u64> {
+                outputs.iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(
+                tree.nodes.iter().map(node_bits).collect::<Vec<_>>(),
+                oracle.nodes.iter().map(node_bits).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(gain_bits(&gains), gain_bits(&oracle.gains));
+            prop_assert_eq!(output_bits(&outputs), output_bits(&oracle.outputs));
+            let predicted: Vec<f64> = (0..n).map(|i| tree.predict(data.row(i))).collect();
+            prop_assert_eq!(output_bits(&outputs), output_bits(&predicted));
         }
     }
 }

@@ -95,8 +95,7 @@ impl BinMapper {
     }
 }
 
-/// A dataset binned once, stored column-major for histogram construction
-/// and row-major for tree traversal.
+/// A dataset binned once, stored column-major for histogram construction.
 ///
 /// [`LightGbm`](crate::LightGbm) bins its training set exactly once and
 /// reuses the result across every boosting round and class; the
@@ -112,8 +111,6 @@ pub struct BinnedDataset {
     n_features: usize,
     /// Column-major bins: `cols[f * n_rows + i]` is row `i` of feature `f`.
     cols: Vec<u16>,
-    /// Row-major bins: `rows[i * n_features + f]`, used for prediction.
-    rows: Vec<u16>,
 }
 
 impl BinnedDataset {
@@ -125,13 +122,10 @@ impl BinnedDataset {
     pub fn fit(data: &Dataset, max_bins: usize) -> Self {
         let mapper = BinMapper::fit(data, max_bins);
         let (n_rows, n_features) = (data.n_rows(), data.n_features());
-        let mut rows = Vec::with_capacity(n_rows * n_features);
         let mut cols = vec![0u16; n_rows * n_features];
         for i in 0..n_rows {
             for f in 0..n_features {
-                let bin = mapper.bin(f, data.value(i, f));
-                rows.push(bin);
-                cols[f * n_rows + i] = bin;
+                cols[f * n_rows + i] = mapper.bin(f, data.value(i, f));
             }
         }
         Self {
@@ -139,7 +133,6 @@ impl BinnedDataset {
             n_rows,
             n_features,
             cols,
-            rows,
         }
     }
 
@@ -166,11 +159,6 @@ impl BinnedDataset {
     /// The bins of feature `f` across all rows (contiguous).
     pub fn column(&self, f: usize) -> &[u16] {
         &self.cols[f * self.n_rows..(f + 1) * self.n_rows]
-    }
-
-    /// The bins of row `i` across all features (contiguous).
-    pub fn row(&self, i: usize) -> &[u16] {
-        &self.rows[i * self.n_features..(i + 1) * self.n_features]
     }
 }
 
@@ -374,9 +362,9 @@ mod tests {
         assert_eq!(binned.n_rows(), 3);
         assert_eq!(binned.n_features(), 3);
         for i in 0..3 {
-            assert_eq!(binned.row(i), binned.mapper().bin_row(data.row(i)));
-            for f in 0..3 {
-                assert_eq!(binned.column(f)[i], binned.row(i)[f]);
+            let bin_row = binned.mapper().bin_row(data.row(i));
+            for (f, &bin) in bin_row.iter().enumerate() {
+                assert_eq!(binned.column(f)[i], bin);
             }
         }
         assert_eq!(binned.n_bins(1), binned.mapper().n_bins(1));

@@ -21,7 +21,7 @@
 //!   larger child is derived in O(bins) with the histogram-subtraction
 //!   trick ([`FeatureHistogram::subtracted_from`]);
 //! * the per-class trees of one boosting round are fitted on worker
-//!   threads, and large histogram builds are split across features.
+//!   threads, and each worker builds its own histograms.
 //!
 //! Parallelism never changes the result: a fit draws no random numbers
 //! and all reductions run in input order, so any `n_threads` produces a
@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::error::FitError;
-use crate::gbdt::{check_nodes, check_rounds, softmax};
+use crate::gbdt::{check_nodes, check_rounds, softmax, softmax_rows};
 use crate::hist::{BinMapper, BinnedDataset, FeatureHistogram};
 use crate::parallel::ordered_map_indexed;
 use crate::Classifier;
@@ -55,8 +55,8 @@ pub struct LightGbmConfig {
     pub max_leaves: usize,
     /// Shrinkage (learning rate).
     pub learning_rate: f64,
-    /// Worker threads used while fitting (1 = sequential). The fitted
-    /// model is identical for every thread count.
+    /// Worker threads fitting one round's per-class trees (1 =
+    /// sequential). The fitted model is identical for every thread count.
     pub n_threads: usize,
 }
 
@@ -124,7 +124,9 @@ impl LightGbm {
             .iter()
             .map(|&c| (((c as f64) + 1.0) / ((n + k) as f64)).ln())
             .collect();
-        let mut scores: Vec<Vec<f64>> = vec![base_score.clone(); n];
+        // Raw scores and softmax probabilities, `k` per row.
+        let mut scores = base_score.repeat(n);
+        let mut probs = vec![0.0; n * k];
         let mut trees: Vec<Vec<HistTree>> = Vec::with_capacity(config.n_rounds);
         let mut gains = vec![0.0f64; n_features];
 
@@ -132,19 +134,19 @@ impl LightGbm {
 
         for _ in 0..config.n_rounds {
             cordial_obs::counter!("trees.boost_rounds").inc();
-            let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
+            softmax_rows(&scores, &mut probs, k);
+            let probs = &probs;
 
             let fit_class = |class: usize| -> ClassFit {
                 cordial_obs::counter!("trees.trees_built").inc();
                 let grad_hess: Vec<(f64, f64)> = (0..n)
                     .map(|i| {
-                        let p = probs[i][class];
+                        let p = probs[i * k + class];
                         let y = f64::from(labels[i] == class);
                         (p - y, (p * (1.0 - p)).max(1e-16))
                     })
                     .collect();
-                let (tree, tree_gains) = HistTree::fit(&binned, &grad_hess, config);
-                let preds: Vec<f64> = (0..n).map(|i| tree.predict_binned(binned.row(i))).collect();
+                let (tree, tree_gains, preds) = HistTree::fit(&binned, &grad_hess, config);
                 ClassFit {
                     tree,
                     gains: tree_gains,
@@ -156,7 +158,7 @@ impl LightGbm {
 
             let mut round_trees = Vec::with_capacity(k);
             for (class, fit) in fitted.into_iter().enumerate() {
-                for (score_row, pred) in scores.iter_mut().zip(&fit.preds) {
+                for (score_row, pred) in scores.chunks_exact_mut(k).zip(&fit.preds) {
                     score_row[class] += config.learning_rate * pred;
                 }
                 for (total, delta) in gains.iter_mut().zip(&fit.gains) {
@@ -292,7 +294,8 @@ struct ClassFit {
     tree: HistTree,
     /// Per-feature split gain accumulated by this tree.
     gains: Vec<f64>,
-    /// This tree's raw prediction for every training row.
+    /// This tree's raw prediction for every training row, as its leaves
+    /// wrote it.
     preds: Vec<f64>,
 }
 
@@ -347,46 +350,36 @@ struct LeafSplit {
     gain: f64,
 }
 
-/// Minimum `rows × features` product before a histogram build fans out to
-/// worker threads; below this the spawn overhead dominates the scan.
-const PARALLEL_HIST_WORK: usize = 1 << 14;
-
 /// Builds the per-feature histograms of one node by scanning its rows over
-/// the column-major bins — the O(rows × features) kernel of split search,
-/// split across features when the node is large enough. Per-feature
-/// arithmetic is independent, so the result is thread-count invariant.
+/// the column-major bins: the O(rows × features) kernel of split search.
 fn build_hists(
     binned: &BinnedDataset,
     rows: &[usize],
     grad_hess: &[(f64, f64)],
-    n_threads: usize,
 ) -> Vec<FeatureHistogram> {
     let n_features = binned.n_features();
-    let threads = if rows.len().saturating_mul(n_features) >= PARALLEL_HIST_WORK {
-        n_threads
-    } else {
-        1
-    };
     cordial_obs::counter!("trees.histogram_builds").add(n_features as u64);
-    ordered_map_indexed(n_features, threads, |feature| {
-        let col = binned.column(feature);
-        let mut hist = FeatureHistogram::zeros(binned.n_bins(feature));
-        for &r in rows {
-            let (g, h) = grad_hess[r];
-            hist.add(col[r], g, h);
-        }
-        hist
-    })
+    (0..n_features)
+        .map(|feature| {
+            let col = binned.column(feature);
+            let mut hist = FeatureHistogram::zeros(binned.n_bins(feature));
+            for &r in rows {
+                let (g, h) = grad_hess[r];
+                hist.add(col[r], g, h);
+            }
+            hist
+        })
+        .collect()
 }
 
 impl HistTree {
     /// Grows one leaf-wise tree, returning it together with the
-    /// per-feature split gain it accumulated.
+    /// per-feature split gain it accumulated and its output for every row.
     fn fit(
         binned: &BinnedDataset,
         grad_hess: &[(f64, f64)],
         config: &LightGbmConfig,
-    ) -> (Self, Vec<f64>) {
+    ) -> (Self, Vec<f64>, Vec<f64>) {
         let mut tree = HistTree { nodes: Vec::new() };
         let mut gains = vec![0.0f64; binned.n_features()];
         let rows: Vec<usize> = (0..binned.n_rows()).collect();
@@ -397,7 +390,7 @@ impl HistTree {
             weight: -g_sum / (h_sum + LAMBDA),
         });
 
-        let root_hists = build_hists(binned, &rows, grad_hess, config.n_threads);
+        let root_hists = build_hists(binned, &rows, grad_hess);
         let mut leaves = vec![GrowLeaf {
             node_idx: 0,
             rows,
@@ -452,7 +445,7 @@ impl HistTree {
             // the larger one from the parent in O(bins).
             let scan_left = left_rows.len() <= right_rows.len();
             let scan_rows = if scan_left { &left_rows } else { &right_rows };
-            let scanned = build_hists(binned, scan_rows, grad_hess, config.n_threads);
+            let scanned = build_hists(binned, scan_rows, grad_hess);
             let derived: Vec<FeatureHistogram> = scanned
                 .iter()
                 .zip(&leaf.hists)
@@ -502,7 +495,16 @@ impl HistTree {
             leaves.push(right_leaf);
         }
 
-        (tree, gains)
+        // Each row's output is the weight of the leaf that holds it: the
+        // leaf `predict_binned` reaches, since both route by `<=` on bins.
+        let mut outputs = vec![0.0; binned.n_rows()];
+        for leaf in &leaves {
+            let weight = -leaf.g_sum / (leaf.h_sum + LAMBDA);
+            for &row in &leaf.rows {
+                outputs[row] = weight;
+            }
+        }
+        (tree, gains, outputs)
     }
 
     pub(crate) fn predict_binned(&self, bin_row: &[u16]) -> f64 {
@@ -530,8 +532,7 @@ impl HistTree {
 /// Scans the leaf's cached histograms for the best split. Features are
 /// visited in index order and bins in ascending order with a
 /// strictly-greater comparison, so the selected split does not depend on
-/// how the histograms were produced (direct scan or subtraction sibling,
-/// sequential or parallel build).
+/// how the histograms were produced (direct scan or subtraction sibling).
 fn best_split(leaf: &GrowLeaf) -> Option<LeafSplit> {
     if leaf.rows.len() < 2 * MIN_DATA_IN_LEAF {
         return None;

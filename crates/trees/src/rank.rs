@@ -5,9 +5,12 @@
 //! in that order. Sorting the `f64` values again at every node of every
 //! tree would dominate their fit time, so [`RankedColumns`] instead encodes
 //! each feature once as dense `u32` ranks under the scans' own order: NaN
-//! ties −∞ at the bottom and −0.0 ties +0.0. A node then sorts its row ids
-//! by an integer key ([`RankSort`]), which is the idea behind XGBoost's
-//! pre-sorted column blocks (Chen & Guestrin, KDD 2016).
+//! ties −∞ at the bottom and −0.0 ties +0.0. A node then sorts integer
+//! position keys, `rank << 32 | position` with `position` an index into
+//! the node's rows ([`RankSort`]), which is the idea behind XGBoost's
+//! pre-sorted column blocks (Chen & Guestrin, KDD 2016). Two keys compare
+//! equal in rank exactly when their [`nan_first`] values are equal, so a
+//! scan compares ranks and reads a value only to place a threshold.
 //!
 //! Equal values share a rank and every sort here is stable, so a node's
 //! rows come out in exactly the permutation a stable comparison sort of
@@ -23,8 +26,15 @@ const DIGIT_BITS: u32 = 11;
 /// Nodes below this many rows use an insertion sort instead.
 const INSERTION_SORT_MAX: usize = 64;
 
-/// Low half of a sort key: the row id.
-const ROW_MASK: u64 = u32::MAX as u64;
+/// The rank half of a position key.
+pub(crate) fn rank_of(key: u64) -> u64 {
+    key >> 32
+}
+
+/// The position half of a position key: an index into the node's rows.
+pub(crate) fn position_of(key: u64) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
 
 /// The split-search order's key for a value: NaN sorts with −∞, first.
 pub(crate) fn nan_first(v: f64) -> f64 {
@@ -45,6 +55,9 @@ pub(crate) struct RankedColumns {
     values: Vec<f64>,
     /// Bits needed to hold each feature's largest rank (0 when constant).
     rank_bits: Vec<u32>,
+    /// Whether each feature's rank 0 is the −∞ key: the column holds NaN
+    /// or −∞.
+    bottom_is_neg_inf: Vec<bool>,
 }
 
 impl RankedColumns {
@@ -63,6 +76,7 @@ impl RankedColumns {
         let mut ranks = vec![0u32; n_rows * n_features];
         let mut values = Vec::with_capacity(n_rows * n_features);
         let mut rank_bits = Vec::with_capacity(n_features);
+        let mut bottom_is_neg_inf = Vec::with_capacity(n_features);
         let mut by_key: Vec<(f64, u32)> = Vec::with_capacity(n_rows);
         for feature in 0..n_features {
             values.extend((0..n_rows).map(|row| data.value(row, feature)));
@@ -84,12 +98,14 @@ impl RankedColumns {
                 column_ranks[by_key[pos].1 as usize] = rank;
             }
             rank_bits.push(u32::BITS - rank.leading_zeros());
+            bottom_is_neg_inf.push(by_key.first().is_some_and(|k| k.0 == f64::NEG_INFINITY));
         }
         RankedColumns {
             n_rows,
             ranks,
             values,
             rank_bits,
+            bottom_is_neg_inf,
         }
     }
 
@@ -101,6 +117,12 @@ impl RankedColumns {
     /// Raw values of one feature, indexed by row id.
     pub(crate) fn values(&self, feature: usize) -> &[f64] {
         &self.values[feature * self.n_rows..(feature + 1) * self.n_rows]
+    }
+
+    /// Whether rank 0 of `feature` is the −∞ key, so that a row of rank 0
+    /// is NaN or −∞ there.
+    pub(crate) fn bottom_is_neg_inf(&self, feature: usize) -> bool {
+        self.bottom_is_neg_inf[feature]
     }
 
     /// Moves the rows whose `feature` is NaN or `<= threshold` to the front
@@ -122,36 +144,49 @@ impl RankedColumns {
 /// Reusable buffers for ordering a node's rows by one feature's ranks.
 #[derive(Debug, Default)]
 pub(crate) struct RankSort {
-    /// `rank << 32 | row` per row; the sorts compare the high half only.
+    /// One position key per row of the node; the sorts compare ranks only.
     keys: Vec<u64>,
     spare: Vec<u64>,
-    order: Vec<usize>,
+    /// Radix bucket starts, `1 << min(DIGIT_BITS, rank_bits)` of them.
+    buckets: Vec<usize>,
 }
 
 impl RankSort {
-    /// Returns `rows` stably sorted by their rank in `feature`: ties keep
-    /// their order in `rows`, as a stable sort of the values would.
-    pub(crate) fn sort(
+    /// Returns one `rank << 32 | position` key per entry of `rows`, where
+    /// `position` indexes `rows`, stably sorted by rank in `feature`: ties
+    /// keep their order in `rows`, as a stable sort of the values would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` has more entries than a `u32` position can address.
+    pub(crate) fn keys(
         &mut self,
         ranked: &RankedColumns,
         feature: usize,
         rows: &[usize],
-    ) -> &[usize] {
+    ) -> &[u64] {
+        assert!(
+            u32::try_from(rows.len()).is_ok(),
+            "position keys support at most 2^32 - 1 rows per node"
+        );
         let ranks = &ranked.ranks[feature * ranked.n_rows..(feature + 1) * ranked.n_rows];
         self.keys.clear();
         self.keys.extend(
             rows.iter()
-                .map(|&row| (u64::from(ranks[row]) << 32) | row as u64),
+                .zip(0u64..)
+                .map(|(&row, position)| (u64::from(ranks[row]) << 32) | position),
         );
         if self.keys.len() < INSERTION_SORT_MAX {
             insertion_sort_by_rank(&mut self.keys);
         } else {
-            radix_sort_by_rank(&mut self.keys, &mut self.spare, ranked.rank_bits[feature]);
+            radix_sort_by_rank(
+                &mut self.keys,
+                &mut self.spare,
+                &mut self.buckets,
+                ranked.rank_bits[feature],
+            );
         }
-        self.order.clear();
-        self.order
-            .extend(self.keys.iter().map(|&key| (key & ROW_MASK) as usize));
-        &self.order
+        &self.keys
     }
 }
 
@@ -168,20 +203,31 @@ fn insertion_sort_by_rank(keys: &mut [u64]) {
 }
 
 /// Stable least-significant-digit radix sort on the rank half of `keys`,
-/// one pass per [`DIGIT_BITS`] of `rank_bits`.
-fn radix_sort_by_rank(keys: &mut Vec<u64>, spare: &mut Vec<u64>, rank_bits: u32) {
-    let digit = |key: u64, shift: u32| ((key >> shift) as usize) & ((1 << DIGIT_BITS) - 1);
-    let mut starts = [0usize; 1 << DIGIT_BITS];
-    for shift in (32..32 + rank_bits).step_by(DIGIT_BITS as usize) {
-        starts.fill(0);
+/// one pass per `min(DIGIT_BITS, rank_bits)` bits of `rank_bits`, so a
+/// narrow feature zeroes and sums only the buckets its ranks can use.
+fn radix_sort_by_rank(
+    keys: &mut Vec<u64>,
+    spare: &mut Vec<u64>,
+    buckets: &mut Vec<usize>,
+    rank_bits: u32,
+) {
+    let digit_bits = rank_bits.min(DIGIT_BITS);
+    if digit_bits == 0 {
+        return; // one rank: already in order
+    }
+    let mask = (1usize << digit_bits) - 1;
+    let digit = |key: u64, shift: u32| ((key >> shift) as usize) & mask;
+    buckets.resize(mask + 1, 0);
+    for shift in (32..32 + rank_bits).step_by(digit_bits as usize) {
+        buckets.fill(0);
         for &key in keys.iter() {
-            starts[digit(key, shift)] += 1;
+            buckets[digit(key, shift)] += 1;
         }
-        if starts[digit(keys[0], shift)] == keys.len() {
+        if buckets[digit(keys[0], shift)] == keys.len() {
             continue; // one bucket: the pass would not move anything
         }
         let mut next = 0;
-        for start in &mut starts {
+        for start in buckets.iter_mut() {
             let count = *start;
             *start = next;
             next += count;
@@ -189,8 +235,8 @@ fn radix_sort_by_rank(keys: &mut Vec<u64>, spare: &mut Vec<u64>, rank_bits: u32)
         spare.resize(keys.len(), 0);
         for &key in keys.iter() {
             let d = digit(key, shift);
-            spare[starts[d]] = key;
-            starts[d] += 1;
+            spare[buckets[d]] = key;
+            buckets[d] += 1;
         }
         std::mem::swap(keys, spare);
     }
@@ -212,6 +258,11 @@ mod tests {
         sorted
     }
 
+    /// The rows of a node in the order its position keys give.
+    fn key_order(keys: &[u64], rows: &[usize]) -> Vec<usize> {
+        keys.iter().map(|&key| rows[position_of(key)]).collect()
+    }
+
     fn one_column(values: &[f64]) -> Dataset {
         let mut data = Dataset::new(1, 1);
         for &v in values {
@@ -227,16 +278,23 @@ mod tests {
         let ranks = &ranked.ranks[..];
         assert_eq!(ranks, &[2, 0, 2, 0, 3, 1]);
         assert_eq!(ranked.rank_bits, vec![2]);
+        assert!(ranked.bottom_is_neg_inf(0));
         assert!(ranked.values(0)[1].is_nan(), "raw values keep NaN");
+        let finite = RankedColumns::new(&one_column(&[1.0, f64::INFINITY, -3.0]));
+        assert!(!finite.bottom_is_neg_inf(0));
     }
 
     #[test]
     fn constant_and_empty_columns() {
         let ranked = RankedColumns::new(&one_column(&[f64::NAN, f64::NEG_INFINITY, f64::NAN]));
         assert_eq!(ranked.rank_bits, vec![0]);
-        assert_eq!(RankSort::default().sort(&ranked, 0, &[2, 0, 1]), &[2, 0, 1]);
+        assert!(ranked.bottom_is_neg_inf(0));
+        let rows = [2, 0, 1];
+        let mut sort = RankSort::default();
+        assert_eq!(key_order(sort.keys(&ranked, 0, &rows), &rows), rows);
         let empty = RankedColumns::new(&Dataset::new(2, 2));
         assert_eq!(empty.rank_bits, vec![0, 0]);
+        assert!(!empty.bottom_is_neg_inf(1));
     }
 
     #[test]
@@ -247,42 +305,58 @@ mod tests {
         assert_eq!(&rows[..2], &[1, 2]);
     }
 
-    /// Values with heavy ties and every special the order has to place.
-    const POOL: [f64; 10] = [
-        f64::NAN,
-        f64::NEG_INFINITY,
-        f64::INFINITY,
-        -0.0,
-        0.0,
-        1.0,
-        -1.0,
-        2.5,
-        1e-300,
-        -7.0,
-    ];
+    /// The value of `level` in a column whose keys take exactly `n_levels`
+    /// distinct values. `alt` picks between values that share a key: NaN
+    /// or −∞ at the bottom, −0.0 or +0.0 at level 2. The top level of
+    /// three or more is +∞.
+    fn level_value(level: usize, n_levels: usize, alt: bool) -> f64 {
+        match level {
+            0 if alt => f64::NAN,
+            0 => f64::NEG_INFINITY,
+            _ if level == n_levels - 1 && n_levels > 2 => f64::INFINITY,
+            2 if alt => -0.0,
+            _ => level as f64 - 2.0,
+        }
+    }
 
-    fn arb_column_and_rows() -> impl Strategy<Value = (Vec<f64>, Vec<usize>)> {
-        // Past 2048 distinct values the radix sort takes a second pass.
-        (1usize..5000, 0usize..=2).prop_flat_map(|(n_rows, spread)| {
-            let value = prop_oneof![
-                1 => (0usize..POOL.len()).prop_map(|i| POOL[i]),
-                3 => (0u32..[4u32, 40, 1_000_000][spread]).prop_map(f64::from),
-            ];
-            let column = prop::collection::vec(value, n_rows);
-            // Repeats allowed: bootstrap samples hand a row in many times.
-            let rows = prop::collection::vec(0..n_rows, 1..400);
-            (column, rows)
-        })
+    /// A rank width from 1 to 13 bits, a column whose ranks need exactly
+    /// that many (past 11 bits the radix sort takes a second pass), and a
+    /// node's rows: every level once, then heavy ties.
+    fn arb_column_and_rows() -> impl Strategy<Value = (u32, Vec<f64>, Vec<usize>)> {
+        (1u32..=13)
+            .prop_flat_map(|width| {
+                let n_levels = (1usize << (width - 1)) + 1..=1usize << width;
+                let extra = prop::collection::vec((0usize..1 << width, 0u8..2), 0..2000);
+                (Just(width), n_levels, extra)
+            })
+            .prop_flat_map(|(width, n_levels, extra)| {
+                let column: Vec<f64> = (0..n_levels)
+                    .map(|level| level_value(level, n_levels, level % 2 == 0))
+                    .chain(
+                        extra
+                            .iter()
+                            .map(|&(level, alt)| level_value(level % n_levels, n_levels, alt == 1)),
+                    )
+                    .collect();
+                // Repeats allowed: bootstrap samples hand a row in many times.
+                let rows = prop::collection::vec(0..column.len(), 1..2000);
+                (Just(width), Just(column), rows)
+            })
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
         #[test]
-        fn rank_order_is_the_stable_value_order((column, rows) in arb_column_and_rows()) {
+        fn rank_order_is_the_stable_value_order(
+            (width, column, rows) in arb_column_and_rows(),
+        ) {
             let ranked = RankedColumns::new(&one_column(&column));
+            prop_assert_eq!(ranked.rank_bits[0], width);
             let mut sort = RankSort::default();
-            prop_assert_eq!(sort.sort(&ranked, 0, &rows), &value_sorted(&column, &rows)[..]);
+            let keys = sort.keys(&ranked, 0, &rows);
+            prop_assert_eq!(key_order(keys, &rows), value_sorted(&column, &rows));
+            prop_assert!(keys.iter().all(|&key| rank_of(key) == u64::from(ranked.ranks[rows[position_of(key)]])));
         }
     }
 }

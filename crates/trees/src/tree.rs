@@ -15,7 +15,7 @@ use crate::data::Dataset;
 use crate::error::FitError;
 #[cfg(test)]
 use crate::rank::nan_first;
-use crate::rank::{RankSort, RankedColumns};
+use crate::rank::{position_of, rank_of, RankSort, RankedColumns};
 use crate::Classifier;
 
 /// Gini impurity `1 - Σ p²` of a node with `counts` per class.
@@ -151,6 +151,7 @@ impl DecisionTree {
             config,
             rng: StdRng::seed_from_u64(config.seed),
             sort: RankSort::default(),
+            node_labels: Vec::new(),
             tree: DecisionTree::unfitted(data),
         };
         grow.build(&mut indices.to_vec(), 0);
@@ -442,13 +443,15 @@ impl DecisionTree {
     }
 }
 
-/// One tree's growth: its inputs, RNG, sort buffers and the tree so far.
+/// One tree's growth: its inputs, RNG, buffers and the tree so far.
 struct Grow<'a> {
     data: &'a Dataset,
     ranked: &'a RankedColumns,
     config: &'a TreeConfig,
     rng: StdRng,
     sort: RankSort,
+    /// The current node's labels, by position.
+    node_labels: Vec<usize>,
     tree: DecisionTree,
 }
 
@@ -537,16 +540,29 @@ impl Grow<'_> {
         let mut best: Option<SplitCandidate> = None;
         let mut left_counts = vec![0.0f64; parent_counts.len()];
         let mut right_counts = vec![0.0f64; parent_counts.len()];
+        let data = self.data;
+        self.node_labels.clear();
+        self.node_labels
+            .extend(indices.iter().map(|&row| data.label(row)));
         for &feature in feature_pool {
-            let sorted = self.sort.sort(self.ranked, feature, indices);
+            let keys = self.sort.keys(self.ranked, feature, indices);
+            // No candidate where every row shares one rank.
+            if rank_of(keys[0]) == rank_of(keys[keys.len() - 1]) {
+                continue;
+            }
+            // A NaN row can only hold rank 0, and only where that is −∞.
+            let bottom_is_neg_inf = self.ranked.bottom_is_neg_inf(feature);
             let column = self.ranked.values(feature);
+            let value_at = |key: u64| column[indices[position_of(key)]];
 
             left_counts.fill(0.0);
-            for pos in 0..sorted.len().saturating_sub(1) {
-                left_counts[self.data.label(sorted[pos])] += 1.0;
-                let (value, next_value) = (column[sorted[pos]], column[sorted[pos + 1]]);
+            for (pos, pair) in keys.windows(2).enumerate() {
+                left_counts[self.node_labels[position_of(pair[0])]] += 1.0;
+                let rank = rank_of(pair[0]);
                 // No threshold can separate NaN rows or equal values.
-                if value.is_nan() || next_value.is_nan() || value == next_value {
+                if rank == rank_of(pair[1])
+                    || (rank == 0 && bottom_is_neg_inf && value_at(pair[0]).is_nan())
+                {
                     continue;
                 }
                 let left_total = (pos + 1) as f64;
@@ -560,7 +576,7 @@ impl Grow<'_> {
                     + (right_total / total) * gini(&right_counts, right_total);
                 let gain = parent_impurity - weighted;
                 if gain > best.as_ref().map_or(1e-12, |b| b.gain) {
-                    let threshold = midpoint(value, next_value);
+                    let threshold = midpoint(value_at(pair[0]), value_at(pair[1]));
                     best = Some(SplitCandidate {
                         feature,
                         threshold,
@@ -902,6 +918,7 @@ mod tests {
                 config: &config,
                 rng: StdRng::seed_from_u64(0),
                 sort: RankSort::default(),
+                node_labels: Vec::new(),
                 tree: DecisionTree::unfitted(&data),
             };
             let bits = |split: Option<SplitCandidate>| {
