@@ -12,12 +12,40 @@ use cordial_chaos::{run_harness, ChaosConfig, HarnessConfig};
 use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig, SparingBudget};
 use cordial_fleet::{run_fleet_harness, FleetHarnessConfig, FleetSupervisor};
 use cordial_served::{run_load, signal, Client, ServeConfig, Server};
-use cordial_store::{
-    DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME,
-};
-use cordial_topology::BankAddress;
+use cordial_store::{FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME};
+use cordial_topology::{BankAddress, DeviceId, HbmSocket, NodeId, NpuId};
 
 use crate::io;
+
+/// Every subcommand with its usage line. `main` prints them after an
+/// error, and a subcommand refuses any flag its line does not name.
+pub const USAGE: &[(&str, &str)] = &[
+    ("simulate", "--scale <small|medium|paper> [--seed N] --log FILE --truth FILE"),
+    ("train", "--log FILE --truth FILE [--model rf|xgb|lgbm] [--seed N] --out FILE"),
+    ("plan", "--log FILE --pipeline FILE [--bank ADDR]"),
+    ("eval", "--log FILE --truth FILE --pipeline FILE"),
+    ("run", "[--scale S] [--seed N] [--model M] [--checkpoint FILE] [--resume FILE] [--metrics-out FILE]"),
+    ("monitor", "--log FILE (--pipeline FILE | --resume CKPT) [--checkpoint CKPT] [--checkpoint-every N] [--abort-after N] [--reorder-bound-ms MS]"),
+    ("chaos", "[--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F] [--reorder-bound-ms MS]"),
+    ("fleet", "[--scale S] [--seed N] [--kill R] [--corrupt R] [--min-availability R] [--metrics-out FILE]"),
+    ("serve", "[--scale S] [--seed N] [--port P] [--metrics-port P] [--shards N] [--queue-cap N] [--retry-after-ms MS] [--store-dir DIR] [--fsync always|never|batch:N] [--port-file FILE] [--metrics-port-file FILE]"),
+    ("load", "--addr HOST:PORT [--scale S] [--seed N] [--batch N] [--repeats N] [--shutdown true] [--out FILE]"),
+    ("stats", "--metrics FILE [--watch N] [--watch-interval-ms MS]"),
+    ("store", "inspect|replay|compact --dir DIR [--device node0/npu0/hbm0] [--since MS] [--until MS] [--min-seq N] [--events-only true] [--limit N]"),
+];
+
+/// The flags every subcommand accepts.
+pub const GLOBAL_FLAGS: &str = "[--metrics-out FILE] [--trace-out FILE] [--dump-dir DIR]";
+
+/// The flag names a usage line mentions: every `--name` in it.
+fn flags_named(usage: &str) -> impl Iterator<Item = &str> {
+    usage.split("--").skip(1).map(|rest| {
+        let end = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .unwrap_or(rest.len());
+        &rest[..end]
+    })
+}
 
 /// Parses flags of the form `--name value` plus one leading subcommand.
 struct Args {
@@ -26,6 +54,8 @@ struct Args {
 }
 
 impl Args {
+    /// Splits `args` into the subcommand and its flags, refusing a flag
+    /// given twice.
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut iter = args.iter();
         let command = iter.next().ok_or("missing subcommand")?.clone();
@@ -37,9 +67,39 @@ impl Args {
             let value = iter
                 .next()
                 .ok_or_else(|| format!("--{name} requires a value"))?;
-            flags.insert(name.to_string(), value.clone());
+            if flags.insert(name.to_string(), value.clone()).is_some() {
+                return Err(format!("--{name} is given more than once"));
+            }
         }
         Ok(Self { command, flags })
+    }
+
+    /// Refuses every flag that neither the subcommand's usage line nor
+    /// [`GLOBAL_FLAGS`] names, so a typo or a removed flag fails instead
+    /// of being ignored. An unknown subcommand is left to `dispatch`.
+    fn check_flags(&self) -> Result<(), String> {
+        let Some((_, usage)) = USAGE.iter().find(|(name, _)| *name == self.command) else {
+            return Ok(());
+        };
+        let mut unknown: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|flag| {
+                !flags_named(usage)
+                    .chain(flags_named(GLOBAL_FLAGS))
+                    .any(|named| named == *flag)
+            })
+            .map(|flag| format!("--{flag}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        Err(format!(
+            "`{}` takes no {}",
+            self.command,
+            unknown.join(", ")
+        ))
     }
 
     fn require(&self, name: &str) -> Result<&str, String> {
@@ -109,6 +169,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         store_action = Some(args.remove(1));
     }
     let args = Args::parse(&args)?;
+    args.check_flags()?;
     // `--metrics-out` works on every subcommand: it switches recording on
     // up front and exports whatever the command recorded on success.
     let metrics_out = args.flags.get("metrics-out").map(PathBuf::from);
@@ -652,7 +713,7 @@ fn load(args: &Args) -> Result<(), String> {
 
 /// Parses a `--device` value in the store's own rendering,
 /// `node0/npu1/hbm0` (digit-only shorthand `0/1/0` also accepted).
-fn parse_device_key(text: &str) -> Result<DeviceKey, String> {
+fn parse_device_key(text: &str) -> Result<DeviceId, String> {
     let parts: Vec<&str> = text.split('/').collect();
     let [node, npu, hbm] = parts.as_slice() else {
         return Err(format!(
@@ -665,13 +726,11 @@ fn parse_device_key(text: &str) -> Result<DeviceKey, String> {
             .parse()
             .map_err(|_| format!("invalid --device `{text}` (expected node0/npu1/hbm0)"))
     };
-    Ok(DeviceKey {
-        node: u32::try_from(field(node, "node")?)
-            .map_err(|_| format!("--device node index out of range in `{text}`"))?,
-        npu: u8::try_from(field(npu, "npu")?)
-            .map_err(|_| format!("--device npu index out of range in `{text}`"))?,
-        hbm: u8::try_from(field(hbm, "hbm")?)
-            .map_err(|_| format!("--device hbm index out of range in `{text}`"))?,
+    let out_of_range = |level: &str| format!("--device {level} index out of range in `{text}`");
+    Ok(DeviceId {
+        node: NodeId(u32::try_from(field(node, "node")?).map_err(|_| out_of_range("node"))?),
+        npu: NpuId(u8::try_from(field(npu, "npu")?).map_err(|_| out_of_range("npu"))?),
+        hbm: HbmSocket(u8::try_from(field(hbm, "hbm")?).map_err(|_| out_of_range("hbm"))?),
     })
 }
 
@@ -781,7 +840,7 @@ fn store(args: &Args, action: &str) -> Result<(), String> {
                 match record {
                     Record::Event { seq, event } => println!(
                         "seq={seq} event device={} time_ms={} type={} addr={}",
-                        DeviceKey::of_event(event),
+                        DeviceId::of(&event.addr.bank),
                         event.time.as_millis(),
                         event.error_type,
                         event.addr
@@ -905,6 +964,31 @@ mod tests {
         assert!(args(&[]).is_err());
         assert!(args(&["plan", "log"]).is_err());
         assert!(args(&["plan", "--log"]).is_err());
+        let repeated = args(&["plan", "--log", "a", "--log", "b"]).err().unwrap();
+        assert!(repeated.contains("--log"), "got: {repeated}");
+    }
+
+    #[test]
+    fn accepts_only_the_flags_a_usage_line_names() {
+        let check = |line: &str| {
+            let owned: Vec<String> = line.split_whitespace().map(String::from).collect();
+            Args::parse(&owned).and_then(|parsed| parsed.check_flags())
+        };
+        assert!(check("train --log a --model lgbm --metrics-out m").is_ok());
+        assert!(check("store --device 0/0/0 --trace-out t --dump-dir d").is_ok());
+        assert!(check("frobnicate --anything 1").is_ok());
+        let err = check("simulate --scale small --bogus-flag 3 --modle x").unwrap_err();
+        assert!(err.contains("--bogus-flag, --modle"), "got: {err}");
+        assert!(check("fleet --threads 4")
+            .unwrap_err()
+            .contains("--threads"));
+        // Every flag a usage line names is known to its subcommand.
+        for (command, usage) in USAGE {
+            let line = flags_named(usage).fold(command.to_string(), |line, flag| {
+                format!("{line} --{flag} 1")
+            });
+            assert!(check(&line).is_ok(), "{line}");
+        }
     }
 
     #[test]
@@ -932,10 +1016,10 @@ mod tests {
 
     #[test]
     fn parse_device_key_accepts_both_renderings() {
-        let key = DeviceKey {
-            node: 3,
-            npu: 1,
-            hbm: 0,
+        let key = DeviceId {
+            node: NodeId(3),
+            npu: NpuId(1),
+            hbm: HbmSocket(0),
         };
         assert_eq!(parse_device_key("node3/npu1/hbm0").unwrap(), key);
         assert_eq!(parse_device_key("3/1/0").unwrap(), key);

@@ -41,7 +41,9 @@
 //! `--trace-out FILE` to switch the flight recorder on and export the
 //! merged causal timeline (Chrome trace-event JSON, or JSON lines for a
 //! `.jsonl` path), and `--dump-dir DIR` to arm black-box post-mortem
-//! dumps on contained panics and breaker opens.
+//! dumps on contained panics and breaker opens. Any other flag that the
+//! subcommand's usage line does not name, and any flag given twice, is
+//! refused before the subcommand starts.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -58,26 +60,11 @@ fn main() -> ExitCode {
             cordial_obs::error!("error: {message}");
             cordial_obs::error!("");
             cordial_obs::error!("usage:");
-            cordial_obs::error!("  cordial-cli simulate --scale <small|medium|paper> [--seed N] --log FILE --truth FILE");
-            cordial_obs::error!("  cordial-cli train    --log FILE --truth FILE [--model rf|xgb|lgbm] [--seed N] --out FILE");
-            cordial_obs::error!("  cordial-cli plan     --log FILE --pipeline FILE [--bank ADDR]");
-            cordial_obs::error!("  cordial-cli eval     --log FILE --truth FILE --pipeline FILE");
-            cordial_obs::error!(
-                "  cordial-cli run      [--scale S] [--seed N] [--model M] [--checkpoint FILE] [--resume FILE] [--metrics-out FILE]"
-            );
-            cordial_obs::error!("  cordial-cli monitor  --log FILE (--pipeline FILE | --resume CKPT) [--checkpoint CKPT] [--checkpoint-every N] [--abort-after N] [--reorder-bound-ms MS]");
-            cordial_obs::error!("  cordial-cli chaos    [--scale S] [--seed N] [--chaos-seed N] [--corruption R] [--duplication R] [--reorder R] [--drops R] [--truncate F] [--reorder-bound-ms MS]");
-            cordial_obs::error!("  cordial-cli fleet    [--scale S] [--seed N] [--kill R] [--corrupt R] [--min-availability R] [--metrics-out FILE]");
-            cordial_obs::error!("  cordial-cli serve    [--scale S] [--seed N] [--port P] [--metrics-port P] [--shards N] [--queue-cap N] [--retry-after-ms MS] [--store-dir DIR] [--fsync always|never|batch:N] [--port-file FILE] [--metrics-port-file FILE]");
-            cordial_obs::error!("  cordial-cli load     --addr HOST:PORT [--scale S] [--seed N] [--batch N] [--repeats N] [--shutdown true] [--out FILE]");
-            cordial_obs::error!(
-                "  cordial-cli stats    --metrics FILE [--watch N] [--watch-interval-ms MS]"
-            );
-            cordial_obs::error!("  cordial-cli store    inspect|replay|compact --dir DIR [--device node0/npu0/hbm0] [--since MS] [--until MS] [--min-seq N] [--events-only true] [--limit N]");
+            for (command, usage) in commands::USAGE {
+                cordial_obs::error!("  cordial-cli {command:<8} {usage}");
+            }
             cordial_obs::error!("");
-            cordial_obs::error!(
-                "global flags: [--metrics-out FILE] [--trace-out FILE] [--dump-dir DIR]"
-            );
+            cordial_obs::error!("global flags: {}", commands::GLOBAL_FLAGS);
             ExitCode::FAILURE
         }
     }

@@ -336,6 +336,24 @@ fn missing_inputs_fail_with_usage() {
     let out = bin().args(["frobnicate"]).output().expect("run unknown");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+
+    // A mistyped flag and a flag that no longer exists are refused by
+    // name before the subcommand starts, instead of being ignored.
+    for (command, flags, unknown) in [
+        ("train", "--log a.mce --modle lgbm", "--modle"),
+        ("fleet", "--scale small --threads 4", "--threads"),
+    ] {
+        let out = bin()
+            .arg(command)
+            .args(flags.split(' '))
+            .output()
+            .expect("run cordial-cli");
+        assert!(!out.status.success(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refusal = format!("error: `{command}` takes no {unknown}");
+        assert!(stderr.contains(&refusal), "{stderr}");
+        assert!(stderr.contains("usage"), "{stderr}");
+    }
 }
 
 #[test]
@@ -567,10 +585,10 @@ fn stats_watch_renders_bounded_refreshes() {
 #[test]
 fn store_subcommand_inspects_replays_and_compacts() {
     use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
-    use cordial_store::{DeviceKey, FsyncPolicy, Store, StoreConfig};
+    use cordial_store::{FsyncPolicy, Store, StoreConfig};
     use cordial_topology::{
-        BankAddress, BankGroup, BankIndex, Channel, ColId, HbmSocket, NodeId, NpuId, PseudoChannel,
-        RowId, StackId,
+        BankAddress, BankGroup, BankIndex, Channel, ColId, DeviceId, HbmSocket, NodeId, NpuId,
+        PseudoChannel, RowId, StackId,
     };
 
     let dir = workdir("store");
@@ -611,10 +629,10 @@ fn store_subcommand_inspects_replays_and_compacts() {
             event(1, 4_000),
         ])
         .unwrap();
-    let device = DeviceKey {
-        node: 0,
-        npu: 0,
-        hbm: 0,
+    let device = DeviceId {
+        node: NodeId(0),
+        npu: NpuId(0),
+        hbm: HbmSocket(0),
     };
     let floor = store.last_seq().unwrap();
     store

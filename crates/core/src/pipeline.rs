@@ -276,8 +276,8 @@ impl Cordial {
 
     /// An owned copy of the pipeline's flat inference twins
     /// ([`Cordial::flat`]), for callers that drive the stages themselves.
-    /// Entries are `None` for model families without a flat form (random
-    /// forests) — those stages then use the fitted models.
+    /// Only LightGBM has a flat form: entries are `None` for random
+    /// forests and XGBoost, whose stages use the fitted models.
     pub fn flatten(&self) -> FlatPipeline {
         self.fitted.flat.clone()
     }
@@ -289,8 +289,8 @@ impl Cordial {
 /// their own. The twins are derived state: serialization and equality of
 /// the pipeline ignore them.
 ///
-/// Each entry is `None` when the underlying model family has no flat form
-/// (random forests) or a GBDT's threshold tables overflow `u16` bins.
+/// An entry is `Some` exactly when its stage's model is LightGBM, the one
+/// family with a flat form, and `None` for random forests and XGBoost.
 #[derive(Debug, Clone, Default)]
 pub struct FlatPipeline {
     pub(crate) classifier: Option<FlatEnsemble>,

@@ -21,9 +21,9 @@ use cordial::{CordialConfig, CordialError};
 use cordial_chaos::{ChaosConfig, FaultInjector, InvariantCheck};
 use cordial_faultsim::{generate_fleet_dataset, FleetDatasetConfig};
 use cordial_mcelog::ErrorEvent;
+use cordial_topology::DeviceId;
 
 use crate::breaker::BreakerState;
-use crate::device::DeviceId;
 use crate::host::DeviceStatus;
 use crate::supervisor::{FleetSupervisor, SupervisorConfig};
 

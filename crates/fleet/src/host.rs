@@ -21,11 +21,10 @@ use cordial::pipeline::{Cordial, MitigationPlan};
 use cordial_faultsim::SparingBudget;
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::lock;
-use cordial_store::{CheckpointRecord, DeviceKey, Store};
-use cordial_topology::BankAddress;
+use cordial_store::{CheckpointRecord, Store};
+use cordial_topology::{BankAddress, DeviceId};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::device::DeviceId;
 
 /// A durable store shared between a host and the rest of its process (the
 /// serving daemon's shards and connection threads journal into one store).
@@ -142,7 +141,7 @@ impl HostContext {
     /// (counted; the caller degrades to a fresh monitor).
     fn stored_checkpoint(&self, id: DeviceId) -> Option<MonitorCheckpoint> {
         let store = self.store.as_ref()?;
-        let record = match lock(store).latest_checkpoint(id.store_key()) {
+        let record = match lock(store).latest_checkpoint(id) {
             Ok(found) => found?,
             Err(_) => {
                 cordial_obs::counter!("host.store.restore_errors").inc();
@@ -228,7 +227,7 @@ fn persist(store: &SharedStore, id: DeviceId, checkpoint: &MonitorCheckpoint) ->
     };
     let mut store = lock(store);
     let floor = store.last_seq().unwrap_or(0);
-    match store.append_checkpoint(id.store_key(), floor, &payload) {
+    match store.append_checkpoint(id, floor, &payload) {
         Ok(_) => {
             cordial_obs::counter!("host.store.checkpoints").inc();
             true
@@ -323,11 +322,7 @@ impl DeviceHost {
             cordial_obs::counter!("host.store.restore_errors").inc();
             e.to_string()
         })?;
-        self.restore_checkpoints(
-            checkpoints
-                .into_iter()
-                .filter(|(key, _)| owns(DeviceId::from_store_key(*key))),
-        )
+        self.restore_checkpoints(checkpoints.into_iter().filter(|(id, _)| owns(*id)))
     }
 
     /// Restores each device from its given newest store checkpoint (as
@@ -344,11 +339,10 @@ impl DeviceHost {
     /// state).
     pub fn restore_checkpoints(
         &mut self,
-        checkpoints: impl IntoIterator<Item = (DeviceKey, CheckpointRecord)>,
+        checkpoints: impl IntoIterator<Item = (DeviceId, CheckpointRecord)>,
     ) -> Result<BTreeMap<DeviceId, u64>, String> {
         let mut floors = BTreeMap::new();
-        for (key, record) in checkpoints {
-            let id = DeviceId::from_store_key(key);
+        for (id, record) in checkpoints {
             if self.devices.get(&id).is_some_and(|slot| slot.routed > 0) {
                 continue;
             }

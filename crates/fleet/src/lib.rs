@@ -39,14 +39,13 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod breaker;
-mod device;
 mod harness;
 mod host;
 mod registry;
 mod supervisor;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, MAX_BACKOFF_DOUBLINGS};
-pub use device::DeviceId;
+pub use cordial_topology::DeviceId;
 pub use harness::{run_fleet_harness, FleetHarnessConfig, FleetReport};
 pub use host::{DeviceHost, DeviceStatus, HostConfig, RouteOutcome, SharedStore};
 pub use registry::{clears_gate, shadow_score, ModelRegistry, PromotionDecision, ShadowScore};

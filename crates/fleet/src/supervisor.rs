@@ -16,14 +16,13 @@ use cordial_faultsim::FleetDataset;
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::lock;
 use cordial_store::Store;
-use cordial_topology::BankAddress;
+use cordial_topology::{BankAddress, DeviceId};
 
 use cordial_relearn::{
     build_job, run_refit, RefitCompletion, RefitJob, RefitScheduler, RelearnConfig, TrainingWindow,
 };
 
 use crate::breaker::BreakerState;
-use crate::device::DeviceId;
 use crate::host::{DeviceHost, DeviceStatus, HostConfig, RouteOutcome};
 use crate::registry::{clears_gate, shadow_score, ModelRegistry, PromotionDecision};
 
@@ -509,23 +508,6 @@ impl FleetSupervisor {
         if let Some(state) = self.relearn.as_mut() {
             state.promoted_by_relearn = false;
         }
-    }
-
-    /// The canary's current evidence: plans made since the last promotion
-    /// and the live precision over them (`None` before any promotion; a
-    /// plan-free sample reads as perfect precision).
-    pub fn canary_sample(&self) -> Option<(usize, f64)> {
-        let baseline = self.baseline?;
-        let planned = self
-            .total_banks_planned()
-            .saturating_sub(baseline.banks_planned);
-        let absorbing = self
-            .total_plans_absorbing()
-            .saturating_sub(baseline.plans_absorbing);
-        if planned == 0 {
-            return Some((0, 1.0));
-        }
-        Some((planned, absorbing as f64 / planned as f64))
     }
 
     /// Canary check: live precision measured *since the last promotion*

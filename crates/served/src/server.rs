@@ -16,12 +16,14 @@
 //!  scrapers ──HTTP───► /metrics listener (Prometheus text format)
 //! ```
 //!
-//! Devices are routed to shards by [`DeviceId::salt`] modulo the shard
-//! count, so one device's event stream is always serialised through one
-//! worker and per-device ingestion order is preserved. Batches that span
-//! shards are admitted **all-or-nothing**: if any target shard's queue is
-//! full the whole batch is refused with [`Frame::RetryAfter`] and no
-//! partial state changes — the client retries the identical batch later.
+//! Devices are routed to shards by a multiplicative hash of
+//! [`DeviceId::salt`] modulo the shard count, so one device's event
+//! stream is always serialised through one worker, per-device ingestion
+//! order is preserved, and every shard gets devices whatever the shard
+//! count. Batches that span shards are admitted **all-or-nothing**: if
+//! any target shard's queue is full the whole batch is refused with
+//! [`Frame::RetryAfter`] and no partial state changes — the client
+//! retries the identical batch later.
 //!
 //! Each shard's monitors live in a [`DeviceHost`], the same host the
 //! fleet supervisor runs on: a monitor that panics is contained and
@@ -82,8 +84,7 @@ use cordial_fleet::{BreakerConfig, CircuitBreaker, DeviceHost, DeviceId, HostCon
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::lock;
 use cordial_store::{
-    CheckpointRecord, DeviceKey, FsyncPolicy, JournalReader, Record, ReplayFilter, Store,
-    StoreConfig,
+    CheckpointRecord, FsyncPolicy, JournalReader, Record, ReplayFilter, Store, StoreConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -248,6 +249,15 @@ struct Shared {
     connection_seq: AtomicU64,
 }
 
+/// The shard of `shards` that serialises `device`'s events. The salt
+/// keeps the HBM socket in its low bits, so it is mixed first: taken
+/// modulo 4 or 8 as it is, it would route by socket alone and leave every
+/// shard past the second idle.
+fn shard_of(device: DeviceId, shards: usize) -> usize {
+    let mixed = device.salt().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    (mixed % shards as u64) as usize
+}
+
 /// Why [`Shared::enqueue`] refused a batch.
 enum EnqueueRefusal {
     /// A target shard queue is full; the client should retry later.
@@ -338,7 +348,7 @@ impl Shared {
     }
 
     fn shard_of(&self, device: DeviceId) -> usize {
-        (device.salt() % self.shards.len() as u64) as usize
+        shard_of(device, self.shards.len())
     }
 
     /// Whether acks wait for a shared fsync (a journal under
@@ -892,10 +902,10 @@ fn restore_from_store(shared: &Shared) -> io::Result<()> {
         return Ok(());
     };
     let checkpoints = lock(store).latest_checkpoints().map_err(io::Error::other)?;
-    let mut owned: Vec<Vec<(DeviceKey, CheckpointRecord)>> =
+    let mut owned: Vec<Vec<(DeviceId, CheckpointRecord)>> =
         shared.shards.iter().map(|_| Vec::new()).collect();
-    for (key, record) in checkpoints {
-        owned[shared.shard_of(DeviceId::from_store_key(key))].push((key, record));
+    for (device, record) in checkpoints {
+        owned[shared.shard_of(device)].push((device, record));
     }
     let mut floors: HashMap<DeviceId, u64> = HashMap::new();
     for (host, owned) in shared.shards.iter().zip(owned) {
@@ -1064,6 +1074,27 @@ mod tests {
             durable_below,
             syncing: false,
             refused: HashMap::new(),
+        }
+    }
+
+    #[test]
+    fn every_shard_gets_devices_of_the_small_fleet() {
+        let dataset = generate_fleet_dataset(&FleetDatasetConfig::small(), 2025);
+        let devices: std::collections::BTreeSet<DeviceId> = dataset
+            .log
+            .events()
+            .iter()
+            .map(|event| DeviceId::of(&event.addr.bank))
+            .collect();
+        for shards in [2, 3, 4, 8] {
+            let mut per_shard = vec![0usize; shards];
+            for &device in &devices {
+                per_shard[shard_of(device, shards)] += 1;
+            }
+            assert!(
+                per_shard.iter().all(|&n| n > 0),
+                "{shards} shards: devices per shard {per_shard:?}"
+            );
         }
     }
 

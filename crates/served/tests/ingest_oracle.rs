@@ -279,7 +279,7 @@ fn supervisor(pipeline: &Cordial, events: &[ErrorEvent]) -> (Stats, Checkpoints)
         .latest_checkpoints()
         .unwrap()
         .into_iter()
-        .map(|(key, record)| (DeviceId::from_store_key(key), record.payload))
+        .map(|(device, record)| (device, record.payload))
         .collect();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

@@ -32,19 +32,23 @@
 //!    device's newest checkpoint and superseded checkpoints are
 //!    rewritten away behind an atomic manifest swap.
 //!
-//! The serving daemon journals admitted batches here before
-//! acknowledging them and checkpoints monitors into it on shutdown; the
-//! fleet supervisor rebuilds evicted monitors from it; the CLI exposes
-//! `store inspect`, `store replay` and `store compact`.
+//! Records are filed under [`cordial_topology::DeviceId`], the same
+//! device name the fleet host and the serving daemon key their monitors
+//! by, so no caller converts between device types. The serving daemon
+//! journals admitted batches here before acknowledging them and
+//! checkpoints monitors into it on shutdown; the fleet supervisor
+//! rebuilds evicted monitors from it; the CLI exposes `store inspect`,
+//! `store replay` and `store compact`.
 //!
 //! # Example
 //!
 //! ```
-//! use cordial_store::{DeviceKey, ReplayFilter, Store, StoreConfig};
+//! use cordial_store::{ReplayFilter, Store, StoreConfig};
+//! use cordial_topology::{BankAddress, DeviceId};
 //!
 //! let dir = std::env::temp_dir().join(format!("store-doc-{}", std::process::id()));
 //! let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
-//! let device = DeviceKey { node: 0, npu: 0, hbm: 0 };
+//! let device = DeviceId::of(&BankAddress::default());
 //! store.append_checkpoint(device, 0, "{\"schema_version\":1}").unwrap();
 //! assert_eq!(store.latest_checkpoints().unwrap().len(), 1);
 //! assert_eq!(store.replay(&ReplayFilter::default()).unwrap().len(), 1);
@@ -66,9 +70,7 @@ pub mod store;
 pub use crc::{crc32, crc32_portable};
 pub use error::StoreError;
 pub use reader::JournalReader;
-pub use record::{
-    decode_event_record, encode_event_record, DeviceKey, Record, RecordError, EVENT_WIRE_LEN,
-};
+pub use record::{decode_event_record, encode_event_record, Record, RecordError, EVENT_WIRE_LEN};
 pub use store::{
     CheckpointRecord, CompactReport, FsyncPolicy, RecoveryReport, ReplayFilter, SegmentReport,
     Store, StoreConfig, StoreReport, SyncHandle, MANIFEST_NAME,

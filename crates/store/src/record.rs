@@ -1,6 +1,6 @@
 //! Record bodies: the byte layout of the two things the store persists —
-//! error events and monitor checkpoints — plus the device key both are
-//! filed under.
+//! error events and monitor checkpoints — and of the [`DeviceId`] a
+//! checkpoint is filed under.
 //!
 //! The event layout is the *same* fixed 26-byte record the serving
 //! daemon's wire protocol uses ([`EVENT_WIRE_LEN`]); `cordial-served`
@@ -21,7 +21,8 @@
 //!   [`crate::Store::append_events`] call and every compaction writes
 //!   events this way, so one frame (one length word, one CRC) covers a
 //!   whole wire batch and recovery keeps or cuts it whole.
-//! * kind `2` (checkpoint): device key (8 bytes) | journal_seq u64le |
+//! * kind `2` (checkpoint): device (8 bytes: node u32le | npu u8 | hbm u8 |
+//!   two zero bytes) | journal_seq u64le |
 //!   UTF-8 JSON checkpoint payload (schema-agnostic: the payload carries
 //!   its own version, checked by whoever decodes it).
 //! * kind `1` (event): one 26-byte event record. Stores written before
@@ -35,8 +36,8 @@ use std::fmt;
 
 use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
 use cordial_topology::{
-    BankAddress, BankGroup, BankIndex, Channel, ColId, HbmSocket, NodeId, NpuId, PseudoChannel,
-    RowId, StackId,
+    BankAddress, BankGroup, BankIndex, Channel, ColId, DeviceId, HbmSocket, NodeId, NpuId,
+    PseudoChannel, RowId, StackId,
 };
 
 /// Encoded size of one [`ErrorEvent`] record (identical to the wire
@@ -59,55 +60,22 @@ pub const BODY_PREFIX_LEN: usize = 1 + 8;
 /// Bytes a checkpoint body holds besides its payload.
 pub(crate) const CHECKPOINT_OVERHEAD: usize = BODY_PREFIX_LEN + 8 + 8;
 
-/// The device a stored record belongs to: one HBM socket on one NPU of
-/// one node — the granularity the fleet supervisor shards monitors by.
-///
-/// The store sits *below* `cordial-fleet` in the dependency graph (the
-/// supervisor rebuilds monitors from it), so it carries its own key type
-/// rather than `cordial_fleet::DeviceId`; the fields and rendering match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DeviceKey {
-    /// Compute-node index.
-    pub node: u32,
-    /// NPU package on the node.
-    pub npu: u8,
-    /// HBM socket on the NPU.
-    pub hbm: u8,
+/// Packs a device into the 8 bytes a checkpoint body files it under:
+/// node (u32 le), NPU, HBM socket and two zero bytes.
+fn pack_device(device: DeviceId) -> [u8; 8] {
+    let mut out = [0u8; 8];
+    out[0..4].copy_from_slice(&device.node.index().to_le_bytes());
+    out[4] = device.npu.index();
+    out[5] = device.hbm.index();
+    out
 }
 
-impl DeviceKey {
-    /// The device an event belongs to, from its bank address.
-    pub fn of_event(event: &ErrorEvent) -> Self {
-        let bank = event.addr.bank;
-        Self {
-            node: bank.node.index(),
-            npu: bank.npu.index(),
-            hbm: bank.hbm.index(),
-        }
-    }
-
-    /// Packs the key into its fixed 8-byte record form.
-    pub(crate) fn pack(self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[0..4].copy_from_slice(&self.node.to_le_bytes());
-        out[4] = self.npu;
-        out[5] = self.hbm;
-        out
-    }
-
-    /// Unpacks a key packed by [`DeviceKey::pack`] (padding ignored).
-    pub(crate) fn unpack(bytes: &[u8]) -> Self {
-        Self {
-            node: u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]),
-            npu: bytes[4],
-            hbm: bytes[5],
-        }
-    }
-}
-
-impl fmt::Display for DeviceKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node{}/npu{}/hbm{}", self.node, self.npu, self.hbm)
+/// Unpacks a device packed by [`pack_device`] (padding ignored).
+fn unpack_device(bytes: &[u8]) -> DeviceId {
+    DeviceId {
+        node: NodeId(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])),
+        npu: NpuId(bytes[4]),
+        hbm: HbmSocket(bytes[5]),
     }
 }
 
@@ -152,7 +120,7 @@ pub enum Record {
         /// Store-wide sequence number (strictly increasing).
         seq: u64,
         /// The device the checkpoint belongs to.
-        device: DeviceKey,
+        device: DeviceId,
         /// The journal sequence the checkpoint covers: every event with
         /// `seq <= journal_seq` for this device is already folded into
         /// the checkpointed state, so replay starts *after* it.
@@ -172,9 +140,9 @@ impl Record {
     }
 
     /// The device the record is filed under.
-    pub fn device(&self) -> DeviceKey {
+    pub fn device(&self) -> DeviceId {
         match self {
-            Record::Event { event, .. } => DeviceKey::of_event(event),
+            Record::Event { event, .. } => DeviceId::of(&event.addr.bank),
             Record::Checkpoint { device, .. } => *device,
         }
     }
@@ -266,14 +234,14 @@ pub(crate) fn encode_event_batch(first_seq: u64, events: &[ErrorEvent], out: &mu
 /// Appends a checkpoint body.
 pub(crate) fn encode_checkpoint(
     seq: u64,
-    device: DeviceKey,
+    device: DeviceId,
     journal_seq: u64,
     payload: &str,
     out: &mut Vec<u8>,
 ) {
     out.push(KIND_CHECKPOINT);
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&device.pack());
+    out.extend_from_slice(&pack_device(device));
     out.extend_from_slice(&journal_seq.to_le_bytes());
     out.extend_from_slice(payload.as_bytes());
 }
@@ -295,7 +263,7 @@ pub(crate) enum Body<'a> {
         /// Store-wide sequence number.
         seq: u64,
         /// The device the checkpoint belongs to.
-        device: DeviceKey,
+        device: DeviceId,
         /// The journal position the checkpoint covers.
         journal_seq: u64,
         /// The JSON payload.
@@ -407,7 +375,7 @@ pub(crate) fn decode_body(bytes: &[u8]) -> Result<Body<'_>, RecordError> {
             if rest.len() < 16 {
                 return Err(RecordError::Truncated);
             }
-            let device = DeviceKey::unpack(&rest[0..8]);
+            let device = unpack_device(&rest[0..8]);
             let journal_seq = u64::from_le_bytes([
                 rest[8], rest[9], rest[10], rest[11], rest[12], rest[13], rest[14], rest[15],
             ]);
@@ -489,10 +457,10 @@ mod tests {
 
     #[test]
     fn checkpoint_bodies_round_trip() {
-        let device = DeviceKey {
-            node: 7,
-            npu: 3,
-            hbm: 1,
+        let device = DeviceId {
+            node: NodeId(7),
+            npu: NpuId(3),
+            hbm: HbmSocket(1),
         };
         let mut body = Vec::new();
         let payload = "{\"schema_version\":1}";
@@ -507,6 +475,27 @@ mod tests {
                 payload: payload.to_string(),
             }]
         );
+    }
+
+    #[test]
+    fn checkpoint_bodies_keep_their_on_disk_layout() {
+        let device = DeviceId {
+            node: NodeId(258),
+            npu: NpuId(5),
+            hbm: HbmSocket(1),
+        };
+        let mut body = Vec::new();
+        encode_checkpoint(99, device, 42, "{\"v\":1}", &mut body);
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            KIND_CHECKPOINT,
+            99, 0, 0, 0, 0, 0, 0, 0,
+            // node 258 (u32 le), npu 5, hbm 1, two zero pad bytes
+            0x02, 0x01, 0x00, 0x00, 0x05, 0x01, 0x00, 0x00,
+            42, 0, 0, 0, 0, 0, 0, 0,
+            b'{', b'"', b'v', b'"', b':', b'1', b'}',
+        ];
+        assert_eq!(body, want);
     }
 
     #[test]
@@ -537,16 +526,16 @@ mod tests {
     }
 
     #[test]
-    fn store_keys_match_fleet_rendering_and_pack() {
-        let key = DeviceKey {
-            node: 258,
-            npu: 5,
-            hbm: 1,
+    fn devices_render_and_pack_round_trip() {
+        let device = DeviceId {
+            node: NodeId(258),
+            npu: NpuId(5),
+            hbm: HbmSocket(1),
         };
-        assert_eq!(key.to_string(), "node258/npu5/hbm1");
-        assert_eq!(DeviceKey::unpack(&key.pack()), key);
+        assert_eq!(device.to_string(), "node258/npu5/hbm1");
+        assert_eq!(unpack_device(&pack_device(device)), device);
         let event = sample_event(0x0102_0304);
-        let of = DeviceKey::of_event(&event);
-        assert_eq!(of.node, event.addr.bank.node.index());
+        let record = Record::Event { seq: 0, event };
+        assert_eq!(record.device(), DeviceId::of(&event.addr.bank));
     }
 }

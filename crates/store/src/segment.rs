@@ -214,11 +214,11 @@ pub(crate) fn scan_frames(bytes: &[u8], mut last_seq: Option<u64>) -> Scan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_checkpoint, encode_event_batch, DeviceKey, Record};
+    use crate::record::{encode_checkpoint, encode_event_batch, Record};
     use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
     use cordial_topology::{
-        BankAddress, BankGroup, BankIndex, Channel, ColId, HbmSocket, NodeId, NpuId, PseudoChannel,
-        RowId, StackId,
+        BankAddress, BankGroup, BankIndex, Channel, ColId, DeviceId, HbmSocket, NodeId, NpuId,
+        PseudoChannel, RowId, StackId,
     };
 
     fn sample_event(seed: u64) -> ErrorEvent {
@@ -246,10 +246,10 @@ mod tests {
             let events: Vec<ErrorEvent> = (seq..=seq + seq % 4).map(sample_event).collect();
             encode_frame(bytes, |out| encode_event_batch(seq, &events, out));
         } else {
-            let device = DeviceKey {
-                node: 1,
-                npu: 0,
-                hbm: 0,
+            let device = DeviceId {
+                node: NodeId(1),
+                npu: NpuId(0),
+                hbm: HbmSocket(0),
             };
             encode_frame(bytes, |out| {
                 encode_checkpoint(seq, device, seq.saturating_sub(1), "{}", out);

@@ -53,13 +53,14 @@ use std::sync::Arc;
 
 use cordial_mcelog::ErrorEvent;
 use cordial_obs::fsio;
+use cordial_topology::DeviceId;
 use serde::Value;
 
 use crate::error::StoreError;
 use crate::reader::{Frames, JournalReader, SegmentSpan};
 use crate::record::{
-    decode_event_record, encode_checkpoint, encode_event_batch, Body, DeviceKey, Record,
-    BODY_PREFIX_LEN, CHECKPOINT_OVERHEAD, EVENT_WIRE_LEN,
+    decode_event_record, encode_checkpoint, encode_event_batch, Body, Record, BODY_PREFIX_LEN,
+    CHECKPOINT_OVERHEAD, EVENT_WIRE_LEN,
 };
 use crate::segment::{
     self, ScannedFrame, FRAME_OVERHEAD, MAX_BATCH_EVENTS, MAX_BODY, SEGMENT_HEADER_LEN,
@@ -223,7 +224,7 @@ pub struct CheckpointRecord {
 #[derive(Debug, Clone, Default)]
 pub struct ReplayFilter {
     /// Only records of this device.
-    pub device: Option<DeviceKey>,
+    pub device: Option<DeviceId>,
     /// Only events with `time_ms >= since_ms` (excludes checkpoints).
     pub since_ms: Option<u64>,
     /// Only events with `time_ms <= until_ms` (excludes checkpoints).
@@ -305,7 +306,7 @@ struct CheckpointLoc {
 
 impl CheckpointLoc {
     /// Reads `device`'s checkpoint back from its one frame.
-    fn read(&self, device: DeviceKey) -> Result<CheckpointRecord, StoreError> {
+    fn read(&self, device: DeviceId) -> Result<CheckpointRecord, StoreError> {
         let mut file =
             File::open(&self.path).map_err(|e| StoreError::io("open segment", &self.path, e))?;
         let mut bytes = vec![0u8; (self.end - self.offset) as usize];
@@ -343,7 +344,7 @@ impl CheckpointLoc {
 /// checkpoint appends and by compaction, so reading a device's newest
 /// checkpoint reads one frame.
 #[derive(Debug, Clone, Default)]
-struct CheckpointIndex(BTreeMap<DeviceKey, CheckpointLoc>);
+struct CheckpointIndex(BTreeMap<DeviceId, CheckpointLoc>);
 
 impl CheckpointIndex {
     /// Notes the frame at `offset..end` of `path` when it holds a
@@ -708,7 +709,7 @@ impl Store {
     /// Either way the checkpoint must be considered unstored.
     pub fn append_checkpoint(
         &mut self,
-        device: DeviceKey,
+        device: DeviceId,
         journal_seq: u64,
         payload: &str,
     ) -> Result<u64, StoreError> {
@@ -902,7 +903,7 @@ impl Store {
     /// # Errors
     ///
     /// Same as [`Store::replay`].
-    pub fn latest_checkpoints(&self) -> Result<BTreeMap<DeviceKey, CheckpointRecord>, StoreError> {
+    pub fn latest_checkpoints(&self) -> Result<BTreeMap<DeviceId, CheckpointRecord>, StoreError> {
         self.checkpoints
             .0
             .iter()
@@ -917,7 +918,7 @@ impl Store {
     /// Same as [`Store::replay`].
     pub fn latest_checkpoint(
         &self,
-        device: DeviceKey,
+        device: DeviceId,
     ) -> Result<Option<CheckpointRecord>, StoreError> {
         self.checkpoints
             .0
@@ -945,7 +946,7 @@ impl Store {
         let covered = |seq: u64, record: &[u8]| {
             decode_event_record(record).is_ok_and(|event| {
                 latest
-                    .get(&DeviceKey::of_event(&event))
+                    .get(&DeviceId::of(&event.addr.bank))
                     .is_some_and(|loc| loc.journal_seq >= seq)
             })
         };
@@ -1268,11 +1269,11 @@ mod tests {
         dir
     }
 
-    fn device(node: u32) -> DeviceKey {
-        DeviceKey {
-            node,
-            npu: 0,
-            hbm: 0,
+    fn device(node: u32) -> DeviceId {
+        DeviceId {
+            node: NodeId(node),
+            npu: NpuId(0),
+            hbm: HbmSocket(0),
         }
     }
 
@@ -1795,7 +1796,7 @@ mod tests {
 
     /// Every device's newest checkpoint by brute force: the last
     /// checkpoint record of each device in a full replay.
-    fn newest_by_replay(store: &Store) -> BTreeMap<DeviceKey, CheckpointRecord> {
+    fn newest_by_replay(store: &Store) -> BTreeMap<DeviceId, CheckpointRecord> {
         let mut newest = BTreeMap::new();
         for record in store.replay(&ReplayFilter::default()).unwrap() {
             if let Record::Checkpoint {

@@ -20,12 +20,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cordial_chaos::{crash_sweep, damage_file, DiskFault, DiskFaultInjector};
 use cordial_mcelog::{ErrorEvent, ErrorType, Timestamp};
-use cordial_store::{
-    DeviceKey, FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME,
-};
+use cordial_store::{FsyncPolicy, Record, ReplayFilter, Store, StoreConfig, MANIFEST_NAME};
 use cordial_topology::{
-    BankAddress, BankGroup, BankIndex, Channel, ColId, HbmSocket, NodeId, NpuId, PseudoChannel,
-    RowId, StackId,
+    BankAddress, BankGroup, BankIndex, Channel, ColId, DeviceId, HbmSocket, NodeId, NpuId,
+    PseudoChannel, RowId, StackId,
 };
 use proptest::prelude::*;
 
@@ -132,10 +130,10 @@ fn build_golden(label: &str, plan: &[Step]) -> Golden {
     for (i, step) in plan.iter().enumerate() {
         match *step {
             Step::Checkpoint => {
-                let device = DeviceKey {
-                    node: i as u32 % 3,
-                    npu: 0,
-                    hbm: 0,
+                let device = DeviceId {
+                    node: NodeId(i as u32 % 3),
+                    npu: NpuId(0),
+                    hbm: HbmSocket(0),
                 };
                 let floor = store.last_seq().unwrap_or(0);
                 store

@@ -1,11 +1,11 @@
 //! Fleet-level layout: how many nodes, NPUs and HBM stacks a cluster has,
-//! and iteration over every device.
+//! and the [`DeviceId`] that names one HBM device.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::address::{
-    BankAddress, BankGroup, BankIndex, Channel, HbmSocket, NodeId, NpuId, PseudoChannel, StackId,
-};
+use crate::address::{BankAddress, HbmSocket, NodeId, NpuId};
 use crate::geometry::HbmGeometry;
 
 /// Layout of an LLM-training cluster's memory fleet.
@@ -71,41 +71,6 @@ impl FleetConfig {
         })
     }
 
-    /// Iterates over every HBM stack in the fleet.
-    pub fn hbms(&self) -> impl Iterator<Item = HbmRef> + '_ {
-        let per_npu = self.hbms_per_npu;
-        self.npus().flat_map(move |npu| {
-            (0..per_npu).map(move |socket| HbmRef {
-                node: npu.node,
-                npu: npu.npu,
-                hbm: HbmSocket(socket),
-            })
-        })
-    }
-
-    /// Iterates over every bank address of one HBM stack.
-    pub fn banks_of(&self, hbm: HbmRef) -> impl Iterator<Item = BankAddress> + '_ {
-        let g = self.geometry;
-        (0..g.sids).flat_map(move |sid| {
-            (0..g.channels).flat_map(move |ch| {
-                (0..g.pseudo_channels).flat_map(move |pch| {
-                    (0..g.bank_groups).flat_map(move |bg| {
-                        (0..g.banks_per_group).map(move |bank| BankAddress {
-                            node: hbm.node,
-                            npu: hbm.npu,
-                            hbm: hbm.hbm,
-                            sid: StackId(sid),
-                            channel: Channel(ch),
-                            pseudo_channel: PseudoChannel(pch),
-                            bank_group: BankGroup(bg),
-                            bank: BankIndex(bank),
-                        })
-                    })
-                })
-            })
-        })
-    }
-
     /// Returns true when `bank` lies inside this fleet (node/NPU/socket in
     /// range and intra-HBM components valid for the geometry).
     pub fn contains(&self, bank: &BankAddress) -> bool {
@@ -131,20 +96,54 @@ pub struct NpuRef {
     pub npu: NpuId,
 }
 
-/// Reference to one HBM stack in the fleet.
+/// Stable identity of one HBM device: the (node, NPU, HBM-socket) triple,
+/// the unit of supervision, quarantine, eviction and storage.
+///
+/// Every bank-level address maps to exactly one device via [`DeviceId::of`].
+/// The fleet host keeps one monitor per device, the serving daemon routes
+/// events to shards by it and the store files checkpoints under it. The
+/// derived `Ord` (node, then NPU, then socket) makes `BTreeMap<DeviceId, _>`
+/// iteration, and therefore every fleet-level aggregate, deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct HbmRef {
-    /// Hosting node.
+pub struct DeviceId {
+    /// Compute node hosting the device.
     pub node: NodeId,
-    /// Hosting NPU.
+    /// NPU index within the node.
     pub npu: NpuId,
-    /// Socket on the NPU.
+    /// HBM socket on the NPU.
     pub hbm: HbmSocket,
+}
+
+impl DeviceId {
+    /// The device that owns a bank.
+    pub fn of(bank: &BankAddress) -> Self {
+        Self {
+            node: bank.node,
+            npu: bank.npu,
+            hbm: bank.hbm,
+        }
+    }
+
+    /// A stable per-device salt for seeding device-local RNG streams
+    /// (breaker backoff jitter, per-device fault injection). Injective for
+    /// any realistic fleet (< 2^48 nodes, < 256 NPUs/sockets).
+    pub fn salt(&self) -> u64 {
+        (u64::from(self.node.index()) << 16)
+            | (u64::from(self.npu.index()) << 8)
+            | u64::from(self.hbm.index())
+    }
+}
+
+impl fmt::Display for DeviceId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}/{}", self.node, self.npu, self.hbm)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::{ColId, RowId};
 
     #[test]
     fn totals_multiply_out() {
@@ -166,38 +165,39 @@ mod tests {
     }
 
     #[test]
-    fn hbm_iteration_matches_total() {
-        let fleet = FleetConfig::with_nodes(2);
-        assert_eq!(fleet.hbms().count() as u64, fleet.total_hbms());
-    }
-
-    #[test]
-    fn banks_of_one_hbm_are_distinct_and_complete() {
-        let fleet = FleetConfig {
-            geometry: HbmGeometry::tiny(),
-            ..FleetConfig::with_nodes(1)
-        };
-        let hbm = fleet.hbms().next().unwrap();
-        let banks: Vec<_> = fleet.banks_of(hbm).collect();
-        assert_eq!(banks.len() as u32, fleet.geometry.banks_per_hbm());
-        let mut dedup = banks.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), banks.len());
-        for bank in &banks {
-            assert!(fleet.contains(bank));
-        }
-    }
-
-    #[test]
     fn contains_rejects_out_of_fleet_banks() {
         let fleet = FleetConfig::with_nodes(2);
-        let mut bank = fleet.banks_of(fleet.hbms().next().unwrap()).next().unwrap();
+        let mut bank = BankAddress::default();
+        assert!(fleet.contains(&bank));
         bank.node = NodeId(2);
         assert!(!fleet.contains(&bank));
         bank.node = NodeId(1);
         assert!(fleet.contains(&bank));
         bank.npu = NpuId(8);
         assert!(!fleet.contains(&bank));
+    }
+
+    #[test]
+    fn device_of_a_bank_ignores_sub_device_coordinates() {
+        let bank = BankAddress::default();
+        let cell = bank.cell(RowId(5), ColId(2));
+        assert_eq!(DeviceId::of(&cell.bank), DeviceId::of(&bank));
+    }
+
+    #[test]
+    fn salts_are_distinct_across_neighbouring_devices() {
+        let mut a = BankAddress::default();
+        let mut b = BankAddress::default();
+        a.npu = NpuId(1);
+        b.hbm = HbmSocket(1);
+        let (da, db) = (DeviceId::of(&a), DeviceId::of(&b));
+        assert_ne!(da.salt(), db.salt());
+        assert_ne!(da.salt(), DeviceId::of(&BankAddress::default()).salt());
+    }
+
+    #[test]
+    fn display_is_the_slash_joined_address() {
+        let id = DeviceId::of(&BankAddress::default());
+        assert_eq!(id.to_string(), "node0/npu0/hbm0");
     }
 }

@@ -17,8 +17,10 @@
 //!   display,
 //! * the [`MicroLevel`] enum and [`UnitKey`] projection used by the paper's
 //!   empirical study (Tables I and II),
-//! * [`HbmGeometry`] describing and validating the coordinate space, and
-//! * [`FleetConfig`] enumerating the devices of a training cluster.
+//! * [`HbmGeometry`] describing and validating the coordinate space,
+//! * [`FleetConfig`] describing the layout of a training cluster, and
+//! * [`DeviceId`], the one name of an HBM device that the fleet host, the
+//!   serving daemon, the store and the CLI all key by.
 //!
 //! # Example
 //!
@@ -56,6 +58,6 @@ pub use address::{
     PseudoChannel, RowId, StackId,
 };
 pub use error::{AddressParseError, GeometryError};
-pub use fleet::{FleetConfig, HbmRef, NpuRef};
+pub use fleet::{DeviceId, FleetConfig, NpuRef};
 pub use geometry::HbmGeometry;
 pub use level::{MicroLevel, UnitKey};
